@@ -123,29 +123,23 @@ let effective_rewrites (config : config) : Rewrite.Rules.t list list =
 
 (* All engines produce bit-identical rows and Context accounting; the
    interpreter remains the differential-testing oracle.  At dop > 1 the
-   two-phase segment schedule decides each node's parallelism; if
-   deriving it fails (e.g. missing statistics) the morsel engine runs
-   every eligible node at the full dop — either way results are exact. *)
+   two-phase segment schedule decides each node's parallelism. *)
 let exec_plan config ~ctx ?obs ?sketch cat db plan =
   match config.engine with
   | `Interpreted ->
     (* the tuple interpreter has no columnar scan to hook sketches into *)
     Exec.Executor.run ~ctx ?obs cat plan
   | `Batch ->
-    if config.dop > 1 then
-      let schedule =
-        try
-          Some
-            (Parallel.Two_phase.node_dop
-               { Parallel.Two_phase.default_config with
-                 processors = config.dop }
-               cat db plan)
-        with _ -> None
-      in
-      Exec.Morsel.run ~ctx ?obs ?sketch ?schedule ~morsel:config.morsel_rows
-        ~chunk_rows:config.chunk_rows ~dop:config.dop cat plan
-    else
-      Exec.Batch.run ~ctx ?obs ?sketch ~chunk_rows:config.chunk_rows cat plan
+    let schedule =
+      if config.dop > 1 then
+        Some
+          (Parallel.Two_phase.node_dop
+             { Parallel.Two_phase.default_config with processors = config.dop }
+             cat db plan)
+      else None
+    in
+    Exec.Morsel.run ~ctx ?obs ?sketch ?schedule ~morsel:config.morsel_rows
+      ~chunk_rows:config.chunk_rows ~dop:config.dop cat plan
 
 (* No rewriting at all: the naive baseline. *)
 let naive_config = { default_config with rewrites = [] }

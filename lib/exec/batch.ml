@@ -1,9 +1,10 @@
-(* Batch execution engine.
+(* Columnar execution engine.
 
    Executes the same physical [Plan.t] trees as [Executor], but
    operator-at-a-time over columnar chunks, with bit-identical results
-   and identical [Context] cost accounting.  The differences from the
-   interpreter are purely mechanical:
+   and identical [Context] cost accounting — at any chunk size and any
+   degree of parallelism.  The differences from the interpreter are
+   purely mechanical:
 
    - operators exchange [Eval.Chunk.t] values: per-column typed storage
      (unboxed int/float arrays with null bitmaps, a boxed fallback
@@ -21,6 +22,37 @@
      never allocates a key array;
    - aggregates over integer arguments fold unboxed
      ([Expr.agg_step_int]) with key extraction amortized per chunk.
+
+   Kernels and dispatch.  Each operator is written once: its
+   data-parallel work is a kernel over a logical range [lo, hi) of its
+   input that writes into a sink — a vector it appends to, or disjoint
+   slots of a preallocated output.  The dispatcher runs a node's kernels
+   in one of two modes:
+
+   - inline (no pool, or the node's schedule entry is 1):
+     [chunk_rows]-sized ranges in order on the calling domain, into one
+     shared sink, with one hash partition — no exchange, concatenation
+     or first-occurrence re-sort runs;
+   - pooled: [morsel]-sized ranges drained by a [Domain_pool], one sink
+     per range, concatenated in range order.  Hash joins, aggregation
+     and DISTINCT first exchange row indices into hash partitions that
+     are built or folded in parallel; sort merges stable runs pairwise.
+
+   Both modes produce the same rows in the same order, by construction:
+   range sinks concatenate in range order; every partition receives its
+   rows in ascending logical order, so each bucket chain
+   (most-recent-first) and each group's fold sequence is the sequential
+   one — float sums come out bit-exact with no state merging; groups and
+   DISTINCT survivors carry the index of their first row and are
+   re-sorted on it; merge ties take the earlier run, which makes the
+   parallel sort exactly a stable sort.  Workers do pure computation
+   only: every [Context] charge happens on the coordinating domain, in
+   the same order relative to child executions in both modes, and the
+   lazy chunk caches a kernel reads (column/row views) are forced on the
+   coordinator before dispatch.  Operators whose work charges the
+   stateful buffer pool per row or walks its input sequentially (index
+   scan fetches, index-NL probes, the merge-join walk, stream
+   aggregation) run on the coordinator in both modes.
 
    Cost charging is decoupled from data movement — all charging loops
    run over *logical* (selection-order) row counts, so the counters are
@@ -56,32 +88,6 @@ type node = {
   replay : unit -> unit; (* charge ctx as one warm re-execution *)
 }
 
-(* Gather a column through a selection vector. *)
-let gather_col (c : Chunk.col) (sel : int array) : Chunk.col =
-  let n = Array.length sel in
-  match c with
-  | Chunk.Ints (d, nb) ->
-    let d' = Array.make n 0 and nb' = Bytes.make n '\000' in
-    for i = 0 to n - 1 do
-      let p = Array.unsafe_get sel i in
-      d'.(i) <- d.(p);
-      Bytes.set nb' i (Bytes.get nb p)
-    done;
-    Chunk.Ints (d', nb')
-  | Chunk.Floats (d, nb) ->
-    let d' = Array.make n 0. and nb' = Bytes.make n '\000' in
-    for i = 0 to n - 1 do
-      let p = Array.unsafe_get sel i in
-      d'.(i) <- d.(p);
-      Bytes.set nb' i (Bytes.get nb p)
-    done;
-    Chunk.Floats (d', nb')
-  | Chunk.Boxed v -> Chunk.Boxed (Array.map (fun p -> v.(p)) sel)
-
-(* Shared helpers ([pred1]/[pred2], offsets, buckets, join-row emission,
-   the chunk representation and the unboxed expression compilers) live
-   in {!Eval}, common with the morsel executor. *)
-
 (* Sketch-build hook: asked per scanned (table, column), it returns the
    feed callback for columns an estimator wants sketched, or [None].  A
    plain function type — the sketch state itself lives above [exec] in
@@ -90,7 +96,8 @@ type sketch_hook = table:string -> column:string -> (int -> unit) option
 
 (* Feed the full (pre-filter) stores of a sequential scan to the hook:
    sketches summarize the base column, one pass, nulls skipped.  Index
-   scans never feed — a range fetch sees only part of the column. *)
+   scans never feed — a range fetch sees only part of the column.  Runs
+   on the coordinator: the sketch state is unsynchronized. *)
 let feed_sketches (sketch : sketch_hook option) (t : Storage.Table.t)
     (store : Chunk.store) : unit =
   match sketch with
@@ -103,26 +110,256 @@ let feed_sketches (sketch : sketch_hook option) (t : Storage.Table.t)
          | None -> ())
       t.Storage.Table.schema
 
-let run_node ?(ctx = Context.create ()) ?obs ?sketch
-    ?(chunk_rows = default_chunk_rows) (cat : Storage.Catalog.t)
-    (plan : Plan.t) : node =
-  let memo : (Plan.t * node) list ref = ref [] in
-  (* Filter a dense store: compile the predicate once, then gather the
-     selection vector in [chunk_rows] blocks. *)
-  let select_dense s f (store : Chunk.store) : Chunk.t =
-    let keep = pred_store s f store in
-    let n = store.Chunk.len in
-    let sel = Storage.Vec.create () in
-    let base = ref 0 in
-    while !base < n do
-      let stop = min n (!base + chunk_rows) in
-      for j = !base to stop - 1 do
-        if keep j then Storage.Vec.push sel j
-      done;
-      base := stop
+(* The pool a run may spread kernels over: up to [width] workers, in
+   [morsel]-row ranges; [schedule] caps each node's workers. *)
+type pooled = {
+  pool : Domain_pool.t;
+  width : int;
+  morsel : int;
+  schedule : (Plan.t -> int) option;
+}
+
+type mode = Inline | Pooled of pooled * int (* workers, >= 2 *)
+
+(* Partition route of an integer key.  Independent of [Keys.Int_map]'s
+   slot hash, so the keys of one partition still spread over its
+   table. *)
+let int_route (k : int) = Hashtbl.hash k
+
+(* Hash-partition fan-out at [w] workers.  Any value is correct — output
+   and counters do not depend on it — and wider than the pool balances
+   skewed keys. *)
+let nparts w = min 64 (4 * w)
+
+(* Stable merge of two sorted runs; ties take [a]'s element. *)
+let merge_runs cmp a b =
+  let na = Array.length a and nb = Array.length b in
+  if na = 0 then b
+  else if nb = 0 then a
+  else begin
+    let out = Array.make (na + nb) a.(0) in
+    let ai = ref 0 and bi = ref 0 in
+    for k = 0 to na + nb - 1 do
+      if !bi >= nb || (!ai < na && cmp a.(!ai) b.(!bi) <= 0) then begin
+        out.(k) <- a.(!ai);
+        incr ai
+      end
+      else begin
+        out.(k) <- b.(!bi);
+        incr bi
+      end
     done;
-    { Chunk.store; sel = Some (Storage.Vec.to_array sel) }
+    out
+  end
+
+(* Per-partition outputs — each paired with the logical index of the
+   input row that first produced it, in first-occurrence order within
+   its partition — merged into global first-occurrence order.  A single
+   partition is already in order. *)
+let by_first (parts : (int array * 'a array) array) : 'a array =
+  match parts with
+  | [| (_, xs) |] -> xs
+  | _ ->
+    let all =
+      Array.concat
+        (Array.to_list
+           (Array.map
+              (fun (firsts, xs) -> Array.mapi (fun i x -> (firsts.(i), x)) xs)
+              parts))
+    in
+    Array.sort (fun (a, _) (b, _) -> compare (a : int) b) all;
+    Array.map snd all
+
+let run_node ~ctx ~obs ~sketch ~chunk_rows ~(par : pooled option)
+    (cat : Storage.Catalog.t) (plan : Plan.t) : node =
+  let chunk_rows = max 1 chunk_rows in
+  let mode p =
+    match par with
+    | None -> Inline
+    | Some pr ->
+      let w =
+        match pr.schedule with
+        | None -> pr.width
+        | Some f -> max 1 (min pr.width (f p))
+      in
+      if w <= 1 then Inline else Pooled (pr, w)
   in
+  (* Run [tasks] on [w] workers as a parallel phase of node [p]: per-task
+     busy time and rows ([f c] returns task [c]'s rows) fold into the
+     operator's [par] stats.  Workers write disjoint slots; the
+     coordinator folds them into the recorder after the phase, so only
+     one domain ever mutates recorder state. *)
+  let spread p pr w ~tasks (f : int -> int) =
+    if tasks = 1 then ignore (f 0)
+    else if tasks > 1 then begin
+      let wall = Array.make pr.width 0. and wrows = Array.make pr.width 0 in
+      let tl =
+        match obs with
+        | Some _ -> Some (Array.make tasks (-1, 0., 0.))
+        | None -> None
+      in
+      Domain_pool.run pr.pool ~workers:w ~tasks (fun ~worker c ->
+          let t0 = Mclock.now () in
+          let r = f c in
+          let t1 = Mclock.now () in
+          (match tl with Some a -> a.(c) <- (worker, t0, t1) | None -> ());
+          wall.(worker) <- wall.(worker) +. (t1 -. t0);
+          wrows.(worker) <- wrows.(worker) + r);
+      match obs with
+      | Some rc ->
+        Instrument.record_par rc p ~dop:pr.width ~wall ~rows:wrows;
+        Option.iter
+          (Array.iter (fun (worker, t0, t1) ->
+               if worker >= 0 then
+                 Instrument.record_task rc p ~worker ~start_s:t0 ~end_s:t1))
+          tl
+      | None -> ()
+    end
+  in
+  let inline_ranges n (k : int -> int -> unit) =
+    let lo = ref 0 in
+    while !lo < n do
+      let hi = min n (!lo + chunk_rows) in
+      k !lo hi;
+      lo := hi
+    done
+  in
+  (* [k c lo hi] over the morsels of [0, n); [k] returns its rows *)
+  let pooled_ranges p pr w n (k : int -> int -> int -> int) =
+    let m = pr.morsel in
+    spread p pr w ~tasks:((n + m - 1) / m) (fun c ->
+        k c (c * m) (min n ((c * m) + m)))
+  in
+  (* Run [k lo hi sink] over the ranges of [0, n); returns the sinks'
+     contents in range order, and the sum of [k]'s results (the CPU it
+     charges, when it probes). *)
+  let collect : 'a. Plan.t -> int -> (int -> int -> 'a Storage.Vec.t -> int)
+    -> 'a array * int =
+    fun p n k ->
+    match mode p with
+    | Inline ->
+      let sink = Storage.Vec.create () in
+      let acc = ref 0 in
+      inline_ranges n (fun lo hi -> acc := !acc + k lo hi sink);
+      (Storage.Vec.to_array sink, !acc)
+    | Pooled (pr, w) ->
+      let tasks = (n + pr.morsel - 1) / pr.morsel in
+      let outs = Array.make tasks [||] and accs = Array.make tasks 0 in
+      pooled_ranges p pr w n (fun c lo hi ->
+          let sink = Storage.Vec.create () in
+          accs.(c) <- k lo hi sink;
+          outs.(c) <- Storage.Vec.to_array sink;
+          Array.length outs.(c));
+      ( (match outs with
+         | [| a |] -> a
+         | _ -> Array.concat (Array.to_list outs)),
+        Array.fold_left ( + ) 0 accs )
+  in
+  (* Run [k lo hi] over the ranges of [0, n); kernels fill disjoint
+     slots of a preallocated output. *)
+  let fill p n (k : int -> int -> unit) =
+    match mode p with
+    | Inline -> inline_ranges n k
+    | Pooled (pr, w) ->
+      pooled_ranges p pr w n (fun _ lo hi ->
+          k lo hi;
+          hi - lo)
+  in
+  (* The hash exchange: [f ~size iter] runs once per partition, where
+     [iter] visits — in ascending order — the [size] logical indices of
+     [0, n) whose [route] (a non-negative hash) selects that partition.
+     Inline there is one partition and no exchange: [iter] walks [0, n)
+     and [route] is never called.  Returns the per-partition results. *)
+  let partitioned : 'a. Plan.t -> int -> route:(int -> int)
+    -> (size:int -> ((int -> unit) -> unit) -> 'a) -> 'a array =
+    fun p n ~route f ->
+    match mode p with
+    | Inline ->
+      [| f ~size:n (fun g ->
+            for i = 0 to n - 1 do
+              g i
+            done) |]
+    | Pooled (pr, w) ->
+      let np = nparts w in
+      let tasks = (n + pr.morsel - 1) / pr.morsel in
+      let parts =
+        Array.init tasks (fun _ ->
+            Array.init np (fun _ -> Storage.Vec.create ()))
+      in
+      pooled_ranges p pr w n (fun c lo hi ->
+          for i = lo to hi - 1 do
+            Storage.Vec.push parts.(c).(route i mod np) i
+          done;
+          hi - lo);
+      let res = Array.make np None in
+      spread p pr w ~tasks:np (fun pt ->
+          let size = ref 0 in
+          for c = 0 to tasks - 1 do
+            size := !size + Storage.Vec.length parts.(c).(pt)
+          done;
+          res.(pt) <-
+            Some
+              (f ~size:!size (fun g ->
+                   for c = 0 to tasks - 1 do
+                     Storage.Vec.iter g parts.(c).(pt)
+                   done));
+          !size);
+      Array.map Option.get res
+  in
+  (* A stable sort of [arr], which is left untouched.  Pooled: stable
+     morsel runs, then pairwise merge rounds. *)
+  let stable_sort : 'a. Plan.t -> ('a -> 'a -> int) -> 'a array -> 'a array =
+    fun p cmp arr ->
+    let n = Array.length arr in
+    match mode p with
+    | Pooled (pr, w) when n > pr.morsel ->
+      let m = pr.morsel in
+      let runs =
+        Array.init ((n + m - 1) / m) (fun c ->
+            Array.sub arr (c * m) (min m (n - (c * m))))
+      in
+      spread p pr w ~tasks:(Array.length runs) (fun c ->
+          Array.stable_sort cmp runs.(c);
+          Array.length runs.(c));
+      let cur = ref runs in
+      while Array.length !cur > 1 do
+        let prev = !cur in
+        let k = Array.length prev in
+        let next = Array.make ((k + 1) / 2) [||] in
+        spread p pr w ~tasks:(k / 2) (fun c ->
+            next.(c) <- merge_runs cmp prev.(2 * c) prev.((2 * c) + 1);
+            Array.length next.(c));
+        if k land 1 = 1 then next.(k / 2) <- prev.(k - 1);
+        cur := next
+      done;
+      !cur.(0)
+    | Inline | Pooled _ ->
+      let c = Array.copy arr in
+      Array.stable_sort cmp c;
+      c
+  in
+  (* Narrow [ch]'s selection to the rows passing [keep] (a pure
+     predicate over physical indices); the data is never copied. *)
+  let select p (ch : Chunk.t) keep : Chunk.t =
+    let kernel =
+      match ch.Chunk.sel with
+      | None ->
+        fun lo hi out ->
+          for q = lo to hi - 1 do
+            if keep q then Storage.Vec.push out q
+          done;
+          0
+      | Some s ->
+        fun lo hi out ->
+          for j = lo to hi - 1 do
+            let q = Array.unsafe_get s j in
+            if keep q then Storage.Vec.push out q
+          done;
+          0
+    in
+    { ch with Chunk.sel = Some (fst (collect p (Chunk.length ch) kernel)) }
+  in
+  let memo : (Plan.t * node) list ref = ref [] in
   (* Instrumentation is a single match per operator execution when off.
      The measured copy of the node wraps [replay] so each replay invocation
      counts as a rescan — mirroring the interpreter, where a rescan is a
@@ -141,12 +378,12 @@ let run_node ?(ctx = Context.create ()) ?obs ?sketch
 
   and exec_op (p : Plan.t) : node =
     match p with
-    | Plan.Seq_scan { table; alias; filter } -> seq_scan table alias filter
+    | Plan.Seq_scan { table; alias; filter } -> seq_scan p table alias filter
     | Plan.Index_scan { table; alias; column; lo; hi; filter } ->
-      index_scan table alias column lo hi filter
-    | Plan.Filter (f, i) -> filter_op f i
-    | Plan.Project (items, i) -> project items i
-    | Plan.Sort (keys, i) -> sort keys i
+      index_scan p table alias column lo hi filter
+    | Plan.Filter (f, i) -> filter_op p f i
+    | Plan.Project (items, i) -> project p items i
+    | Plan.Sort (keys, i) -> sort p keys i
     | Plan.Materialize i -> (
       match List.find_opt (fun (q, _) -> q == p) !memo with
       | Some (_, n) -> n
@@ -158,7 +395,7 @@ let run_node ?(ctx = Context.create ()) ?obs ?sketch
         memo := (p, n) :: !memo;
         n)
     | Plan.Nested_loop { kind; pred; outer; inner } ->
-      nested_loop kind pred outer inner
+      nested_loop p kind pred outer inner
     | Plan.Index_nl
         { kind; outer; table; alias; index; columns = _; outer_keys; residual }
       ->
@@ -166,15 +403,17 @@ let run_node ?(ctx = Context.create ()) ?obs ?sketch
     | Plan.Merge_join { kind; pairs; residual; left; right } ->
       merge_join kind pairs residual left right
     | Plan.Hash_join { kind; pairs; residual; left; right } ->
-      hash_join kind pairs residual left right
-    | Plan.Hash_agg { keys; aggs; input } -> aggregate ~sorted:false keys aggs input
-    | Plan.Stream_agg { keys; aggs; input } -> aggregate ~sorted:true keys aggs input
-    | Plan.Hash_distinct i -> hash_distinct i
+      hash_join p kind pairs residual left right
+    | Plan.Hash_agg { keys; aggs; input } ->
+      aggregate p ~sorted:false keys aggs input
+    | Plan.Stream_agg { keys; aggs; input } ->
+      aggregate p ~sorted:true keys aggs input
+    | Plan.Hash_distinct i -> hash_distinct p i
 
   (* ---------------------------------------------------------------- *)
   (* Scans *)
 
-  and seq_scan table alias filter =
+  and seq_scan p table alias filter =
     let t = Storage.Catalog.table cat table in
     let pages = Storage.Table.page_count t in
     let n = Storage.Table.row_count t in
@@ -196,11 +435,11 @@ let run_node ?(ctx = Context.create ()) ?obs ?sketch
       | Some f ->
         (* pushed filter: emit a selection over the scanned store — int
            comparisons run unboxed over the column extractions *)
-        select_dense s f store
+        select p (Chunk.dense store) (pred_store s f store)
     in
     { chunk; replay = charge }
 
-  and index_scan table alias column lo hi filter =
+  and index_scan p table alias column lo hi filter =
     let t = Storage.Catalog.table cat table in
     let idx =
       match Storage.Catalog.index_on cat ~table ~column with
@@ -225,38 +464,24 @@ let run_node ?(ctx = Context.create ()) ?obs ?sketch
     let chunk =
       match filter with
       | None -> Chunk.dense store
-      | Some f -> select_dense s f store
+      | Some f -> select p (Chunk.dense store) (pred_store s f store)
     in
     { chunk; replay = charge }
 
   (* ---------------------------------------------------------------- *)
   (* Row-at-a-time scalar operators, vectorized *)
 
-  and filter_op f i =
+  and filter_op p f i =
     let child = exec i in
     let s = Plan.schema cat i in
     let ch = child.chunk in
     let n = Chunk.length ch in
     let keep = pred_store s f ch.Chunk.store in
     Context.charge_cpu ctx n;
-    (* narrow the selection: survivors of the child's logical iteration,
-       gathered in [chunk_rows] blocks — the data is never copied *)
-    let phys = Chunk.phys ch in
-    let sel = Storage.Vec.create () in
-    let base = ref 0 in
-    while !base < n do
-      let stop = min n (!base + chunk_rows) in
-      for j = !base to stop - 1 do
-        let p = phys j in
-        if keep p then Storage.Vec.push sel p
-      done;
-      base := stop
-    done;
-    { chunk = { Chunk.store = ch.Chunk.store;
-                sel = Some (Storage.Vec.to_array sel) };
+    { chunk = select p ch keep;
       replay = (fun () -> child.replay (); Context.charge_cpu ctx n) }
 
-  and project items i =
+  and project p items i =
     let child = exec i in
     let s = Plan.schema cat i in
     let ch = child.chunk in
@@ -277,85 +502,126 @@ let run_node ?(ctx = Context.create ()) ?obs ?sketch
         let out = Array.make n [||] in
         (* item evaluation stays left-to-right (explicit lets below) so
            any expression error surfaces in the interpreter's order *)
-        (match ch.Chunk.sel, fs with
-         | None, [| f0 |] ->
-           for j = 0 to n - 1 do
-             Array.unsafe_set out j [| f0 (Array.unsafe_get srows j) |]
-           done
-         | None, [| f0; f1 |] ->
-           for j = 0 to n - 1 do
-             let t = Array.unsafe_get srows j in
-             let a = f0 t in
-             let b = f1 t in
-             Array.unsafe_set out j [| a; b |]
-           done
-         | None, fs ->
-           for j = 0 to n - 1 do
-             let t = Array.unsafe_get srows j in
-             let o = Array.make nf Value.Null in
-             for c = 0 to nf - 1 do
-               Array.unsafe_set o c ((Array.unsafe_get fs c) t)
-             done;
-             Array.unsafe_set out j o
-           done
-         | Some sel, [| f0; f1 |] ->
-           for j = 0 to n - 1 do
-             let t = Array.unsafe_get srows (Array.unsafe_get sel j) in
-             let a = f0 t in
-             let b = f1 t in
-             Array.unsafe_set out j [| a; b |]
-           done
-         | Some sel, fs ->
-           for j = 0 to n - 1 do
-             let t = Array.unsafe_get srows (Array.unsafe_get sel j) in
-             let o = Array.make nf Value.Null in
-             for c = 0 to nf - 1 do
-               Array.unsafe_set o c ((Array.unsafe_get fs c) t)
-             done;
-             Array.unsafe_set out j o
-           done);
+        fill p n
+          (match ch.Chunk.sel, fs with
+           | None, [| f0 |] ->
+             fun lo hi ->
+               for j = lo to hi - 1 do
+                 Array.unsafe_set out j [| f0 (Array.unsafe_get srows j) |]
+               done
+           | None, [| f0; f1 |] ->
+             fun lo hi ->
+               for j = lo to hi - 1 do
+                 let t = Array.unsafe_get srows j in
+                 let a = f0 t in
+                 let b = f1 t in
+                 Array.unsafe_set out j [| a; b |]
+               done
+           | None, fs ->
+             fun lo hi ->
+               for j = lo to hi - 1 do
+                 let t = Array.unsafe_get srows j in
+                 let o = Array.make nf Value.Null in
+                 for c = 0 to nf - 1 do
+                   Array.unsafe_set o c ((Array.unsafe_get fs c) t)
+                 done;
+                 Array.unsafe_set out j o
+               done
+           | Some sel, [| f0; f1 |] ->
+             fun lo hi ->
+               for j = lo to hi - 1 do
+                 let t = Array.unsafe_get srows (Array.unsafe_get sel j) in
+                 let a = f0 t in
+                 let b = f1 t in
+                 Array.unsafe_set out j [| a; b |]
+               done
+           | Some sel, fs ->
+             fun lo hi ->
+               for j = lo to hi - 1 do
+                 let t = Array.unsafe_get srows (Array.unsafe_get sel j) in
+                 let o = Array.make nf Value.Null in
+                 for c = 0 to nf - 1 do
+                   Array.unsafe_set o c ((Array.unsafe_get fs c) t)
+                 done;
+                 Array.unsafe_set out j o
+               done);
         Chunk.of_rows ~arity:nf out
       | None ->
         (* column-at-a-time: plain column refs share (or gather) the
            child's typed columns; integer expressions fill unboxed
            output columns; everything else falls back to compiled row
            evaluation.  The output is always dense — a projection
-           consumes the selection. *)
+           consumes the selection.  Columns are classified and
+           preallocated here (forcing the child's caches); the kernel
+           fills every column's slots for its range. *)
         let phys = Chunk.phys ch in
         let rows = lazy (Chunk.to_rows ch) in
+        let fills = Storage.Vec.create () in
+        let filled c k =
+          Storage.Vec.push fills k;
+          c
+        in
         let out_cols =
           Array.map
             (fun e ->
                let c =
                  match col_offset s e with
                  | Some off -> (
-                   match ch.Chunk.sel with
-                   | None -> Chunk.col store off (* share, zero cost *)
-                   | Some sel -> gather_col (Chunk.col store off) sel)
+                   match (Chunk.col store off, ch.Chunk.sel) with
+                   | c, None -> c (* share, zero cost *)
+                   | Chunk.Ints (d, nb), Some sel ->
+                     let d' = Array.make n 0 and nb' = Bytes.make n '\000' in
+                     filled (Chunk.Ints (d', nb')) (fun lo hi ->
+                         for j = lo to hi - 1 do
+                           let q = Array.unsafe_get sel j in
+                           d'.(j) <- d.(q);
+                           Bytes.set nb' j (Bytes.get nb q)
+                         done)
+                   | Chunk.Floats (d, nb), Some sel ->
+                     let d' = Array.make n 0. and nb' = Bytes.make n '\000' in
+                     filled (Chunk.Floats (d', nb')) (fun lo hi ->
+                         for j = lo to hi - 1 do
+                           let q = Array.unsafe_get sel j in
+                           d'.(j) <- d.(q);
+                           Bytes.set nb' j (Bytes.get nb q)
+                         done)
+                   | Chunk.Boxed v, Some sel ->
+                     let v' = Array.make n Value.Null in
+                     filled (Chunk.Boxed v') (fun lo hi ->
+                         for j = lo to hi - 1 do
+                           v'.(j) <- v.(Array.unsafe_get sel j)
+                         done))
                  | None -> (
                    match int_expr s store e with
                    | Some v ->
                      let d = Array.make n 0 and nb = Bytes.make n '\000' in
-                     for j = 0 to n - 1 do
-                       let p = phys j in
-                       if v.inull p then Bytes.set nb j '\001'
-                       else d.(j) <- v.iv p
-                     done;
-                     Chunk.Ints (d, nb)
+                     filled (Chunk.Ints (d, nb)) (fun lo hi ->
+                         for j = lo to hi - 1 do
+                           let q = phys j in
+                           if v.inull q then Bytes.set nb j '\001'
+                           else d.(j) <- v.iv q
+                         done)
                    | None ->
                      let f = Expr.compile s e in
                      let r = Lazy.force rows in
-                     Chunk.Boxed (Array.init n (fun j -> f r.(j))))
+                     let v' = Array.make n Value.Null in
+                     filled (Chunk.Boxed v') (fun lo hi ->
+                         for j = lo to hi - 1 do
+                           v'.(j) <- f r.(j)
+                         done))
                in
                Some c)
             es
         in
+        let fills = Storage.Vec.to_array fills in
+        if Array.length fills > 0 then
+          fill p n (fun lo hi -> Array.iter (fun k -> k lo hi) fills);
         Chunk.dense { Chunk.arity = nf; len = n; rows = None; cols = out_cols }
     in
     { chunk;
       replay = (fun () -> child.replay (); Context.charge_cpu ctx n) }
 
-  and sort keys i =
+  and sort p keys i =
     let child = exec i in
     let s = Plan.schema cat i in
     let fs =
@@ -384,12 +650,7 @@ let run_node ?(ctx = Context.create ()) ?obs ?sketch
     let key_offsets =
       List.map
         (fun (k : Plan.sort_key) ->
-           match k.Plan.key with
-           | Expr.Col { rel; col } -> (
-             match Schema.index_of s ~rel ~name:col with
-             | off -> Some (off, k.Plan.descending)
-             | exception _ -> None)
-           | _ -> None)
+           Option.map (fun off -> (off, k.Plan.descending)) (col_offset s k.Plan.key))
         keys
     in
     let sorted =
@@ -406,14 +667,15 @@ let run_node ?(ctx = Context.create ()) ?obs ?sketch
           in
           go 0
         in
-        let copy = Array.copy rows in
-        Array.stable_sort cmp copy;
-        copy
+        stable_sort p cmp rows
       end
       else begin
-        let deco =
-          Array.map (fun t -> (Array.init nk (fun k -> fst fs.(k) t), t)) rows
-        in
+        let deco = Array.make n ([||], [||]) in
+        fill p n (fun lo hi ->
+            for j = lo to hi - 1 do
+              let t = rows.(j) in
+              deco.(j) <- (Array.init nk (fun k -> fst fs.(k) t), t)
+            done);
         let cmp (ka, _) (kb, _) =
           let rec go k =
             if k = nk then 0
@@ -424,18 +686,17 @@ let run_node ?(ctx = Context.create ()) ?obs ?sketch
           in
           go 0
         in
-        Array.stable_sort cmp deco;
-        Array.map snd deco
+        Array.map snd (stable_sort p cmp deco)
       end
     in
     { chunk = Chunk.of_rows ~arity:(Schema.arity s) sorted;
       replay = (fun () -> child.replay (); charge ()) }
 
   (* ---------------------------------------------------------------- *)
-  (* Joins.  Join-row emission ([emit_range]/[emit_list]) is shared with
-     the morsel executor via {!Eval}. *)
+  (* Joins.  Join-row emission ([emit_range]/[emit_list]) lives in
+     {!Eval}. *)
 
-  and nested_loop kind pred outer inner =
+  and nested_loop p kind pred outer inner =
     let onode = exec outer in
     let outer_rows = Chunk.to_rows onode.chunk in
     let n_out = Array.length outer_rows in
@@ -457,13 +718,16 @@ let run_node ?(ctx = Context.create ()) ?obs ?sketch
         Context.charge_cpu ctx n_in
       done;
       let holds = pred2 so si pred in
-      let out = Storage.Vec.create () in
-      for oi = 0 to n_out - 1 do
-        let ot = outer_rows.(oi) in
-        emit_range out kind ~inner_arity ot inner_rows 0 n_in
-          ~matches:(fun it -> holds ot it)
-      done;
-      { chunk = Chunk.of_rows ~arity:out_arity (Storage.Vec.to_array out);
+      let out, _ =
+        collect p n_out (fun lo hi out ->
+            for oi = lo to hi - 1 do
+              let ot = outer_rows.(oi) in
+              emit_range out kind ~inner_arity ot inner_rows 0 n_in
+                ~matches:(fun it -> holds ot it)
+            done;
+            0)
+      in
+      { chunk = Chunk.of_rows ~arity:out_arity out;
         replay =
           (fun () ->
              onode.replay ();
@@ -473,6 +737,8 @@ let run_node ?(ctx = Context.create ()) ?obs ?sketch
              done) }
     end
 
+  (* per-probe B-tree page charges are order-dependent: the probe loop
+     stays on the coordinator (the outer subtree may still run pooled) *)
   and index_nl kind outer table alias index outer_keys residual =
     let t = Storage.Catalog.table cat table in
     let idx =
@@ -512,6 +778,8 @@ let run_node ?(ctx = Context.create ()) ?obs ?sketch
            Array.iter (fun ot -> ignore (charge_probe (probe_keys ot)))
              outer_rows) }
 
+  (* the merge walk is a sequential two-pointer scan on the coordinator;
+     its children (often Sorts) still run through [exec] *)
   and merge_join kind pairs residual left right =
     let lnode = exec left in
     let rnode = exec right in
@@ -612,7 +880,7 @@ let run_node ?(ctx = Context.create ()) ?obs ?sketch
            rnode.replay ();
            Context.charge_cpu ctx total_cpu) }
 
-  and hash_join kind pairs residual left right =
+  and hash_join p kind pairs residual left right =
     (* interpreter order: build side (right) executes first *)
     let rnode = exec right in
     let rch = rnode.chunk in
@@ -634,21 +902,6 @@ let run_node ?(ctx = Context.create ()) ?obs ?sketch
     let inner_arity = Schema.arity sr in
     let out_arity = join_arity kind ~outer:(Schema.arity sl) ~inner:inner_arity in
     Context.charge_cpu ctx nl;
-    let cpu = ref (nr + nl) in
-    let charge_bucket blen =
-      Context.charge_cpu ctx blen;
-      cpu := !cpu + blen
-    in
-    let finish chunk =
-      let total_cpu = !cpu in
-      { chunk;
-        replay =
-          (fun () ->
-             rnode.replay ();
-             lnode.replay ();
-             Context.charge_cpu ctx total_cpu;
-             if spill > 0 then Context.charge_spill ctx spill) }
-    in
     let rstore = rch.Chunk.store and lstore = lch.Chunk.store in
     let rphys = Chunk.phys rch and lphys = Chunk.phys lch in
     let fault = !fault_null_key_as_zero in
@@ -662,178 +915,144 @@ let run_node ?(ctx = Context.create ()) ?obs ?sketch
     let keep_if_match =
       match kind with Algebra.Semi -> true | _ -> false
     in
-    let nk = Array.length roffs in
-    let single = nk = 1 in
-    let rcol = if single then Chunk.int_col rstore roffs.(0) else None in
-    let lcol =
-      if single && rcol <> None then Chunk.int_col lstore loffs.(0) else None
+    let rrows = if semi_only then [||] else Chunk.to_rows rch in
+    let absent = { blen = 0; items = [] } in
+    let fresh ri = { blen = 1; items = (if semi_only then [] else [ rrows.(ri) ]) } in
+    let push b ri =
+      b.blen <- b.blen + 1;
+      if not semi_only then b.items <- rrows.(ri) :: b.items
     in
-    match (rcol, lcol) with
-    | Some (rd, rnb), Some (ld, lnb) when semi_only ->
-      (* unboxed int keys, count-only buckets, selection-vector output *)
-      let absent = ref (-1) in
-      let tbl = Keys.Int_map.create ~dummy:absent (max 16 nr) in
-      for ri = 0 to nr - 1 do
-        let pr = rphys ri in
-        let null = Bytes.get rnb pr <> '\000' in
-        if (not null) || fault then begin
-          let k = if null then 0 else rd.(pr) in
-          let c = Keys.Int_map.find tbl k in
-          if c == absent then Keys.Int_map.add tbl k (ref 1) else incr c
-        end
-      done;
-      let sel = Storage.Vec.create () in
-      for li = 0 to nl - 1 do
-        let pl = lphys li in
-        let null = Bytes.get lnb pl <> '\000' in
-        let blen =
-          if (not null) || fault then begin
-            let k = if null then 0 else ld.(pl) in
-            let c = Keys.Int_map.find tbl k in
-            if c == absent then 0 else !c
-          end
-          else 0
+    let nk = Array.length roffs in
+    let rcol = if nk = 1 then Chunk.int_col rstore roffs.(0) else None in
+    let lcol =
+      if nk = 1 && rcol <> None then Chunk.int_col lstore loffs.(0) else None
+    in
+    (* Build one table per partition (the partition of a build row is
+       its key's hash), then [probe li] looks left row [li]'s key up in
+       the table its own key hash selects: the bucket, or [absent]. *)
+    let probe : int -> bucket =
+      match (rcol, lcol) with
+      | Some (rd, rnb), Some (ld, lnb) ->
+        (* single-column integer keys, both sides already unboxed in the
+           column store: open-addressing map, raw int hashing, no key or
+           entry allocation; the miss dummy doubles as the empty bucket on
+           probe.  NULL keys never join; under the test-only fault they
+           collapse to key 0, which the differential fuzzer must detect. *)
+        let live nb q = fault || Bytes.get nb q = '\000' in
+        let key d nb q = if Bytes.get nb q <> '\000' then 0 else d.(q) in
+        let tbls =
+          partitioned p nr
+            ~route:(fun ri -> int_route (key rd rnb (rphys ri)))
+            (fun ~size iter ->
+               let tbl = Keys.Int_map.create ~dummy:absent (max 16 size) in
+               iter (fun ri ->
+                   let q = rphys ri in
+                   if live rnb q then begin
+                     let k = key rd rnb q in
+                     let b = Keys.Int_map.find tbl k in
+                     if b == absent then Keys.Int_map.add tbl k (fresh ri)
+                     else push b ri
+                   end);
+               tbl)
         in
-        charge_bucket blen;
-        if (blen > 0) = keep_if_match then Storage.Vec.push sel pl
-      done;
-      finish
-        { Chunk.store = lstore; sel = Some (Storage.Vec.to_array sel) }
-    | Some (rd, rnb), Some (ld, lnb) ->
-      (* single-column integer keys, both sides already unboxed in the
-         column store: open-addressing map, raw int hashing, no key or
-         entry allocation; the miss dummy doubles as the empty bucket on
-         probe.  NULL keys never join; under the test-only fault they
-         collapse to key 0, which the differential fuzzer must detect. *)
-      let rrows = Chunk.to_rows rch in
-      let lrows = Chunk.to_rows lch in
-      let holds = pred2 sl sr residual in
-      let out = Storage.Vec.create () in
-      let absent = { blen = 0; items = [] } in
-      let tbl = Keys.Int_map.create ~dummy:absent (max 16 nr) in
-      for ri = 0 to nr - 1 do
-        let pr = rphys ri in
-        let null = Bytes.get rnb pr <> '\000' in
-        if (not null) || fault then begin
-          let k = if null then 0 else rd.(pr) in
-          let b = Keys.Int_map.find tbl k in
-          if b == absent then
-            Keys.Int_map.add tbl k { blen = 1; items = [ rrows.(ri) ] }
-          else begin
-            b.blen <- b.blen + 1;
-            b.items <- rrows.(ri) :: b.items
-          end
-        end
-      done;
-      for li = 0 to nl - 1 do
-        let lt = lrows.(li) in
-        let pl = lphys li in
-        let null = Bytes.get lnb pl <> '\000' in
-        let items, blen =
-          if (not null) || fault then begin
-            let k = if null then 0 else ld.(pl) in
-            let b = Keys.Int_map.find tbl k in
-            (b.items, b.blen)
-          end
-          else ([], 0)
+        let np = Array.length tbls in
+        fun li ->
+          let q = lphys li in
+          if live lnb q then
+            let k = key ld lnb q in
+            Keys.Int_map.find
+              (if np = 1 then tbls.(0) else tbls.(int_route k mod np))
+              k
+          else absent
+      | _ ->
+        (* generic keys: the build materializes each key exactly once; a
+           probe hashes and compares column-wise through accessors, never
+           allocating a key array.  Probe routes hash with
+           [Keys.Cols_tbl.hash_cols], consistent with the build's, so
+           Int 2 = Float 2.0 keys land in one partition. *)
+        let rgets = Array.map (fun off -> Chunk.getter rstore off) roffs in
+        let lgets = Array.map (fun off -> Chunk.getter lstore off) loffs in
+        let nullfree gets q =
+          let rec go c =
+            c = nk || ((not (Value.is_null (gets.(c) q))) && go (c + 1))
+          in
+          go 0
         in
-        charge_bucket blen;
-        emit_list out kind ~inner_arity lt items
-          ~matches:(fun rt -> holds lt rt)
-      done;
-      finish (Chunk.of_rows ~arity:out_arity (Storage.Vec.to_array out))
-    | _ when semi_only ->
-      (* generic keys, count-only buckets, selection-vector output: the
-         build materializes each key once; probes hash and compare
-         column-wise through accessors *)
-      let rgets = Array.map (fun off -> Chunk.getter rstore off) roffs in
-      let lgets = Array.map (fun off -> Chunk.getter lstore off) loffs in
-      let absent = ref (-1) in
-      let tbl = Keys.Cols_tbl.create ~dummy:absent (max 16 nr) in
-      for ri = 0 to nr - 1 do
-        let pr = rphys ri in
-        let rec nullfree c =
-          c = nk || ((not (Value.is_null (rgets.(c) pr))) && nullfree (c + 1))
+        let tbls =
+          partitioned p nr
+            ~route:(fun ri ->
+                Keys.Cols_tbl.hash_cols rgets (rphys ri) land max_int)
+            (fun ~size iter ->
+               let tbl = Keys.Cols_tbl.create ~dummy:absent (max 16 size) in
+               iter (fun ri ->
+                   let q = rphys ri in
+                   if nullfree rgets q then begin
+                     let b = Keys.Cols_tbl.find tbl rgets q in
+                     if b == absent then
+                       Keys.Cols_tbl.add tbl
+                         (Array.init nk (fun c -> rgets.(c) q))
+                         (fresh ri)
+                     else push b ri
+                   end);
+               tbl)
         in
-        if nullfree 0 then begin
-          let c = Keys.Cols_tbl.find tbl rgets pr in
-          if c == absent then
-            Keys.Cols_tbl.add tbl
-              (Array.init nk (fun c -> rgets.(c) pr))
-              (ref 1)
-          else incr c
-        end
-      done;
-      let sel = Storage.Vec.create () in
-      for li = 0 to nl - 1 do
-        let pl = lphys li in
-        let rec nullfree c =
-          c = nk || ((not (Value.is_null (lgets.(c) pl))) && nullfree (c + 1))
+        let np = Array.length tbls in
+        fun li ->
+          let q = lphys li in
+          if nullfree lgets q then
+            Keys.Cols_tbl.find
+              (if np = 1 then tbls.(0)
+               else tbls.(Keys.Cols_tbl.hash_cols lgets q land max_int mod np))
+              lgets q
+          else absent
+    in
+    (* probe kernels return the bucket lengths they scanned: the CPU
+       the interpreter charges per probe, summed and charged here *)
+    let probe_cpu, chunk =
+      if semi_only then
+        let sel, cpu =
+          collect p nl (fun lo hi out ->
+              let cpu = ref 0 in
+              for li = lo to hi - 1 do
+                let blen = (probe li).blen in
+                cpu := !cpu + blen;
+                if (blen > 0) = keep_if_match then Storage.Vec.push out (lphys li)
+              done;
+              !cpu)
         in
-        let blen =
-          if nullfree 0 then begin
-            let c = Keys.Cols_tbl.find tbl lgets pl in
-            if c == absent then 0 else !c
-          end
-          else 0
+        (cpu, { Chunk.store = lstore; sel = Some sel })
+      else begin
+        let lrows = Chunk.to_rows lch in
+        let holds = pred2 sl sr residual in
+        let out, cpu =
+          collect p nl (fun lo hi out ->
+              let cpu = ref 0 in
+              for li = lo to hi - 1 do
+                let lt = lrows.(li) in
+                let b = probe li in
+                cpu := !cpu + b.blen;
+                emit_list out kind ~inner_arity lt b.items
+                  ~matches:(fun rt -> holds lt rt)
+              done;
+              !cpu)
         in
-        charge_bucket blen;
-        if (blen > 0) = keep_if_match then Storage.Vec.push sel pl
-      done;
-      finish
-        { Chunk.store = lstore; sel = Some (Storage.Vec.to_array sel) }
-    | _ ->
-      (* generic keys: the build materializes each key exactly once; a
-         probe hashes and compares column-wise through accessors, never
-         allocating a key array *)
-      let rrows = Chunk.to_rows rch in
-      let lrows = Chunk.to_rows lch in
-      let holds = pred2 sl sr residual in
-      let rgets = Array.map (fun off -> Chunk.getter rstore off) roffs in
-      let lgets = Array.map (fun off -> Chunk.getter lstore off) loffs in
-      let out = Storage.Vec.create () in
-      let absent = { blen = 0; items = [] } in
-      let tbl = Keys.Cols_tbl.create ~dummy:absent (max 16 nr) in
-      for ri = 0 to nr - 1 do
-        let pr = rphys ri in
-        let rec nullfree c =
-          c = nk || ((not (Value.is_null (rgets.(c) pr))) && nullfree (c + 1))
-        in
-        if nullfree 0 then begin
-          let b = Keys.Cols_tbl.find tbl rgets pr in
-          if b == absent then
-            Keys.Cols_tbl.add tbl
-              (Array.init nk (fun c -> rgets.(c) pr))
-              { blen = 1; items = [ rrows.(ri) ] }
-          else begin
-            b.blen <- b.blen + 1;
-            b.items <- rrows.(ri) :: b.items
-          end
-        end
-      done;
-      for li = 0 to nl - 1 do
-        let lt = lrows.(li) in
-        let pl = lphys li in
-        let rec nullfree c =
-          c = nk || ((not (Value.is_null (lgets.(c) pl))) && nullfree (c + 1))
-        in
-        let items, blen =
-          if nullfree 0 then begin
-            let b = Keys.Cols_tbl.find tbl lgets pl in
-            (b.items, b.blen)
-          end
-          else ([], 0)
-        in
-        charge_bucket blen;
-        emit_list out kind ~inner_arity lt items
-          ~matches:(fun rt -> holds lt rt)
-      done;
-      finish (Chunk.of_rows ~arity:out_arity (Storage.Vec.to_array out))
+        (cpu, Chunk.of_rows ~arity:out_arity out)
+      end
+    in
+    Context.charge_cpu ctx probe_cpu;
+    let total_cpu = nr + nl + probe_cpu in
+    { chunk;
+      replay =
+        (fun () ->
+           rnode.replay ();
+           lnode.replay ();
+           Context.charge_cpu ctx total_cpu;
+           if spill > 0 then Context.charge_spill ctx spill) }
 
   (* ---------------------------------------------------------------- *)
   (* Aggregation *)
 
-  and aggregate ~sorted keys aggs input =
+  and aggregate p ~sorted keys aggs input =
     let child = exec input in
     let ch = child.chunk in
     let store = ch.Chunk.store in
@@ -849,182 +1068,224 @@ let run_node ?(ctx = Context.create ()) ?obs ?sketch
           else Expr.agg_final agg_arr.(k - nkeys) states.(k - nkeys))
     in
     let fresh_states () = Array.init naggs (fun _ -> Expr.agg_init ()) in
-    let out = Storage.Vec.create () in
-    if sorted then begin
-      (* stream aggregation over key-sorted input: row-shaped *)
-      let rows = Chunk.to_rows ch in
-      let keyfs =
-        Array.of_list (List.map (fun (e, _) -> Expr.compile s e) keys)
-      in
-      let argfs =
-        Array.of_list
-          (List.map
-             (fun (a, _) ->
-                match Expr.agg_arg a with
-                | None -> fun _ -> Value.Int 1 (* count-star: any non-null *)
-                | Some e -> Expr.compile s e)
-             aggs)
-      in
-      let step_all t states =
-        for a = 0 to naggs - 1 do
-          Expr.agg_step states.(a) (argfs.(a) t)
-        done
-      in
-      let cur_key = ref None in
-      let cur_states = ref [||] in
-      let flush () =
-        match !cur_key with
-        | None -> ()
-        | Some kv -> Storage.Vec.push out (finalize kv !cur_states)
-      in
-      Array.iter
-        (fun t ->
-           let kv = Array.init nkeys (fun k -> keyfs.(k) t) in
-           (match !cur_key with
-            | Some kv' when Keys.equal_array kv kv' -> ()
-            | Some _ | None ->
-              flush ();
-              cur_key := Some kv;
-              cur_states := fresh_states ());
-           step_all t !cur_states)
-        rows;
-      flush ()
-    end
-    else begin
-      (* hash aggregation, column-at-a-time: aggregate arguments that
-         compile to integer vectors fold unboxed through
-         [Expr.agg_step_int]; the rest step through compiled row
-         closures.  Steppers take physical indices. *)
-      let phys = Chunk.phys ch in
-      let steppers =
-        Array.of_list
-          (List.map
-             (fun (a, _) ->
-                match Expr.agg_arg a with
-                | None -> fun st (_ : int) -> Expr.agg_step_int st 1
-                | Some e -> (
-                  match int_expr s store e with
-                  | Some v ->
-                    fun st p ->
-                      if not (v.inull p) then Expr.agg_step_int st (v.iv p)
-                  | None ->
-                    let f = Expr.compile s e in
-                    let rows = Chunk.rows_view store in
-                    fun st p -> Expr.agg_step st (f rows.(p))))
-             aggs)
-      in
-      let step_all p states =
-        for a = 0 to naggs - 1 do
-          steppers.(a) states.(a) p
-        done
-      in
-      (* single integer key with no NULL at any selected row: raw int
-         hashing, no key boxing *)
-      let int_key =
-        match keys with
-        | [ (e, _) ] -> (
-          match int_expr s store e with
-          | Some v ->
-            let rec clean i = i = n || ((not (v.inull (phys i))) && clean (i + 1)) in
-            if clean 0 then Some v else None
-          | None -> None)
-        | _ -> None
-      in
-      match int_key with
-      | Some v ->
+    let out =
+      if sorted then begin
+        (* stream aggregation over key-sorted input: a sequential,
+           row-shaped flush walk on the coordinator *)
+        let out = Storage.Vec.create () in
+        let rows = Chunk.to_rows ch in
+        let keyfs =
+          Array.of_list (List.map (fun (e, _) -> Expr.compile s e) keys)
+        in
+        let argfs =
+          Array.of_list
+            (List.map
+               (fun (a, _) ->
+                  match Expr.agg_arg a with
+                  | None -> fun _ -> Value.Int 1 (* count-star: any non-null *)
+                  | Some e -> Expr.compile s e)
+               aggs)
+        in
+        let step_all t states =
+          for a = 0 to naggs - 1 do
+            Expr.agg_step states.(a) (argfs.(a) t)
+          done
+        in
+        let cur_key = ref None in
+        let cur_states = ref [||] in
+        let flush () =
+          match !cur_key with
+          | None -> ()
+          | Some kv -> Storage.Vec.push out (finalize kv !cur_states)
+        in
+        Array.iter
+          (fun t ->
+             let kv = Array.init nkeys (fun k -> keyfs.(k) t) in
+             (match !cur_key with
+              | Some kv' when Keys.equal_array kv kv' -> ()
+              | Some _ | None ->
+                flush ();
+                cur_key := Some kv;
+                cur_states := fresh_states ());
+             step_all t !cur_states)
+          rows;
+        flush ();
+        Storage.Vec.to_array out
+      end
+      else begin
+        (* hash aggregation, column-at-a-time: aggregate arguments that
+           compile to integer vectors fold unboxed through
+           [Expr.agg_step_int]; the rest step through compiled row
+           closures.  Steppers take physical indices.  Pooled, rows are
+           exchanged by key hash, so each key's whole fold runs on one
+           partition in global row order (bit-exact float sums). *)
+        let phys = Chunk.phys ch in
+        let steppers =
+          Array.of_list
+            (List.map
+               (fun (a, _) ->
+                  match Expr.agg_arg a with
+                  | None -> fun st (_ : int) -> Expr.agg_step_int st 1
+                  | Some e -> (
+                    match int_expr s store e with
+                    | Some v ->
+                      fun st q ->
+                        if not (v.inull q) then Expr.agg_step_int st (v.iv q)
+                    | None ->
+                      let f = Expr.compile s e in
+                      let rows = Chunk.rows_view store in
+                      fun st q -> Expr.agg_step st (f rows.(q))))
+               aggs)
+        in
+        let step_all q states =
+          for a = 0 to naggs - 1 do
+            steppers.(a) states.(a) q
+          done
+        in
         (* physically unique dummy: [fresh_states] always allocates, and
            a zero-agg states array is [[||]], never length 1 *)
         let dummy = Array.make 1 (Expr.agg_init ()) in
-        let tbl = Keys.Int_map.create ~dummy 64 in
-        let order = Storage.Vec.create () in
-        for j = 0 to n - 1 do
-          let p = phys j in
-          let k = v.iv p in
-          let states =
-            let st = Keys.Int_map.find tbl k in
-            if st != dummy then st
-            else begin
-              let st = fresh_states () in
-              Keys.Int_map.add tbl k st;
-              Storage.Vec.push order k;
-              st
-            end
-          in
-          step_all p states
-        done;
-        Storage.Vec.iter
-          (fun k ->
-             Storage.Vec.push out
-               (finalize [| Value.Int k |] (Keys.Int_map.find tbl k)))
-          order
-      | None ->
-        (* generic keys: probe column-wise ([Keys.Cols_tbl]); the key is
-           materialized once per group, in first-occurrence order *)
-        let kgets =
-          Array.of_list
-            (List.map
-               (fun (e, _) ->
-                  match col_offset s e with
-                  | Some off -> Chunk.getter store off
-                  | None ->
-                    let f = Expr.compile s e in
-                    let rows = Chunk.rows_view store in
-                    fun p -> f rows.(p))
-               keys)
+        (* single integer key with no NULL at any selected row: raw int
+           hashing, no key boxing *)
+        let int_key =
+          match keys with
+          | [ (e, _) ] -> (
+            match int_expr s store e with
+            | Some v ->
+              let rec clean i = i = n || ((not (v.inull (phys i))) && clean (i + 1)) in
+              if clean 0 then Some v else None
+            | None -> None)
+          | _ -> None
         in
-        let dummy = Array.make 1 (Expr.agg_init ()) in
-        let tbl = Keys.Cols_tbl.create ~dummy 64 in
-        let order = Storage.Vec.create () in
-        for j = 0 to n - 1 do
-          let p = phys j in
-          let states =
-            let st = Keys.Cols_tbl.find tbl kgets p in
-            if st != dummy then st
-            else begin
-              let st = fresh_states () in
-              let kv = Array.init nkeys (fun c -> kgets.(c) p) in
-              Keys.Cols_tbl.add tbl kv st;
-              Storage.Vec.push order (kv, st);
-              st
-            end
-          in
-          step_all p states
-        done;
-        Storage.Vec.iter
-          (fun (kv, st) -> Storage.Vec.push out (finalize kv st))
-          order
-    end;
-    if keys = [] && Storage.Vec.length out = 0 then
-      (* scalar aggregate over the empty input: one row *)
-      Storage.Vec.push out (finalize [||] (fresh_states ()));
-    { chunk =
-        Chunk.of_rows ~arity:(nkeys + naggs) (Storage.Vec.to_array out);
+        let groups =
+          match int_key with
+          | Some v ->
+            partitioned p n
+              ~route:(fun li -> int_route (v.iv (phys li)))
+              (fun ~size:_ iter ->
+                 let tbl = Keys.Int_map.create ~dummy 64 in
+                 let firsts = Storage.Vec.create () in
+                 let order = Storage.Vec.create () in
+                 iter (fun li ->
+                     let q = phys li in
+                     let k = v.iv q in
+                     let states =
+                       let st = Keys.Int_map.find tbl k in
+                       if st != dummy then st
+                       else begin
+                         let st = fresh_states () in
+                         Keys.Int_map.add tbl k st;
+                         Storage.Vec.push firsts li;
+                         Storage.Vec.push order k;
+                         st
+                       end
+                     in
+                     step_all q states);
+                 ( Storage.Vec.to_array firsts,
+                   Array.map
+                     (fun k -> finalize [| Value.Int k |] (Keys.Int_map.find tbl k))
+                     (Storage.Vec.to_array order) ))
+          | None ->
+            (* generic keys: probe column-wise ([Keys.Cols_tbl]); the key
+               is materialized once per group *)
+            let kgets =
+              Array.of_list
+                (List.map
+                   (fun (e, _) ->
+                      match col_offset s e with
+                      | Some off -> Chunk.getter store off
+                      | None ->
+                        let f = Expr.compile s e in
+                        let rows = Chunk.rows_view store in
+                        fun q -> f rows.(q))
+                   keys)
+            in
+            partitioned p n
+              ~route:(fun li -> Keys.Cols_tbl.hash_cols kgets (phys li) land max_int)
+              (fun ~size:_ iter ->
+                 let tbl = Keys.Cols_tbl.create ~dummy 64 in
+                 let firsts = Storage.Vec.create () in
+                 let order = Storage.Vec.create () in
+                 iter (fun li ->
+                     let q = phys li in
+                     let states =
+                       let st = Keys.Cols_tbl.find tbl kgets q in
+                       if st != dummy then st
+                       else begin
+                         let st = fresh_states () in
+                         let kv = Array.init nkeys (fun c -> kgets.(c) q) in
+                         Keys.Cols_tbl.add tbl kv st;
+                         Storage.Vec.push firsts li;
+                         Storage.Vec.push order (kv, st);
+                         st
+                       end
+                     in
+                     step_all q states);
+                 ( Storage.Vec.to_array firsts,
+                   Array.map (fun (kv, st) -> finalize kv st)
+                     (Storage.Vec.to_array order) ))
+        in
+        by_first groups
+      end
+    in
+    let out =
+      if keys = [] && Array.length out = 0 then
+        (* scalar aggregate over the empty input: one row *)
+        [| finalize [||] (fresh_states ()) |]
+      else out
+    in
+    { chunk = Chunk.of_rows ~arity:(nkeys + naggs) out;
       replay = (fun () -> child.replay (); Context.charge_cpu ctx n) }
 
-  and hash_distinct i =
+  and hash_distinct p i =
     let child = exec i in
     let rows = Chunk.to_rows child.chunk in
     let n = Array.length rows in
     Context.charge_cpu ctx n;
-    (* tuples are Value.t arrays: used directly as fixed-arity keys *)
-    let seen = Keys.Array_tbl.create 64 in
-    let out = Storage.Vec.create () in
-    Array.iter
-      (fun t ->
-         if not (Keys.Array_tbl.mem seen t) then begin
-           Keys.Array_tbl.add seen t ();
-           Storage.Vec.push out t
-         end)
-      rows;
+    (* tuples are Value.t arrays: used directly as fixed-arity keys;
+       pooled, rows exchange by whole-tuple hash *)
+    let survivors =
+      partitioned p n
+        ~route:(fun ri -> Keys.hash_array rows.(ri) land max_int)
+        (fun ~size:_ iter ->
+           let seen = Keys.Array_tbl.create 64 in
+           let keep = Storage.Vec.create () in
+           iter (fun ri ->
+               let t = rows.(ri) in
+               if not (Keys.Array_tbl.mem seen t) then begin
+                 Keys.Array_tbl.add seen t ();
+                 Storage.Vec.push keep ri
+               end);
+           let kept = Storage.Vec.to_array keep in
+           (kept, kept))
+    in
     { chunk =
         Chunk.of_rows
           ~arity:(Schema.arity (Plan.schema cat i))
-          (Storage.Vec.to_array out);
+          (Array.map (fun ri -> rows.(ri)) (by_first survivors));
       replay = (fun () -> child.replay (); Context.charge_cpu ctx n) }
   in
   exec plan
 
-let run ?ctx ?obs ?sketch ?chunk_rows (cat : Storage.Catalog.t)
+let execute ?(ctx = Context.create ()) ?obs ?sketch
+    ?(chunk_rows = default_chunk_rows) par (cat : Storage.Catalog.t)
     (plan : Plan.t) : Executor.result =
   { Executor.schema = Plan.schema cat plan;
-    rows = Chunk.to_rows (run_node ?ctx ?obs ?sketch ?chunk_rows cat plan).chunk }
+    rows =
+      Chunk.to_rows (run_node ~ctx ~obs ~sketch ~chunk_rows ~par cat plan).chunk }
+
+let run ?ctx ?obs ?sketch ?chunk_rows cat plan =
+  execute ?ctx ?obs ?sketch ?chunk_rows None cat plan
+
+let run_pooled ?ctx ?obs ?sketch ?chunk_rows ?schedule ?pool ~dop ~morsel cat
+    plan =
+  let width =
+    match pool with Some pool -> min dop (Domain_pool.dop pool) | None -> 1
+  in
+  let par =
+    match pool with
+    | Some pool when width > 1 ->
+      Some { pool; width; morsel = max 1 morsel; schedule }
+    | Some _ | None -> None
+  in
+  execute ?ctx ?obs ?sketch ?chunk_rows par cat plan

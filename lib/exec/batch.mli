@@ -1,23 +1,32 @@
-(** Batch execution engine: executes the same physical {!Plan.t} trees as
-    {!Executor}, operator-at-a-time over columnar chunks
+(** Columnar execution engine: executes the same physical {!Plan.t}
+    trees as {!Executor}, operator-at-a-time over columnar chunks
     ({!Eval.Chunk.t}: per-column typed storage plus a selection vector).
     Filters and semi/anti hash joins narrow the selection without
     materializing rows; integer predicates, projection items, join keys
     and aggregate arguments run unboxed over the column data; rows are
     materialized only where an operator is inherently row-shaped (sort
     payloads, nested-loop rescans, join-row emission, the final result).
+
+    Each operator is written once, as a kernel over a logical range of
+    its input.  {!run} walks the ranges inline, [chunk_rows] at a time;
+    {!run_pooled} spreads [morsel]-sized ranges over a {!Domain_pool},
+    with hash-partitioned exchanges for joins, aggregation and DISTINCT
+    and a parallel merge for ORDER BY.  Workers never touch the
+    {!Context}: all charging happens on the calling domain.
+
     Cost charging is decoupled from data movement — all charging loops
     run over logical (selection-order) row counts, and a [Nested_loop]
     rescan charges the buffer pool (by replaying the inner subtree's
     page-access pattern) without recomputing the inner rows, which are
     cached by physical node identity.
 
-    Contract: for every plan, [run] returns bit-identical rows in the same
-    order, and drives the {!Context} (buffer pool, CPU, spill counters)
-    identically to {!Executor.run} — at any [chunk_rows].  The
-    interpreter remains the differential-testing oracle. *)
+    Contract: for every plan, both entry points return bit-identical rows
+    in the same order, and drive the {!Context} (buffer pool page-access
+    sequence, CPU, spill counters) identically to {!Executor.run} — at
+    any [chunk_rows], [dop] and [morsel].  The interpreter remains the
+    differential-testing oracle. *)
 
-(** Default block size for selection-vector gathering. *)
+(** Default range size of the inline mode. *)
 val default_chunk_rows : int
 
 (** Sketch-build hook, asked once per scanned (table, column): return the
@@ -26,11 +35,6 @@ val default_chunk_rows : int
     [None].  Plain function type — the sketch state lives above the
     execution layer. *)
 type sketch_hook = table:string -> column:string -> (int -> unit) option
-
-(** Feed a sequential scan's full store to the hook (shared with the
-    morsel executor, which feeds on its coordinator). *)
-val feed_sketches :
-  sketch_hook option -> Storage.Table.t -> Eval.Chunk.store -> unit
 
 (** When [obs] is given, node executions and replay invocations are
     recorded against the {!Instrument} recorder; per-operator [act_rows]
@@ -42,22 +46,18 @@ val run :
   ?chunk_rows:int ->
   Storage.Catalog.t -> Plan.t -> Executor.result
 
-(** An executed subtree: its chunk plus a [replay] closure that charges
-    the context exactly as one warm re-execution of the interpreter
-    would (page reads re-issued against the stateful buffer pool in the
-    same order, CPU and spill totals re-charged). *)
-type node = {
-  chunk : Eval.Chunk.t;
-  replay : unit -> unit;
-}
-
-(** [run_node] is {!run} exposing the chunk and replay closure — the
-    morsel executor runs sequential-only subtrees (e.g. [Nested_loop]
-    inners that must replay per outer tuple) through it. *)
-val run_node :
+(** [run_pooled ?pool ~dop ~morsel] is {!run} with the kernels of each
+    node spread over [min dop (Domain_pool.dop pool)] workers of [pool]
+    (the caller is worker 0), in [morsel]-row ranges.  [schedule] caps
+    each node's workers (the two-phase segment schedule); a node at 1,
+    a width of 1, or no [pool] runs inline in [chunk_rows] ranges.  With
+    [obs], per-worker busy time and row counts of every parallel phase
+    fold into the operator's {!Instrument.par} stats. *)
+val run_pooled :
   ?ctx:Context.t -> ?obs:Instrument.t -> ?sketch:sketch_hook ->
-  ?chunk_rows:int ->
-  Storage.Catalog.t -> Plan.t -> node
+  ?chunk_rows:int -> ?schedule:(Plan.t -> int) ->
+  ?pool:Domain_pool.t -> dop:int -> morsel:int ->
+  Storage.Catalog.t -> Plan.t -> Executor.result
 
 (** Test-only fault injection: treat NULL single-column integer join keys
     as [Int 0] (simulating loss of the NULL-key guard on the

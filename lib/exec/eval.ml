@@ -1,12 +1,9 @@
-(* Shared compiled-evaluation helpers for the vectorized engines.
-
-   [Batch] and [Morsel] execute the same physical plans with identical
-   semantics; everything here is the common substrate: offset resolution,
-   specialized predicate compilers, join-key extraction, hash-join
-   buckets, join-row emission, and the unboxed integer-column fast path.
-   All closures returned here are pure (no [Context] charging, no shared
-   mutable state), so the morsel executor may evaluate them from any
-   domain. *)
+(* Compiled-evaluation helpers for the columnar engine ([Batch]): offset
+   resolution, specialized predicate compilers, join-key extraction,
+   hash-join buckets, join-row emission, and the unboxed integer-column
+   fast path.  All closures returned here are pure (no [Context]
+   charging, no shared mutable state), so pooled kernels may evaluate
+   them from any domain. *)
 
 open Relalg
 

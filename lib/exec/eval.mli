@@ -1,5 +1,5 @@
-(** Compiled-evaluation helpers shared by the vectorized engines
-    ({!Batch} and {!Morsel}): offset resolution, specialized
+(** Compiled-evaluation helpers of the columnar engine ({!Batch}):
+    offset resolution, specialized
     WHERE-semantics predicate compilers, join-key extraction, hash-join
     buckets, join-row emission, and the unboxed integer-column fast path.
 

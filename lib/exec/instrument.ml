@@ -19,7 +19,7 @@
    The recorder is engine-agnostic: it never inspects operator semantics,
    only the dynamic nesting of executions. *)
 
-(* Per-worker actuals for morsel-parallel operator phases; worker 0 is
+(* Per-worker actuals for pooled operator phases; worker 0 is
    the coordinating domain. *)
 type par = {
   par_dop : int;

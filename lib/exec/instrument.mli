@@ -5,7 +5,7 @@
     runs execute the same tree, ids (and the actuals keyed by them) are
     directly comparable across engines. *)
 
-(** Parallel-execution actuals for one operator (morsel executor only):
+(** Parallel-execution actuals for one operator (pooled dispatch only):
     per-worker busy seconds and rows produced, summed over the
     operator's parallel phases.  Worker 0 is the coordinating domain. *)
 type par = {
@@ -37,8 +37,8 @@ type op = {
   mutable self : Context.snapshot;  (** exclusive counter deltas *)
   mutable executed : bool;
   mutable par : par option;
-      (** per-worker actuals; [None] unless the morsel executor ran this
-          operator's loops in parallel *)
+      (** per-worker actuals; [None] unless a pooled dispatch ran this
+          operator's kernels in parallel *)
 }
 
 type t

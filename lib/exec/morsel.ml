@@ -1,1174 +1,16 @@
-(* Morsel-driven parallel execution engine.
-
-   Executes the same physical [Plan.t] trees as [Batch], splitting
-   operator work into fixed-size logical-row ranges ("morsels") that a
-   [Domain_pool] drains by atomic work stealing.  The contract is strict:
-   for every plan, [run ~dop] returns BIT-IDENTICAL rows in the SAME
-   ORDER, and drives the [Context] identically to [Batch.run] — not just
-   multiset-equal.  That strength is what keeps the differential oracles
-   (interpreter vs. batch vs. morsel) and the deterministic cost
-   accounting valid at any dop.  It is achieved by construction:
-
-   - Operators exchange the same columnar chunks as [Batch]
-     ([Eval.Chunk.t]): morsels are ranges of a chunk's logical index
-     space, filters and semi/anti hash joins exchange per-morsel
-     selection-index vectors (concatenated in morsel order), and
-     projections fill disjoint ranges of preallocated typed columns.
-   - Workers do pure computation only.  Every [Context] charge (CPU,
-     spill, buffer-pool page access) happens on the coordinating domain,
-     using [Batch]'s exact formulas, in [Batch]'s exact order relative to
-     child executions — so the stateful LRU buffer pool sees the same
-     access sequence and the additive counters the same totals.  Lazy
-     chunk caches (column/row views) are forced on the coordinator
-     before dispatch — compiled predicate/expression closures are pure
-     by the time a worker calls them.
-   - Order-preserving splits: scans/filters/projects/probes process
-     morsels of the input index space and concatenate results in morsel
-     order, reproducing the sequential emission order exactly.
-   - Hash joins build per-partition tables from per-morsel partition
-     vectors concatenated in morsel order, so every key's bucket chain
-     (most-recent-first) is identical to the sequential build; probes
-     then emit in probe-row order.
-   - Hash aggregation exchanges logical row indices by key-hash
-     partition; each partition folds ITS keys' rows sequentially in
-     global row order (bit-exact float sums — no state merging), and
-     groups are emitted in global first-occurrence order by sorting on
-     the first row index.
-   - Sort runs parallel stable chunk sorts + pairwise merge rounds whose
-     ties prefer the earlier chunk: exactly a stable sort.
-   - Sequential-only operators (Index_scan, Index_nl probes, Merge_join,
-     Stream_agg) run the [Batch] logic inline; [Nested_loop] inners —
-     which must replay their page-access pattern per outer tuple — run
-     through [Batch.run_node].
-
-   The optional [schedule] maps each plan node to the DOP the two-phase
-   optimizer chose for its segment; nodes scheduled at 1 run inline on
-   the coordinator even when the pool is wider. *)
-
-open Relalg
-open Eval
+(* Morsel-driven parallel execution: the lifetime of the domain pool
+   around one run of the columnar engine ([Batch.run_pooled]), which
+   owns every operator. *)
 
 let default_morsel_rows = 4096
 
-let run ?(ctx = Context.create ()) ?obs ?sketch ?pool
-    ?(morsel = default_morsel_rows) ?schedule ?chunk_rows ~dop
-    (cat : Storage.Catalog.t) (plan : Plan.t) : Executor.result =
-  let dop = max 1 dop in
-  if dop = 1 || not Domain_pool.available then
-    Batch.run ~ctx ?obs ?sketch ?chunk_rows cat plan
-  else begin
-    let owned, pool =
-      match pool with
-      | Some p -> (false, p)
-      | None -> (true, Domain_pool.create dop)
-    in
-    Fun.protect
-      ~finally:(fun () -> if owned then Domain_pool.shutdown pool)
-    @@ fun () ->
-    let pdop = Domain_pool.dop pool in
-    let msize = max 1 morsel in
-    let ntasks n = (n + msize - 1) / msize in
-    let bounds n c = (c * msize, min n ((c * msize) + msize)) in
-    (* partition fan-out for hash exchanges; any value is correct (output
-       and counters are partition-count-independent), wider than the pool
-       for balance under skew *)
-    let nparts = min 64 (4 * pdop) in
-    let sched p =
-      match schedule with
-      | None -> pdop
-      | Some f -> max 1 (min pdop (f p))
-    in
-    (* Run [tasks] as a parallel phase attributed to [node]: per-worker
-       busy time and row counts are folded into the operator's [par]
-       stats.  [f c] returns the rows the task produced/processed.
-       Degrades to an inline loop when the phase or schedule leaves no
-       parallelism. *)
-    let dispatch node ~tasks (f : int -> int) =
-      if tasks > 0 then begin
-        let w = sched node in
-        if w <= 1 || tasks = 1 then
-          for c = 0 to tasks - 1 do ignore (f c) done
-        else begin
-          let wall = Array.make pdop 0. and wrows = Array.make pdop 0 in
-          (* per-task (worker, start, end) intervals: workers write
-             disjoint slots; the coordinator folds them into the
-             recorder's timeline after the phase, so only one domain
-             ever mutates recorder state *)
-          let tl =
-            match obs with
-            | Some _ -> Some (Array.make tasks (-1, 0., 0.))
-            | None -> None
-          in
-          Domain_pool.run pool ~workers:w ~tasks (fun ~worker c ->
-              let t0 = Mclock.now () in
-              let r = f c in
-              let t1 = Mclock.now () in
-              (match tl with
-               | Some a -> a.(c) <- (worker, t0, t1)
-               | None -> ());
-              wall.(worker) <- wall.(worker) +. (t1 -. t0);
-              wrows.(worker) <- wrows.(worker) + r);
-          match obs with
-          | Some rc ->
-            Instrument.record_par rc node ~dop:pdop ~wall ~rows:wrows;
-            (match tl with
-             | Some a ->
-               Array.iter
-                 (fun (worker, t0, t1) ->
-                    if worker >= 0 then
-                      Instrument.record_task rc node ~worker ~start_s:t0
-                        ~end_s:t1)
-                 a
-             | None -> ())
-          | None -> ()
-        end
-      end
-    in
-    let memo : (Plan.t * Chunk.t) list ref = ref [] in
-    let rec exec (p : Plan.t) : Chunk.t =
-      match obs with
-      | None -> exec_op p
-      | Some r ->
-        Instrument.measure r ctx p ~rows:Chunk.length (fun () -> exec_op p)
-
-    and exec_op (p : Plan.t) : Chunk.t =
-      match p with
-      | Plan.Seq_scan { table; alias; filter } -> seq_scan p table alias filter
-      | Plan.Index_scan { table; alias; column; lo; hi; filter } ->
-        index_scan table alias column lo hi filter
-      | Plan.Filter (f, i) -> filter_op p f i
-      | Plan.Project (items, i) -> project p items i
-      | Plan.Sort (keys, i) -> sort p keys i
-      | Plan.Materialize i -> (
-        match List.find_opt (fun (q, _) -> q == p) !memo with
-        | Some (_, ch) -> ch
-        | None ->
-          let ch = exec i in
-          memo := (p, ch) :: !memo;
-          ch)
-      | Plan.Nested_loop { kind; pred; outer; inner } ->
-        nested_loop p kind pred outer inner
-      | Plan.Index_nl
-          { kind; outer; table; alias; index; columns = _; outer_keys;
-            residual } ->
-        index_nl kind outer table alias index outer_keys residual
-      | Plan.Merge_join { kind; pairs; residual; left; right } ->
-        merge_join kind pairs residual left right
-      | Plan.Hash_join { kind; pairs; residual; left; right } ->
-        hash_join p kind pairs residual left right
-      | Plan.Hash_agg { keys; aggs; input } ->
-        aggregate p ~sorted:false keys aggs input
-      | Plan.Stream_agg { keys; aggs; input } ->
-        aggregate p ~sorted:true keys aggs input
-      | Plan.Hash_distinct i -> hash_distinct p i
-
-    (* Parallel selection: per-morsel survivor-index vectors concatenated
-       in morsel order = sequential order.  [idx] maps the logical
-       iteration index to the physical index tested and pushed; [keep]
-       must be pure (compiled on the coordinator). *)
-    and par_select p n idx keep store =
-      let tasks = ntasks n in
-      let outs = Array.make (max tasks 1) [||] in
-      dispatch p ~tasks (fun c ->
-          let lo, hi = bounds n c in
-          let out = Storage.Vec.create () in
-          for j = lo to hi - 1 do
-            let pp = idx j in
-            if keep pp then Storage.Vec.push out pp
-          done;
-          let a = Storage.Vec.to_array out in
-          outs.(c) <- a;
-          Array.length a);
-      { Chunk.store; sel = Some (Array.concat (Array.to_list outs)) }
-
-    (* ---------------------------------------------------------------- *)
-    (* Scans *)
-
-    and seq_scan p table alias filter =
-      let t = Storage.Catalog.table cat table in
-      let pages = Storage.Table.page_count t in
-      let n = Storage.Table.row_count t in
-      (* all charging on the coordinator, in Batch's order: pages then
-         CPU, before any data movement *)
-      for pg = 0 to pages - 1 do
-        Context.read_page ctx ~random:false (table, pg)
-      done;
-      Context.charge_cpu ctx n;
-      let s = Schema.requalify t.Storage.Table.schema ~rel:alias in
-      let store =
-        Chunk.store_of_rows ~arity:(Schema.arity s)
-          (Storage.Table.rows_array t)
-      in
-      (* sketches feed on the coordinator, before any dispatch — workers
-         never touch the (unsynchronized) sketch state *)
-      Batch.feed_sketches sketch t store;
-      match filter with
-      | None -> Chunk.dense store
-      | Some f ->
-        (* pred_store forces the referenced columns here, on the
-           coordinator; the returned closure is pure *)
-        let keep = pred_store s f store in
-        par_select p n (fun j -> j) keep store
-
-    and index_scan table alias column lo hi filter =
-      (* index probes charge the buffer pool per entry: inherently
-         sequential; runs Batch's logic inline *)
-      let t = Storage.Catalog.table cat table in
-      let idx =
-        match Storage.Catalog.index_on cat ~table ~column with
-        | Some i -> i
-        | None ->
-          invalid_arg
-            (Printf.sprintf "Index_scan: no index on %s(%s)" table column)
-      in
-      let entries = Storage.Btree.range idx ~lo ~hi in
-      let lo_pos =
-        match lo with
-        | Storage.Btree.Unbounded ->
-          Storage.Btree.upper_bound idx [ Value.Null ]
-        | Storage.Btree.Incl k -> Storage.Btree.lower_bound idx [ k ]
-        | Storage.Btree.Excl k -> Storage.Btree.upper_bound idx [ k ]
-      in
-      Access.charge_index_fetch ctx idx t ~entries ~lo_pos;
-      let s = Schema.requalify t.Storage.Table.schema ~rel:alias in
-      let store =
-        Chunk.store_of_rows ~arity:(Schema.arity s)
-          (Access.fetch_rows t entries)
-      in
-      (match filter with
-       | None -> Chunk.dense store
-       | Some f ->
-         let keep = pred_store s f store in
-         let sel = Storage.Vec.create () in
-         for j = 0 to store.Chunk.len - 1 do
-           if keep j then Storage.Vec.push sel j
-         done;
-         { Chunk.store; sel = Some (Storage.Vec.to_array sel) })
-
-    (* ---------------------------------------------------------------- *)
-    (* Scalar operators over morsels *)
-
-    and filter_op p f i =
-      let ch = exec i in
-      let s = Plan.schema cat i in
-      let n = Chunk.length ch in
-      let keep = pred_store s f ch.Chunk.store in
-      Context.charge_cpu ctx n;
-      par_select p n (Chunk.phys ch) keep ch.Chunk.store
-
-    and project p items i =
-      let ch = exec i in
-      let s = Plan.schema cat i in
-      let store = ch.Chunk.store in
-      let n = Chunk.length ch in
-      Context.charge_cpu ctx n;
-      let phys = Chunk.phys ch in
-      let es = Array.of_list (List.map fst items) in
-      let nf = Array.length es in
-      match store.Chunk.rows with
-      | Some srows ->
-        (* the child is already materialized: fused row-at-a-time passes
-           over disjoint morsels (plain columns share boxes, integer
-           arithmetic re-boxes through the interned small-int cache).
-           [proj_item] closures are pure, so workers may run them. *)
-        let fs = Array.map (proj_item s) es in
-        let out = Array.make n [||] in
-        let get =
-          match ch.Chunk.sel with
-          | None -> fun j -> Array.unsafe_get srows j
-          | Some sel ->
-            fun j -> Array.unsafe_get srows (Array.unsafe_get sel j)
-        in
-        dispatch p ~tasks:(ntasks n) (fun c ->
-            let lo, hi = bounds n c in
-            for j = lo to hi - 1 do
-              let t = get j in
-              let o = Array.make nf Value.Null in
-              for k = 0 to nf - 1 do
-                Array.unsafe_set o k ((Array.unsafe_get fs k) t)
-              done;
-              out.(j) <- o
-            done;
-            hi - lo);
-        Chunk.of_rows ~arity:nf out
-      | None ->
-      (* classify and preallocate on the coordinator (this forces the
-         child's column/row caches); workers then fill disjoint logical
-         ranges of the output columns.  Dense plain-column items share
-         the child's typed columns outright — no fill at all. *)
-      let rows = lazy (Chunk.to_rows ch) in
-      let fills = Storage.Vec.create () in
-      let out_cols =
-        Array.map
-          (fun e ->
-             let c =
-               match col_offset s e with
-               | Some off -> (
-                 let c = Chunk.col store off in
-                 match ch.Chunk.sel with
-                 | None -> c
-                 | Some sel -> (
-                   match c with
-                   | Chunk.Ints (d, nb) ->
-                     let d' = Array.make n 0 and nb' = Bytes.make n '\000' in
-                     Storage.Vec.push fills (fun lo hi ->
-                         for j = lo to hi - 1 do
-                           let pp = Array.unsafe_get sel j in
-                           d'.(j) <- d.(pp);
-                           Bytes.set nb' j (Bytes.get nb pp)
-                         done);
-                     Chunk.Ints (d', nb')
-                   | Chunk.Floats (d, nb) ->
-                     let d' = Array.make n 0. and nb' = Bytes.make n '\000' in
-                     Storage.Vec.push fills (fun lo hi ->
-                         for j = lo to hi - 1 do
-                           let pp = Array.unsafe_get sel j in
-                           d'.(j) <- d.(pp);
-                           Bytes.set nb' j (Bytes.get nb pp)
-                         done);
-                     Chunk.Floats (d', nb')
-                   | Chunk.Boxed v ->
-                     let v' = Array.make n Value.Null in
-                     Storage.Vec.push fills (fun lo hi ->
-                         for j = lo to hi - 1 do
-                           v'.(j) <- v.(Array.unsafe_get sel j)
-                         done);
-                     Chunk.Boxed v'))
-               | None -> (
-                 match int_expr s store e with
-                 | Some v ->
-                   let d = Array.make n 0 and nb = Bytes.make n '\000' in
-                   Storage.Vec.push fills (fun lo hi ->
-                       for j = lo to hi - 1 do
-                         let pp = phys j in
-                         if v.inull pp then Bytes.set nb j '\001'
-                         else d.(j) <- v.iv pp
-                       done);
-                   Chunk.Ints (d, nb)
-                 | None ->
-                   let f = Expr.compile s e in
-                   let r = Lazy.force rows in
-                   let v' = Array.make n Value.Null in
-                   Storage.Vec.push fills (fun lo hi ->
-                       for j = lo to hi - 1 do
-                         v'.(j) <- f r.(j)
-                       done);
-                   Chunk.Boxed v')
-             in
-             Some c)
-          es
-      in
-      let fills = Storage.Vec.to_array fills in
-      if Array.length fills > 0 then
-        dispatch p ~tasks:(ntasks n) (fun c ->
-            let lo, hi = bounds n c in
-            Array.iter (fun fill -> fill lo hi) fills;
-            hi - lo);
-      Chunk.dense { Chunk.arity = nf; len = n; rows = None; cols = out_cols }
-
-    and sort p keys i =
-      let rows = Chunk.to_rows (exec i) in
-      let s = Plan.schema cat i in
-      let fs =
-        Array.of_list
-          (List.map
-             (fun (k : Plan.sort_key) ->
-                (Expr.compile s k.Plan.key, k.Plan.descending))
-             keys)
-      in
-      let nk = Array.length fs in
-      let n = Array.length rows in
-      let cpu = n * Access.log2_ceil n in
-      let pages = Storage.Page.pages_for ~rows:n s in
-      let spill =
-        Access.sort_spill_pages ~work_mem:ctx.Context.work_mem_pages ~pages
-      in
-      Context.charge_cpu ctx cpu;
-      Context.charge_spill ctx spill;
-      let key_offsets =
-        List.map
-          (fun (k : Plan.sort_key) ->
-             match col_offset s k.Plan.key with
-             | Some off -> Some (off, k.Plan.descending)
-             | None -> None)
-          keys
-      in
-      let sorted =
-        if List.for_all Option.is_some key_offsets then begin
-          let ks = Array.of_list (List.filter_map Fun.id key_offsets) in
-          let cmp a b =
-            let rec go k =
-              if k = nk then 0
-              else
-                let off, desc = ks.(k) in
-                match Value.compare (Tuple.get a off) (Tuple.get b off) with
-                | 0 -> go (k + 1)
-                | c -> if desc then -c else c
-            in
-            go 0
-          in
-          psort p cmp rows
-        end
-        else begin
-          (* decorate in parallel (keys evaluate once per row), sort the
-             decorated pairs, strip *)
-          let deco = Array.make n ([||], [||]) in
-          dispatch p ~tasks:(ntasks n) (fun c ->
-              let lo, hi = bounds n c in
-              for ri = lo to hi - 1 do
-                let t = rows.(ri) in
-                deco.(ri) <- (Array.init nk (fun k -> fst fs.(k) t), t)
-              done;
-              hi - lo);
-          let cmp (ka, _) (kb, _) =
-            let rec go k =
-              if k = nk then 0
-              else
-                match Value.compare ka.(k) kb.(k) with
-                | 0 -> go (k + 1)
-                | c -> if snd fs.(k) then -c else c
-            in
-            go 0
-          in
-          Array.map snd (psort p cmp deco)
-        end
-      in
-      Chunk.of_rows ~arity:(Schema.arity s) sorted
-
-    (* Parallel stable sort: stable-sorted morsel runs, then pairwise
-       merge rounds.  Ties take the earlier (lower-indexed) run, so the
-       result equals [Array.stable_sort cmp] on the whole array. *)
-    and psort : 'a. Plan.t -> ('a -> 'a -> int) -> 'a array -> 'a array =
-      fun p cmp arr ->
-      let n = Array.length arr in
-      let nchunks = ntasks n in
-      if nchunks <= 1 then begin
-        let c = Array.copy arr in
-        Array.stable_sort cmp c;
-        c
-      end
-      else begin
-        let runs =
-          Array.init nchunks (fun c ->
-              let lo, hi = bounds n c in
-              Array.sub arr lo (hi - lo))
-        in
-        dispatch p ~tasks:nchunks (fun c ->
-            Array.stable_sort cmp runs.(c);
-            Array.length runs.(c));
-        let merge a b =
-          let na = Array.length a and nb = Array.length b in
-          if na = 0 then b
-          else if nb = 0 then a
-          else begin
-            let out = Array.make (na + nb) a.(0) in
-            let ai = ref 0 and bi = ref 0 and k = ref 0 in
-            while !ai < na && !bi < nb do
-              if cmp a.(!ai) b.(!bi) <= 0 then begin
-                out.(!k) <- a.(!ai);
-                incr ai
-              end
-              else begin
-                out.(!k) <- b.(!bi);
-                incr bi
-              end;
-              incr k
-            done;
-            while !ai < na do
-              out.(!k) <- a.(!ai);
-              incr ai;
-              incr k
-            done;
-            while !bi < nb do
-              out.(!k) <- b.(!bi);
-              incr bi;
-              incr k
-            done;
-            out
-          end
-        in
-        let cur = ref runs in
-        while Array.length !cur > 1 do
-          let m = Array.length !cur in
-          let prev = !cur in
-          let nxt = Array.make ((m + 1) / 2) [||] in
-          dispatch p ~tasks:(m / 2) (fun pr ->
-              let merged = merge prev.(2 * pr) prev.((2 * pr) + 1) in
-              nxt.(pr) <- merged;
-              Array.length merged);
-          if m land 1 = 1 then nxt.((m - 1) / 2) <- prev.(m - 1);
-          cur := nxt
-        done;
-        !cur.(0)
-      end
-
-    (* ---------------------------------------------------------------- *)
-    (* Joins *)
-
-    and nested_loop p kind pred outer inner =
-      let och = exec outer in
-      let outer_rows = Chunk.to_rows och in
-      let n_out = Array.length outer_rows in
-      let so = Plan.schema cat outer and si = Plan.schema cat inner in
-      let inner_arity = Schema.arity si in
-      let out_arity = join_arity kind ~outer:(Schema.arity so) ~inner:inner_arity in
-      if n_out = 0 then
-        Chunk.of_rows ~arity:out_arity [||]
-        (* the inner of an empty outer never runs *)
-      else begin
-        (* the inner subtree must replay its page-access pattern once per
-           further outer tuple: run it through Batch, which provides the
-           replay closure *)
-        let inode = Batch.run_node ~ctx ?obs ?sketch ?chunk_rows cat inner in
-        let inner_rows = Chunk.to_rows inode.Batch.chunk in
-        let n_in = Array.length inner_rows in
-        Context.charge_cpu ctx n_in;
-        for _ = 2 to n_out do
-          inode.Batch.replay ();
-          Context.charge_cpu ctx n_in
-        done;
-        let holds = pred2 so si pred in
-        (* probe in parallel over outer morsels; concatenation in morsel
-           order = sequential emission order *)
-        let tasks = ntasks n_out in
-        let outs = Array.make (max tasks 1) [||] in
-        dispatch p ~tasks (fun c ->
-            let lo, hi = bounds n_out c in
-            let out = Storage.Vec.create () in
-            for oi = lo to hi - 1 do
-              let ot = outer_rows.(oi) in
-              emit_range out kind ~inner_arity ot inner_rows 0 n_in
-                ~matches:(fun it -> holds ot it)
-            done;
-            let a = Storage.Vec.to_array out in
-            outs.(c) <- a;
-            Array.length a);
-        Chunk.of_rows ~arity:out_arity (Array.concat (Array.to_list outs))
-      end
-
-    and index_nl kind outer table alias index outer_keys residual =
-      (* per-probe B-tree page charges are inherently order-dependent:
-         the probe loop stays on the coordinator (the outer subtree still
-         executes in parallel) *)
-      let t = Storage.Catalog.table cat table in
-      let idx =
-        match Storage.Catalog.index_named cat ~table ~name:index with
-        | Some i -> i
-        | None ->
-          invalid_arg
-            (Printf.sprintf "Index_nl: no index %s on %s" index table)
-      in
-      let outer_rows = Chunk.to_rows (exec outer) in
-      let so = Plan.schema cat outer in
-      let si = Schema.requalify t.Storage.Table.schema ~rel:alias in
-      let keyfs = Array.of_list (List.map (Expr.compile so) outer_keys) in
-      let probe_keys ot = Array.to_list (Array.map (fun f -> f ot) keyfs) in
-      let holds = pred2 so si residual in
-      let inner_arity = Schema.arity si in
-      let out_arity = join_arity kind ~outer:(Schema.arity so) ~inner:inner_arity in
-      let out = Storage.Vec.create () in
-      Array.iter
-        (fun ot ->
-           let ks = probe_keys ot in
-           let entries = Storage.Btree.probe idx ks in
-           Access.charge_index_fetch ctx idx t ~entries
-             ~lo_pos:(Storage.Btree.lower_bound idx ks);
-           Context.charge_cpu ctx (1 + Array.length entries);
-           let matches = Access.fetch_rows t entries in
-           emit_range out kind ~inner_arity ot matches 0
-             (Array.length matches) ~matches:(fun it -> holds ot it))
-        outer_rows;
-      Chunk.of_rows ~arity:out_arity (Storage.Vec.to_array out)
-
-    and merge_join kind pairs residual left right =
-      (* the merge walk is a sequential two-pointer scan; children (often
-         parallel Sorts) still execute through [exec] *)
-      let lrows = Chunk.to_rows (exec left) in
-      let rrows = Chunk.to_rows (exec right) in
-      let sl = Plan.schema cat left and sr = Plan.schema cat right in
-      let loffs = offsets sl (List.map fst pairs) in
-      let roffs = offsets sr (List.map snd pairs) in
-      let nk = Array.length loffs in
-      let holds = pred2 sl sr residual in
-      let inner_arity = Schema.arity sr in
-      let out_arity = join_arity kind ~outer:(Schema.arity sl) ~inner:inner_arity in
-      let nl = Array.length lrows and nr = Array.length rrows in
-      Context.charge_cpu ctx (nl + nr);
-      let cmp_lr li rj =
-        let lt = lrows.(li) and rt = rrows.(rj) in
-        let rec go k =
-          if k = nk then 0
-          else
-            match
-              Value.compare (Tuple.get lt loffs.(k)) (Tuple.get rt roffs.(k))
-            with
-            | 0 -> go (k + 1)
-            | c -> c
-        in
-        go 0
-      in
-      let cmp_ll li li' =
-        let a = lrows.(li) and b = lrows.(li') in
-        let rec go k =
-          if k = nk then 0
-          else
-            match
-              Value.compare (Tuple.get a loffs.(k)) (Tuple.get b loffs.(k))
-            with
-            | 0 -> go (k + 1)
-            | c -> c
-        in
-        go 0
-      in
-      let l_nullfree li =
-        let t = lrows.(li) in
-        let rec go k =
-          k = nk
-          || ((not (Value.is_null (Tuple.get t loffs.(k)))) && go (k + 1))
-        in
-        go 0
-      in
-      let r_nullfree rj =
-        let t = rrows.(rj) in
-        let rec go k =
-          k = nk
-          || ((not (Value.is_null (Tuple.get t roffs.(k)))) && go (k + 1))
-        in
-        go 0
-      in
-      let out = Storage.Vec.create () in
-      let i = ref 0 in
-      let j = ref 0 in
-      while !i < nl do
-        if not (l_nullfree !i) then begin
-          (match kind with
-           | Algebra.Left_outer ->
-             Storage.Vec.push out
-               (Tuple.concat lrows.(!i) (Tuple.nulls inner_arity))
-           | Algebra.Anti -> Storage.Vec.push out lrows.(!i)
-           | Algebra.Inner | Algebra.Semi -> ());
-          incr i
-        end
-        else begin
-          let anchor = !i in
-          while !j < nr && ((not (r_nullfree !j)) || cmp_lr anchor !j > 0) do
-            incr j
-          done;
-          let bs = !j in
-          let be = ref !j in
-          while !be < nr && cmp_lr anchor !be = 0 do
-            incr be
-          done;
-          while !i < nl && l_nullfree !i && cmp_ll !i anchor = 0 do
-            let lt = lrows.(!i) in
-            let blen = !be - bs in
-            Context.charge_cpu ctx blen;
-            emit_range out kind ~inner_arity lt rrows bs !be
-              ~matches:(fun rt -> holds lt rt);
-            incr i
-          done
-        end
-      done;
-      Chunk.of_rows ~arity:out_arity (Storage.Vec.to_array out)
-
-    and hash_join p kind pairs residual left right =
-      (* Batch order: build side (right) executes first *)
-      let rch = exec right in
-      let nr = Chunk.length rch in
-      let sl = Plan.schema cat left and sr = Plan.schema cat right in
-      let roffs = offsets sr (List.map snd pairs) in
-      Context.charge_cpu ctx nr;
-      let rpages = Storage.Page.pages_for ~rows:nr sr in
-      let lch = exec left in
-      let nl = Chunk.length lch in
-      let lpages = Storage.Page.pages_for ~rows:nl sl in
-      let spill =
-        if rpages > ctx.Context.work_mem_pages then 2 * (rpages + lpages)
-        else 0
-      in
-      if spill > 0 then Context.charge_spill ctx spill;
-      let loffs = offsets sl (List.map fst pairs) in
-      let inner_arity = Schema.arity sr in
-      let out_arity = join_arity kind ~outer:(Schema.arity sl) ~inner:inner_arity in
-      Context.charge_cpu ctx nl;
-      let rstore = rch.Chunk.store and lstore = lch.Chunk.store in
-      let rphys = Chunk.phys rch and lphys = Chunk.phys lch in
-      let fault = !Batch.fault_null_key_as_zero in
-      let semi_only =
-        (match kind with Algebra.Semi | Algebra.Anti -> true | _ -> false)
-        && residual = Expr.ftrue
-      in
-      let keep_if_match =
-        match kind with Algebra.Semi -> true | _ -> false
-      in
-      let nk = Array.length roffs in
-      let single = nk = 1 in
-      let rcol = if single then Chunk.int_col rstore roffs.(0) else None in
-      let lcol =
-        if single && rcol <> None then Chunk.int_col lstore loffs.(0)
-        else None
-      in
-      let btasks = ntasks nr in
-      let ptasks = ntasks nl in
-      (* Parallel probe phases.  Per-task CPU (bucket chain lengths) is
-         accumulated and charged once on the coordinator after the
-         dispatch — the total equals Batch's per-probe charges. *)
-      let probe_rows (probe : int -> Tuple.t list * int) =
-        let lrows = Chunk.to_rows lch in
-        let holds = pred2 sl sr residual in
-        let outs = Array.make (max ptasks 1) [||] in
-        let cpus = Array.make (max ptasks 1) 0 in
-        dispatch p ~tasks:ptasks (fun c ->
-            let lo, hi = bounds nl c in
-            let out = Storage.Vec.create () in
-            let cpu = ref 0 in
-            for li = lo to hi - 1 do
-              let lt = lrows.(li) in
-              let items, blen = probe li in
-              cpu := !cpu + blen;
-              emit_list out kind ~inner_arity lt items
-                ~matches:(fun rt -> holds lt rt)
-            done;
-            let a = Storage.Vec.to_array out in
-            outs.(c) <- a;
-            cpus.(c) <- !cpu;
-            Array.length a);
-        Context.charge_cpu ctx (Array.fold_left ( + ) 0 cpus);
-        Chunk.of_rows ~arity:out_arity (Array.concat (Array.to_list outs))
-      in
-      let probe_sel (blen_of : int -> int) =
-        let outs = Array.make (max ptasks 1) [||] in
-        let cpus = Array.make (max ptasks 1) 0 in
-        dispatch p ~tasks:ptasks (fun c ->
-            let lo, hi = bounds nl c in
-            let out = Storage.Vec.create () in
-            let cpu = ref 0 in
-            for li = lo to hi - 1 do
-              let blen = blen_of li in
-              cpu := !cpu + blen;
-              if (blen > 0) = keep_if_match then
-                Storage.Vec.push out (lphys li)
-            done;
-            let a = Storage.Vec.to_array out in
-            outs.(c) <- a;
-            cpus.(c) <- !cpu;
-            Array.length a);
-        Context.charge_cpu ctx (Array.fold_left ( + ) 0 cpus);
-        { Chunk.store = lstore;
-          sel = Some (Array.concat (Array.to_list outs)) }
-      in
-      (* Exchange: hash-partition build-side logical indices by key into
-         per-morsel × per-partition index vectors (morsel-order
-         concatenation keeps every bucket chain in sequential insert
-         order), build one table per partition in parallel, then probe
-         morsels in parallel — every probe row finds its partition by
-         the same hash.  Int keys hash as [Value.hash] of the boxed
-         value would, so a mixed Int/Float comparison on the generic
-         path still lands both sides in the same partition
-         ([Value.equal] matches Int 2 = Float 2.0, and [Value.hash] is
-         numerically consistent). *)
-      match (rcol, lcol) with
-      | Some (rd, rnb), Some (ld, lnb) ->
-        let ihash k = Hashtbl.hash (float_of_int k) land max_int in
-        let parts =
-          Array.init (max btasks 1) (fun _ ->
-              Array.init nparts (fun _ -> Storage.Vec.create ()))
-        in
-        dispatch p ~tasks:btasks (fun c ->
-            let lo, hi = bounds nr c in
-            for ri = lo to hi - 1 do
-              let pr = rphys ri in
-              let null = Bytes.get rnb pr <> '\000' in
-              if (not null) || fault then begin
-                let k = if null then 0 else rd.(pr) in
-                Storage.Vec.push parts.(c).(ihash k mod nparts) ri
-              end
-            done;
-            hi - lo);
-        if semi_only then begin
-          (* count-only buckets; the output is a selection over the left
-             store — neither side materializes rows *)
-          let absent = ref (-1) in
-          let tbls =
-            Array.init nparts (fun _ ->
-                Keys.Int_map.create ~dummy:absent
-                  (max 16 ((2 * nr / nparts) + 1)))
-          in
-          dispatch p ~tasks:nparts (fun pt ->
-              let tbl = tbls.(pt) in
-              let built = ref 0 in
-              for c = 0 to btasks - 1 do
-                Storage.Vec.iter
-                  (fun ri ->
-                     incr built;
-                     let pr = rphys ri in
-                     let null = Bytes.get rnb pr <> '\000' in
-                     let k = if null then 0 else rd.(pr) in
-                     let cnt = Keys.Int_map.find tbl k in
-                     if cnt == absent then Keys.Int_map.add tbl k (ref 1)
-                     else incr cnt)
-                  parts.(c).(pt)
-              done;
-              !built);
-          probe_sel (fun li ->
-              let pl = lphys li in
-              let null = Bytes.get lnb pl <> '\000' in
-              if (not null) || fault then begin
-                let k = if null then 0 else ld.(pl) in
-                let cnt = Keys.Int_map.find tbls.(ihash k mod nparts) k in
-                if cnt == absent then 0 else !cnt
-              end
-              else 0)
-        end
-        else begin
-          let rrows = Chunk.to_rows rch in
-          let absent = { blen = 0; items = [] } in
-          let tbls =
-            Array.init nparts (fun _ ->
-                Keys.Int_map.create ~dummy:absent
-                  (max 16 ((2 * nr / nparts) + 1)))
-          in
-          dispatch p ~tasks:nparts (fun pt ->
-              let tbl = tbls.(pt) in
-              let built = ref 0 in
-              for c = 0 to btasks - 1 do
-                Storage.Vec.iter
-                  (fun ri ->
-                     incr built;
-                     let pr = rphys ri in
-                     let null = Bytes.get rnb pr <> '\000' in
-                     let k = if null then 0 else rd.(pr) in
-                     let b = Keys.Int_map.find tbl k in
-                     if b == absent then
-                       Keys.Int_map.add tbl k
-                         { blen = 1; items = [ rrows.(ri) ] }
-                     else begin
-                       b.blen <- b.blen + 1;
-                       b.items <- rrows.(ri) :: b.items
-                     end)
-                  parts.(c).(pt)
-              done;
-              !built);
-          probe_rows (fun li ->
-              let pl = lphys li in
-              let null = Bytes.get lnb pl <> '\000' in
-              if (not null) || fault then begin
-                let k = if null then 0 else ld.(pl) in
-                let b = Keys.Int_map.find tbls.(ihash k mod nparts) k in
-                (b.items, b.blen)
-              end
-              else ([], 0))
-        end
-      | _ ->
-        (* generic keys: the exchange materializes each build key once;
-           probes hash and compare column-wise through accessors *)
-        let rgets = Array.map (fun off -> Chunk.getter rstore off) roffs in
-        let lgets = Array.map (fun off -> Chunk.getter lstore off) loffs in
-        let phash kv = Keys.hash_array kv land max_int mod nparts in
-        let parts =
-          Array.init (max btasks 1) (fun _ ->
-              Array.init nparts (fun _ -> Storage.Vec.create ()))
-        in
-        dispatch p ~tasks:btasks (fun c ->
-            let lo, hi = bounds nr c in
-            for ri = lo to hi - 1 do
-              let pr = rphys ri in
-              let rec nullfree cc =
-                cc = nk
-                || ((not (Value.is_null (rgets.(cc) pr)))
-                    && nullfree (cc + 1))
-              in
-              if nullfree 0 then begin
-                let k = Array.init nk (fun cc -> rgets.(cc) pr) in
-                Storage.Vec.push parts.(c).(phash k) (ri, k)
-              end
-            done;
-            hi - lo);
-        let l_nullfree pl =
-          let rec go cc =
-            cc = nk
-            || ((not (Value.is_null (lgets.(cc) pl))) && go (cc + 1))
-          in
-          go 0
-        in
-        (* probe partition = [Keys.Cols_tbl.hash_cols], consistent with
-           [Keys.hash_array] of the materialized build key *)
-        let lpart pl = Keys.Cols_tbl.hash_cols lgets pl land max_int mod nparts in
-        if semi_only then begin
-          let absent = ref (-1) in
-          let tbls =
-            Array.init nparts (fun _ ->
-                Keys.Cols_tbl.create ~dummy:absent
-                  (max 16 ((2 * nr / nparts) + 1)))
-          in
-          dispatch p ~tasks:nparts (fun pt ->
-              let tbl = tbls.(pt) in
-              let built = ref 0 in
-              for c = 0 to btasks - 1 do
-                Storage.Vec.iter
-                  (fun (ri, k) ->
-                     incr built;
-                     let cnt = Keys.Cols_tbl.find tbl rgets (rphys ri) in
-                     if cnt == absent then Keys.Cols_tbl.add tbl k (ref 1)
-                     else incr cnt)
-                  parts.(c).(pt)
-              done;
-              !built);
-          probe_sel (fun li ->
-              let pl = lphys li in
-              if l_nullfree pl then begin
-                let cnt = Keys.Cols_tbl.find tbls.(lpart pl) lgets pl in
-                if cnt == absent then 0 else !cnt
-              end
-              else 0)
-        end
-        else begin
-          let rrows = Chunk.to_rows rch in
-          let absent = { blen = 0; items = [] } in
-          let tbls =
-            Array.init nparts (fun _ ->
-                Keys.Cols_tbl.create ~dummy:absent
-                  (max 16 ((2 * nr / nparts) + 1)))
-          in
-          dispatch p ~tasks:nparts (fun pt ->
-              let tbl = tbls.(pt) in
-              let built = ref 0 in
-              for c = 0 to btasks - 1 do
-                Storage.Vec.iter
-                  (fun (ri, k) ->
-                     incr built;
-                     let b = Keys.Cols_tbl.find tbl rgets (rphys ri) in
-                     if b == absent then
-                       Keys.Cols_tbl.add tbl k
-                         { blen = 1; items = [ rrows.(ri) ] }
-                     else begin
-                       b.blen <- b.blen + 1;
-                       b.items <- rrows.(ri) :: b.items
-                     end)
-                  parts.(c).(pt)
-              done;
-              !built);
-          probe_rows (fun li ->
-              let pl = lphys li in
-              if l_nullfree pl then begin
-                let b = Keys.Cols_tbl.find tbls.(lpart pl) lgets pl in
-                (b.items, b.blen)
-              end
-              else ([], 0))
-        end
-
-    (* ---------------------------------------------------------------- *)
-    (* Aggregation *)
-
-    and aggregate p ~sorted keys aggs input =
-      let ch = exec input in
-      let store = ch.Chunk.store in
-      let n = Chunk.length ch in
-      let s = Plan.schema cat input in
-      let nkeys = List.length keys in
-      let agg_arr = Array.of_list (List.map fst aggs) in
-      let naggs = Array.length agg_arr in
-      Context.charge_cpu ctx n;
-      let finalize kv (states : Expr.agg_state array) =
-        Array.init (nkeys + naggs) (fun k ->
-            if k < nkeys then kv.(k)
-            else Expr.agg_final agg_arr.(k - nkeys) states.(k - nkeys))
-      in
-      let fresh_states () =
-        Array.init naggs (fun _ -> Expr.agg_init ())
-      in
-      let out =
-        if sorted then begin
-          (* stream aggregation over key-sorted input: sequential flush
-             walk, same as Batch *)
-          let rows = Chunk.to_rows ch in
-          let keyfs =
-            Array.of_list (List.map (fun (e, _) -> Expr.compile s e) keys)
-          in
-          let argfs =
-            Array.of_list
-              (List.map
-                 (fun (a, _) ->
-                    match Expr.agg_arg a with
-                    | None ->
-                      fun _ -> Value.Int 1 (* count-star: any non-null *)
-                    | Some e -> Expr.compile s e)
-                 aggs)
-          in
-          let step_all t states =
-            for a = 0 to naggs - 1 do
-              Expr.agg_step states.(a) (argfs.(a) t)
-            done
-          in
-          let out = Storage.Vec.create () in
-          let cur_key = ref None in
-          let cur_states = ref [||] in
-          let flush () =
-            match !cur_key with
-            | None -> ()
-            | Some kv -> Storage.Vec.push out (finalize kv !cur_states)
-          in
-          Array.iter
-            (fun t ->
-               let kv = Array.init nkeys (fun k -> keyfs.(k) t) in
-               (match !cur_key with
-                | Some kv' when Keys.equal_array kv kv' -> ()
-                | Some _ | None ->
-                  flush ();
-                  cur_key := Some kv;
-                  cur_states := fresh_states ());
-               step_all t !cur_states)
-            rows;
-          flush ();
-          Storage.Vec.to_array out
-        end
-        else begin
-          (* Exchange logical row indices by key-hash partition: each
-             key's entire fold runs on one partition, sequentially in
-             global row order — so non-associative float sums come out
-             bit-exact and no state merging is needed.  Groups carry
-             their first row index; sorting the merged groups on it
-             reproduces the sequential first-occurrence emission order.
-             Key accessors and steppers compile (and force the chunk's
-             caches) here on the coordinator; workers only run the pure
-             closures. *)
-          let phys = Chunk.phys ch in
-          let kgets =
-            Array.of_list
-              (List.map
-                 (fun (e, _) ->
-                    match col_offset s e with
-                    | Some off -> Chunk.getter store off
-                    | None ->
-                      let f = Expr.compile s e in
-                      let rows = Chunk.rows_view store in
-                      fun pp -> f rows.(pp))
-                 keys)
-          in
-          let steppers =
-            Array.of_list
-              (List.map
-                 (fun (a, _) ->
-                    match Expr.agg_arg a with
-                    | None -> fun st (_ : int) -> Expr.agg_step_int st 1
-                    | Some e -> (
-                      match int_expr s store e with
-                      | Some v ->
-                        fun st pp ->
-                          if not (v.inull pp) then
-                            Expr.agg_step_int st (v.iv pp)
-                      | None ->
-                        let f = Expr.compile s e in
-                        let rows = Chunk.rows_view store in
-                        fun st pp -> Expr.agg_step st (f rows.(pp))))
-                 aggs)
-          in
-          let step_all pp states =
-            for a = 0 to naggs - 1 do
-              steppers.(a) states.(a) pp
-            done
-          in
-          let tasks = ntasks n in
-          let parts =
-            Array.init (max tasks 1) (fun _ ->
-                Array.init nparts (fun _ -> Storage.Vec.create ()))
-          in
-          dispatch p ~tasks (fun c ->
-              let lo, hi = bounds n c in
-              for li = lo to hi - 1 do
-                let pt =
-                  Keys.Cols_tbl.hash_cols kgets (phys li)
-                  land max_int mod nparts
-                in
-                Storage.Vec.push parts.(c).(pt) li
-              done;
-              hi - lo);
-          let group_arrays = Array.make nparts [||] in
-          let dummy = Array.make 1 (Expr.agg_init ()) in
-          dispatch p ~tasks:nparts (fun pt ->
-              let tbl = Keys.Cols_tbl.create ~dummy 64 in
-              let order = Storage.Vec.create () in
-              let folded = ref 0 in
-              for c = 0 to max tasks 1 - 1 do
-                Storage.Vec.iter
-                  (fun li ->
-                     incr folded;
-                     let pp = phys li in
-                     let states =
-                       let st = Keys.Cols_tbl.find tbl kgets pp in
-                       if st != dummy then st
-                       else begin
-                         let st = fresh_states () in
-                         let kv =
-                           Array.init nkeys (fun c -> kgets.(c) pp)
-                         in
-                         Keys.Cols_tbl.add tbl kv st;
-                         Storage.Vec.push order (li, kv, st);
-                         st
-                       end
-                     in
-                     step_all pp states)
-                  parts.(c).(pt)
-              done;
-              group_arrays.(pt) <-
-                Array.map
-                  (fun (li, kv, st) -> (li, finalize kv st))
-                  (Storage.Vec.to_array order);
-              !folded);
-          let all = Array.concat (Array.to_list group_arrays) in
-          Array.sort (fun (a, _) (b, _) -> compare (a : int) b) all;
-          Array.map snd all
-        end
-      in
-      let out =
-        if keys = [] && Array.length out = 0 then
-          (* scalar aggregate over the empty input: one row *)
-          [| finalize [||] (fresh_states ()) |]
-        else out
-      in
-      Chunk.of_rows ~arity:(nkeys + naggs) out
-
-    and hash_distinct p i =
-      let ch = exec i in
-      let rows = Chunk.to_rows ch in
-      let n = Array.length rows in
-      Context.charge_cpu ctx n;
-      (* exchange by whole-tuple hash; first-occurrence order restored by
-         sorting survivors on their row index *)
-      let tasks = ntasks n in
-      let parts =
-        Array.init (max tasks 1) (fun _ ->
-            Array.init nparts (fun _ -> Storage.Vec.create ()))
-      in
-      dispatch p ~tasks (fun c ->
-          let lo, hi = bounds n c in
-          for ri = lo to hi - 1 do
-            let t = rows.(ri) in
-            let pt = Keys.hash_array t land max_int mod nparts in
-            Storage.Vec.push parts.(c).(pt) ri
-          done;
-          hi - lo);
-      let survivors = Array.make nparts [||] in
-      dispatch p ~tasks:nparts (fun pt ->
-          let seen = Keys.Array_tbl.create 64 in
-          let keep = Storage.Vec.create () in
-          for c = 0 to max tasks 1 - 1 do
-            Storage.Vec.iter
-              (fun ri ->
-                 let t = rows.(ri) in
-                 if not (Keys.Array_tbl.mem seen t) then begin
-                   Keys.Array_tbl.add seen t ();
-                   Storage.Vec.push keep ri
-                 end)
-              parts.(c).(pt)
-          done;
-          survivors.(pt) <- Storage.Vec.to_array keep;
-          Array.length survivors.(pt));
-      let all = Array.concat (Array.to_list survivors) in
-      Array.sort (fun (a : int) b -> compare a b) all;
-      Chunk.of_rows ~arity:(Schema.arity (Plan.schema cat i))
-        (Array.map (fun ri -> rows.(ri)) all)
-    in
-    { Executor.schema = Plan.schema cat plan;
-      rows = Chunk.to_rows (exec plan) }
-  end
+let run ?ctx ?obs ?sketch ?pool ?(morsel = default_morsel_rows) ?schedule
+    ?chunk_rows ~dop (cat : Storage.Catalog.t) (plan : Plan.t) :
+  Executor.result =
+  let go pool =
+    Batch.run_pooled ?ctx ?obs ?sketch ?chunk_rows ?schedule ?pool ~dop
+      ~morsel cat plan
+  in
+  match pool with
+  | None when dop > 1 -> Domain_pool.with_pool dop (fun pool -> go (Some pool))
+  | pool -> go pool

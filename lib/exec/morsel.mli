@@ -1,40 +1,26 @@
-(** Morsel-driven parallel execution engine.
-
-    Executes the same physical {!Plan.t} trees as {!Batch} by splitting
-    operator work into fixed-size row ranges ("morsels") drained by a
-    {!Domain_pool} of OCaml 5 domains, with hash-partitioned exchanges
-    for joins and aggregation and a parallel merge for ORDER BY.
-
-    Operators exchange {!Eval.Chunk} columnar chunks: morsels are
-    ranges of a chunk's logical index space, filters and semi/anti hash
-    joins pass selection vectors instead of materializing rows, and
-    projections fill typed output columns in parallel.
+(** Morsel-driven parallel execution: a {!Domain_pool} of OCaml 5
+    domains around one {!Batch.run_pooled} call.  The operators, the
+    hash-partitioned exchanges and the parallel merge live in {!Batch};
+    this module only borrows or owns the pool.
 
     Contract: for every plan and every [dop]/[morsel]/[chunk_rows]
     choice, [run] returns bit-identical rows in the same order, and
     drives the {!Context} (buffer pool page-access sequence, CPU, spill
-    counters) identically to {!Batch.run}.  Workers never touch the
-    context — all charging happens on the coordinating domain using
-    Batch's formulas and ordering — and never force a chunk's lazy
-    row/column caches — the coordinator forces everything a phase needs
-    before dispatching it — so deterministic accounting survives
-    parallelism and the cross-engine differential oracles stay valid at
-    any dop. *)
+    counters) identically to {!Batch.run}. *)
 
 (** [run ~dop cat plan] executes [plan] with up to [dop] workers (the
-    caller participates; [dop <= 1], or OCaml < 5, falls back to
-    {!Batch.run} outright).
-
-    [pool] reuses an existing domain pool across runs (benchmarks);
-    otherwise one is created and shut down per call.  [morsel] is the
-    split granularity in rows (default 4096; tests shrink it to force
-    multi-morsel execution on small inputs).  [chunk_rows] is forwarded
-    to {!Batch} for the inline subtrees it runs (nested-loop inners and
-    the [dop <= 1] fallback).  [schedule] maps each plan
-    node to the degree of parallelism its two-phase segment was
-    scheduled at — nodes scheduled at 1 run inline on the coordinator.
-    With [obs], per-worker busy time and row counts of every parallel
-    phase are folded into the operator's {!Instrument.par} stats. *)
+    caller participates).  [pool] reuses an existing domain pool across
+    runs (benchmarks), of which at most [dop] workers take part;
+    otherwise, at [dop > 1], a pool of [dop] is created and shut down
+    per call.  At [dop <= 1], or on OCaml < 5, every node runs inline.
+    [morsel] is the split granularity in rows (default 4096; tests
+    shrink it to force multi-morsel execution on small inputs).
+    [chunk_rows] is the range size of nodes that run inline.
+    [schedule] maps each plan node to the degree of parallelism its
+    two-phase segment was scheduled at — nodes scheduled at 1 run
+    inline.  With [obs], per-worker busy time and row counts of every
+    parallel phase are folded into the operator's {!Instrument.par}
+    stats. *)
 val run :
   ?ctx:Context.t -> ?obs:Instrument.t -> ?sketch:Batch.sketch_hook ->
   ?pool:Domain_pool.t ->

@@ -2,8 +2,10 @@
 
     [run pool ~tasks f] evaluates [f ~worker i] for every [i] in
     [0 .. tasks-1], distributing tasks over the pool's domains by atomic
-    work stealing.  The calling domain participates as worker [0]; spawned
-    domains are workers [1 .. dop-1].  [run] returns only after every task
+    work stealing.  The calling domain participates as worker [0]; the
+    spawned domains that join a batch are numbered [1, 2, ...] in the
+    order they join, so with [~workers:w] every worker index is below
+    [w].  [run] returns only after every task
     has finished, so writes made by the tasks are visible to the caller
     afterwards.  Tasks must not themselves call [run] on the same pool.
 

@@ -125,6 +125,59 @@ let test_blocking_operators_segment () =
   (* scan pipeline closed by the sort; sort is its own segment *)
   Alcotest.(check int) "two segments" 2 (List.length segs)
 
+(* A plan over tables with no statistics: the schedule falls back to
+   the tables' row counts, so every node still gets a dop. *)
+let test_node_dop_without_stats () =
+  let w, star = star_plan () in
+  let cat = w.Workload.Schemas.cat in
+  ignore (Storage.Catalog.create_index cat ~table:"Sales" ~column:"amount" ());
+  let scan t = Exec.Plan.Seq_scan { table = t; alias = t; filter = None } in
+  let amount = Expr.col ~rel:"Sales" ~col:"amount" in
+  let dim = List.hd w.Workload.Schemas.dims in
+  let id = Expr.col ~rel:dim ~col:"id" in
+  let by_id input =
+    Exec.Plan.Sort ([ { Exec.Plan.key = id; descending = false } ], input)
+  in
+  let sales =
+    Exec.Plan.Index_scan
+      { table = "Sales"; alias = "Sales"; column = "amount";
+        lo = Exec.Plan.Incl (Value.Int 1); hi = Exec.Plan.Unbounded;
+        filter = Some (Expr.Cmp (Expr.Gt, amount, Expr.int 2)) }
+  in
+  let counts =
+    Exec.Plan.Hash_agg
+      { keys = [ (amount, "amount") ]; aggs = [ (Expr.Count_star, "n") ];
+        input = Exec.Plan.Filter (Expr.Cmp (Expr.Gt, amount, Expr.int 0), star) }
+  in
+  let plan =
+    Exec.Plan.Hash_distinct
+      (Exec.Plan.Project
+         ( [ (id, "id") ],
+           by_id
+             (Exec.Plan.Nested_loop
+                { kind = Algebra.Semi; pred = Expr.Cmp (Expr.Le, id, Expr.int 3);
+                  outer =
+                    Exec.Plan.Merge_join
+                      { kind = Algebra.Inner;
+                        pairs =
+                          [ ({ Expr.rel = dim; col = "id" },
+                             { Expr.rel = "Sales"; col = "amount" }) ];
+                        residual = Expr.ftrue; left = by_id (scan dim);
+                        right = sales };
+                  inner = Exec.Plan.Materialize counts }) ))
+  in
+  let dop =
+    Parallel.Two_phase.node_dop
+      { Parallel.Two_phase.default_config with processors = 4 }
+      cat (Stats.Table_stats.create_db ()) plan
+  in
+  List.iter
+    (fun node ->
+       let d = dop node in
+       Alcotest.(check bool) (Exec.Plan.describe node ^ ": dop in [1, 4]") true
+         (d >= 1 && d <= 4))
+    (Exec.Plan.preorder plan)
+
 let () =
   Alcotest.run "parallel"
     [ ("two-phase",
@@ -136,4 +189,6 @@ let () =
          Alcotest.test_case "partition awareness" `Quick
            test_partition_awareness_helps;
          Alcotest.test_case "blocking operators" `Quick
-           test_blocking_operators_segment ]) ]
+           test_blocking_operators_segment;
+         Alcotest.test_case "schedule without statistics" `Quick
+           test_node_dop_without_stats ]) ]
