@@ -97,8 +97,16 @@ let workloads =
 
 (* ------------------------------------------------------------------ *)
 
+(* Every run records its own telemetry tree; each report carries its
+   block's subtree, whose execute span holds the operator actuals. *)
+let run config cat db q =
+  P.run_query ~config:{ config with P.telemetry = Some (Obs.Span.create ()) }
+    cat db q
+
 let max_q reports =
-  List.concat_map (fun r -> r.P.op_stats) reports
+  List.filter_map (fun r -> r.P.span) reports
+  |> List.concat_map Obs.Span.recorders
+  |> List.concat_map Exec.Instrument.ops
   |> List.fold_left
        (fun acc (o : Exec.Instrument.op) ->
           match o.Exec.Instrument.est_rows with
@@ -117,15 +125,13 @@ type mode_result = {
 }
 
 let run_mode ~reps ~engine ~estimator cat db q =
-  let config =
-    { P.default_config with engine; estimator; instrument = true }
-  in
-  let res1, reps1 = P.run_query ~config cat db q in
+  let config = { P.default_config with engine; estimator } in
+  let res1, reps1 = run config cat db q in
   (* the state recorded by run 1 is now warm; time the re-optimized run *)
   let best = ref infinity and last = ref None in
   for _ = 1 to reps do
     let t0 = Obs.Clock.now () in
-    let res2, reps2 = P.run_query ~config cat db q in
+    let res2, reps2 = run config cat db q in
     let dt = Obs.Clock.now () -. t0 in
     if dt < !best then best := dt;
     last := Some (res2, reps2)

@@ -282,17 +282,15 @@ let write_trace sc file =
      WHERE Emp.did = Dept.did AND Emp.age > 30 GROUP BY Dept.name"
   in
   let q = Sql.Binder.query_of_string cat sql in
-  let config = { Core.Pipeline.default_config with instrument = true } in
-  let _, reports = Core.Pipeline.run_query ~config cat db q in
+  let r = Obs.Span.create () in
+  let config = { Core.Pipeline.default_config with telemetry = Some r } in
+  let _ = Core.Pipeline.run_query ~config cat db q in
   let oc = open_out file in
   List.iter
-    (fun r ->
-       List.iter
-         (fun e ->
-            output_string oc (Obs.Trace.to_json e);
-            output_char oc '\n')
-         r.Core.Pipeline.trace_events)
-    reports;
+    (fun e ->
+       output_string oc (Obs.Trace.to_json e);
+       output_char oc '\n')
+    (Obs.Span.events (Obs.Span.finish r));
   close_out oc;
   Printf.printf "wrote %s (optimizer trace, line-delimited JSON)\n" file
 

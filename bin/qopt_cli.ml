@@ -12,34 +12,43 @@
 open Relalg
 
 let load = function
-  | "emp" ->
+  | `Emp ->
     let w = Workload.Schemas.emp_dept ~emps:5000 ~depts:100 () in
     (w.Workload.Schemas.cat, w.Workload.Schemas.db)
-  | "star" ->
+  | `Star ->
     let w = Workload.Schemas.star ~fact_rows:20000 ~dim_rows:100 ~dims:3 () in
     (w.Workload.Schemas.cat, w.Workload.Schemas.db)
-  | s -> failwith ("unknown demo database: " ^ s ^ " (use emp or star)")
+
+(* Flag values, parsed by Cmdliner's enum converters: an unknown value is
+   a usage error (exit 124), not an exception. *)
+let databases = [ ("emp", `Emp); ("star", `Star) ]
+
+let optimizers = [ ("systemr", `Systemr); ("bushy", `Bushy); ("naive", `Naive) ]
 
 let optimizer_config = function
-  | "systemr" -> Core.Pipeline.default_config
-  | "bushy" ->
+  | `Systemr -> Core.Pipeline.default_config
+  | `Bushy ->
     { Core.Pipeline.default_config with
       join_config = { Systemr.Join_order.default_config with bushy = true } }
-  | "naive" -> Core.Pipeline.naive_config
-  | s -> failwith ("unknown optimizer: " ^ s ^ " (use systemr, bushy or naive)")
+  | `Naive -> Core.Pipeline.naive_config
+
+let engines = [ ("batch", `Batch); ("interpreted", `Interpreted) ]
+
+let estimators =
+  [ ("histogram", `Histogram); ("feedback", `Feedback); ("sketch", `Sketch) ]
+
+let name_of assoc v = fst (List.find (fun (_, x) -> x = v) assoc)
 
 (* Parse and bind as separate steps so they show up as the first two
    spans of the query's telemetry tree. *)
-let with_query ?spans db_name sql f =
-  let in_span name g =
-    match spans with
-    | None -> g ()
-    | Some r -> Obs.Span.with_span r name g
-  in
-  let cat, db = in_span "load" (fun () -> load db_name) in
+let with_query ?telemetry db_name sql f =
+  let cat, db = Obs.Span.within telemetry "load" (fun () -> load db_name) in
   match
-    let stmts = in_span "parse" (fun () -> Sql.Parser.parse sql) in
-    in_span "bind" (fun () -> Sql.Binder.bind_script cat stmts)
+    let stmts =
+      Obs.Span.within telemetry "parse" (fun () -> Sql.Parser.parse sql)
+    in
+    Obs.Span.within telemetry "bind" (fun () ->
+        Sql.Binder.bind_script cat stmts)
   with
   | q -> f cat db q
   | exception Sql.Parser.Error m ->
@@ -58,22 +67,6 @@ let print_diags reports =
   let diags = List.concat_map (fun r -> r.Core.Pipeline.diags) reports in
   Fmt.pr "-- lint: %a@." Verify.Diag.pp_list diags;
   if Verify.Diag.has_errors diags then exit 2
-
-let engine_of_string = function
-  | "batch" -> `Batch
-  | "interpreted" -> `Interpreted
-  | s -> failwith ("unknown engine: " ^ s ^ " (use batch or interpreted)")
-
-(* The feedback cache / sketch registry is created once per process and
-   carried in the config, so --repeat runs share it and later
-   optimizations see what earlier executions recorded. *)
-let estimator_of_string = function
-  | "histogram" -> `Histogram
-  | "feedback" -> `Feedback (Stats.Feedback.create ())
-  | "sketch" -> `Sketch (Stats.Sketch.registry_create ())
-  | s ->
-    failwith
-      ("unknown estimator: " ^ s ^ " (use histogram, feedback or sketch)")
 
 (* --bushy / --left-deep override the optimizer preset's tree shape, so the
    CLI drives exactly the code paths the enumeration bench measures. *)
@@ -104,136 +97,63 @@ let print_opt_stats reports wall_s =
     c.Systemr.Join_order.costed c.Systemr.Join_order.pruned
     (wall_s *. 1000.)
 
-(* Write every block's optimizer trace as line-delimited JSON. *)
-let write_trace_json file reports =
+(* Write the tree's optimizer events as line-delimited JSON. *)
+let write_trace_json file root =
   let oc = open_out file in
   List.iter
-    (fun r ->
-       List.iter
-         (fun e ->
-            output_string oc (Obs.Trace.to_json e);
-            output_char oc '\n')
-         r.Core.Pipeline.trace_events)
-    reports;
+    (fun e ->
+       output_string oc (Obs.Trace.to_json e);
+       output_char oc '\n')
+    (Obs.Span.events root);
   close_out oc
 
-(* The qlog record for one CLI run: digests (timed into the
-   digest_seconds histogram), per-stage micros from the span tree, root
-   est/act rows and worst q-error from the recorders, feedback-cache
-   traffic from the estimator. *)
-let qlog_record ~sql ~estimator ~est_mode ~engine ~dop ~rows ~wall ~root
-    ~reports ~recorders : Obs.Qlog.t =
-  let td = Obs.Clock.now () in
-  let query_digest = Obs.Trace.digest (String.trim sql) in
-  let plan_digest =
-    Obs.Trace.digest
-      (String.concat ";"
-         (List.filter_map
-            (fun (r : Core.Pipeline.report) ->
-               Option.map (Fmt.str "%a" Exec.Plan.pp) r.Core.Pipeline.plan)
-            reports))
+let run_cmd db_name optimizer engine dop estimator repeat lint analysis limit
+    tree opt_stats analyze trace_json metrics profile_json metrics_out
+    query_log print_spans sql =
+  let want_telemetry =
+    analyze || trace_json <> None || profile_json <> None || query_log <> None
+    || print_spans
   in
-  Obs.Metrics.observe_hist Obs.Metrics.digest_seconds
-    (Obs.Clock.elapsed_s td);
-  let stages =
-    match root with
-    | None -> []
-    | Some r ->
-      List.filter_map
-        (fun n ->
-           let d = Obs.Span.dur_by_name r n in
-           if d > 0. then Some (n, d *. 1e6) else None)
-        [ "parse"; "bind"; "rewrite"; "optimize"; "verify"; "execute" ]
+  let telemetry =
+    if want_telemetry then Some (Obs.Span.create ()) else None
   in
-  let est_rows, act_rows =
-    match recorders with
-    | r :: _ -> (
-      match Exec.Instrument.ops r with
-      | (op : Exec.Instrument.op) :: _ ->
-        ( op.Exec.Instrument.est_rows,
-          if op.Exec.Instrument.executed then
-            Some (float_of_int op.Exec.Instrument.act_rows)
-          else None )
-      | [] -> (None, None))
-    | [] -> (None, None)
-  in
-  let max_qerror =
-    List.fold_left
-      (fun acc r ->
-         match Obs.Analyze.max_q_error r with
-         | Some (q, _) when Float.is_finite q ->
-           Some (match acc with Some a -> Float.max a q | None -> q)
-         | _ -> acc)
-      None recorders
-  in
-  let feedback_hits, feedback_misses =
-    match est_mode with
-    | `Feedback fb -> (Stats.Feedback.hits fb, Stats.Feedback.misses fb)
-    | _ -> (0, 0)
-  in
-  { Obs.Qlog.ts_us = int_of_float (Unix.gettimeofday () *. 1e6);
-    query_digest; plan_digest; estimator; engine; dop = max 1 dop; rows;
-    total_us = wall *. 1e6; stages; est_rows; act_rows; max_qerror;
-    feedback_hits; feedback_misses }
-
-let run_cmd db_name opt engine dop estimator repeat lint analysis limit tree
-    opt_stats analyze trace_json metrics profile_json metrics_out query_log
-    print_spans sql =
-  let want_spans =
-    profile_json <> None || query_log <> None || print_spans
-  in
-  let spans = if want_spans then Some (Obs.Span.create ()) else None in
-  with_query ?spans db_name sql (fun cat db block ->
-      let est_mode = estimator_of_string estimator in
+  with_query ?telemetry db_name sql (fun cat db block ->
+      (* The feedback cache / sketch registry is created once per run and
+         carried in the config, so --repeat runs share it and later
+         optimizations see what earlier executions recorded. *)
+      let est_mode =
+        match estimator with
+        | `Histogram -> `Histogram
+        | `Feedback -> `Feedback (Stats.Feedback.create ())
+        | `Sketch -> `Sketch (Stats.Sketch.registry_create ())
+      in
       let config =
         apply_tree tree
-          { (optimizer_config opt) with
+          { (optimizer_config optimizer) with
             Core.Pipeline.lint;
             analysis;
-            engine = engine_of_string engine;
+            engine;
             dop = max 1 dop;
             estimator = est_mode;
-            instrument =
-              analyze || trace_json <> None || profile_json <> None;
-            spans }
+            telemetry }
       in
       (* Warm-up repeats share the estimator state: under --estimator
          feedback/sketch, the final (printed) run re-optimizes with the
          actual cardinalities / sketches its predecessors recorded.
-         They run span-less so the telemetry tree covers only the
-         printed run. *)
+         They run without telemetry so the tree covers only the printed
+         run. *)
       for _ = 2 to max 1 repeat do
         ignore
           (Core.Pipeline.run_query
-             ~config:{ config with Core.Pipeline.spans = None }
+             ~config:{ config with Core.Pipeline.telemetry = None }
              cat db block)
       done;
       let ctx = Exec.Context.create () in
       let t0 = Obs.Clock.now () in
-      let result, pairs =
-        Core.Pipeline.run_query_full ~ctx ~config cat db block
-      in
+      let result, reports = Core.Pipeline.run_query ~ctx ~config cat db block in
       let wall = Obs.Clock.elapsed_s t0 in
-      let reports = List.map fst pairs in
-      let analyze_text =
-        if not analyze then None
-        else
-          let many = List.length pairs > 1 in
-          Some
-            (String.concat ""
-               (List.mapi
-                  (fun i (_, recorder) ->
-                     (if many then
-                        Printf.sprintf "-- union arm %d\n" (i + 1)
-                      else "")
-                     ^
-                     match recorder with
-                     | Some r -> Obs.Analyze.render r
-                     | None ->
-                       "(correlated query: tuple-iteration interpreter — \
-                        no per-operator statistics)\n")
-                  pairs))
-      in
+      (* close the span tree before anything renders or logs it *)
+      let root = Option.map Obs.Span.finish telemetry in
       let n = Array.length result.Exec.Executor.rows in
       Fmt.pr "%a@." Schema.pp result.Exec.Executor.schema;
       Array.iteri
@@ -248,37 +168,25 @@ let run_cmd db_name opt engine dop estimator repeat lint analysis limit tree
                  | Core.Pipeline.Planned -> "planned"
                  | Core.Pipeline.Interpreted -> "interpreted")
               reports));
-      (match analyze_text with
-       | Some text -> Fmt.pr "-- analyze:@.%s" text
-       | None -> ());
-      (match trace_json with
-       | Some file -> write_trace_json file reports
-       | None -> ());
-      (* close the span tree before anything renders or logs it *)
-      let root = Option.map Obs.Span.finish spans in
-      (match root with
-       | Some r when print_spans -> Fmt.pr "-- spans:@.%s" (Obs.Span.render r)
-       | _ -> ());
-      (match profile_json with
-       | Some file ->
-         let recorders =
-           List.mapi
-             (fun i (_, recorder) ->
-                Option.map
-                  (fun r -> (Printf.sprintf "block %d" (i + 1), r))
-                  recorder)
-             pairs
-           |> List.filter_map Fun.id
-         in
-         Obs.Profile.write_file ?span:root recorders file
-       | None -> ());
-      (match query_log with
-       | Some file ->
-         Obs.Qlog.append ~path:file
-           (qlog_record ~sql ~estimator ~est_mode ~engine ~dop ~rows:n ~wall
-              ~root ~reports
-              ~recorders:(List.filter_map snd pairs))
-       | None -> ());
+      Option.iter
+        (fun root ->
+           if analyze then Fmt.pr "-- analyze:@.%s" (Obs.Analyze.render root);
+           Option.iter (fun file -> write_trace_json file root) trace_json;
+           if print_spans then Fmt.pr "-- spans:@.%s" (Obs.Span.render root);
+           Option.iter (Obs.Profile.write_file root) profile_json;
+           Option.iter
+             (fun path ->
+                Obs.Qlog.append ~path
+                  (Obs.Qlog.of_span ~query:sql
+                     ~estimator:(name_of estimators estimator)
+                     ~engine:(name_of engines engine) ~dop ~rows:n
+                     ?feedback:
+                       (match est_mode with
+                        | `Feedback fb -> Some fb
+                        | _ -> None)
+                     root))
+             query_log)
+        root;
       (match metrics_out with
        | Some file -> Obs.Prometheus.write_file file
        | None -> ());
@@ -286,11 +194,11 @@ let run_cmd db_name opt engine dop estimator repeat lint analysis limit tree
       if metrics then print_endline (Obs.Metrics.render ());
       if lint || analysis then print_diags reports)
 
-let explain_cmd db_name opt lint analysis tree sql =
+let explain_cmd db_name optimizer lint analysis tree sql =
   with_query db_name sql (fun cat db block ->
       let config =
         apply_tree tree
-          { (optimizer_config opt) with Core.Pipeline.lint; analysis }
+          { (optimizer_config optimizer) with Core.Pipeline.lint; analysis }
       in
       print_endline (Core.Pipeline.explain_query ~config cat db block))
 
@@ -313,12 +221,12 @@ let tables_cmd db_name =
 open Cmdliner
 
 let db_arg =
-  Arg.(value & opt string "emp"
+  Arg.(value & opt (enum databases) `Emp
        & info [ "d"; "database" ] ~docv:"DB"
            ~doc:"Demo database to query: emp or star.")
 
 let opt_arg =
-  Arg.(value & opt string "systemr"
+  Arg.(value & opt (enum optimizers) `Systemr
        & info [ "o"; "optimizer" ] ~docv:"OPT"
            ~doc:"Optimizer pipeline: systemr, bushy or naive (no rewrites).")
 
@@ -327,7 +235,7 @@ let limit_arg =
        & info [ "n"; "limit" ] ~docv:"N" ~doc:"Rows to print.")
 
 let engine_arg =
-  Arg.(value & opt string "batch"
+  Arg.(value & opt (enum engines) `Batch
        & info [ "e"; "engine" ] ~docv:"ENGINE"
            ~doc:"Plan execution engine: batch (vectorized) or interpreted \
                  (tuple-at-a-time oracle). Both produce identical rows and \
@@ -343,7 +251,7 @@ let dop_arg =
                  bit-identical to --dop 1.")
 
 let estimator_arg =
-  Arg.(value & opt string "histogram"
+  Arg.(value & opt (enum estimators) `Histogram
        & info [ "estimator" ] ~docv:"EST"
            ~doc:"Cardinality estimator: histogram (stock derivation), \
                  feedback (cache actual cardinalities from execution and \

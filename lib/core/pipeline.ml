@@ -20,9 +20,6 @@ type config = {
   join_config : Systemr.Join_order.config;
   lint : bool; (* run the static verifier at every stage *)
   engine : [ `Interpreted | `Batch ]; (* plan execution engine *)
-  instrument : bool;
-      (* per-operator runtime stats + optimizer trace (EXPLAIN ANALYZE);
-         off = zero-cost *)
   analysis : bool;
       (* abstract-interpretation pass: analyzer-backed rewrite rules
          (empty-subtree folding, transitive range closure) appended as a
@@ -52,11 +49,13 @@ type config = {
          estimates over histograms.  The mutable state lives in the
          variant so one config reused across runs closes the loop;
          default_config stays stateless. *)
-  spans : Obs.Span.recorder option;
-      (* span recorder for full-pipeline telemetry.  When set, every
-         stage (rewrite, optimize with nested view/enumerate spans,
-         verify, execute) opens a span and feeds the per-stage latency
-         histograms; None (the default) costs nothing. *)
+  telemetry : Obs.Span.recorder option;
+      (* the one telemetry switch.  When set, every stage (rewrite,
+         optimize with nested view/enumerate spans, verify, execute)
+         opens a span and feeds the per-stage latency histograms,
+         optimizer trace events land on the open span, and each planned
+         block's execute span carries its per-operator recorder with
+         estimates attached.  None (the default) costs nothing. *)
 }
 
 let default_rewrites : Rewrite.Rules.t list list =
@@ -71,35 +70,34 @@ let default_config =
     join_config = Systemr.Join_order.default_config;
     lint = false;
     engine = `Batch;
-    instrument = false;
     analysis = false;
     dop = 1;
     morsel_rows = Exec.Morsel.default_morsel_rows;
     chunk_rows = Exec.Batch.default_chunk_rows;
     estimator = `Histogram;
-    spans = None }
-
-(* Wrap [f] in a span when a recorder is attached; no recorder, no work. *)
-let span config ?attrs name f =
-  match config.spans with
-  | None -> f ()
-  | Some r -> Obs.Span.with_span r ?attrs name f
+    telemetry = None }
 
 (* A top-level pipeline stage: a span plus the per-stage latency
-   histogram ([stage_seconds{stage="..."}]).  Only the flat stages go
-   through here — nested spans (views, enumerator calls) skip the
-   histogram so stage latencies sum to roughly the query total. *)
-let stage config ?attrs name f =
-  match config.spans with
+   histogram ([stage_seconds{stage="..."}]), fed from the closed span's
+   duration.  Only the flat stages go through here — nested spans (views,
+   enumerator calls) skip the histogram so stage latencies sum to roughly
+   the query total.  [ops] is the operator recorder an execute span
+   carries. *)
+let stage config ?attrs ?ops name f =
+  match config.telemetry with
   | None -> f ()
   | Some r ->
-    let t0 = Obs.Clock.now () in
+    let s = Obs.Span.enter r ?attrs name in
+    s.Obs.Span.ops <- ops;
     Fun.protect
       ~finally:(fun () ->
-        Obs.Metrics.observe_hist
-          (Obs.Metrics.stage_seconds name)
-          (Obs.Clock.elapsed_s t0))
-      (fun () -> Obs.Span.with_span r ?attrs name f)
+        Obs.Span.stop r s;
+        Obs.Metrics.observe_hist (Obs.Metrics.stage_seconds name)
+          s.Obs.Span.dur_s)
+      f
+
+(* Optimizer trace events go to the innermost open span. *)
+let trace_sink config = Option.map Obs.Span.event config.telemetry
 
 (* Fold the estimator mode into the join config the planner actually
    sees: `Feedback plugs the cache into [Join_order.stats_of] (and,
@@ -288,11 +286,6 @@ type report = {
   enum : Systemr.Join_order.counters;
       (* enumeration effort, summed over this block and its views *)
   diags : Verify.Diag.t list; (* lint findings; [] when lint is off *)
-  op_stats : Exec.Instrument.op list;
-      (* per-operator actuals (est/act rows, rescans, counter deltas);
-         [] unless [config.instrument] and the block was planned *)
-  trace_events : Obs.Trace.event list;
-      (* optimizer trace in emission order; [] unless [config.instrument] *)
   stats_at_plan : Stats.Table_stats.db option;
       (* shallow copy of the statistics registry as the planner saw it
          (bindings are immutable records, so a copy is a true snapshot).
@@ -304,8 +297,9 @@ type report = {
          interpreted path. *)
   span : Obs.Span.t option;
       (* this block's span subtree (rewrite / optimize / verify /
-         execute children), closed by the time the report is returned;
-         None unless [config.spans] *)
+         execute children, their events and the execute span's operator
+         recorder), closed by the time the report is returned; None
+         unless [config.telemetry] *)
 }
 
 (* Can this block (and everything it contains) be planned, i.e. no subquery
@@ -345,7 +339,8 @@ let rec materialize_source ~on_plan ~trace ~exec_views ~on_view ctx config cat
   match s with
   | Rewrite.Qgm.Base _ -> (s, [], 0., Systemr.Join_order.counters_zero)
   | Rewrite.Qgm.Derived { block; alias } ->
-    span config ~attrs:[ ("alias", alias) ] "view" @@ fun () ->
+    Obs.Span.within config.telemetry ~attrs:[ ("alias", alias) ] "view"
+    @@ fun () ->
     let plan, cost, enum, temps =
       plan_block ~on_plan ?trace ~exec_views ~on_view ctx config cat db block
     in
@@ -464,33 +459,13 @@ and plan_block ?(on_plan = fun (_ : Exec.Plan.t) -> ()) ?trace
     Systemr.Spj.make ~relations ~predicates ~order_by:spj_order ()
   in
   let res =
-    (* one span per enumerator invocation (views recurse here too),
-       annotated with the DP effort counters once they are known *)
-    match config.spans with
-    | None ->
-      Systemr.Join_order.optimize ?trace ~config:config.join_config cat db q
-    | Some r ->
-      let s =
-        Obs.Span.enter r
-          ~attrs:
-            [ ("relations", string_of_int (List.length relations)) ]
-          "enumerate"
-      in
-      let res =
-        try
-          Systemr.Join_order.optimize ?trace ~config:config.join_config cat
-            db q
-        with e ->
-          Obs.Span.stop r s;
-          raise e
-      in
-      let c = res.Systemr.Join_order.counters in
-      Obs.Span.set_attr s "subsets"
-        (string_of_int c.Systemr.Join_order.subsets);
-      Obs.Span.set_attr s "costed" (string_of_int c.Systemr.Join_order.costed);
-      Obs.Span.set_attr s "pruned" (string_of_int c.Systemr.Join_order.pruned);
-      Obs.Span.stop r s;
-      res
+    (* one span per enumerator invocation (views recurse here too); its
+       per-level effort counters arrive as trace events *)
+    Obs.Span.within config.telemetry
+      ~attrs:[ ("relations", string_of_int (List.length relations)) ]
+      "enumerate"
+    @@ fun () ->
+    Systemr.Join_order.optimize ?trace ~config:config.join_config cat db q
   in
   let plan = ref res.Systemr.Join_order.best.Systemr.Candidate.plan in
   let cost = ref res.Systemr.Join_order.best.Systemr.Candidate.cost in
@@ -538,25 +513,22 @@ and plan_block ?(on_plan = fun (_ : Exec.Plan.t) -> ()) ?trace
 (* ------------------------------------------------------------------ *)
 (* Entry point *)
 
-(* Hook plumbing shared by [run], [explain] and [analyze]: a diagnostics
-   accumulator plus (when instrumenting) a trace-event accumulator, the
-   rewrite-oracle / rewrite-trace callback for [Rewrite.Rules.run], and the
-   plan callback for [plan_block].  [events] accumulates reversed. *)
+(* Hook plumbing shared by [run] and [explain]: a diagnostics accumulator,
+   the rewrite-oracle / rewrite-trace callbacks for [Rewrite.Rules.run]
+   and the plan callback for [plan_block].  Trace events go straight to
+   the telemetry recorder. *)
 type hooks = {
   diags : Verify.Diag.t list ref;
-  events : Obs.Trace.event list ref;
   check :
     (rule:string -> before:Rewrite.Qgm.block -> after:Rewrite.Qgm.block ->
      unit)
       option;
   on_reject : (rule:string -> unit) option;
-  trace : (Obs.Trace.event -> unit) option;
   on_plan : Exec.Plan.t -> unit;
 }
 
 let make_hooks (config : config) cat : hooks =
   let diags = ref [] in
-  let events = ref [] in
   let lint_check =
     if config.lint then
       Some
@@ -565,15 +537,13 @@ let make_hooks (config : config) cat : hooks =
     else None
   in
   let trace_check =
-    if config.instrument then
-      Some
-        (fun ~rule ~before ~after ->
-           let dg b = Obs.Trace.digest (Fmt.str "%a" Rewrite.Qgm.pp_block b) in
-           events :=
-             Obs.Trace.Rewrite_fired
-               { rule; before = dg before; after = dg after }
-             :: !events)
-    else None
+    Option.map
+      (fun r ~rule ~before ~after ->
+         let dg b = Obs.Trace.digest (Fmt.str "%a" Rewrite.Qgm.pp_block b) in
+         Obs.Span.event r
+           (Obs.Trace.Rewrite_fired
+              { rule; before = dg before; after = dg after }))
+      config.telemetry
   in
   let check =
     match (lint_check, trace_check) with
@@ -585,31 +555,27 @@ let make_hooks (config : config) cat : hooks =
            match tc with Some f -> f ~rule ~before ~after | None -> ())
   in
   let on_reject =
-    if config.instrument then
-      Some
-        (fun ~rule -> events := Obs.Trace.Rewrite_rejected { rule } :: !events)
-    else None
-  in
-  let trace =
-    if config.instrument then Some (fun e -> events := e :: !events) else None
+    Option.map
+      (fun r ~rule -> Obs.Span.event r (Obs.Trace.Rewrite_rejected { rule }))
+      config.telemetry
   in
   let on_plan p = if config.lint then diags := !diags @ Verify.physical cat p in
-  { diags; events; check; on_reject; trace; on_plan }
+  { diags; check; on_reject; on_plan }
 
-(* One block end-to-end, also returning the instrumentation recorder (when
-   [config.instrument]) so [analyze] can render the annotated plan. *)
+(* One block end-to-end.  With telemetry on, the block's span subtree
+   carries everything recorded about it. *)
 let run_block ~ctx ~config (cat : Storage.Catalog.t)
     (db : Stats.Table_stats.db) (block : Rewrite.Qgm.block) :
-  Exec.Executor.result * report * Exec.Instrument.t option =
+  Exec.Executor.result * report =
   (* resolve the estimator into the join config once; everything below
      (enumeration, lints, annotation) sees the effective assumptions *)
   let config = { config with join_config = effective_join_config config } in
   let h = make_hooks config cat in
   let blk_span =
-    Option.map (fun r -> Obs.Span.enter r "block") config.spans
+    Option.map (fun r -> Obs.Span.enter r "block") config.telemetry
   in
   let stop_blk () =
-    match (config.spans, blk_span) with
+    match (config.telemetry, blk_span) with
     | Some r, Some s -> Obs.Span.stop r s
     | _ -> ()
   in
@@ -624,7 +590,8 @@ let run_block ~ctx ~config (cat : Storage.Catalog.t)
      | `Histogram | `Feedback _ -> ());
     let plan, est_cost, enum, temps =
       stage config "optimize" @@ fun () ->
-      plan_block ~on_plan:h.on_plan ?trace:h.trace ctx config cat db rewritten
+      plan_block ~on_plan:h.on_plan ?trace:(trace_sink config) ctx config cat
+        db rewritten
     in
     (* snapshot the statistics the planner consulted — view temporaries
        included — before execution can change anything *)
@@ -642,17 +609,17 @@ let run_block ~ctx ~config (cat : Storage.Catalog.t)
     let feedback =
       match config.estimator with `Feedback fb -> Some fb | _ -> None
     in
+    let telemetry = config.telemetry <> None in
     let recorder =
-      (* feedback mode needs per-operator actuals even without EXPLAIN
-         ANALYZE — the recorder is how observed cardinalities reach the
-         cache *)
-      if config.instrument || feedback <> None then begin
+      (* feedback mode needs per-operator actuals even without telemetry
+         — the recorder is how observed cardinalities reach the cache *)
+      if telemetry || feedback <> None then begin
         let r = Exec.Instrument.create plan in
         (* estimates must be derived while view temporaries are still in
            the catalog and statistics registry, and against the plan-time
            stats snapshot; with feedback, annotation applies the same
            overrides the planner used *)
-        if config.instrument then
+        if telemetry then
           Obs.Est.attach
             (Obs.Est.annotate ~asm:config.join_config.Systemr.Join_order.asm
                ?feedback cat stats_at_plan plan)
@@ -669,7 +636,7 @@ let run_block ~ctx ~config (cat : Storage.Catalog.t)
     in
     let sketch = Option.map (fun (_, (hook, _)) -> hook) sketching in
     let result =
-      stage config
+      stage config ?ops:recorder
         ~attrs:
           [ ( "engine",
               match config.engine with
@@ -699,10 +666,11 @@ let run_block ~ctx ~config (cat : Storage.Catalog.t)
                 let act = float_of_int op.Exec.Instrument.act_rows in
                 Stats.Feedback.record fb ~db ~tables k act;
                 Obs.Metrics.incr Obs.Metrics.feedback_recorded;
-                (match h.trace with
-                 | Some sink ->
-                   sink (Obs.Trace.Feedback_recorded { digest = k; act })
-                 | None -> ()))
+                Option.iter
+                  (fun r ->
+                     Obs.Span.event r
+                       (Obs.Trace.Feedback_recorded { digest = k; act }))
+                  config.telemetry)
          (Exec.Instrument.ops r)
      | _ -> ());
     List.iter
@@ -712,7 +680,7 @@ let run_block ~ctx ~config (cat : Storage.Catalog.t)
       temps;
     Obs.Metrics.incr Obs.Metrics.blocks_planned;
     (match recorder with
-     | Some r when config.instrument -> (
+     | Some r when telemetry -> (
        match Obs.Analyze.max_q_error r with
        | Some (q, _) when Float.is_finite q ->
          Obs.Metrics.observe_max Obs.Metrics.qerror_max q;
@@ -723,14 +691,8 @@ let run_block ~ctx ~config (cat : Storage.Catalog.t)
     ( result,
       { rewritten; trace; path = Planned; plan = Some plan; est_cost;
         enum; diags = !(h.diags);
-        op_stats =
-          (match recorder with
-           | Some r when config.instrument -> Exec.Instrument.ops r
-           | _ -> []);
-        trace_events = List.rev !(h.events);
         stats_at_plan = Some stats_at_plan;
-        span = blk_span },
-      recorder )
+        span = blk_span } )
   end
   else begin
     (* interpreted fallback: no physical plan to lint, but the block's
@@ -744,10 +706,8 @@ let run_block ~ctx ~config (cat : Storage.Catalog.t)
     ( result,
       { rewritten; trace; path = Interpreted; plan = None; est_cost = 0.;
         enum = Systemr.Join_order.counters_zero; diags = !(h.diags);
-        op_stats = []; trace_events = List.rev !(h.events);
         stats_at_plan = None;
-        span = blk_span },
-      None )
+        span = blk_span } )
   end
 
 (* End-to-end latency histogram for every entry point; one monotonic
@@ -765,8 +725,7 @@ let run ?(ctx = Exec.Context.create ()) ?(config = default_config)
     (block : Rewrite.Qgm.block) : Exec.Executor.result * report =
   Obs.Metrics.incr Obs.Metrics.queries_run;
   timed_query @@ fun () ->
-  let result, report, _ = run_block ~ctx ~config cat db block in
-  (result, report)
+  run_block ~ctx ~config cat db block
 
 let explain ?(config = default_config) cat db block : string =
   let ctx = Exec.Context.create () in
@@ -788,7 +747,8 @@ let explain ?(config = default_config) cat db block : string =
          and carry estimate-derived statistics *)
       let views = ref [] in
       let plan, est_cost, _, temps =
-        plan_block ~on_plan:h.on_plan ?trace:h.trace ~exec_views:false
+        plan_block ~on_plan:h.on_plan ?trace:(trace_sink config)
+          ~exec_views:false
           ~on_view:(fun alias p -> views := (alias, p) :: !views)
           ctx config cat db rewritten
       in
@@ -833,11 +793,11 @@ let explain ?(config = default_config) cat db block : string =
    the normal block pipeline; UNION deduplicates the combined rows. *)
 
 let rec run_query_blocks ~ctx ~config cat db (q : Rewrite.Qgm.query) :
-  Exec.Executor.result * (report * Exec.Instrument.t option) list =
+  Exec.Executor.result * report list =
   match q with
   | Rewrite.Qgm.Q_block b ->
-    let result, report, recorder = run_block ~ctx ~config cat db b in
-    (result, [ (report, recorder) ])
+    let result, report = run_block ~ctx ~config cat db b in
+    (result, [ report ])
   | Rewrite.Qgm.Q_union { all; left; right } ->
     let l, lr = run_query_blocks ~ctx ~config cat db left in
     let r, rr = run_query_blocks ~ctx ~config cat db right in
@@ -868,54 +828,21 @@ let rec run_query_blocks ~ctx ~config cat db (q : Rewrite.Qgm.query) :
 let run_query ?(ctx = Exec.Context.create ()) ?(config = default_config) cat
     db (q : Rewrite.Qgm.query) : Exec.Executor.result * report list =
   Obs.Metrics.incr Obs.Metrics.queries_run;
-  timed_query @@ fun () ->
-  let result, pairs = run_query_blocks ~ctx ~config cat db q in
-  (result, List.map fst pairs)
-
-let run_query_full ?(ctx = Exec.Context.create ())
-    ?(config = default_config) cat db (q : Rewrite.Qgm.query) :
-  Exec.Executor.result * (report * Exec.Instrument.t option) list =
-  Obs.Metrics.incr Obs.Metrics.queries_run;
   timed_query @@ fun () -> run_query_blocks ~ctx ~config cat db q
 
 (* ------------------------------------------------------------------ *)
-(* EXPLAIN ANALYZE: execute with instrumentation on, render the plan
-   annotated with per-operator estimated vs. actual rows, q-error,
-   rescans, counter deltas and (optionally) wall-clock. *)
+(* EXPLAIN ANALYZE: run with telemetry on — into the caller's recorder,
+   under an "analyze" span, or a fresh one — and render that subtree. *)
 
-let render_analysis ?show_wall (recorder : Exec.Instrument.t option) : string =
-  match recorder with
-  | Some r -> Obs.Analyze.render ?show_wall r
-  | None ->
-    "(correlated query: tuple-iteration interpreter — no per-operator \
-     statistics)\n"
-
-let analyze ?(ctx = Exec.Context.create ()) ?(config = default_config)
-    ?show_wall cat db (block : Rewrite.Qgm.block) :
-  Exec.Executor.result * report * string =
-  let config = { config with instrument = true } in
-  Obs.Metrics.incr Obs.Metrics.queries_run;
-  timed_query @@ fun () ->
-  let result, report, recorder = run_block ~ctx ~config cat db block in
-  (result, report, render_analysis ?show_wall recorder)
-
-let analyze_query ?(ctx = Exec.Context.create ())
-    ?(config = default_config) ?show_wall cat db (q : Rewrite.Qgm.query) :
-  Exec.Executor.result * report list * string =
-  let config = { config with instrument = true } in
-  Obs.Metrics.incr Obs.Metrics.queries_run;
-  timed_query @@ fun () ->
-  let result, pairs = run_query_blocks ~ctx ~config cat db q in
-  let many = List.length pairs > 1 in
-  let text =
-    String.concat ""
-      (List.mapi
-         (fun i (_, recorder) ->
-            (if many then Printf.sprintf "-- union arm %d\n" (i + 1) else "")
-            ^ render_analysis ?show_wall recorder)
-         pairs)
+let analyze_query ?ctx ?(config = default_config) ?show_wall cat db
+    (q : Rewrite.Qgm.query) : Exec.Executor.result * report list * string =
+  let r = Option.value config.telemetry ~default:(Obs.Span.create ()) in
+  let s = Obs.Span.enter r "analyze" in
+  let result, reports =
+    run_query ?ctx ~config:{ config with telemetry = Some r } cat db q
   in
-  (result, List.map fst pairs, text)
+  Obs.Span.stop r s;
+  (result, reports, Obs.Analyze.render ?show_wall s)
 
 let rec explain_query ?(config = default_config) cat db
     (q : Rewrite.Qgm.query) : string =

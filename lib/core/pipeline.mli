@@ -17,10 +17,6 @@ type config = {
   engine : [ `Interpreted | `Batch ];
   (** which engine executes physical plans (default [`Batch]); both
       produce bit-identical rows and cost accounting *)
-  instrument : bool;
-  (** record per-operator runtime statistics and a structured optimizer
-      trace (EXPLAIN ANALYZE); off (the default) costs nothing on the
-      execution path *)
   analysis : bool;
   (** abstract-interpretation pass (off by default): appends the
       analyzer-backed rewrite rules ([Analysis.Simplify.rules]: folding
@@ -62,14 +58,20 @@ type config = {
       selectivities prefer sketch estimates over histograms.  The
       mutable state lives in the variant: reuse one config across runs
       to close the loop. *)
-  spans : Obs.Span.recorder option;
-  (** span recorder for full-pipeline telemetry (default [None] — zero
-      cost).  When set, every stage (rewrite, optimize with nested
-      view/enumerate spans, verify, execute) opens a span in the
-      recorder and feeds the [stage_seconds{stage="..."}] latency
-      histograms; the caller owns the recorder (typically wrapping
-      parse/bind spans around the pipeline) and calls
-      {!Obs.Span.finish} to close the tree. *)
+  telemetry : Obs.Span.recorder option;
+  (** the one telemetry switch (default [None] — zero cost).  [Some r]
+      records everything about the run into [r]: every stage (rewrite,
+      optimize with nested view/enumerate spans, verify, execute) opens a
+      span and feeds the [stage_seconds{stage="..."}] latency histograms;
+      optimizer trace events (rewrites fired/rejected, per-level
+      enumeration counters, prunes, interesting-order retentions, memo
+      statistics, feedback overrides/records/stale drops) land on the
+      span open when they were emitted; and each planned block's
+      [execute] span carries its {!Exec.Instrument} recorder with the
+      optimizer's estimates attached (EXPLAIN ANALYZE actuals, worker
+      timelines).  The caller owns the recorder (typically wrapping
+      parse/bind spans around the pipeline) and calls {!Obs.Span.finish}
+      to close the tree. *)
 }
 
 (** view merging; unnesting; view merging again; constant propagation;
@@ -93,15 +95,6 @@ type report = {
   (** enumeration effort (subsets, splits, costed, pruned), summed over
       this block and its materialized views *)
   diags : Verify.Diag.t list;  (** lint findings; [[]] when lint is off *)
-  op_stats : Exec.Instrument.op list;
-  (** per-operator actuals in pre-order (estimated vs. actual rows,
-      rescans, counter deltas, wall-clock); [[]] unless
-      [config.instrument] and the block was planned *)
-  trace_events : Obs.Trace.event list;
-  (** optimizer trace (rewrites fired/rejected, per-level enumeration
-      counters, prunes, interesting-order retentions, memo statistics,
-      feedback records/overrides) in emission order; [[]] unless
-      [config.instrument] *)
   stats_at_plan : Stats.Table_stats.db option;
   (** snapshot of the statistics registry as the planner saw it (view
       temporaries included).  Re-annotating the plan after an ANALYZE
@@ -111,9 +104,10 @@ type report = {
       numbers the planner never produced.  [None] on the interpreted
       path. *)
   span : Obs.Span.t option;
-  (** this block's span subtree (rewrite / optimize / verify / execute
-      children), closed by the time the report is returned; [None]
-      unless [config.spans] *)
+  (** this block's whole telemetry subtree — rewrite / optimize / verify
+      / execute spans, their events ({!Obs.Span.events}) and the execute
+      span's operator recorder ({!Obs.Span.recorders}) — closed by the
+      time the report is returned; [None] unless [config.telemetry] *)
 }
 
 (** Can this block (including nested ones) be planned — no residual
@@ -147,8 +141,8 @@ val run :
 (** Human-readable rewrite trace + physical plan(s) + estimated cost.
     Derived sources are planned but never executed: view temporaries stay
     empty and carry statistics fabricated from the sub-plan's estimated
-    cardinality, so outer-block costs remain realistic.  Use [analyze] to
-    execute. *)
+    cardinality, so outer-block costs remain realistic.  Use
+    [analyze_query] to execute. *)
 val explain :
   ?config:config -> Storage.Catalog.t -> Stats.Table_stats.db ->
   Rewrite.Qgm.block -> string
@@ -160,32 +154,18 @@ val run_query :
   Stats.Table_stats.db -> Rewrite.Qgm.query ->
   Exec.Executor.result * report list
 
-(** [run_query] returning each block's instrumentation recorder
-    alongside its report — recorders carry the per-operator actuals and
-    the worker task timelines behind the {!Obs.Profile} export.  [None]
-    per block on the interpreted path, or when neither
-    [config.instrument] nor the feedback estimator created one. *)
-val run_query_full :
-  ?ctx:Exec.Context.t -> ?config:config -> Storage.Catalog.t ->
-  Stats.Table_stats.db -> Rewrite.Qgm.query ->
-  Exec.Executor.result * (report * Exec.Instrument.t option) list
-
 val explain_query :
   ?config:config -> Storage.Catalog.t -> Stats.Table_stats.db ->
   Rewrite.Qgm.query -> string
 
-(** EXPLAIN ANALYZE: run the block with instrumentation forced on and
-    return (result, report, rendered analysis).  The text shows, per
-    operator, estimated vs. actual rows, the q-error
-    [max(est/act, act/est)], rescans, execution-counter deltas and — unless
-    [show_wall:false] (deterministic output for tests) — wall-clock time,
-    plus a per-query worst-q-error summary line. *)
-val analyze :
-  ?ctx:Exec.Context.t -> ?config:config -> ?show_wall:bool ->
-  Storage.Catalog.t -> Stats.Table_stats.db -> Rewrite.Qgm.block ->
-  Exec.Executor.result * report * string
-
-(** [analyze] over a full query; UNION arms are rendered in sequence. *)
+(** EXPLAIN ANALYZE: run the query with telemetry on — into
+    [config.telemetry] under an ["analyze"] span, or into a fresh
+    recorder — and return (result, reports, {!Obs.Analyze.render} of
+    that subtree).  The text shows, per operator, estimated vs. actual
+    rows, the q-error [max(est/act, act/est)], rescans,
+    execution-counter deltas and — unless [show_wall:false]
+    (deterministic output for tests) — wall-clock time, plus a per-plan
+    worst-q-error summary line; UNION arms are rendered in sequence. *)
 val analyze_query :
   ?ctx:Exec.Context.t -> ?config:config -> ?show_wall:bool ->
   Storage.Catalog.t -> Stats.Table_stats.db -> Rewrite.Qgm.query ->

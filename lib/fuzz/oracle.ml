@@ -202,6 +202,18 @@ let is_sorted keys (res : Exec.Executor.result) =
 
 let first_some fs = List.find_map (fun f -> f ()) fs
 
+(* One run with telemetry on: the result, the reports, and every operator
+   its span tree recorded (estimates attached). *)
+let run_traced config cat db q =
+  let r = Obs.Span.create () in
+  let res, reports =
+    P.run_query ~config:{ config with P.telemetry = Some r } cat db q
+  in
+  ( res,
+    reports,
+    List.concat_map Exec.Instrument.ops
+      (Obs.Span.recorders (Obs.Span.finish r)) )
+
 let check_case ?(grid = full_grid) spec ast =
   match roundtrip spec ast with
   | Some f -> Some f
@@ -329,11 +341,10 @@ let check_case ?(grid = full_grid) spec ast =
     let qerror_check () =
       let cat, db = Dbspec.build spec in
       let q = Sql.Binder.bind_query cat ast in
-      let config = { P.default_config with instrument = true } in
-      match P.run_query ~config cat db q with
+      match run_traced P.default_config cat db q with
       | exception _ -> None (* crashes belong to the exception oracle *)
-      | _, reports ->
-        List.concat_map (fun r -> r.P.op_stats) reports
+      | _, _, ops ->
+        ops
         |> List.find_map (fun (o : Exec.Instrument.op) ->
             if
               o.Exec.Instrument.executed
@@ -361,9 +372,8 @@ let check_case ?(grid = full_grid) spec ast =
        finite q-error must not exceed the histogram-only run's.  (When
        the overrides change the join order, per-operator q-errors
        describe different operators and are not comparable.) *)
-    let max_qerror reports =
-      List.concat_map (fun r -> r.P.op_stats) reports
-      |> List.fold_left
+    let max_qerror ops =
+      List.fold_left
            (fun acc (o : Exec.Instrument.op) ->
               match o.Exec.Instrument.est_rows with
               | Some e
@@ -372,7 +382,7 @@ let check_case ?(grid = full_grid) spec ast =
                 let a = float_of_int o.Exec.Instrument.act_rows in
                 Float.max acc (Float.max (e /. a) (a /. e))
               | _ -> acc)
-           1.
+           1. ops
     in
     let plans_of reports =
       String.concat "\n---\n"
@@ -386,19 +396,17 @@ let check_case ?(grid = full_grid) spec ast =
     let rerun_check name state () =
       let cat, db = Dbspec.build spec in
       let q = Sql.Binder.bind_query cat ast in
-      let config =
-        { P.default_config with estimator = state; instrument = true }
-      in
+      let config = { P.default_config with estimator = state } in
       match
-        let r1 = P.run_query ~config cat db q in
-        let r2 = P.run_query ~config cat db q in
+        let r1 = run_traced config cat db q in
+        let r2 = run_traced config cat db q in
         (r1, r2)
       with
       | exception e ->
         Some
           { oracle = name; cfg = name ^ "-rerun";
             detail = "repeated run raised: " ^ Printexc.to_string e }
-      | (res1, reps1), (res2, reps2) ->
+      | (res1, reps1, ops1), (res2, reps2, ops2) ->
         if not (Exec.Executor.same_multiset res1 res2) then
           Some
             { oracle = name; cfg = name ^ "-rerun";
@@ -410,7 +418,7 @@ let check_case ?(grid = full_grid) spec ast =
         else if
           name = "feedback"
           && plans_of reps1 = plans_of reps2
-          && max_qerror reps2 > max_qerror reps1 *. (1. +. 1e-9)
+          && max_qerror ops2 > max_qerror ops1 *. (1. +. 1e-9)
         then
           Some
             { oracle = name; cfg = name ^ "-rerun";
@@ -418,7 +426,7 @@ let check_case ?(grid = full_grid) spec ast =
                 Printf.sprintf
                   "fed-back re-optimization worsened the worst q-error: \
                    %.4f vs %.4f on the cold run of the same plan"
-                  (max_qerror reps2) (max_qerror reps1) }
+                  (max_qerror ops2) (max_qerror ops1) }
         else None
     in
     let feedback_check =

@@ -1,6 +1,7 @@
-(* EXPLAIN ANALYZE rendering: the annotated plan tree with estimated vs
-   actual cardinalities, q-error, rescans and exclusive counter deltas
-   per operator, plus a per-plan max-q-error summary. *)
+(* EXPLAIN ANALYZE rendering: for every block of a query's span tree, the
+   annotated plan tree with estimated vs actual cardinalities, q-error,
+   rescans and exclusive counter deltas per operator, plus a per-plan
+   max-q-error summary. *)
 
 module I = Exec.Instrument
 
@@ -69,9 +70,8 @@ let par_line depth (p : I.par) : string =
        (Array.to_list
           (Array.map (fun w -> Fmt.str "%.3f" (w *. 1000.)) p.I.worker_wall)))
 
-(* Render the recorder's plan as an indented tree, one operator per
-   line.  [show_wall:false] drops wall-clock times (golden tests). *)
-let render ?(show_wall = true) (r : I.t) : string =
+(* One recorder's plan as an indented tree, one operator per line. *)
+let render_plan ~show_wall (r : I.t) : string =
   let b = Buffer.create 512 in
   let rec walk depth (p : Exec.Plan.t) =
     (match I.lookup r p with
@@ -96,3 +96,21 @@ let render ?(show_wall = true) (r : I.t) : string =
        (Fmt.str "max q-error: %a at op %d (%s)\n" pp_q q o.I.id
           (Exec.Plan.describe o.I.node)));
   Buffer.contents b
+
+(* Every [block] span under [root] in order: its execute span's recorder
+   rendered as a plan, or the interpreter-fallback line when the block
+   ran without a plan.  UNION arms get a header each. *)
+let render ?(show_wall = true) (root : Span.t) : string =
+  let blocks = Span.named root "block" in
+  let many = List.length blocks > 1 in
+  String.concat ""
+    (List.mapi
+       (fun i blk ->
+          (if many then Printf.sprintf "-- union arm %d\n" (i + 1) else "")
+          ^
+          match Span.recorders blk with
+          | r :: _ -> render_plan ~show_wall r
+          | [] ->
+            "(correlated query: tuple-iteration interpreter — no \
+             per-operator statistics)\n")
+       blocks)

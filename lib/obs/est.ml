@@ -211,8 +211,8 @@ let annotate ?asm ?feedback (cat : Storage.Catalog.t)
       | None -> s
       | Some (k, _) -> (
         match Stats.Feedback.lookup fb ~db k with
-        | Some act -> { s with Stats.Derive.card = act }
-        | None -> s))
+        | Stats.Feedback.Hit act -> { s with Stats.Derive.card = act }
+        | Stats.Feedback.Stale | Stats.Feedback.Miss -> s))
   in
   let acc : t ref = ref [] in
   let rec go (p : P.t) : Stats.Derive.rel_stats =

@@ -182,6 +182,7 @@ let fuzz_oracle_fail = "fuzz_oracle_fail"
 let qerror_max = "qerror_max"
 let feedback_overrides = "feedback_overrides"
 let feedback_recorded = "feedback_recorded"
+let feedback_stale = "feedback_stale"
 let sketches_built = "sketches_built"
 
 (* Histograms *)

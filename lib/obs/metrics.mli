@@ -74,6 +74,7 @@ val qerror_max : string
 
 val feedback_overrides : string
 val feedback_recorded : string
+val feedback_stale : string
 val sketches_built : string
 
 (** {2 Canonical histogram names} *)

@@ -3,92 +3,85 @@
    Perfetto / chrome://tracing.
 
    Layout: a single process (pid 1); thread 0 carries the pipeline span
-   tree (parse -> ... -> execute, nested), and thread [w + 1] carries
-   the interval of every parallel task domain [w] executed — so at
-   dop > 1 the trace shows the actual morsel schedule next to the stage
-   spans, on a shared monotonic time axis.
+   tree (parse -> ... -> execute, nested) and each span's optimizer
+   events, and thread [w + 1] carries the interval of every parallel
+   task domain [w] executed — so at dop > 1 the trace shows the actual
+   morsel schedule next to the stage spans, on a shared monotonic time
+   axis.  The task timelines come from the [execute] spans' operator
+   recorders.
 
-   Events are complete events (ph "X", ts/dur in microseconds relative
-   to the earliest timestamp in the profile); thread names are metadata
+   Spans and tasks are complete events (ph "X", ts/dur in microseconds
+   relative to the root span's start); optimizer events are
+   thread-scoped instant events (ph "i") at their span's start, since
+   events carry no timestamp of their own; thread names are metadata
    events (ph "M"). *)
 
 module I = Exec.Instrument
 
 let jstr = Trace.jstr
 
-let buf_event b ~first ~tid ~name ~ts_us ~dur_us ~args =
-  if not first then Buffer.add_string b ",\n";
-  Buffer.add_string b
-    (Printf.sprintf
-       {|  {"name":%s,"ph":"X","pid":1,"tid":%d,"ts":%.1f,"dur":%.1f%s}|}
-       (jstr name) tid ts_us (Float.max 0. dur_us)
-       (match args with
-        | [] -> ""
-        | kvs ->
-          ",\"args\":{"
-          ^ String.concat ","
-              (List.map (fun (k, v) -> jstr k ^ ":" ^ v) kvs)
-          ^ "}"))
+(* One trace event: the common fields, then [rest]. *)
+let event ~ph ~tid ~name rest =
+  Trace.jobj
+    ([ ("name", jstr name); ("ph", jstr ph); ("pid", "1");
+       ("tid", string_of_int tid) ]
+     @ rest)
 
-let buf_thread_name b ~tid ~name =
-  Buffer.add_string b
-    (Printf.sprintf
-       {|  {"name":"thread_name","ph":"M","pid":1,"tid":%d,"args":{"name":%s}},|}
-       tid (jstr name));
-  Buffer.add_char b '\n'
+let thread_name tid name =
+  event ~ph:"M" ~tid ~name:"thread_name"
+    [ ("args", Trace.jobj [ ("name", jstr name) ]) ]
 
-(* The earliest timestamp anywhere in the profile is the time origin. *)
-let epoch_of ?span (timelines : I.task list list) : float =
-  let m = ref infinity in
-  (match span with Some (s : Span.t) -> m := s.Span.start_s | None -> ());
-  List.iter
-    (List.iter (fun (t : I.task) -> if t.I.t_start < !m then m := t.I.t_start))
-    timelines;
-  if Float.is_finite !m then !m else 0.
-
-let render ?span (recorders : (string * I.t) list) : string =
-  let timelines = List.map (fun (_, r) -> I.timeline r) recorders in
-  let epoch = epoch_of ?span timelines in
-  let us t = Float.max 0. (t -. epoch) *. 1e6 in
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\"traceEvents\":[\n";
-  buf_thread_name b ~tid:0 ~name:"pipeline";
-  let workers =
-    List.concat_map (List.map (fun (t : I.task) -> t.I.t_worker)) timelines
-    |> List.sort_uniq compare
+let render (root : Span.t) : string =
+  let us t =
+    Printf.sprintf "%.1f" (Float.max 0. (t -. root.Span.start_s) *. 1e6)
   in
-  List.iter
-    (fun w -> buf_thread_name b ~tid:(w + 1) ~name:(Printf.sprintf "worker %d" w))
-    workers;
-  let first = ref true in
-  (match span with
-   | None -> ()
-   | Some root ->
-     Span.iter
-       (fun ~depth:_ (s : Span.t) ->
-          buf_event b ~first:!first ~tid:0 ~name:s.Span.name
-            ~ts_us:(us s.Span.start_s)
-            ~dur_us:(Float.max 0. s.Span.dur_s *. 1e6)
-            ~args:
-              (List.map (fun (k, v) -> (k, jstr v)) s.Span.attrs);
-          first := false)
-       root);
-  List.iter2
-    (fun (label, _) tl ->
+  let dur d = Printf.sprintf "%.1f" (Float.max 0. d *. 1e6) in
+  let events = ref [] in
+  let add e = events := e :: !events in
+  Span.iter
+    (fun ~depth:_ (s : Span.t) ->
+       add
+         (event ~ph:"X" ~tid:0 ~name:s.Span.name
+            [ ("ts", us s.Span.start_s); ("dur", dur s.Span.dur_s);
+              ("args",
+               Trace.jobj
+                 (List.map (fun (k, v) -> (k, jstr v)) s.Span.attrs)) ]);
+       List.iter
+         (fun e ->
+            add
+              (event ~ph:"i" ~tid:0 ~name:(Trace.to_string e)
+                 [ ("ts", us s.Span.start_s); ("s", jstr "t");
+                   ("args", Trace.jobj [ ("event", Trace.to_json e) ]) ]))
+         s.Span.events)
+    root;
+  let workers = ref [] in
+  List.iteri
+    (fun i r ->
        List.iter
          (fun (t : I.task) ->
-            buf_event b ~first:!first ~tid:(t.I.t_worker + 1) ~name:t.I.t_name
-              ~ts_us:(us t.I.t_start)
-              ~dur_us:((t.I.t_end -. t.I.t_start) *. 1e6)
-              ~args:[ ("op", string_of_int t.I.t_op); ("block", jstr label) ];
-            first := false)
-         tl)
-    recorders timelines;
-  Buffer.add_string b "\n],\"displayTimeUnit\":\"ms\"}\n";
-  Buffer.contents b
+            workers := t.I.t_worker :: !workers;
+            add
+              (event ~ph:"X" ~tid:(t.I.t_worker + 1) ~name:t.I.t_name
+                 [ ("ts", us t.I.t_start);
+                   ("dur", dur (t.I.t_end -. t.I.t_start));
+                   ("args",
+                    Trace.jobj
+                      [ ("op", string_of_int t.I.t_op);
+                        ("block", jstr (Printf.sprintf "block %d" (i + 1))) ])
+                 ]))
+         (I.timeline r))
+    (Span.recorders root);
+  let threads =
+    thread_name 0 "pipeline"
+    :: List.map
+         (fun w -> thread_name (w + 1) (Printf.sprintf "worker %d" w))
+         (List.sort_uniq compare !workers)
+  in
+  "{\"traceEvents\":[\n  "
+  ^ String.concat ",\n  " (threads @ List.rev !events)
+  ^ "\n],\"displayTimeUnit\":\"ms\"}\n"
 
-let write_file ?span (recorders : (string * I.t) list) (path : string) : unit
-    =
+let write_file (root : Span.t) (path : string) : unit =
   let oc = open_out path in
-  output_string oc (render ?span recorders);
+  output_string oc (render root);
   close_out oc

@@ -3,7 +3,10 @@
    carries per-stage latencies from the span tree, and closes the
    estimation loop with est/act row counts and feedback-cache traffic —
    enough to find regressions ("same query digest, new plan digest,
-   slower") by grepping the log. *)
+   slower") by grepping the log.  Everything but the run's settings is
+   read from the query's span tree. *)
+
+module I = Exec.Instrument
 
 type t = {
   ts_us : int;  (** wall-clock Unix epoch, microseconds, at log time *)
@@ -27,34 +30,21 @@ let jfloat = Trace.jfloat
 let jopt = function None -> "null" | Some v -> jfloat v
 
 let to_json (r : t) : string =
-  let b = Buffer.create 256 in
-  Buffer.add_char b '{';
-  let field ?(first = false) k v =
-    if not first then Buffer.add_char b ',';
-    Buffer.add_string b (jstr k);
-    Buffer.add_char b ':';
-    Buffer.add_string b v
-  in
-  field ~first:true "ts_us" (string_of_int r.ts_us);
-  field "query_digest" (jstr r.query_digest);
-  field "plan_digest" (jstr r.plan_digest);
-  field "estimator" (jstr r.estimator);
-  field "engine" (jstr r.engine);
-  field "dop" (string_of_int r.dop);
-  field "rows" (string_of_int r.rows);
-  field "total_us" (jfloat r.total_us);
-  field "stages"
-    ("{"
-    ^ String.concat ","
-        (List.map (fun (k, v) -> jstr k ^ ":" ^ jfloat v) r.stages)
-    ^ "}");
-  field "est_rows" (jopt r.est_rows);
-  field "act_rows" (jopt r.act_rows);
-  field "max_qerror" (jopt r.max_qerror);
-  field "feedback_hits" (string_of_int r.feedback_hits);
-  field "feedback_misses" (string_of_int r.feedback_misses);
-  Buffer.add_char b '}';
-  Buffer.contents b
+  Trace.jobj
+    [ ("ts_us", string_of_int r.ts_us);
+      ("query_digest", jstr r.query_digest);
+      ("plan_digest", jstr r.plan_digest);
+      ("estimator", jstr r.estimator);
+      ("engine", jstr r.engine);
+      ("dop", string_of_int r.dop);
+      ("rows", string_of_int r.rows);
+      ("total_us", jfloat r.total_us);
+      ("stages", Trace.jobj (List.map (fun (k, v) -> (k, jfloat v)) r.stages));
+      ("est_rows", jopt r.est_rows);
+      ("act_rows", jopt r.act_rows);
+      ("max_qerror", jopt r.max_qerror);
+      ("feedback_hits", string_of_int r.feedback_hits);
+      ("feedback_misses", string_of_int r.feedback_misses) ]
 
 let num = function Json.Num f -> Some f | _ -> None
 let str = function Json.Str s -> Some s | _ -> None
@@ -108,6 +98,57 @@ let of_json (line : string) : (t, string) result =
         feedback_hits = int_of_float feedback_hits;
         feedback_misses = int_of_float feedback_misses;
       })
+
+(* Digests are timed into the digest_seconds histogram.  The plan digest
+   covers each planned block's plan (the root of its execute span's
+   recorder); root est/act rows are the first block's, and the worst
+   q-error is over every block. *)
+let of_span ~query ~estimator ~engine ~dop ~rows ?feedback (root : Span.t) : t
+    =
+  let recorders = Span.recorders root in
+  let roots = List.filter_map (fun r -> List.nth_opt (I.ops r) 0) recorders in
+  let td = Clock.now () in
+  let query_digest = Trace.digest (String.trim query) in
+  let plan_digest =
+    Trace.digest
+      (String.concat ";"
+         (List.map
+            (fun (o : I.op) -> Fmt.str "%a" Exec.Plan.pp o.I.node)
+            roots))
+  in
+  Metrics.observe_hist Metrics.digest_seconds (Clock.elapsed_s td);
+  let stages =
+    List.filter_map
+      (fun n ->
+         let d = Span.dur_by_name root n in
+         if d > 0. then Some (n, d *. 1e6) else None)
+      [ "parse"; "bind"; "rewrite"; "optimize"; "verify"; "execute" ]
+  in
+  let est_rows, act_rows =
+    match roots with
+    | (o : I.op) :: _ ->
+      ( o.I.est_rows,
+        if o.I.executed then Some (float_of_int o.I.act_rows) else None )
+    | [] -> (None, None)
+  in
+  let max_qerror =
+    List.fold_left
+      (fun acc r ->
+         match Analyze.max_q_error r with
+         | Some (q, _) when Float.is_finite q ->
+           Some (match acc with Some a -> Float.max a q | None -> q)
+         | _ -> acc)
+      None recorders
+  in
+  let feedback_hits, feedback_misses =
+    match feedback with
+    | Some fb -> (Stats.Feedback.hits fb, Stats.Feedback.misses fb)
+    | None -> (0, 0)
+  in
+  { ts_us = int_of_float (Unix.gettimeofday () *. 1e6);
+    query_digest; plan_digest; estimator; engine; dop = max 1 dop; rows;
+    total_us = Span.dur_by_name root "block" *. 1e6; stages; est_rows;
+    act_rows; max_qerror; feedback_hits; feedback_misses }
 
 let append ~(path : string) (r : t) : unit =
   let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in

@@ -29,5 +29,14 @@ val to_json : t -> string
     ignored). *)
 val of_json : string -> (t, string) result
 
+(** The record for one executed query: the caller supplies the query
+    text and the run's settings (and the feedback cache whose cumulative
+    hit/miss counts to log); digests, per-stage and total ([block] span)
+    latencies, the first block's root est/act rows and the worst finite
+    q-error over every block come from the closed span tree. *)
+val of_span :
+  query:string -> estimator:string -> engine:string -> dop:int -> rows:int ->
+  ?feedback:Stats.Feedback.t -> Span.t -> t
+
 (** Append one record as an NDJSON line, creating [path] if needed. *)
 val append : path:string -> t -> unit

@@ -30,6 +30,8 @@ type event =
       (* feedback-cache hit: derived estimate replaced by observed actual *)
   | Feedback_recorded of { digest : string; act : float }
       (* actual cardinality of an executed (sub)plan entered the cache *)
+  | Feedback_stale of { digest : string }
+      (* cached actual dropped: its tables' row counts changed *)
 
 (* FNV-1a (32-bit) over the pretty-printed form: a stable, dependency-free
    fingerprint for before/after rewrite comparisons.  Not cryptographic —
@@ -63,6 +65,8 @@ let pp ppf = function
       est act
   | Feedback_recorded { digest; act } ->
     Fmt.pf ppf "feedback %s: recorded actual %.1f" digest act
+  | Feedback_stale { digest } ->
+    Fmt.pf ppf "feedback %s: stale entry dropped" digest
 
 let to_string e = Fmt.str "%a" pp e
 
@@ -89,6 +93,11 @@ let jstr s = "\"" ^ json_escape s ^ "\""
 
 let jfloat f =
   if Float.is_finite f then Printf.sprintf "%.6g" f else "null"
+
+let jobj (fields : (string * string) list) : string =
+  "{"
+  ^ String.concat "," (List.map (fun (k, v) -> jstr k ^ ":" ^ v) fields)
+  ^ "}"
 
 let to_json = function
   | Rewrite_fired { rule; before; after } ->
@@ -119,3 +128,5 @@ let to_json = function
   | Feedback_recorded { digest; act } ->
     Printf.sprintf {|{"event":"feedback_recorded","digest":%s,"act":%s}|}
       (jstr digest) (jfloat act)
+  | Feedback_stale { digest } ->
+    Printf.sprintf {|{"event":"feedback_stale","digest":%s}|} (jstr digest)

@@ -28,6 +28,8 @@ type event =
       (** feedback-cache hit: derived estimate replaced by observed actual *)
   | Feedback_recorded of { digest : string; act : float }
       (** actual cardinality of an executed (sub)plan entered the cache *)
+  | Feedback_stale of { digest : string }
+      (** cached actual dropped because its tables' row counts changed *)
 
 (** Stable FNV-1a fingerprint of a printed block (8 hex digits). *)
 val digest : string -> string
@@ -41,6 +43,9 @@ val jstr : string -> string
 
 (** Finite floats as compact decimals; non-finite as [null]. *)
 val jfloat : float -> string
+
+(** A JSON object from (key, rendered JSON value) pairs, in order. *)
+val jobj : (string * string) list -> string
 
 val pp : Format.formatter -> event -> unit
 val to_string : event -> string

@@ -107,21 +107,23 @@ let fresh ~(db : Table_stats.db) (e : entry) : bool =
     (fun (table, rows) -> snd (fingerprint_of db table) = rows)
     e.fingerprints
 
+type lookup = Hit of float | Stale | Miss
+
 (* Look up the observed cardinality for [k].  A stale entry (any involved
    table re-analyzed to a different row count, or dropped) is removed and
-   reported as a miss. *)
-let lookup (fb : t) ~(db : Table_stats.db) (k : key) : float option =
+   counted as a miss, but reported as [Stale] so the caller can say why. *)
+let lookup (fb : t) ~(db : Table_stats.db) (k : key) : lookup =
   match Hashtbl.find_opt fb.cache k with
   | Some e when fresh ~db e ->
     fb.hits <- fb.hits + 1;
-    Some e.act
+    Hit e.act
   | Some _ ->
     Hashtbl.remove fb.cache k;
     fb.misses <- fb.misses + 1;
-    None
+    Stale
   | None ->
     fb.misses <- fb.misses + 1;
-    None
+    Miss
 
 (* Drop every entry touching any of [tables] — explicit invalidation for
    callers that mutate data without re-analyzing. *)

@@ -8,7 +8,7 @@
     selection placement for the same logical subexpression shares one
     cache line.  Entries are fingerprinted with the row counts of the
     involved base tables and silently invalidated when statistics are
-    refreshed to different counts. *)
+    refreshed to different counts ({!lookup} reports those as [Stale]). *)
 
 open Relalg
 
@@ -41,9 +41,14 @@ val records : t -> int
     of [tables] from [db]. *)
 val record : t -> db:Table_stats.db -> tables:string list -> key -> float -> unit
 
-(** Observed cardinality for the key, or [None] (stale entries are
-    dropped and count as misses). *)
-val lookup : t -> db:Table_stats.db -> key -> float option
+type lookup =
+  | Hit of float  (** fresh observed cardinality *)
+  | Stale  (** an entry existed but its tables' row counts changed; it is
+               dropped and counts as a miss *)
+  | Miss
+
+(** Observed cardinality for the key. *)
+val lookup : t -> db:Table_stats.db -> key -> lookup
 
 (** Drop every entry touching any of the tables. *)
 val invalidate_tables : t -> string list -> unit

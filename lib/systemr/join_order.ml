@@ -379,8 +379,13 @@ let rec stats_of ctx mask : Stats.Derive.rel_stats =
         | None -> s
         | Some k -> (
           match Stats.Feedback.lookup fb ~db:ctx.db k with
-          | None -> s
-          | Some act ->
+          | Stats.Feedback.Miss -> s
+          | Stats.Feedback.Stale ->
+            Obs.Metrics.incr Obs.Metrics.feedback_stale;
+            emit ctx (fun () -> Obs.Trace.Feedback_stale { digest = k });
+            s
+          | Stats.Feedback.Hit act ->
+            Obs.Metrics.incr Obs.Metrics.feedback_overrides;
             emit ctx (fun () ->
                 Obs.Trace.Feedback_override
                   { digest = k; est = s.Stats.Derive.card; act });

@@ -50,26 +50,29 @@ let test_canon_pred_eq_symmetric () =
 (* ------------------------------------------------------------------ *)
 (* Cache semantics: miss, record, hit, staleness, invalidation *)
 
+(* A lookup's cached actual, if it hit. *)
+let found fb ~db k =
+  match FB.lookup fb ~db k with FB.Hit a -> Some a | FB.Stale | FB.Miss -> None
+
 let test_cache_semantics () =
   let _, db = emp_dept () in
   let fb = FB.create () in
   let k = FB.key ~shape:"spj" ~rels:[ ("e", "Emp") ] ~preds:[ "p" ] in
-  Alcotest.(check (option (float 0.))) "cold cache misses" None
-    (FB.lookup fb ~db k);
+  Alcotest.(check bool) "cold cache misses" true (FB.lookup fb ~db k = FB.Miss);
   Alcotest.(check int) "miss counted" 1 (FB.misses fb);
   FB.record fb ~db ~tables:[ "Emp" ] k 123.;
   Alcotest.(check int) "record counted" 1 (FB.records fb);
   Alcotest.(check int) "one entry" 1 (FB.size fb);
   Alcotest.(check (option (float 0.))) "hit returns the actual" (Some 123.)
-    (FB.lookup fb ~db k);
+    (found fb ~db k);
   Alcotest.(check int) "hit counted" 1 (FB.hits fb);
-  (* refreshing Emp's statistics to a different row count silently
-     invalidates the entry *)
+  (* refreshing Emp's statistics to a different row count invalidates the
+     entry, and the lookup says so *)
   let ts = Option.get (Stats.Table_stats.find db "Emp") in
   Hashtbl.replace db "Emp"
     { ts with Stats.Table_stats.rows = ts.Stats.Table_stats.rows +. 50. };
-  Alcotest.(check (option (float 0.))) "stale entry misses" None
-    (FB.lookup fb ~db k);
+  Alcotest.(check bool) "stale entry reported" true
+    (FB.lookup fb ~db k = FB.Stale);
   Alcotest.(check int) "stale entry dropped" 0 (FB.size fb);
   Alcotest.(check int) "staleness counted as miss" 2 (FB.misses fb)
 
@@ -86,11 +89,11 @@ let test_invalidate_tables () =
   FB.record fb ~db ~tables:[ "Emp"; "Dept" ] kj 200.;
   FB.invalidate_tables fb [ "Emp" ];
   Alcotest.(check (option (float 0.))) "Emp entry gone" None
-    (FB.lookup fb ~db ke);
+    (found fb ~db ke);
   Alcotest.(check (option (float 0.))) "join entry gone" None
-    (FB.lookup fb ~db kj);
+    (found fb ~db kj);
   Alcotest.(check (option (float 0.))) "Dept entry survives" (Some 10.)
-    (FB.lookup fb ~db kd);
+    (found fb ~db kd);
   FB.clear fb;
   Alcotest.(check int) "clear empties" 0 (FB.size fb)
 
@@ -102,11 +105,18 @@ let sql =
   "SELECT Emp.name FROM Emp, Dept \
    WHERE Emp.did = Dept.did AND Emp.sal > 60000 AND Emp.age < 40"
 
+(* Every run records its own telemetry tree; reports carry their block's
+   subtree. *)
 let run config cat db =
   let q = Sql.Binder.query_of_string cat sql in
-  P.run_query ~config cat db q
+  P.run_query ~config:{ config with P.telemetry = Some (Obs.Span.create ()) }
+    cat db q
 
-let ops_of reports = List.concat_map (fun r -> r.P.op_stats) reports
+let trees reports = List.filter_map (fun r -> r.P.span) reports
+
+let ops_of reports =
+  List.concat_map Obs.Span.recorders (trees reports)
+  |> List.concat_map Exec.Instrument.ops
 
 let max_q reports =
   List.fold_left
@@ -120,7 +130,7 @@ let max_q reports =
     1. reports
 
 let count_events f reports =
-  List.concat_map (fun r -> r.P.trace_events) reports
+  List.concat_map Obs.Span.events (trees reports)
   |> List.filter f |> List.length
 
 let is_override = function
@@ -131,12 +141,12 @@ let is_recorded = function
   | Obs.Trace.Feedback_recorded _ -> true
   | _ -> false
 
+let is_stale = function Obs.Trace.Feedback_stale _ -> true | _ -> false
+
 let test_reoptimize_uses_actuals () =
   let cat, db = emp_dept () in
   let fb = FB.create () in
-  let config =
-    { P.default_config with estimator = `Feedback fb; instrument = true }
-  in
+  let config = { P.default_config with estimator = `Feedback fb } in
   let r1, reps1 = run config cat db in
   Alcotest.(check bool) "execution recorded actuals" true (FB.records fb > 0);
   Alcotest.(check bool) "first run emits recorded events" true
@@ -160,9 +170,7 @@ let test_reoptimize_uses_actuals () =
 let test_append_invalidates_feedback () =
   let cat, db = emp_dept () in
   let fb = FB.create () in
-  let config =
-    { P.default_config with estimator = `Feedback fb; instrument = true }
-  in
+  let config = { P.default_config with estimator = `Feedback fb } in
   let _ = run config cat db in
   (* append rows and refresh statistics: every recorded entry touching
      Emp is now stale *)
@@ -175,6 +183,8 @@ let test_append_invalidates_feedback () =
   done;
   Hashtbl.replace db "Emp" (Stats.Table_stats.analyze t);
   let _, reps3 = run config cat db in
+  Alcotest.(check bool) "stale drops appear in the re-run's tree" true
+    (count_events is_stale reps3 > 0);
   (* Emp-touching entries are stale, so no override event fires; the
      Dept-only entry legitimately survives (Dept is unchanged) but only
      confirms an already-exact base estimate *)
@@ -192,8 +202,7 @@ let test_append_invalidates_feedback () =
    feedback state — reports carry no feedback events. *)
 let test_histogram_mode_untouched () =
   let cat, db = emp_dept () in
-  let config = { P.default_config with instrument = true } in
-  let _, reps = run config cat db in
+  let _, reps = run P.default_config cat db in
   Alcotest.(check int) "no feedback events under `Histogram" 0
     (count_events (fun e -> is_override e || is_recorded e) reps)
 

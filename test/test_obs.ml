@@ -178,9 +178,10 @@ let test_trace_json_wellformed () =
      WHERE Emp.did = Dept.did AND Emp.sal > 60000 ORDER BY Emp.name"
   in
   let q = Sql.Binder.query_of_string cat sql in
-  let config = { Core.Pipeline.default_config with instrument = true } in
-  let _, reports = Core.Pipeline.run_query ~config cat db q in
-  let events = List.concat_map (fun r -> r.Core.Pipeline.trace_events) reports in
+  let r = Obs.Span.create () in
+  let config = { Core.Pipeline.default_config with telemetry = Some r } in
+  let _ = Core.Pipeline.run_query ~config cat db q in
+  let events = Obs.Span.events (Obs.Span.finish r) in
   Alcotest.(check bool) "pipeline emitted trace events" true (events <> []);
   let lines = String.concat "\n" (List.map Obs.Trace.to_json events) in
   (match Obs.Json.validate_lines lines with
@@ -210,12 +211,15 @@ let test_trace_events_off_by_default () =
   let sql = "SELECT Emp.name FROM Emp WHERE Emp.sal > 60000" in
   let q = Sql.Binder.query_of_string cat sql in
   let _, reports = Core.Pipeline.run_query cat db q in
+  Alcotest.(check bool) "telemetry off" true
+    (Core.Pipeline.default_config.Core.Pipeline.telemetry = None);
   List.iter
     (fun r ->
-       Alcotest.(check int) "no trace events" 0
-         (List.length r.Core.Pipeline.trace_events);
-       Alcotest.(check int) "no op stats" 0
-         (List.length r.Core.Pipeline.op_stats))
+       Alcotest.(check bool) "no span tree" true (r.Core.Pipeline.span = None);
+       Alcotest.(check int) "no recorder" 0
+         (List.length
+            (Option.fold ~none:[] ~some:Obs.Span.recorders
+               r.Core.Pipeline.span)))
     reports
 
 (* Regression: per-node estimates must be re-synthesized from the
@@ -230,11 +234,17 @@ let test_annotate_uses_plan_time_stats () =
     "SELECT Emp.name FROM Emp WHERE Emp.eid < 50 AND Emp.sal > 60000"
   in
   let q = Sql.Binder.query_of_string cat sql in
-  let config = { Core.Pipeline.default_config with instrument = true } in
+  let config =
+    { Core.Pipeline.default_config with telemetry = Some (Obs.Span.create ()) }
+  in
   let _, reports = Core.Pipeline.run_query ~config cat db q in
   let r = List.hd reports in
   let plan = Option.get r.Core.Pipeline.plan in
   let snap = Option.get r.Core.Pipeline.stats_at_plan in
+  let ops =
+    List.concat_map Exec.Instrument.ops
+      (Obs.Span.recorders (Option.get r.Core.Pipeline.span))
+  in
   (* grow the table and refresh the live registry behind the plan's back *)
   let t = Storage.Catalog.table cat "Emp" in
   for i = 0 to 399 do
@@ -248,12 +258,12 @@ let test_annotate_uses_plan_time_stats () =
     let est = Obs.Est.annotate cat dbx plan in
     List.map
       (fun (o : Exec.Instrument.op) -> Obs.Est.card est o.Exec.Instrument.node)
-      r.Core.Pipeline.op_stats
+      ops
   in
   let planned =
     List.map
       (fun (o : Exec.Instrument.op) -> o.Exec.Instrument.est_rows)
-      r.Core.Pipeline.op_stats
+      ops
   in
   Alcotest.(check bool) "snapshot annotation reproduces planner estimates"
     true
@@ -288,20 +298,51 @@ let run_with_spans ?(config = Core.Pipeline.default_config) sql =
   let cat, db = emp_dept () in
   let q = Sql.Binder.query_of_string cat sql in
   let r = Obs.Span.create () in
-  let config = { config with Core.Pipeline.spans = Some r } in
-  let result, pairs = Core.Pipeline.run_query_full ~config cat db q in
-  (result, pairs, Obs.Span.finish r)
+  let config = { config with Core.Pipeline.telemetry = Some r } in
+  let result, reports = Core.Pipeline.run_query ~config cat db q in
+  (result, reports, Obs.Span.finish r)
 
+(* The tree is the query's whole telemetry record: stage spans, the
+   optimizer events each stage emitted, and the execute span's operators
+   with estimated and actual rows.  Enumeration totals live in the
+   always-on [report.enum]. *)
 let test_span_golden_text () =
-  let _, _, root = run_with_spans join_sql in
+  let _, reports, root = run_with_spans join_sql in
   Alcotest.(check string) "span tree"
     "[ 0] query\n\
      [ 1]   block\n\
      [ 2]     rewrite\n\
+     \           ! rewrite view_merge rejected\n\
+     \           ! rewrite unnest_in_exists rejected\n\
+     \           ! rewrite unnest_scalar_uncorrelated rejected\n\
+     \           ! rewrite unnest_scalar_correlated rejected\n\
+     \           ! rewrite view_merge rejected\n\
+     \           ! rewrite constant_propagation rejected\n\
+     \           ! rewrite predicate_pushdown rejected\n\
      [ 3]     optimize\n\
-     [ 4]       enumerate {relations=2, subsets=3, costed=24, pruned=4}\n\
-     [ 5]     execute {engine=batch, dop=1}\n"
-    (Obs.Span.render ~show_wall:false root)
+     [ 4]       enumerate {relations=2}\n\
+     \             ! interesting order [Emp.eid] retained at cost 14.210 (best 4.820)\n\
+     \             ! interesting order [Emp.did] retained at cost 23.210 (best 4.820)\n\
+     \             ! interesting order [Emp.eid] retained at cost 219.600 (best 4.820)\n\
+     \             ! interesting order [Emp.did] retained at cost 228.600 (best 4.820)\n\
+     \             ! interesting order [Emp.did] retained at cost 6.182 (best 4.820)\n\
+     \             ! interesting order [Emp.eid] retained at cost 12.630 (best 4.820)\n\
+     \             ! interesting order [Emp.did] retained at cost 21.630 (best 4.820)\n\
+     \             ! interesting order [Dept.did] retained at cost 14.210 (best 4.820)\n\
+     \             ! interesting order [Dept.did] retained at cost 29.234 (best 4.820)\n\
+     \             ! interesting order [Dept.did] retained at cost 6.182 (best 4.820)\n\
+     \             ! interesting order [Dept.did] retained at cost 12.820 (best 4.820)\n\
+     \             ! enum level 2: 1 subsets, 2 splits, 17 plans costed, 4 pruned\n\
+     \             ! memo subset_stats: 1 hits, 2 misses\n\
+     [ 5]     execute {engine=batch, dop=1}\n\
+     \           op 0 Project Emp.name AS name, Dept.name AS name: est=200.0 act=200\n\
+     \           op 1 Hash Join (Emp.did = Dept.did): est=200.0 act=200\n\
+     \           op 2 Table Scan Emp: est=200.0 act=200\n\
+     \           op 3 Table Scan Dept: est=10.0 act=10\n"
+    (Obs.Span.render ~show_wall:false root);
+  let c = (List.hd reports).Core.Pipeline.enum in
+  Alcotest.(check (list int)) "enumeration totals" [ 3; 24; 4 ]
+    Systemr.Join_order.[ c.subsets; c.costed; c.pruned ]
 
 let test_span_golden_json () =
   let _, _, root = run_with_spans join_sql in
@@ -309,12 +350,10 @@ let test_span_golden_json () =
   Alcotest.(check string) "span NDJSON"
     ({|{"id":0,"parent":-1,"depth":0,"name":"query"}|} ^ "\n"
     ^ {|{"id":1,"parent":0,"depth":1,"name":"block"}|} ^ "\n"
-    ^ {|{"id":2,"parent":1,"depth":2,"name":"rewrite"}|} ^ "\n"
+    ^ {|{"id":2,"parent":1,"depth":2,"name":"rewrite","events":[{"event":"rewrite_rejected","rule":"view_merge"},{"event":"rewrite_rejected","rule":"unnest_in_exists"},{"event":"rewrite_rejected","rule":"unnest_scalar_uncorrelated"},{"event":"rewrite_rejected","rule":"unnest_scalar_correlated"},{"event":"rewrite_rejected","rule":"view_merge"},{"event":"rewrite_rejected","rule":"constant_propagation"},{"event":"rewrite_rejected","rule":"predicate_pushdown"}]}|} ^ "\n"
     ^ {|{"id":3,"parent":1,"depth":2,"name":"optimize"}|} ^ "\n"
-    ^ {|{"id":4,"parent":3,"depth":3,"name":"enumerate","attrs":{"relations":"2","subsets":"3","costed":"24","pruned":"4"}}|}
-    ^ "\n"
-    ^ {|{"id":5,"parent":1,"depth":2,"name":"execute","attrs":{"engine":"batch","dop":"1"}}|}
-    ^ "\n")
+    ^ {|{"id":4,"parent":3,"depth":3,"name":"enumerate","attrs":{"relations":"2"},"events":[{"event":"order_retained","order":"Emp.eid","cost":14.21,"bound":4.82},{"event":"order_retained","order":"Emp.did","cost":23.21,"bound":4.82},{"event":"order_retained","order":"Emp.eid","cost":219.6,"bound":4.82},{"event":"order_retained","order":"Emp.did","cost":228.6,"bound":4.82},{"event":"order_retained","order":"Emp.did","cost":6.18199,"bound":4.82},{"event":"order_retained","order":"Emp.eid","cost":12.63,"bound":4.82},{"event":"order_retained","order":"Emp.did","cost":21.63,"bound":4.82},{"event":"order_retained","order":"Dept.did","cost":14.21,"bound":4.82},{"event":"order_retained","order":"Dept.did","cost":29.2344,"bound":4.82},{"event":"order_retained","order":"Dept.did","cost":6.18199,"bound":4.82},{"event":"order_retained","order":"Dept.did","cost":12.82,"bound":4.82},{"event":"enum_level","level":2,"subsets":1,"splits":2,"costed":17,"pruned":4},{"event":"memo_stats","table":"subset_stats","hits":1,"misses":2}]}|} ^ "\n"
+    ^ {|{"id":5,"parent":1,"depth":2,"name":"execute","attrs":{"engine":"batch","dop":"1"},"ops":[{"id":0,"op":"Project Emp.name AS name, Dept.name AS name","est_rows":200,"act_rows":200},{"id":1,"op":"Hash Join (Emp.did = Dept.did)","est_rows":200,"act_rows":200},{"id":2,"op":"Table Scan Emp","est_rows":200,"act_rows":200},{"id":3,"op":"Table Scan Dept","est_rows":10,"act_rows":10}]}|} ^ "\n")
     json;
   (match Obs.Json.validate_lines json with
    | Ok () -> ()
@@ -378,37 +417,28 @@ let test_span_exception_safety () =
 let test_profile_trace () =
   let dop = if Domain_pool.available then 4 else 1 in
   let config =
-    { Core.Pipeline.default_config with
-      Core.Pipeline.instrument = true;
-      dop;
-      morsel_rows = 16 }
+    { Core.Pipeline.default_config with dop; morsel_rows = 16 }
   in
-  let _, pairs, root = run_with_spans ~config join_sql in
-  let recorders =
-    List.mapi
-      (fun i (_, rc) ->
-         Option.map (fun rc -> (Printf.sprintf "block %d" (i + 1), rc)) rc)
-      pairs
-    |> List.filter_map Fun.id
-  in
-  Alcotest.(check bool) "instrumented" true (recorders <> []);
-  let json = Obs.Profile.render ~span:root recorders in
+  let _, _, root = run_with_spans ~config join_sql in
+  Alcotest.(check bool) "instrumented" true (Obs.Span.recorders root <> []);
+  let json = Obs.Profile.render root in
   match Obs.Json.parse json with
   | Error m -> Alcotest.fail ("profile JSON malformed: " ^ m)
   | Ok v -> (
     match Obs.Json.member "traceEvents" v with
     | Some (Obs.Json.Arr evs) ->
       Alcotest.(check bool) "has events" true (evs <> []);
-      let worker_tasks = ref 0 in
+      let worker_tasks = ref 0 and instants = ref 0 in
       List.iter
         (fun ev ->
            let mem k = Obs.Json.member k ev in
            (match (mem "name", mem "ph", mem "pid", mem "tid") with
             | Some (Obs.Json.Str _), Some (Obs.Json.Str ph),
               Some (Obs.Json.Num _), Some (Obs.Json.Num tid) ->
-              Alcotest.(check bool) "ph is X or M" true
-                (ph = "X" || ph = "M");
+              Alcotest.(check bool) "ph is X, i or M" true
+                (ph = "X" || ph = "i" || ph = "M");
               if ph = "X" && tid >= 1. then incr worker_tasks;
+              if ph = "i" then incr instants;
               if ph = "X" then (
                 match (mem "ts", mem "dur") with
                 | Some (Obs.Json.Num ts), Some (Obs.Json.Num dur) ->
@@ -417,6 +447,8 @@ let test_profile_trace () =
                 | _ -> Alcotest.fail "complete event missing ts/dur")
             | _ -> Alcotest.fail "event missing name/ph/pid/tid"))
         evs;
+      Alcotest.(check bool) "optimizer events as instant events" true
+        (!instants > 0);
       if dop > 1 then
         (* Emp has 200 rows and morsel_rows is 16: the scan must have
            run as parallel tasks, each on a worker thread *)
@@ -610,6 +642,27 @@ let test_qlog_append () =
   Alcotest.(check (list qlog_testable)) "append accumulates records"
     [ mk 1; mk 2 ] parsed
 
+(* A query log built from a plain telemetry run — no EXPLAIN ANALYZE —
+   carries the root estimate, the actual rows and the worst q-error, and
+   its plan digest fingerprints the executed plan. *)
+let test_qlog_of_span () =
+  let result, reports, root = run_with_spans join_sql in
+  let r =
+    Obs.Qlog.of_span ~query:join_sql ~estimator:"histogram" ~engine:"batch"
+      ~dop:1 ~rows:(Array.length result.Exec.Executor.rows) root
+  in
+  let num = Alcotest.(option (float 1e-9)) in
+  Alcotest.check num "est_rows" (Some 200.) r.Obs.Qlog.est_rows;
+  Alcotest.check num "act_rows" (Some 200.) r.Obs.Qlog.act_rows;
+  Alcotest.check num "max_qerror" (Some 1.) r.Obs.Qlog.max_qerror;
+  Alcotest.(check string) "plan digest"
+    (Obs.Trace.digest
+       (Fmt.str "%a" Exec.Plan.pp
+          (Option.get (List.hd reports).Core.Pipeline.plan)))
+    r.Obs.Qlog.plan_digest;
+  Alcotest.(check bool) "execute stage timed" true
+    (List.mem_assoc "execute" r.Obs.Qlog.stages)
+
 (* ------------------------------------------------------------------ *)
 (* JSON value parser *)
 
@@ -720,6 +773,8 @@ let () =
       ( "qlog",
         [ Alcotest.test_case "round-trip" `Quick test_qlog_roundtrip;
           Alcotest.test_case "ndjson append" `Quick test_qlog_append;
+          Alcotest.test_case "of_span without analyze" `Quick
+            test_qlog_of_span;
           Alcotest.test_case "json parser" `Quick test_json_parse ] );
       ( "instrument",
         [ Alcotest.test_case "record_par merge" `Quick
