@@ -75,8 +75,7 @@ let e14 () =
   let run procs aware =
     Parallel.Two_phase.run
       ~config:
-        { Parallel.Two_phase.default_config with
-          processors = procs; partition_aware = aware }
+        { Parallel.Two_phase.processors = procs; partition_aware = aware }
       w.Workload.Schemas.cat w.Workload.Schemas.db plan
   in
   let r1 = (run 1 true).Parallel.Two_phase.response_time in
@@ -122,8 +121,7 @@ let e14 () =
        let run aware =
          Parallel.Two_phase.run
            ~config:
-             { Parallel.Two_phase.default_config with
-               processors = procs; partition_aware = aware }
+             { Parallel.Two_phase.processors = procs; partition_aware = aware }
            p.Workload.Schemas.jcat p.Workload.Schemas.jdb chain_plan
        in
        let aware = run true and naive = run false in

@@ -891,25 +891,6 @@ let annotate_algebra ?db (t : Algebra.t) : (Algebra.t * state) list =
 (* ------------------------------------------------------------------ *)
 (* Physical plans *)
 
-let bound_conjuncts ~alias ~column (lo : Exec.Plan.bound)
-    (hi : Exec.Plan.bound) : Expr.t list =
-  let c = Expr.Col { Expr.rel = alias; col = column } in
-  let side op v = Expr.Cmp (op, c, Expr.Const v) in
-  (match lo with
-   | Exec.Plan.Unbounded -> []
-   | Exec.Plan.Incl v -> [ side Expr.Ge v ]
-   | Exec.Plan.Excl v -> [ side Expr.Gt v ])
-  @
-  match hi with
-  | Exec.Plan.Unbounded -> []
-  | Exec.Plan.Incl v -> [ side Expr.Le v ]
-  | Exec.Plan.Excl v -> [ side Expr.Lt v ]
-
-let pairs_pred (pairs : (Expr.col_ref * Expr.col_ref) list) : Expr.t list =
-  List.map
-    (fun (a, b) -> Expr.Cmp (Expr.Eq, Expr.Col a, Expr.Col b))
-    pairs
-
 (* [record] sees every node's state during the single bottom-up pass, so
    [annotate_plan] costs the same as [of_plan] rather than re-analyzing
    each subtree per node. *)
@@ -927,10 +908,10 @@ let rec of_plan_rec ?db ~record (cat : Storage.Catalog.t) (p : Exec.Plan.t) :
       match filter with
       | None -> st
       | Some f -> select_conjuncts st (Pred.conjuncts f))
-    | Exec.Plan.Index_scan { table; alias; column; lo; hi; filter } ->
+    | Exec.Plan.Index_scan { table; alias; filter; _ } ->
       let st = scan_of table alias in
       let conjuncts =
-        bound_conjuncts ~alias ~column lo hi
+        Pred.conjuncts (Exec.Plan.range_pred p)
         @ match filter with None -> [] | Some f -> Pred.conjuncts f
       in
       let st' = select_conjuncts st conjuncts in
@@ -947,26 +928,14 @@ let rec of_plan_rec ?db ~record (cat : Storage.Catalog.t) (p : Exec.Plan.t) :
       project (of_plan_rec ?db ~record cat i) items
     | Exec.Plan.Sort (_, i) | Exec.Plan.Materialize i ->
       of_plan_rec ?db ~record cat i
-    | Exec.Plan.Nested_loop { kind; pred; outer; inner } ->
-      plan_join ?db ~record cat kind (Pred.conjuncts pred) outer
+    | Exec.Plan.Nested_loop { kind; outer; inner; _ }
+    | Exec.Plan.Merge_join { kind; left = outer; right = inner; _ }
+    | Exec.Plan.Hash_join { kind; left = outer; right = inner; _ } ->
+      plan_join ?db ~record cat kind (Exec.Plan.join_pred p) outer
         (`Plan inner)
-    | Exec.Plan.Index_nl
-        { kind; outer; table; alias; columns; outer_keys; residual; _ } ->
-      let probes =
-        List.map2
-          (fun col okey ->
-             Expr.Cmp (Expr.Eq, Expr.Col { Expr.rel = alias; col }, okey))
-          columns outer_keys
-      in
-      plan_join ?db ~record cat kind
-        (probes @ Pred.conjuncts residual)
-        outer
+    | Exec.Plan.Index_nl { kind; outer; table; alias; _ } ->
+      plan_join ?db ~record cat kind (Exec.Plan.join_pred p) outer
         (`State (scan_of table alias))
-    | Exec.Plan.Merge_join { kind; pairs; residual; left; right }
-    | Exec.Plan.Hash_join { kind; pairs; residual; left; right } ->
-      plan_join ?db ~record cat kind
-        (pairs_pred pairs @ Pred.conjuncts residual)
-        left (`Plan right)
     | Exec.Plan.Hash_agg { keys; aggs; input }
     | Exec.Plan.Stream_agg { keys; aggs; input } ->
       group (of_plan_rec ?db ~record cat input) ~keys ~aggs
@@ -976,14 +945,13 @@ let rec of_plan_rec ?db ~record (cat : Storage.Catalog.t) (p : Exec.Plan.t) :
   record p st;
   st
 
-and plan_join ?db ~record cat kind conjuncts left right =
+and plan_join ?db ~record cat kind pred left right =
   let l = of_plan_rec ?db ~record cat left in
   let r =
     match right with
     | `Plan p -> of_plan_rec ?db ~record cat p
     | `State s -> s
   in
-  let pred = Pred.of_conjuncts conjuncts in
   match kind with
   | Algebra.Inner -> inner_join l r pred
   | Algebra.Left_outer -> left_outer_join l r pred

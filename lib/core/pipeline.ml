@@ -145,8 +145,6 @@ let naive_config = { default_config with rewrites = [] }
 (* ------------------------------------------------------------------ *)
 (* Sketch estimator plumbing *)
 
-let is_temp_table t = String.length t >= 5 && String.sub t 0 5 = "__mat"
-
 (* The (table, column) pairs used as join keys anywhere in the plan — the
    columns worth sketching during this execution. *)
 let join_key_cols (plan : Exec.Plan.t) : (string * string) list =
@@ -188,7 +186,8 @@ let join_key_cols (plan : Exec.Plan.t) : (string * string) list =
   List.filter_map
     (fun (c : Expr.col_ref) ->
        match Hashtbl.find_opt alias_tbl c.Expr.rel with
-       | Some table when not (is_temp_table table) -> Some (table, c.Expr.col)
+       | Some table when not (Storage.Catalog.is_temp_table table) ->
+         Some (table, c.Expr.col)
        | _ -> None)
     !refs
   |> List.sort_uniq compare
@@ -324,8 +323,6 @@ let rec plannable (b : Rewrite.Qgm.block) : bool =
 (* ------------------------------------------------------------------ *)
 (* Planning a base-only single block *)
 
-let tmp_counter = ref 0
-
 (* Materialize a derived source into a temporary table registered in the
    catalog and statistics registry; returns the replacement Base source, the
    temp name, and the estimated cost spent.  With [exec_views:false] (plain
@@ -344,8 +341,7 @@ let rec materialize_source ~on_plan ~trace ~exec_views ~on_view ctx config cat
     let plan, cost, enum, temps =
       plan_block ~on_plan ?trace ~exec_views ~on_view ctx config cat db block
     in
-    incr tmp_counter;
-    let tmp_name = Printf.sprintf "__mat%d_%s" !tmp_counter alias in
+    let tmp_name = Storage.Catalog.fresh_temp_name alias in
     let schema = Exec.Plan.schema cat plan in
     let columns =
       List.map (fun (c : Schema.column) -> (c.Schema.name, c.Schema.ty)) schema

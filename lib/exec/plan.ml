@@ -296,6 +296,48 @@ let preorder (p : t) : t list =
   let rec go acc p = List.fold_left go (p :: acc) (children p) in
   List.rev (go [] p)
 
+(* Logical readings of physical nodes.  The estimator and the analyzer
+   both read a node's predicates from here, so each is written once. *)
+
+let conj a b =
+  match (a, b) with
+  | Expr.Const (Value.Bool true), e | e, Expr.Const (Value.Bool true) -> e
+  | a, b -> Expr.And (a, b)
+
+let range_pred = function
+  | Index_scan { alias; column; lo; hi; _ } ->
+    let side op v =
+      Expr.Cmp (op, Expr.col ~rel:alias ~col:column, Expr.Const v)
+    in
+    let lo_p =
+      match lo with
+      | Unbounded -> Expr.ftrue
+      | Incl v -> side Expr.Ge v
+      | Excl v -> side Expr.Gt v
+    in
+    let hi_p =
+      match hi with
+      | Unbounded -> Expr.ftrue
+      | Incl v -> side Expr.Le v
+      | Excl v -> side Expr.Lt v
+    in
+    conj lo_p hi_p
+  | _ -> Expr.ftrue
+
+let join_pred = function
+  | Nested_loop { pred; _ } -> pred
+  | Index_nl { alias; columns; outer_keys; residual; _ } ->
+    List.fold_left2
+      (fun acc k c ->
+         conj acc (Expr.Cmp (Expr.Eq, k, Expr.col ~rel:alias ~col:c)))
+      residual outer_keys columns
+  | Merge_join { pairs; residual; _ } | Hash_join { pairs; residual; _ } ->
+    List.fold_left
+      (fun acc ((a : Expr.col_ref), (b : Expr.col_ref)) ->
+         conj acc (Expr.Cmp (Expr.Eq, Expr.Col a, Expr.Col b)))
+      residual pairs
+  | _ -> Expr.ftrue
+
 let rec size = function
   | Seq_scan _ | Index_scan _ -> 1
   | Filter (_, i) | Project (_, i) | Sort (_, i) | Materialize i

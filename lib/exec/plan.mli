@@ -87,3 +87,19 @@ val children : t -> t list
     operator id: both engines execute the same physical tree, so ids are
     comparable across interpreter and batch runs. *)
 val preorder : t -> t list
+
+(** {2 Logical readings}
+
+    What a node's physical fields mean as predicates.  The plan
+    estimator and the plan analyzer read them from here. *)
+
+(** An [Index_scan]'s key range as a predicate on [alias.column]: the
+    lower-bound conjunct, then the upper.  TRUE when unbounded and on
+    every other node. *)
+val range_pred : t -> Expr.t
+
+(** The predicate a join applies to each pair of rows: [Nested_loop]'s
+    [pred]; for [Index_nl] the residual, then each probe equality
+    [outer_key = alias.column]; for merge and hash joins the residual,
+    then each key equality [left = right].  TRUE on non-join nodes. *)
+val join_pred : t -> Expr.t

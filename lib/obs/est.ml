@@ -1,9 +1,11 @@
 (* Post-hoc cardinality annotation of physical plans.
 
    The enumerator costs logical subsets, not physical nodes, so the
-   per-node estimates EXPLAIN ANALYZE compares against are re-derived
-   here: one bottom-up pass over the final plan through the same
-   [Stats.Derive] propagation the optimizer used.  The pass is pure —
+   per-node estimates that EXPLAIN ANALYZE compares against and the
+   parallel scheduler sizes segments from are re-derived here: one
+   bottom-up pass over the final plan through the same [Stats.Derive]
+   propagation the optimizer used.  This is the only module that runs
+   [Stats.Derive] over physical plan nodes.  The pass is pure —
    it returns a lookup by physical node identity — and must run while
    the catalog/stats still contain any temporary tables the plan scans
    (materialized views are dropped after execution). *)
@@ -12,50 +14,11 @@ open Relalg
 
 type t = (Exec.Plan.t * Stats.Derive.rel_stats) list
 
-let conj a b =
-  match (a, b) with
-  | Expr.Const (Value.Bool true), e | e, Expr.Const (Value.Bool true) -> e
-  | a, b -> Expr.And (a, b)
-
-let bound_pred alias column lo hi =
-  let c = Expr.col ~rel:alias ~col:column in
-  let one op v = Expr.Cmp (op, c, Expr.Const v) in
-  let lo_p =
-    match lo with
-    | Storage.Btree.Unbounded -> Expr.ftrue
-    | Storage.Btree.Incl v -> one Expr.Ge v
-    | Storage.Btree.Excl v -> one Expr.Gt v
-  in
-  let hi_p =
-    match hi with
-    | Storage.Btree.Unbounded -> Expr.ftrue
-    | Storage.Btree.Incl v -> one Expr.Le v
-    | Storage.Btree.Excl v -> one Expr.Lt v
-  in
-  conj lo_p hi_p
-
-let pairs_pred pairs residual =
-  List.fold_left
-    (fun acc ((a : Expr.col_ref), (b : Expr.col_ref)) ->
-       conj acc (Expr.Cmp (Expr.Eq, Expr.Col a, Expr.Col b)))
-    residual pairs
-
-(* Base-table summary under an alias; tables unknown to the stats
-   registry (possible for fabricated temps) fall back to the physical
-   row count with no column statistics. *)
+(* Base-table summary under an alias. *)
 let table_stats cat (db : Stats.Table_stats.db) table alias =
   let t = Storage.Catalog.table cat table in
   let schema = Schema.requalify t.Storage.Table.schema ~rel:alias in
-  let ts =
-    match Stats.Table_stats.find db table with
-    | Some ts -> ts
-    | None ->
-      { Stats.Table_stats.table;
-        rows = float_of_int (Storage.Table.row_count t);
-        pages = Storage.Table.page_count t;
-        cols = [] }
-  in
-  Stats.Derive.of_table ts ~alias ~schema
+  Stats.Derive.of_table (Stats.Table_stats.for_table db t) ~alias ~schema
 
 (* ------------------------------------------------------------------ *)
 (* Feedback-cache keys of physical subtrees.
@@ -69,8 +32,6 @@ let table_stats cat (db : Stats.Table_stats.db) table alias =
    get a shape-marked key and continue upward as an opaque pseudo-
    relation named by their own digest, which keeps keys deterministic
    across runs without claiming position-independence. *)
-
-let is_temp_table t = String.length t >= 5 && String.sub t 0 5 = "__mat"
 
 type sub = {
   srels : (string * string) list; (* (alias, table) incl. pseudo-relations *)
@@ -126,9 +87,10 @@ let feedback_keys (plan : Exec.Plan.t) :
       acc := (p, (key, sub.stables)) :: !acc;
       Some sub'
     in
-    let join_sub kind ~outer ~inner ~preds =
+    let join_sub kind ~outer ~inner =
       match (outer, inner) with
       | Some o, Some i ->
+        let preds = canon_conjuncts (P.join_pred p) in
         let sub = { (merge o i) with spreds = o.spreds @ i.spreds @ preds } in
         (match join_shape kind ~outer_aliases:(List.map fst o.srels) with
          | None -> record_spj sub
@@ -137,20 +99,20 @@ let feedback_keys (plan : Exec.Plan.t) :
     in
     match p with
     | P.Seq_scan { table; alias; filter } ->
-      if is_temp_table table then None
+      if Storage.Catalog.is_temp_table table then None
       else
         record_spj
           { srels = [ (alias, table) ];
             spreds =
               (match filter with None -> [] | Some f -> canon_conjuncts f);
             stables = [ table ] }
-    | P.Index_scan { table; alias; column; lo; hi; filter } ->
-      if is_temp_table table then None
+    | P.Index_scan { table; alias; filter; _ } ->
+      if Storage.Catalog.is_temp_table table then None
       else
         record_spj
           { srels = [ (alias, table) ];
             spreds =
-              canon_conjuncts (bound_pred alias column lo hi)
+              canon_conjuncts (P.range_pred p)
               @ (match filter with None -> [] | Some f -> canon_conjuncts f);
             stables = [ table ] }
     | P.Filter (f, i) ->
@@ -161,29 +123,17 @@ let feedback_keys (plan : Exec.Plan.t) :
       Option.bind (go i) record_spj
     | P.Hash_distinct i ->
       Option.bind (go i) (record_shaped "distinct")
-    | P.Nested_loop { kind; pred; outer; inner } ->
+    | P.Nested_loop { kind; outer; inner; _ }
+    | P.Merge_join { kind; left = outer; right = inner; _ }
+    | P.Hash_join { kind; left = outer; right = inner; _ } ->
       join_sub kind ~outer:(go outer) ~inner:(go inner)
-        ~preds:(canon_conjuncts pred)
-    | P.Index_nl { kind; outer; table; alias; columns; outer_keys; residual; _ }
-      ->
-      if is_temp_table table then (ignore (go outer); None)
+    | P.Index_nl { kind; outer; table; alias; _ } ->
+      if Storage.Catalog.is_temp_table table then (ignore (go outer); None)
       else
         let inner =
           Some { srels = [ (alias, table) ]; spreds = []; stables = [ table ] }
         in
-        let eqs =
-          List.map2
-            (fun k c ->
-               Stats.Feedback.canon_pred
-                 (Expr.Cmp (Expr.Eq, k, Expr.col ~rel:alias ~col:c)))
-            outer_keys columns
-        in
         join_sub kind ~outer:(go outer) ~inner
-          ~preds:(eqs @ canon_conjuncts residual)
-    | P.Merge_join { kind; pairs; residual; left; right }
-    | P.Hash_join { kind; pairs; residual; left; right } ->
-      join_sub kind ~outer:(go left) ~inner:(go right)
-        ~preds:(canon_conjuncts (pairs_pred pairs residual))
     | P.Hash_agg { keys; aggs = _; input } | P.Stream_agg { keys; aggs = _; input }
       ->
       let shape =
@@ -223,10 +173,10 @@ let annotate ?asm ?feedback (cat : Storage.Catalog.t)
         (match filter with
          | None -> base
          | Some f -> Stats.Derive.apply_select ?asm base f)
-      | P.Index_scan { table; alias; column; lo; hi; filter } ->
+      | P.Index_scan { table; alias; filter; _ } ->
         let base = table_stats cat db table alias in
         let ranged =
-          match bound_pred alias column lo hi with
+          match P.range_pred p with
           | Expr.Const (Value.Bool true) -> base
           | pred -> Stats.Derive.apply_select ?asm base pred
         in
@@ -237,27 +187,16 @@ let annotate ?asm ?feedback (cat : Storage.Catalog.t)
       | P.Project (items, i) -> Stats.Derive.project (go i) items
       | P.Sort (_, i) | P.Materialize i -> go i
       | P.Hash_distinct i -> Stats.Derive.distinct (go i)
-      | P.Nested_loop { kind; pred; outer; inner } ->
+      | P.Nested_loop { kind; outer; inner; _ }
+      | P.Merge_join { kind; left = outer; right = inner; _ }
+      | P.Hash_join { kind; left = outer; right = inner; _ } ->
         let so = go outer in
         let si = go inner in
-        Stats.Derive.join ?asm kind so si pred
-      | P.Index_nl { kind; outer; table; alias; columns; outer_keys; residual; _ }
-        ->
+        Stats.Derive.join ?asm kind so si (P.join_pred p)
+      | P.Index_nl { kind; outer; table; alias; _ } ->
         let so = go outer in
-        let si = table_stats cat db table alias in
-        let pred =
-          List.fold_left2
-            (fun acc k c ->
-               conj acc
-                 (Expr.Cmp (Expr.Eq, k, Expr.col ~rel:alias ~col:c)))
-            residual outer_keys columns
-        in
-        Stats.Derive.join ?asm kind so si pred
-      | P.Merge_join { kind; pairs; residual; left; right }
-      | P.Hash_join { kind; pairs; residual; left; right } ->
-        let sl = go left in
-        let sr = go right in
-        Stats.Derive.join ?asm kind sl sr (pairs_pred pairs residual)
+        Stats.Derive.join ?asm kind so (table_stats cat db table alias)
+          (P.join_pred p)
       | P.Hash_agg { keys; aggs; input } | P.Stream_agg { keys; aggs; input }
         ->
         Stats.Derive.group (go input) ~keys ~aggs
@@ -270,12 +209,10 @@ let annotate ?asm ?feedback (cat : Storage.Catalog.t)
   !acc
 
 let card (t : t) (p : Exec.Plan.t) : float option =
-  let rec find = function
-    | [] -> None
-    | (q, s) :: rest ->
-      if q == p then Some s.Stats.Derive.card else find rest
-  in
-  find t
+  Option.map (fun s -> s.Stats.Derive.card) (List.assq_opt p t)
+
+let pages (t : t) (p : Exec.Plan.t) : float option =
+  Option.map Stats.Derive.pages (List.assq_opt p t)
 
 (* Push estimates onto an instrument recorder's operators. *)
 let attach (t : t) (r : Exec.Instrument.t) : unit =

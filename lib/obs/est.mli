@@ -3,6 +3,8 @@
     The enumerator costs logical subsets, not physical nodes; this module
     re-derives a per-node estimate by one bottom-up {!Stats.Derive} pass
     over the final plan — the same propagation rules the optimizer used.
+    EXPLAIN ANALYZE, plan lint, the query log, EXPLAIN's view sizing and
+    the two-phase parallel scheduler all read these estimates.
     Must run while any temporary tables the plan scans are still present
     in the catalog and stats registry. *)
 
@@ -28,6 +30,9 @@ val feedback_keys :
 
 (** Estimated output cardinality of a node ([==] identity). *)
 val card : t -> Exec.Plan.t -> float option
+
+(** Estimated output pages of a node ([==] identity). *)
+val pages : t -> Exec.Plan.t -> float option
 
 (** Copy estimates onto an instrument recorder's operators. *)
 val attach : t -> Exec.Instrument.t -> unit

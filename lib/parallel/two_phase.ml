@@ -4,7 +4,8 @@
    Phase 1 produced a single-site physical plan (any of our optimizers).
    Phase 2 decomposes it into pipelined segments separated by blocking
    operators (sort, hash build, materialize, aggregation), derives each
-   segment's work, degree-of-parallelism cap, and the *partitioning* of the
+   segment's work (its operators' own costs over [Obs.Est]'s rows and
+   pages), degree-of-parallelism cap, and the *partitioning* of the
    stream it produces (a physical property, after Hasan), then schedules
    segments wave by wave over [processors].
 
@@ -38,18 +39,12 @@ type schedule = {
   comm_cost : float;
 }
 
-type config = {
-  params : Cost.Cost_model.params;
-  processors : int;
-  partition_aware : bool;
-  comm_cost_per_row : float;
-}
+type config = { processors : int; partition_aware : bool }
 
-let default_config =
-  { params = Cost.Cost_model.default_params;
-    processors = 8;
-    partition_aware = true;
-    comm_cost_per_row = 0.002 }
+let default_config = { processors = 8; partition_aware = true }
+
+(* Cost of repartitioning one row, in sequential-page units. *)
+let comm_cost_per_row = 0.002
 
 let cols_equal (a : Expr.col_ref list) (b : Expr.col_ref list) =
   List.length a = List.length b && List.for_all2 (fun x y -> x = y) a b
@@ -58,6 +53,53 @@ let compatible have want =
   match have, want with
   | On h, On w -> cols_equal h w
   | (Any | On _), _ -> false
+
+(* ------------------------------------------------------------------ *)
+(* Per-operator work: a node's own cost, children excluded, priced by the
+   cost model over the plan estimator's rows and pages. *)
+
+let own_work cat db (est : Obs.Est.t) (p : Exec.Plan.t) : float =
+  let module Cm = Cost.Cost_model in
+  let params = Cm.default_params in
+  (* [est] annotates every node of the plan [p] comes from *)
+  let rows q = Option.get (Obs.Est.card est q) in
+  let pages q = Option.get (Obs.Est.pages est q) in
+  let base table =
+    let t = Storage.Catalog.table cat table in
+    ( (Stats.Table_stats.for_table db t).Stats.Table_stats.rows,
+      float_of_int (Storage.Table.page_count t) )
+  in
+  match p with
+  | Exec.Plan.Seq_scan { table; _ } ->
+    let table_rows, table_pages = base table in
+    Cm.seq_scan params ~pages:table_pages ~rows:table_rows
+  | Exec.Plan.Index_scan { table; _ } ->
+    let table_rows, table_pages = base table in
+    Cm.index_scan params ~clustered:true ~pages:table_pages ~rows:table_rows
+      ~matches:(rows p)
+  | Exec.Plan.Filter (_, i) -> Cm.filter params ~rows:(rows i)
+  | Exec.Plan.Project (_, i) -> Cm.project params ~rows:(rows i)
+  | Exec.Plan.Sort (_, i) -> Cm.sort params ~pages:(pages i) ~rows:(rows i)
+  | Exec.Plan.Materialize i -> params.Cm.seq_page *. pages i
+  | Exec.Plan.Nested_loop { outer; inner; _ } ->
+    Cm.nested_loop params ~outer_rows:(rows outer) ~inner_rows:(rows inner)
+      ~inner_pages:(pages inner)
+  | Exec.Plan.Index_nl { outer; table; _ } ->
+    let table_rows, table_pages = base table in
+    Cm.index_nl params ~outer_rows:(rows outer) ~inner_rows:table_rows
+      ~inner_pages:table_pages
+      ~matches_per_probe:(rows p /. Float.max 1. (rows outer))
+      ~clustered:false
+  | Exec.Plan.Merge_join { left; right; _ } ->
+    Cm.merge_join params ~left_rows:(rows left) ~right_rows:(rows right)
+      ~out_rows:(rows p)
+  | Exec.Plan.Hash_join { left; right; _ } ->
+    Cm.hash_join params ~left_rows:(rows left) ~right_rows:(rows right)
+      ~left_pages:(pages left) ~right_pages:(pages right) ~out_rows:(rows p)
+  | Exec.Plan.Hash_agg { input; _ } ->
+    Cm.hash_agg params ~rows:(rows input) ~groups:(rows p)
+  | Exec.Plan.Stream_agg { input; _ } -> Cm.stream_agg params ~rows:(rows input)
+  | Exec.Plan.Hash_distinct i -> Cm.hash_distinct params ~rows:(rows i)
 
 (* ------------------------------------------------------------------ *)
 (* Segment extraction *)
@@ -70,18 +112,12 @@ type builder = {
   cfg : config;
   cat : Storage.Catalog.t;
   db : Stats.Table_stats.db;
+  est : Obs.Est.t;
 }
-
-let new_seg b ~ops ~work ~max_dop ~comm_rows ~deps ~produces =
-  let s = { id = b.next; ops; work; max_dop; comm_rows; deps; produces } in
-  b.next <- b.next + 1;
-  b.segs <- b.segs @ [ s ];
-  s
 
 (* The pipelined segment currently being assembled bottom-up. *)
 type open_seg = {
   o_ops : string list;
-  o_work : float;
   o_dop : float;
   o_deps : int list;
   o_comm : float; (* rows repartitioned within this open segment *)
@@ -89,41 +125,46 @@ type open_seg = {
   o_nodes : Exec.Plan.t list; (* plan nodes executing in this segment *)
 }
 
+(* A segment's work is the sum of its nodes' own work. *)
 let close b (o : open_seg) : segment =
-  let s =
-    new_seg b ~ops:o.o_ops ~work:o.o_work ~max_dop:o.o_dop ~comm_rows:o.o_comm
-      ~deps:o.o_deps ~produces:o.o_part
+  let work =
+    List.fold_left (fun a n -> a +. own_work b.cat b.db b.est n) 0. o.o_nodes
   in
+  let s =
+    { id = b.next; ops = o.o_ops; work; max_dop = o.o_dop;
+      comm_rows = o.o_comm; deps = o.o_deps; produces = o.o_part }
+  in
+  b.next <- b.next + 1;
+  b.segs <- b.segs @ [ s ];
   List.iter (fun n -> b.assign <- (n, s.id) :: b.assign) o.o_nodes;
   s
 
 let rec walk (b : builder) (p : Exec.Plan.t) : open_seg =
-  let work_of q = (fst (Plan_stats.derive b.cfg.params b.cat b.db q)).Plan_stats.work in
-  let rows_of q = (fst (Plan_stats.derive b.cfg.params b.cat b.db q)).Plan_stats.rows in
-  let node_work children = work_of p -. List.fold_left (fun a c -> a +. work_of c) 0. children in
-  let unary name i =
-    let o = walk b i in
-    { o with o_ops = o.o_ops @ [ name ]; o_work = o.o_work +. node_work [ i ];
-      o_nodes = o.o_nodes @ [ p ] }
+  let rows q = Option.get (Obs.Est.card b.est q) in
+  (* [p] joins the pipeline [o] *)
+  let extend name o =
+    { o with o_ops = o.o_ops @ [ name ]; o_nodes = o.o_nodes @ [ p ] }
+  in
+  (* [p] starts a pipeline after the blocking segment [closed] *)
+  let after name (closed : segment) part =
+    { o_ops = [ name ]; o_dop = closed.max_dop; o_deps = [ closed.id ];
+      o_comm = 0.; o_part = part; o_nodes = [ p ] }
   in
   match p with
   | Exec.Plan.Seq_scan { table; _ } | Exec.Plan.Index_scan { table; _ } ->
     let pages =
       float_of_int (Storage.Table.page_count (Storage.Catalog.table b.cat table))
     in
-    { o_ops = [ "scan " ^ table ]; o_work = work_of p;
-      o_dop = Float.max 1. pages; o_deps = []; o_comm = 0.; o_part = Any;
-      o_nodes = [ p ] }
-  | Exec.Plan.Filter (_, i) -> unary "filter" i
-  | Exec.Plan.Project (_, i) -> unary "project" i
-  | Exec.Plan.Hash_distinct i -> unary "distinct" i
+    { o_ops = [ "scan " ^ table ]; o_dop = Float.max 1. pages; o_deps = [];
+      o_comm = 0.; o_part = Any; o_nodes = [ p ] }
+  | Exec.Plan.Filter (_, i) -> extend "filter" (walk b i)
+  | Exec.Plan.Project (_, i) -> extend "project" (walk b i)
+  | Exec.Plan.Hash_distinct i -> extend "distinct" (walk b i)
   | Exec.Plan.Sort (_, i) | Exec.Plan.Materialize i ->
     (* blocking: close the child's pipeline *)
     let closed = close b (walk b i) in
     let name = match p with Exec.Plan.Sort _ -> "sort" | _ -> "materialize" in
-    { o_ops = [ name ]; o_work = node_work [ i ];
-      o_dop = closed.max_dop; o_deps = [ closed.id ]; o_comm = 0.;
-      o_part = closed.produces; o_nodes = [ p ] }
+    after name closed closed.produces
   | Exec.Plan.Hash_agg { input; keys; _ } | Exec.Plan.Stream_agg { input; keys; _ }
     ->
     let closed = close b (walk b input) in
@@ -133,25 +174,12 @@ let rec walk (b : builder) (p : Exec.Plan.t) : open_seg =
            (fun (ke, _) -> match ke with Expr.Col c -> Some c | _ -> None)
            keys)
     in
-    { o_ops = [ "aggregate" ]; o_work = node_work [ input ];
-      o_dop = closed.max_dop; o_deps = [ closed.id ]; o_comm = 0.;
-      o_part = part; o_nodes = [ p ] }
+    after "aggregate" closed part
   | Exec.Plan.Nested_loop { outer; inner; _ } ->
     let o = walk b outer in
     let inner_seg = close b (walk b inner) in
-    { o_ops = o.o_ops @ [ "nested-loop join" ];
-      o_work = o.o_work +. node_work [ outer; inner ];
-      o_dop = o.o_dop;
-      o_deps = o.o_deps @ [ inner_seg.id ];
-      o_comm = o.o_comm;
-      o_part = o.o_part;
-      o_nodes = o.o_nodes @ [ p ] }
-  | Exec.Plan.Index_nl { outer; _ } ->
-    let o = walk b outer in
-    { o with
-      o_ops = o.o_ops @ [ "index-nl join" ];
-      o_work = o.o_work +. node_work [ outer ];
-      o_nodes = o.o_nodes @ [ p ] }
+    { (extend "nested-loop join" o) with o_deps = o.o_deps @ [ inner_seg.id ] }
+  | Exec.Plan.Index_nl { outer; _ } -> extend "index-nl join" (walk b outer)
   | Exec.Plan.Merge_join { pairs; left; right; _ }
   | Exec.Plan.Hash_join { pairs; left; right; _ } ->
     let want_l = On (List.map fst pairs) and want_r = On (List.map snd pairs) in
@@ -164,23 +192,22 @@ let rec walk (b : builder) (p : Exec.Plan.t) : open_seg =
       close b
         { ro with
           o_ops = ro.o_ops @ [ "build" ];
-          o_comm = ro.o_comm +. comm_of ro.o_part want_r (rows_of right);
+          o_comm = ro.o_comm +. comm_of ro.o_part want_r (rows right);
           o_part = want_r }
     in
     let name =
       match p with Exec.Plan.Merge_join _ -> "merge join" | _ -> "hash join"
     in
-    { o_ops = lo.o_ops @ [ name ];
-      o_work = lo.o_work +. node_work [ left; right ];
+    { (extend name lo) with
       o_dop = Float.max lo.o_dop 1.;
       o_deps = lo.o_deps @ [ right_seg.id ];
-      o_comm = lo.o_comm +. comm_of lo.o_part want_l (rows_of left);
-      o_part = want_l;
-      o_nodes = lo.o_nodes @ [ p ] }
+      o_comm = lo.o_comm +. comm_of lo.o_part want_l (rows left);
+      o_part = want_l }
 
 let decompose_assign (cfg : config) cat db (plan : Exec.Plan.t) :
   segment list * (Exec.Plan.t * int) list =
-  let b = { segs = []; next = 0; assign = []; cfg; cat; db } in
+  let est = Obs.Est.annotate cat db plan in
+  let b = { segs = []; next = 0; assign = []; cfg; cat; db; est } in
   let top = walk b plan in
   ignore (close b top);
   (b.segs, b.assign)
@@ -220,9 +247,8 @@ let node_dop (cfg : config) cat db (plan : Exec.Plan.t) :
 let schedule_segments (cfg : config) (segs : segment list) : schedule =
   let p = float_of_int (max 1 cfg.processors) in
   let total_work = List.fold_left (fun a s -> a +. s.work) 0. segs in
-  let comm_rate = cfg.comm_cost_per_row in
   let comm_cost =
-    List.fold_left (fun a s -> a +. (s.comm_rows *. comm_rate)) 0. segs
+    List.fold_left (fun a s -> a +. (s.comm_rows *. comm_cost_per_row)) 0. segs
   in
   let done_ = Hashtbl.create 16 in
   let remaining = ref segs in
@@ -241,7 +267,7 @@ let schedule_segments (cfg : config) (segs : segment list) : schedule =
     else begin
       (* malleable-task wave: time = max(total/p, longest segment at its
          own parallelism cap) *)
-      let seg_comm s = s.comm_rows *. comm_rate in
+      let seg_comm s = s.comm_rows *. comm_cost_per_row in
       let wave_work =
         List.fold_left (fun a s -> a +. s.work +. seg_comm s) 0. ready
       in

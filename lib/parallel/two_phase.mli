@@ -4,7 +4,12 @@
     produced partitioning (a physical property), then schedule segments
     wave by wave.  [partition_aware = false] reproduces XPRS's phase 2
     (every join repartitions both inputs); [true] reuses compatible
-    upstream partitioning, after Hasan. *)
+    upstream partitioning, after Hasan.
+
+    Segments are sized from the plan estimator {!Obs.Est}: a segment's
+    work is the sum of its operators' own cost-model work over the
+    estimated rows and pages, and a repartitioned input moves its
+    estimated rows at a fixed cost per row. *)
 
 open Relalg
 
@@ -29,12 +34,7 @@ type schedule = {
   comm_cost : float;
 }
 
-type config = {
-  params : Cost.Cost_model.params;
-  processors : int;
-  partition_aware : bool;
-  comm_cost_per_row : float;
-}
+type config = { processors : int; partition_aware : bool }
 
 val default_config : config
 

@@ -107,6 +107,17 @@ let analyze_catalog ?hist_buckets ?hist_kind (cat : Storage.Catalog.t) : db =
 
 let find (db : db) table : t option = Hashtbl.find_opt db table
 
+(* Tables unknown to the registry (fabricated temporaries) fall back to
+   their physical row and page counts with no column statistics. *)
+let for_table (db : db) (tbl : Storage.Table.t) : t =
+  match find db tbl.Storage.Table.name with
+  | Some ts -> ts
+  | None ->
+    { table = tbl.Storage.Table.name;
+      rows = float_of_int (Storage.Table.row_count tbl);
+      pages = Storage.Table.page_count tbl;
+      cols = [] }
+
 let col (t : t) name : col_stats option = List.assoc_opt name t.cols
 
 let pp_col ppf (name, c) =

@@ -44,6 +44,11 @@ val analyze_catalog :
   ?hist_buckets:int -> ?hist_kind:Sample.kind -> Storage.Catalog.t -> db
 
 val find : db -> string -> t option
+
+(** The registry's entry for a table; a table the registry does not know
+    (a fabricated temporary) gets its physical row and page counts and no
+    column statistics. *)
+val for_table : db -> Storage.Table.t -> t
 val col : t -> string -> col_stats option
 
 val pp : Format.formatter -> t -> unit

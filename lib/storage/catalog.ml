@@ -60,6 +60,19 @@ let index_named cat ~table ~name =
 (* Drop a table (used for temporaries materialized during execution). *)
 let remove_table cat name = Hashtbl.remove cat.tables name
 
+(* Materialized views are planned under generated [__matN_alias] temp
+   tables.  Their names are unstable across runs, so the feedback cache
+   and the sketch registry skip them. *)
+let temp_prefix = "__mat"
+
+let temp_counter = ref 0
+
+let fresh_temp_name alias =
+  incr temp_counter;
+  Printf.sprintf "%s%d_%s" temp_prefix !temp_counter alias
+
+let is_temp_table name = String.starts_with ~prefix:temp_prefix name
+
 let table_names cat =
   Hashtbl.fold (fun k _ acc -> k :: acc) cat.tables []
   |> List.sort String.compare

@@ -38,6 +38,14 @@ val create_index :
 (** Drop a table (used for temporaries materialized during execution). *)
 val remove_table : t -> string -> unit
 
+(** A new name [__matN_alias] for a temporary that materializes the view
+    [alias]; [N] counts up per process. *)
+val fresh_temp_name : string -> string
+
+(** Whether a table name was made by {!fresh_temp_name}.  Temporary names
+    are unstable across runs, so caches keyed by table name skip them. *)
+val is_temp_table : string -> bool
+
 val indexes : t -> string -> Btree.t list
 
 (** Index whose leading column is [column], if any. *)

@@ -53,12 +53,8 @@ let candidates (params : Cost.Cost_model.params) (asm : Stats.Derive.assumption)
   Candidate.t list * Stats.Derive.rel_stats =
   let table = Storage.Catalog.table cat rel.Spj.table in
   let base_stats =
-    match Stats.Table_stats.find db rel.Spj.table with
-    | Some ts -> Stats.Derive.of_table ts ~alias:rel.Spj.alias ~schema:rel.Spj.schema
-    | None ->
-      { Stats.Derive.card = float_of_int (Storage.Table.row_count table);
-        schema = rel.Spj.schema;
-        cols = [] }
+    Stats.Derive.of_table (Stats.Table_stats.for_table db table)
+      ~alias:rel.Spj.alias ~schema:rel.Spj.schema
   in
   let filtered_stats =
     match local_preds with

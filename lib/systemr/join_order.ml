@@ -308,11 +308,6 @@ let legacy_connected ctx m1 m2 =
             rels)
     ctx.join_preds
 
-(* Materialized views are planned under generated [__matN_alias] temp
-   tables whose names are unstable across runs — their subexpressions
-   must not enter (or consult) the feedback cache. *)
-let is_temp_table t = String.length t >= 5 && String.sub t 0 5 = "__mat"
-
 (* Feedback-cache key of a subset: its (alias, table) pairs plus every
    conjunct applied anywhere within it — the local filters of each member
    relation and the join conjuncts fully contained in the mask.  This is
@@ -327,7 +322,7 @@ let feedback_key ctx mask : Stats.Feedback.key option =
             (ctx.rels.(i).Spj.alias, ctx.rels.(i).Spj.table) :: acc)
          [] mask)
   in
-  if List.exists (fun (_, t) -> is_temp_table t) rels then None
+  if List.exists (fun (_, t) -> Storage.Catalog.is_temp_table t) rels then None
   else begin
     let local_preds =
       fold_bits

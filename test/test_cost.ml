@@ -126,7 +126,7 @@ let test_of_counters () =
   Alcotest.(check (float 1e-9)) "weighted"
     ((10. +. 2.) *. 1.0 +. (5. *. 4.0) +. (1000. *. 0.001)) c
 
-(* ---------- plan stats derivation (parallel's sizing) ---------- *)
+(* ---------- plan estimates (the parallel scheduler's sizing) ---------- *)
 
 let test_plan_stats_rows () =
   let w = Workload.Schemas.emp_dept ~emps:2000 ~depts:40 () in
@@ -139,13 +139,17 @@ let test_plan_stats_rows () =
         left = Exec.Plan.Seq_scan { table = "Emp"; alias = "Emp"; filter = None };
         right = Exec.Plan.Seq_scan { table = "Dept"; alias = "Dept"; filter = None } }
   in
-  let est, _ = Parallel.Plan_stats.derive Cm.default_params cat db plan in
+  let rows = Option.get (Obs.Est.card (Obs.Est.annotate cat db plan) plan) in
   (* FK join: roughly one row out per Emp row *)
   Alcotest.(check bool)
-    (Printf.sprintf "join rows %.0f ~ 2000" est.Parallel.Plan_stats.rows)
+    (Printf.sprintf "join rows %.0f ~ 2000" rows)
     true
-    (est.Parallel.Plan_stats.rows > 500. && est.Parallel.Plan_stats.rows < 8000.);
-  Alcotest.(check bool) "work positive" true (est.Parallel.Plan_stats.work > 0.)
+    (rows > 500. && rows < 8000.);
+  let segs =
+    Parallel.Two_phase.decompose Parallel.Two_phase.default_config cat db plan
+  in
+  Alcotest.(check bool) "work positive" true
+    (List.for_all (fun s -> s.Parallel.Two_phase.work > 0.) segs)
 
 let () =
   Alcotest.run "cost"

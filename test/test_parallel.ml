@@ -96,8 +96,7 @@ let test_partition_awareness_helps () =
   let run aware =
     Parallel.Two_phase.run
       ~config:
-        { Parallel.Two_phase.default_config with
-          partition_aware = aware; processors = 8 }
+        { Parallel.Two_phase.processors = 8; partition_aware = aware }
       p.Workload.Schemas.jcat p.Workload.Schemas.jdb plan
   in
   let aware = run true and naive = run false in
@@ -178,6 +177,102 @@ let test_node_dop_without_stats () =
          (d >= 1 && d <= 4))
     (Exec.Plan.preorder plan)
 
+(* A repartitioned join input moves the rows the plan estimator gives
+   it: a bounded index scan's range and an index-NL join's probe keys
+   both narrow that estimate. *)
+let test_comm_rows_from_estimates () =
+  let w = Workload.Schemas.emp_dept ~emps:2000 ~depts:40 () in
+  let cat = w.Workload.Schemas.cat and db = w.Workload.Schemas.db in
+  let emp_did =
+    Option.get (Storage.Catalog.index_on cat ~table:"Emp" ~column:"did")
+  in
+  let probe =
+    Exec.Plan.Index_nl
+      { kind = Algebra.Inner;
+        outer =
+          Exec.Plan.Seq_scan { table = "Dept"; alias = "Dept"; filter = None };
+        table = "Emp"; alias = "Emp"; index = emp_did.Storage.Btree.name;
+        columns = [ "did" ]; outer_keys = [ Expr.col ~rel:"Dept" ~col:"did" ];
+        residual = Expr.ftrue }
+  in
+  let build =
+    Exec.Plan.Index_scan
+      { table = "Dept"; alias = "D2"; column = "did";
+        lo = Exec.Plan.Incl (Value.Int 1); hi = Exec.Plan.Incl (Value.Int 4);
+        filter = None }
+  in
+  let plan =
+    Exec.Plan.Hash_join
+      { kind = Algebra.Inner;
+        pairs =
+          [ ({ Expr.rel = "Emp"; col = "did" }, { Expr.rel = "D2"; col = "did" }) ];
+        residual = Expr.ftrue; left = probe; right = build }
+  in
+  let segs =
+    Parallel.Two_phase.decompose
+      { Parallel.Two_phase.default_config with partition_aware = false }
+      cat db plan
+  in
+  let est = Obs.Est.annotate cat db plan in
+  let card n = Option.get (Obs.Est.card est n) in
+  let seg_ending op =
+    List.find
+      (fun s -> List.hd (List.rev s.Parallel.Two_phase.ops) = op)
+      segs
+  in
+  Alcotest.(check (float 1e-9)) "index-scan build side moves its estimate"
+    (card build) (seg_ending "build").Parallel.Two_phase.comm_rows;
+  Alcotest.(check (float 1e-9)) "index-NL probe side moves its estimate"
+    (card probe) (seg_ending "hash join").Parallel.Two_phase.comm_rows
+
+(* Segment work partitions the plan's work: summed over segments it is
+   each operator's own cost-model work summed over the plan. *)
+let test_segment_work_sums_operators () =
+  let w = Workload.Schemas.star ~fact_rows:200000 ~dim_rows:100 ~dims:3 () in
+  let cat = w.Workload.Schemas.cat and db = w.Workload.Schemas.db in
+  let scan t = Exec.Plan.Seq_scan { table = t; alias = t; filter = None } in
+  let plan =
+    List.fold_left
+      (fun acc dim ->
+         Exec.Plan.Hash_join
+           { kind = Algebra.Inner;
+             pairs =
+               [ ( { Expr.rel = "Sales";
+                     col = String.lowercase_ascii dim ^ "_id" },
+                   { Expr.rel = dim; col = "id" } ) ];
+             residual = Expr.ftrue; left = acc; right = scan dim })
+      (scan "Sales") w.Workload.Schemas.dims
+  in
+  let module Cm = Cost.Cost_model in
+  let params = Cm.default_params in
+  let est = Obs.Est.annotate cat db plan in
+  let rows n = Option.get (Obs.Est.card est n) in
+  let pages n = Option.get (Obs.Est.pages est n) in
+  let own (n : Exec.Plan.t) =
+    match n with
+    | Exec.Plan.Seq_scan { table; _ } ->
+      let t = Storage.Catalog.table cat table in
+      Cm.seq_scan params
+        ~pages:(float_of_int (Storage.Table.page_count t))
+        ~rows:
+          (Option.get (Stats.Table_stats.find db table)).Stats.Table_stats.rows
+    | Exec.Plan.Hash_join { left; right; _ } ->
+      Cm.hash_join params ~left_rows:(rows left) ~right_rows:(rows right)
+        ~left_pages:(pages left) ~right_pages:(pages right) ~out_rows:(rows n)
+    | _ -> Alcotest.fail "star plan has only scans and hash joins"
+  in
+  let expected =
+    List.fold_left (fun a n -> a +. own n) 0. (Exec.Plan.preorder plan)
+  in
+  let segs =
+    Parallel.Two_phase.decompose Parallel.Two_phase.default_config cat db plan
+  in
+  let total =
+    List.fold_left (fun a s -> a +. s.Parallel.Two_phase.work) 0. segs
+  in
+  Alcotest.(check (float (1e-9 *. expected))) "segment work = operator work"
+    expected total
+
 let () =
   Alcotest.run "parallel"
     [ ("two-phase",
@@ -191,4 +286,8 @@ let () =
          Alcotest.test_case "blocking operators" `Quick
            test_blocking_operators_segment;
          Alcotest.test_case "schedule without statistics" `Quick
-           test_node_dop_without_stats ]) ]
+           test_node_dop_without_stats;
+         Alcotest.test_case "comm rows are plan estimates" `Quick
+           test_comm_rows_from_estimates;
+         Alcotest.test_case "segment work sums operators" `Quick
+           test_segment_work_sums_operators ]) ]
