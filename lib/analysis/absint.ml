@@ -1,5 +1,5 @@
-(* The abstract interpreter: a bottom-up pass over logical plans, QGM
-   blocks and physical plans computing, per operator output:
+(* The abstract interpreter: a bottom-up pass over QGM blocks and
+   physical plans computing, per operator output:
 
    - per-column abstract values (interval of possible non-NULL values,
      nullability, static type) keyed by (relation alias, column name);
@@ -839,133 +839,62 @@ let rec of_query ?db (q : Qgm.query) : state =
     union ~all (of_query ?db left) (of_query ?db right)
 
 (* ------------------------------------------------------------------ *)
-(* Logical operator trees *)
-
-let rec of_algebra ?db (t : Algebra.t) : state =
-  match t with
-  | Algebra.Scan { table; alias; schema } -> scan ?db ~table ~alias schema
-  | Algebra.Select (p, i) ->
-    let st = of_algebra ?db i in
-    let conjuncts = Pred.conjuncts p in
-    let st' = select_conjuncts st conjuncts in
-    if env_is_empty st'.env then st'
-    else
-      (* constant equality on a unique column pins the stream to <= 1 *)
-      let hi =
-        Float.min st'.env.e_hi
-          (eliminate_hi [ st ] (eq_edges ~outer:[] st.cols conjuncts))
-      in
-      { st' with env = { st'.env with e_hi = hi } }
-  | Algebra.Project (items, i) -> project (of_algebra ?db i) items
-  | Algebra.Join (Algebra.Inner, p, l, r) ->
-    inner_join (of_algebra ?db l) (of_algebra ?db r) p
-  | Algebra.Join (Algebra.Left_outer, p, l, r) ->
-    left_outer_join (of_algebra ?db l) (of_algebra ?db r) p
-  | Algebra.Join (Algebra.Semi, p, l, r) ->
-    semi_join ~anti:false (of_algebra ?db l) (of_algebra ?db r) p
-  | Algebra.Join (Algebra.Anti, p, l, r) ->
-    semi_join ~anti:true (of_algebra ?db l) (of_algebra ?db r) p
-  | Algebra.Group_by { keys; aggs; input } ->
-    group (of_algebra ?db input) ~keys ~aggs
-  | Algebra.Distinct i -> distinct (of_algebra ?db i)
-  | Algebra.Order_by (_, i) -> of_algebra ?db i
-
-(* Per-node annotation (preorder, node identity by [==]). *)
-let annotate_algebra ?db (t : Algebra.t) : (Algebra.t * state) list =
-  let acc = ref [] in
-  let rec go t =
-    let st = of_algebra ?db t in
-    acc := (t, st) :: !acc;
-    (match t with
-     | Algebra.Scan _ -> ()
-     | Algebra.Select (_, i)
-     | Algebra.Project (_, i)
-     | Algebra.Distinct i
-     | Algebra.Order_by (_, i) -> go i
-     | Algebra.Join (_, _, l, r) -> go l; go r
-     | Algebra.Group_by { input; _ } -> go input)
-  in
-  go t;
-  !acc
-
-(* ------------------------------------------------------------------ *)
 (* Physical plans *)
 
-(* [record] sees every node's state during the single bottom-up pass, so
-   [annotate_plan] costs the same as [of_plan] rather than re-analyzing
-   each subtree per node. *)
-let rec of_plan_rec ?db ~record (cat : Storage.Catalog.t) (p : Exec.Plan.t) :
-  state =
+let plan_node ?db (cat : Storage.Catalog.t) (p : Exec.Plan.t)
+    (kids : state list) : state =
+  let module P = Exec.Plan in
   let scan_of table alias =
     scan ?db ~table ~alias
       (Schema.requalify
          (Storage.Catalog.table cat table).Storage.Table.schema ~rel:alias)
   in
-  let st =
-    match p with
-    | Exec.Plan.Seq_scan { table; alias; filter } -> (
-      let st = scan_of table alias in
-      match filter with
-      | None -> st
-      | Some f -> select_conjuncts st (Pred.conjuncts f))
-    | Exec.Plan.Index_scan { table; alias; filter; _ } ->
-      let st = scan_of table alias in
-      let conjuncts =
-        Pred.conjuncts (Exec.Plan.range_pred p)
-        @ match filter with None -> [] | Some f -> Pred.conjuncts f
+  let join kind l r =
+    let pred = P.join_pred p in
+    match (kind : Algebra.join_kind) with
+    | Algebra.Inner -> inner_join l r pred
+    | Algebra.Left_outer -> left_outer_join l r pred
+    | Algebra.Semi -> semi_join ~anti:false l r pred
+    | Algebra.Anti -> semi_join ~anti:true l r pred
+  in
+  match (p, kids) with
+  | P.Seq_scan { table; alias; filter }, [] -> (
+    let st = scan_of table alias in
+    match filter with
+    | None -> st
+    | Some f -> select_conjuncts st (Pred.conjuncts f))
+  | P.Index_scan { table; alias; filter; _ }, [] ->
+    let st = scan_of table alias in
+    let conjuncts =
+      Pred.conjuncts (P.range_pred p)
+      @ match filter with None -> [] | Some f -> Pred.conjuncts f
+    in
+    let st' = select_conjuncts st conjuncts in
+    if env_is_empty st'.env then st'
+    else
+      (* constant equality on a unique column pins the stream to <= 1 *)
+      let hi_card =
+        Float.min st'.env.e_hi
+          (eliminate_hi [ st ] (eq_edges ~outer:[] st.cols conjuncts))
       in
-      let st' = select_conjuncts st conjuncts in
-      if env_is_empty st'.env then st'
-      else
-        let hi_card =
-          Float.min st'.env.e_hi
-            (eliminate_hi [ st ] (eq_edges ~outer:[] st.cols conjuncts))
-        in
-        { st' with env = { st'.env with e_hi = hi_card } }
-    | Exec.Plan.Filter (f, i) ->
-      select_conjuncts (of_plan_rec ?db ~record cat i) (Pred.conjuncts f)
-    | Exec.Plan.Project (items, i) ->
-      project (of_plan_rec ?db ~record cat i) items
-    | Exec.Plan.Sort (_, i) | Exec.Plan.Materialize i ->
-      of_plan_rec ?db ~record cat i
-    | Exec.Plan.Nested_loop { kind; outer; inner; _ }
-    | Exec.Plan.Merge_join { kind; left = outer; right = inner; _ }
-    | Exec.Plan.Hash_join { kind; left = outer; right = inner; _ } ->
-      plan_join ?db ~record cat kind (Exec.Plan.join_pred p) outer
-        (`Plan inner)
-    | Exec.Plan.Index_nl { kind; outer; table; alias; _ } ->
-      plan_join ?db ~record cat kind (Exec.Plan.join_pred p) outer
-        (`State (scan_of table alias))
-    | Exec.Plan.Hash_agg { keys; aggs; input }
-    | Exec.Plan.Stream_agg { keys; aggs; input } ->
-      group (of_plan_rec ?db ~record cat input) ~keys ~aggs
-    | Exec.Plan.Hash_distinct i ->
-      distinct (of_plan_rec ?db ~record cat i)
-  in
-  record p st;
-  st
-
-and plan_join ?db ~record cat kind pred left right =
-  let l = of_plan_rec ?db ~record cat left in
-  let r =
-    match right with
-    | `Plan p -> of_plan_rec ?db ~record cat p
-    | `State s -> s
-  in
-  match kind with
-  | Algebra.Inner -> inner_join l r pred
-  | Algebra.Left_outer -> left_outer_join l r pred
-  | Algebra.Semi -> semi_join ~anti:false l r pred
-  | Algebra.Anti -> semi_join ~anti:true l r pred
-
-let of_plan ?db (cat : Storage.Catalog.t) (p : Exec.Plan.t) : state =
-  of_plan_rec ?db ~record:(fun _ _ -> ()) cat p
+      { st' with env = { st'.env with e_hi = hi_card } }
+  | P.Filter (f, _), [ i ] -> select_conjuncts i (Pred.conjuncts f)
+  | P.Project (items, _), [ i ] -> project i items
+  | (P.Sort _ | P.Materialize _), [ i ] -> i
+  | ( ( P.Nested_loop { kind; _ } | P.Merge_join { kind; _ }
+      | P.Hash_join { kind; _ } ),
+      [ l; r ] ) ->
+    join kind l r
+  | P.Index_nl { kind; table; alias; _ }, [ l ] ->
+    join kind l (scan_of table alias)
+  | (P.Hash_agg { keys; aggs; _ } | P.Stream_agg { keys; aggs; _ }), [ i ] ->
+    group i ~keys ~aggs
+  | P.Hash_distinct _, [ i ] -> distinct i
+  | _ -> invalid_arg "Absint.plan_node: child count does not match the node"
 
 let annotate_plan ?db (cat : Storage.Catalog.t) (p : Exec.Plan.t) :
-  (Exec.Plan.t * state) list =
-  let acc = ref [] in
-  ignore (of_plan_rec ?db ~record:(fun n st -> acc := (n, st) :: !acc) cat p);
-  List.map (fun node -> (node, List.assq node !acc)) (Exec.Plan.preorder p)
+  state array =
+  Exec.Plan.bottom_up (plan_node ?db cat) p
 
 let pp_state ppf (st : state) =
   Fmt.pf ppf "@[<v>env %a%a@]" pp_envelope st.env

@@ -1,5 +1,5 @@
-(** The abstract interpreter: bottom-up analysis of logical plans, QGM
-    blocks and physical plans.
+(** The abstract interpreter: bottom-up analysis of QGM blocks and
+    physical plans.
 
     For each operator output it computes per-column abstract values
     (interval, nullability, type), unique column sets, and a provable
@@ -91,18 +91,18 @@ val of_block :
 
 val of_query : ?db:Stats.Table_stats.db -> Rewrite.Qgm.query -> state
 
-val of_algebra : ?db:Stats.Table_stats.db -> Algebra.t -> state
+(** Transfer function of one physical operator, given its children's
+    states in {!Exec.Plan.children} order.  An [Index_nl]'s inner side is
+    the scan of its probed table.
+    @raise Invalid_argument when [kids] does not match the operator. *)
+val plan_node :
+  ?db:Stats.Table_stats.db -> Storage.Catalog.t -> Exec.Plan.t ->
+  state list -> state
 
-(** Every node of the tree with its analysis, preorder ([==] identity,
-    like [Obs.Est]). *)
-val annotate_algebra :
-  ?db:Stats.Table_stats.db -> Algebra.t -> (Algebra.t * state) list
-
-val of_plan :
-  ?db:Stats.Table_stats.db -> Storage.Catalog.t -> Exec.Plan.t -> state
-
+(** Every node's state, in {!Exec.Plan.preorder} order (index =
+    operator id), from one bottom-up pass. *)
 val annotate_plan :
   ?db:Stats.Table_stats.db -> Storage.Catalog.t -> Exec.Plan.t ->
-  (Exec.Plan.t * state) list
+  state array
 
 val pp_state : Format.formatter -> state -> unit

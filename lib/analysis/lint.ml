@@ -1,6 +1,6 @@
 (* Provable-bound lints: compare the cost model's cardinality estimates
-   against the analyzer's envelope at every operator of a logical or
-   physical plan.  The envelope is sound, so an estimate escaping it is
+   against the analyzer's envelope at every operator of a physical
+   plan.  The envelope is sound, so an estimate escaping it is
    a definite estimator defect, not a statistics artifact — but the
    estimator is allowed a little deliberate slack (e.g. the [-0.5]
    distinct-count fudge), so the warnings fire only past a small
@@ -8,10 +8,9 @@
    operator is reported as an error: downstream costing would consider
    the subtree free.
 
-   Codes: [est-above-envelope], [est-below-envelope] (warnings) and
-   [est-zero-nonempty] (error). *)
+   Codes: [est-above-envelope], [est-below-envelope] (warnings),
+   [est-zero-nonempty] (error) and [analysis-failed] (warning). *)
 
-open Relalg
 module Diag = Verify.Diag
 
 (* Relative + absolute slack before an escape is reported. *)
@@ -41,50 +40,26 @@ let check ~label (env : Domain.envelope) (est : float) : Diag.t list =
            est pp_envelope env) ]
   else []
 
-let algebra_label = function
-  | Algebra.Scan { table; alias; _ } ->
-    if alias = table then "scan " ^ table
-    else Fmt.str "scan %s as %s" table alias
-  | Algebra.Select _ -> "select"
-  | Algebra.Project _ -> "project"
-  | Algebra.Join (k, _, _, _) -> Algebra.join_kind_name k ^ " join"
-  | Algebra.Group_by _ -> "group-by"
-  | Algebra.Distinct _ -> "distinct"
-  | Algebra.Order_by _ -> "order-by"
+(* A plan the analyzer cannot digest is reported at the node that
+   failed, never dropped silently; its ancestors get no envelope. *)
+let failed (node : Exec.Plan.t) (e : exn) : Diag.t =
+  Diag.warning ~path:[ Exec.Plan.describe node ] ~code:"analysis-failed"
+    (Fmt.str "plan analysis failed: %s" (Printexc.to_string e))
 
-(* Lints never raise: a plan the estimator or analyzer cannot digest
-   simply yields no findings. *)
-let logical ?asm (db : Stats.Table_stats.db) (a : Algebra.t) : Diag.t list
-  =
-  match Absint.annotate_algebra ~db a with
-  | exception _ -> []
-  | annotated ->
-    List.concat_map
-      (fun (node, (st : Absint.state)) ->
-        match Stats.Derive.of_algebra ?asm db node with
-        | exception _ -> []
-        | rs ->
-          check ~label:(algebra_label node) st.Absint.env
-            rs.Stats.Derive.card)
-      annotated
-
-let physical ?asm ?est_of (cat : Storage.Catalog.t)
-    (db : Stats.Table_stats.db) (p : Exec.Plan.t) : Diag.t list =
-  let est =
-    match est_of with
-    | Some f -> f
-    | None -> (
-      match Obs.Est.annotate ?asm cat db p with
-      | exception _ -> fun _ -> None
-      | ann -> fun node -> Obs.Est.card ann node)
+(* One bottom-up pass: each node's envelope is checked against its
+   estimate as soon as it is known; diagnostics come out in preorder. *)
+let physical ~est (cat : Storage.Catalog.t) (db : Stats.Table_stats.db)
+    (p : Exec.Plan.t) : Diag.t list =
+  let node q kids =
+    let states = List.filter_map fst kids in
+    if List.compare_lengths states kids <> 0 then (None, [])
+    else
+      match Absint.plan_node ~db cat q states with
+      | exception e -> (None, [ failed q e ])
+      | st ->
+        ( Some st,
+          match est q with
+          | None -> []
+          | Some c -> check ~label:(Exec.Plan.describe q) st.Absint.env c )
   in
-  match Absint.annotate_plan ~db cat p with
-  | exception _ -> []
-  | annotated ->
-    List.concat_map
-      (fun (node, (st : Absint.state)) ->
-        match est node with
-        | exception _ -> []
-        | None -> []
-        | Some c -> check ~label:(Exec.Plan.describe node) st.Absint.env c)
-      annotated
+  List.concat_map snd (Array.to_list (Exec.Plan.bottom_up node p))

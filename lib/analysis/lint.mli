@@ -3,27 +3,23 @@
 
     Diagnostic codes: [est-above-envelope] and [est-below-envelope]
     (warnings, fired past a small tolerance that absorbs the
-    estimator's deliberate slack) and [est-zero-nonempty] (error: a
-    ~zero estimate on an operator that provably yields rows). *)
+    estimator's deliberate slack), [est-zero-nonempty] (error: a
+    ~zero estimate on an operator that provably yields rows) and
+    [analysis-failed] (warning: the analyzer raised on a node). *)
 
 (** Compare one estimate against one envelope. *)
 val check :
   label:string -> Domain.envelope -> float -> Verify.Diag.t list
 
-(** Lint a logical plan: [Stats.Derive] estimates vs analyzer
-    envelopes, per operator.  Never raises. *)
-val logical :
-  ?asm:Stats.Derive.assumption ->
-  Stats.Table_stats.db ->
-  Relalg.Algebra.t ->
-  Verify.Diag.t list
-
-(** Lint a physical plan: [Obs.Est] estimates vs analyzer envelopes,
-    per operator.  [est_of] overrides the estimate source (used by the
-    mutation tests to seed a corrupted estimator).  Never raises. *)
+(** Lint a physical plan: the plan's estimates vs analyzer envelopes,
+    per operator, in one bottom-up pass.  [est] is the estimate of a
+    node — the pipeline passes the one annotation the planner's
+    estimates come from ([Obs.Est.card]); the mutation tests seed a
+    corrupted one.  Never raises: a node the analyzer cannot digest
+    yields an [analysis-failed] warning naming it, and its ancestors go
+    unchecked. *)
 val physical :
-  ?asm:Stats.Derive.assumption ->
-  ?est_of:(Exec.Plan.t -> float option) ->
+  est:(Exec.Plan.t -> float option) ->
   Storage.Catalog.t ->
   Stats.Table_stats.db ->
   Exec.Plan.t ->

@@ -119,10 +119,24 @@ let effective_rewrites (config : config) : Rewrite.Rules.t list list =
   if config.analysis then config.rewrites @ [ Analysis.Simplify.rules ]
   else config.rewrites
 
+let feedback_of config =
+  match config.estimator with `Feedback fb -> Some fb | _ -> None
+
+(* The one plan annotation ([Obs.Est]): per-node estimates under the
+   planner's effective assumption and feedback cache, against the
+   statistics it planned with.  [config] carries the effective join
+   config.  Each executed plan is annotated at most once, and only when
+   something reads it: the provable-bound lint, telemetry, feedback
+   recording or the two-phase scheduler. *)
+let annotate config cat db plan =
+  Obs.Est.annotate ~asm:config.join_config.Systemr.Join_order.asm
+    ?feedback:(feedback_of config) cat db plan
+
 (* All engines produce bit-identical rows and Context accounting; the
    interpreter remains the differential-testing oracle.  At dop > 1 the
-   two-phase segment schedule decides each node's parallelism. *)
-let exec_plan config ~ctx ?obs ?sketch cat db plan =
+   two-phase segment schedule decides each node's parallelism, priced
+   from the plan's annotation [est]. *)
+let exec_plan config ~ctx ?obs ?sketch ?est cat db plan =
   match config.engine with
   | `Interpreted ->
     (* the tuple interpreter has no columnar scan to hook sketches into *)
@@ -130,8 +144,13 @@ let exec_plan config ~ctx ?obs ?sketch cat db plan =
   | `Batch ->
     let schedule =
       if config.dop > 1 then
+        let est =
+          match est with
+          | Some est -> Lazy.force est
+          | None -> annotate config cat db plan
+        in
         Some
-          (Parallel.Two_phase.node_dop
+          (Parallel.Two_phase.node_dop ~est
              { Parallel.Two_phase.default_config with processors = config.dop }
              cat db plan)
       else None
@@ -355,11 +374,10 @@ let rec materialize_source ~on_plan ~trace ~exec_views ~on_view ctx config cat
       Hashtbl.replace db tmp_name (Stats.Table_stats.analyze table)
     end
     else begin
-      let est =
-        Obs.Est.annotate ~asm:config.join_config.Systemr.Join_order.asm cat db
-          plan
+      let rows =
+        Option.value (Obs.Est.card (annotate config cat db plan) plan)
+          ~default:0.
       in
-      let rows = Option.value (Obs.Est.card est plan) ~default:0. in
       let pages =
         Storage.Page.pages_for ~rows:(int_of_float (Float.ceil rows)) schema
       in
@@ -592,6 +610,9 @@ let run_block ~ctx ~config (cat : Storage.Catalog.t)
     (* snapshot the statistics the planner consulted — view temporaries
        included — before execution can change anything *)
     let stats_at_plan = Hashtbl.copy db in
+    (* the one annotation, against the plan-time snapshot while view
+       temporaries are still registered; forced only by its readers *)
+    let est = lazy (annotate config cat stats_at_plan plan) in
     (* provable-bound lint: only here, while view temporaries are still
        registered with exact (ANALYZE-derived) statistics — the EXPLAIN
        path fabricates temp statistics from estimates, which would make
@@ -600,26 +621,16 @@ let run_block ~ctx ~config (cat : Storage.Catalog.t)
       stage config "verify" (fun () ->
         h.diags :=
           !(h.diags)
-          @ Analysis.Lint.physical
-              ~asm:config.join_config.Systemr.Join_order.asm cat db plan);
-    let feedback =
-      match config.estimator with `Feedback fb -> Some fb | _ -> None
-    in
+          @ Analysis.Lint.physical ~est:(Obs.Est.card (Lazy.force est)) cat
+              stats_at_plan plan);
+    let feedback = feedback_of config in
     let telemetry = config.telemetry <> None in
     let recorder =
       (* feedback mode needs per-operator actuals even without telemetry
          — the recorder is how observed cardinalities reach the cache *)
       if telemetry || feedback <> None then begin
         let r = Exec.Instrument.create plan in
-        (* estimates must be derived while view temporaries are still in
-           the catalog and statistics registry, and against the plan-time
-           stats snapshot; with feedback, annotation applies the same
-           overrides the planner used *)
-        if telemetry then
-          Obs.Est.attach
-            (Obs.Est.annotate ~asm:config.join_config.Systemr.Join_order.asm
-               ?feedback cat stats_at_plan plan)
-            r;
+        if telemetry then Obs.Est.attach (Lazy.force est) r;
         Some r
       end
       else None
@@ -640,7 +651,8 @@ let run_block ~ctx ~config (cat : Storage.Catalog.t)
               | `Batch -> if config.dop > 1 then "morsel" else "batch" );
             ("dop", string_of_int config.dop) ]
         "execute"
-      @@ fun () -> exec_plan config ~ctx ?obs:recorder ?sketch cat db plan
+      @@ fun () ->
+      exec_plan config ~ctx ?obs:recorder ?sketch ~est cat db plan
     in
     (match sketching with
      | Some (reg, (_, pending)) ->
@@ -652,11 +664,11 @@ let run_block ~ctx ~config (cat : Storage.Catalog.t)
        the base-table fingerprints must reflect the planned state) *)
     (match (feedback, recorder) with
      | Some fb, Some r ->
-       let keys = Obs.Est.feedback_keys plan in
+       let est = Lazy.force est in
        List.iter
          (fun (op : Exec.Instrument.op) ->
             if op.Exec.Instrument.executed then
-              match List.assq_opt op.Exec.Instrument.node keys with
+              match Obs.Est.feedback_key est op.Exec.Instrument.id with
               | None -> ()
               | Some (k, tables) ->
                 let act = float_of_int op.Exec.Instrument.act_rows in

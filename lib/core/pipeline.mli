@@ -22,9 +22,11 @@ type config = {
       analyzer-backed rewrite rules ([Analysis.Simplify.rules]: folding
       provably-empty subtrees, transitive range closure) as a final rule
       class, and lints every executed physical plan's cardinality
-      estimates against the analyzer's sound envelope
-      ([est-above-envelope] / [est-below-envelope] warnings,
-      [est-zero-nonempty] errors) into [report.diags] *)
+      estimates — the planner's own, under [estimator] — against the
+      analyzer's sound envelope ([est-above-envelope] /
+      [est-below-envelope] warnings, [est-zero-nonempty] errors, and
+      [analysis-failed] warnings for a node the analyzer raised on)
+      into [report.diags] *)
   dop : int;
   (** degree of parallelism (default 1).  > 1 executes batch plans with
       the morsel-driven engine ({!Exec.Morsel}), each node running at

@@ -62,7 +62,7 @@ type frame = {
 
 type t = {
   ops : op array;
-  index : (Plan.t * op) list; (* physical-identity lookup *)
+  nodes : Plan.t array; (* preorder: [nodes.(id)] is op [id]'s node *)
   mutable stack : frame list;
   mutable timeline : task list; (* reversed; [timeline] reverses *)
   mutable par_mismatches : int;
@@ -71,28 +71,20 @@ type t = {
 }
 
 let create (plan : Plan.t) : t =
-  let nodes = Plan.preorder plan in
+  let nodes = Array.of_list (Plan.preorder plan) in
   let ops =
-    Array.of_list
-      (List.mapi
-         (fun id node ->
-            { id; node; est_rows = None; act_rows = 0; rescans = 0;
-              wall_s = 0.; self = Context.snapshot_zero; executed = false;
-              par = None })
-         nodes)
+    Array.mapi
+      (fun id node ->
+         { id; node; est_rows = None; act_rows = 0; rescans = 0;
+           wall_s = 0.; self = Context.snapshot_zero; executed = false;
+           par = None })
+      nodes
   in
-  let index = Array.to_list (Array.map (fun o -> (o.node, o)) ops) in
-  { ops; index; stack = []; timeline = []; par_mismatches = 0 }
+  { ops; nodes; stack = []; timeline = []; par_mismatches = 0 }
 
-(* Physical identity: the engines execute the exact nodes [create] walked,
-   and plans are small trees, so a linear [==] scan is both correct and
-   cheap.  (Structural hashing would conflate repeated sub-plans.) *)
+(* The engines execute the exact nodes [create] walked. *)
 let lookup (r : t) (p : Plan.t) : op option =
-  let rec go = function
-    | [] -> None
-    | (q, o) :: rest -> if q == p then Some o else go rest
-  in
-  go r.index
+  Option.map (Array.get r.ops) (Plan.find_id r.nodes p)
 
 let ops (r : t) : op list = Array.to_list r.ops
 

@@ -296,6 +296,33 @@ let preorder (p : t) : t list =
   let rec go acc p = List.fold_left go (p :: acc) (children p) in
   List.rev (go [] p)
 
+(* Physical identity: structural equality would conflate repeated
+   sub-plans, and plans are small enough for a linear scan. *)
+let find_id (nodes : t array) (p : t) : int option =
+  let n = Array.length nodes in
+  let rec go i =
+    if i = n then None else if nodes.(i) == p then Some i else go (i + 1)
+  in
+  go 0
+
+(* Ids are handed out on entry, children visited in [children] order —
+   exactly [preorder]'s numbering — while [f] runs on the way back up. *)
+let bottom_up (f : t -> 'a list -> 'a) (plan : t) : 'a array =
+  let out = Array.make (List.length (preorder plan)) None in
+  let next = ref 0 in
+  let rec go p =
+    let id = !next in
+    incr next;
+    let kids =
+      List.rev (List.fold_left (fun acc c -> go c :: acc) [] (children p))
+    in
+    let v = f p kids in
+    out.(id) <- Some v;
+    v
+  in
+  ignore (go plan);
+  Array.map Option.get out
+
 (* Logical readings of physical nodes.  The estimator and the analyzer
    both read a node's predicates from here, so each is written once. *)
 

@@ -88,6 +88,16 @@ val children : t -> t list
     comparable across interpreter and batch runs. *)
 val preorder : t -> t list
 
+(** [find_id nodes p] is the position of [p] in [nodes] by physical
+    identity ([==]); with [nodes] a plan's {!preorder}, [p]'s operator
+    id.  The one node lookup every per-node annotation goes through. *)
+val find_id : t array -> t -> int option
+
+(** [bottom_up f plan] runs [f node child_values] once per node, children
+    first, with [child_values] in {!children} order, and returns every
+    node's value in {!preorder} order (index = operator id). *)
+val bottom_up : (t -> 'a list -> 'a) -> t -> 'a array
+
 (** {2 Logical readings}
 
     What a node's physical fields mean as predicates.  The plan

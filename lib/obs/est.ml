@@ -1,18 +1,24 @@
 (* Post-hoc cardinality annotation of physical plans.
 
    The enumerator costs logical subsets, not physical nodes, so the
-   per-node estimates that EXPLAIN ANALYZE compares against and the
-   parallel scheduler sizes segments from are re-derived here: one
-   bottom-up pass over the final plan through the same [Stats.Derive]
-   propagation the optimizer used.  This is the only module that runs
-   [Stats.Derive] over physical plan nodes.  The pass is pure —
-   it returns a lookup by physical node identity — and must run while
-   the catalog/stats still contain any temporary tables the plan scans
+   per-node estimates that EXPLAIN ANALYZE compares against, the plan
+   lint checks and the parallel scheduler sizes segments from are
+   re-derived here: one bottom-up pass over the final plan through the
+   same [Stats.Derive] propagation the optimizer used.  This is the only
+   module that runs [Stats.Derive] over physical plan nodes.  The pass is
+   pure apart from feedback-cache lookups, and must run while the
+   catalog/stats still contain any temporary tables the plan scans
    (materialized views are dropped after execution). *)
 
 open Relalg
 
-type t = (Exec.Plan.t * Stats.Derive.rel_stats) list
+(* Per node in preorder, so index = operator id: the estimate and, when
+   annotated against a feedback cache, the node's feedback key. *)
+type t = {
+  nodes : Exec.Plan.t array;
+  stats : Stats.Derive.rel_stats array;
+  keys : (Stats.Feedback.key * string list) option array;
+}
 
 (* Base-table summary under an alias. *)
 let table_stats cat (db : Stats.Table_stats.db) table alias =
@@ -47,176 +53,178 @@ let canon_conjuncts (e : Expr.t) : string list =
        | c -> Some (Stats.Feedback.canon_pred c))
     (Pred.conjuncts e)
 
-let feedback_keys (plan : Exec.Plan.t) :
-  (Exec.Plan.t * (Stats.Feedback.key * string list)) list =
+(* One node's key step: the subtree's composition ([None] once it
+   touches a temporary) and the key the node records under, if any. *)
+let key_step (p : Exec.Plan.t) (kids : sub option list) :
+  sub option * (Stats.Feedback.key * string list) option =
   let module P = Exec.Plan in
-  let acc = ref [] in
-  let spj_key sub =
-    Stats.Feedback.key ~shape:"spj" ~rels:sub.srels ~preds:sub.spreds
+  let spj sub =
+    ( Some sub,
+      Some (Stats.Feedback.key ~shape:"spj" ~rels:sub.srels ~preds:sub.spreds,
+            sub.stables) )
   in
   (* collapse a non-SPJ operator into a pseudo-relation keyed by its own
      digest so enclosing SPJ composition stays well defined *)
-  let opaque key sub = { sub with srels = [ ("", "#" ^ key) ]; spreds = [] } in
   let shaped shape sub =
     let key = Stats.Feedback.key ~shape ~rels:sub.srels ~preds:sub.spreds in
-    (key, opaque key sub)
+    (Some { sub with srels = [ ("", "#" ^ key) ]; spreds = [] },
+     Some (key, sub.stables))
   in
-  let join_shape kind ~outer_aliases =
-    let tag =
-      match (kind : Algebra.join_kind) with
-      | Algebra.Inner -> None
-      | Algebra.Semi -> Some "semi"
-      | Algebra.Anti -> Some "anti"
-      | Algebra.Left_outer -> Some "outer"
-    in
-    Option.map
-      (fun t -> t ^ "[" ^ String.concat "," (List.sort compare outer_aliases) ^ "]")
-      tag
-  in
-  let merge a b = { srels = a.srels @ b.srels;
-                    spreds = a.spreds @ b.spreds;
-                    stables = a.stables @ b.stables }
-  in
-  let rec go (p : P.t) : sub option =
-    let record_spj sub =
-      acc := (p, (spj_key sub, sub.stables)) :: !acc;
-      Some sub
-    in
-    let record_shaped shape sub =
-      let key, sub' = shaped shape sub in
-      acc := (p, (key, sub.stables)) :: !acc;
-      Some sub'
-    in
-    let join_sub kind ~outer ~inner =
-      match (outer, inner) with
-      | Some o, Some i ->
-        let preds = canon_conjuncts (P.join_pred p) in
-        let sub = { (merge o i) with spreds = o.spreds @ i.spreds @ preds } in
-        (match join_shape kind ~outer_aliases:(List.map fst o.srels) with
-         | None -> record_spj sub
-         | Some shape -> record_shaped shape sub)
-      | _ -> None
-    in
-    match p with
-    | P.Seq_scan { table; alias; filter } ->
-      if Storage.Catalog.is_temp_table table then None
-      else
-        record_spj
-          { srels = [ (alias, table) ];
-            spreds =
-              (match filter with None -> [] | Some f -> canon_conjuncts f);
-            stables = [ table ] }
-    | P.Index_scan { table; alias; filter; _ } ->
-      if Storage.Catalog.is_temp_table table then None
-      else
-        record_spj
-          { srels = [ (alias, table) ];
-            spreds =
-              canon_conjuncts (P.range_pred p)
-              @ (match filter with None -> [] | Some f -> canon_conjuncts f);
-            stables = [ table ] }
-    | P.Filter (f, i) ->
-      Option.bind (go i) (fun sub ->
-          record_spj { sub with spreds = sub.spreds @ canon_conjuncts f })
-    | P.Project (_, i) | P.Sort (_, i) | P.Materialize i ->
-      (* cardinality-transparent: share the child's key *)
-      Option.bind (go i) record_spj
-    | P.Hash_distinct i ->
-      Option.bind (go i) (record_shaped "distinct")
-    | P.Nested_loop { kind; outer; inner; _ }
-    | P.Merge_join { kind; left = outer; right = inner; _ }
-    | P.Hash_join { kind; left = outer; right = inner; _ } ->
-      join_sub kind ~outer:(go outer) ~inner:(go inner)
-    | P.Index_nl { kind; outer; table; alias; _ } ->
-      if Storage.Catalog.is_temp_table table then (ignore (go outer); None)
-      else
-        let inner =
-          Some { srels = [ (alias, table) ]; spreds = []; stables = [ table ] }
-        in
-        join_sub kind ~outer:(go outer) ~inner
-    | P.Hash_agg { keys; aggs = _; input } | P.Stream_agg { keys; aggs = _; input }
-      ->
-      let shape =
-        "group["
-        ^ String.concat ","
-            (List.sort compare (List.map (fun (e, _) -> Expr.to_string e) keys))
-        ^ "]"
+  let on kid f = match kid with None -> (None, None) | Some sub -> f sub in
+  let join_sub kind outer inner =
+    match (outer, inner) with
+    | Some o, Some i ->
+      let sub =
+        { srels = o.srels @ i.srels;
+          spreds = o.spreds @ i.spreds @ canon_conjuncts (P.join_pred p);
+          stables = o.stables @ i.stables }
       in
-      Option.bind (go input) (record_shaped shape)
+      let outer_aliases = List.sort compare (List.map fst o.srels) in
+      let tag =
+        match (kind : Algebra.join_kind) with
+        | Algebra.Inner -> None
+        | Algebra.Semi -> Some "semi"
+        | Algebra.Anti -> Some "anti"
+        | Algebra.Left_outer -> Some "outer"
+      in
+      (match tag with
+       | None -> spj sub
+       | Some t ->
+         shaped (t ^ "[" ^ String.concat "," outer_aliases ^ "]") sub)
+    | _ -> (None, None)
   in
-  ignore (go plan);
-  !acc
+  let filter_preds = function None -> [] | Some f -> canon_conjuncts f in
+  match (p, kids) with
+  | P.Seq_scan { table; alias; filter }, [] ->
+    if Storage.Catalog.is_temp_table table then (None, None)
+    else
+      spj { srels = [ (alias, table) ]; spreds = filter_preds filter;
+            stables = [ table ] }
+  | P.Index_scan { table; alias; filter; _ }, [] ->
+    if Storage.Catalog.is_temp_table table then (None, None)
+    else
+      spj { srels = [ (alias, table) ];
+            spreds = canon_conjuncts (P.range_pred p) @ filter_preds filter;
+            stables = [ table ] }
+  | P.Filter (f, _), [ i ] ->
+    on i (fun sub -> spj { sub with spreds = sub.spreds @ canon_conjuncts f })
+  | (P.Project _ | P.Sort _ | P.Materialize _), [ i ] ->
+    (* cardinality-transparent: share the child's key *)
+    on i spj
+  | P.Hash_distinct _, [ i ] -> on i (shaped "distinct")
+  | ( ( P.Nested_loop { kind; _ } | P.Merge_join { kind; _ }
+      | P.Hash_join { kind; _ } ),
+      [ outer; inner ] ) ->
+    join_sub kind outer inner
+  | P.Index_nl { kind; table; alias; _ }, [ outer ] ->
+    if Storage.Catalog.is_temp_table table then (None, None)
+    else
+      join_sub kind outer
+        (Some { srels = [ (alias, table) ]; spreds = []; stables = [ table ] })
+  | (P.Hash_agg { keys; _ } | P.Stream_agg { keys; _ }), [ i ] ->
+    let shape =
+      "group["
+      ^ String.concat ","
+          (List.sort compare (List.map (fun (e, _) -> Expr.to_string e) keys))
+      ^ "]"
+    in
+    on i (shaped shape)
+  | _ -> invalid_arg "Obs.Est: child count does not match the node"
+
+let feedback_keys (plan : Exec.Plan.t) :
+  (Exec.Plan.t * (Stats.Feedback.key * string list)) list =
+  let keys =
+    Exec.Plan.bottom_up (fun p kids -> key_step p (List.map fst kids)) plan
+  in
+  List.concat
+    (List.mapi
+       (fun id node ->
+          match snd keys.(id) with None -> [] | Some k -> [ (node, k) ])
+       (Exec.Plan.preorder plan))
+
+(* One node's estimate from its children's. *)
+let derive_step ?asm cat db (p : Exec.Plan.t)
+    (kids : Stats.Derive.rel_stats list) : Stats.Derive.rel_stats =
+  let module P = Exec.Plan in
+  let filtered ?filter s =
+    match filter with None -> s | Some f -> Stats.Derive.apply_select ?asm s f
+  in
+  match (p, kids) with
+  | P.Seq_scan { table; alias; filter }, [] ->
+    filtered ?filter (table_stats cat db table alias)
+  | P.Index_scan { table; alias; filter; _ }, [] ->
+    let base = table_stats cat db table alias in
+    let ranged =
+      match P.range_pred p with
+      | Expr.Const (Value.Bool true) -> base
+      | pred -> Stats.Derive.apply_select ?asm base pred
+    in
+    filtered ?filter ranged
+  | P.Filter (f, _), [ i ] -> Stats.Derive.apply_select ?asm i f
+  | P.Project (items, _), [ i ] -> Stats.Derive.project i items
+  | (P.Sort _ | P.Materialize _), [ i ] -> i
+  | P.Hash_distinct _, [ i ] -> Stats.Derive.distinct i
+  | ( ( P.Nested_loop { kind; _ } | P.Merge_join { kind; _ }
+      | P.Hash_join { kind; _ } ),
+      [ outer; inner ] ) ->
+    Stats.Derive.join ?asm kind outer inner (P.join_pred p)
+  | P.Index_nl { kind; table; alias; _ }, [ outer ] ->
+    Stats.Derive.join ?asm kind outer (table_stats cat db table alias)
+      (P.join_pred p)
+  | (P.Hash_agg { keys; aggs; _ } | P.Stream_agg { keys; aggs; _ }), [ i ] ->
+    Stats.Derive.group i ~keys ~aggs
+  | _ -> invalid_arg "Obs.Est: child count does not match the node"
 
 let annotate ?asm ?feedback (cat : Storage.Catalog.t)
     (db : Stats.Table_stats.db) (plan : Exec.Plan.t) : t =
-  let module P = Exec.Plan in
-  let keys =
-    match feedback with None -> [] | Some _ -> feedback_keys plan
-  in
-  let override (p : P.t) (s : Stats.Derive.rel_stats) =
-    match feedback with
-    | None -> s
-    | Some fb -> (
-      match List.assq_opt p keys with
-      | None -> s
-      | Some (k, _) -> (
-        match Stats.Feedback.lookup fb ~db k with
-        | Stats.Feedback.Hit act -> { s with Stats.Derive.card = act }
-        | Stats.Feedback.Stale | Stats.Feedback.Miss -> s))
-  in
-  let acc : t ref = ref [] in
-  let rec go (p : P.t) : Stats.Derive.rel_stats =
-    let s =
-      match p with
-      | P.Seq_scan { table; alias; filter } ->
-        let base = table_stats cat db table alias in
-        (match filter with
-         | None -> base
-         | Some f -> Stats.Derive.apply_select ?asm base f)
-      | P.Index_scan { table; alias; filter; _ } ->
-        let base = table_stats cat db table alias in
-        let ranged =
-          match P.range_pred p with
-          | Expr.Const (Value.Bool true) -> base
-          | pred -> Stats.Derive.apply_select ?asm base pred
-        in
-        (match filter with
-         | None -> ranged
-         | Some f -> Stats.Derive.apply_select ?asm ranged f)
-      | P.Filter (f, i) -> Stats.Derive.apply_select ?asm (go i) f
-      | P.Project (items, i) -> Stats.Derive.project (go i) items
-      | P.Sort (_, i) | P.Materialize i -> go i
-      | P.Hash_distinct i -> Stats.Derive.distinct (go i)
-      | P.Nested_loop { kind; outer; inner; _ }
-      | P.Merge_join { kind; left = outer; right = inner; _ }
-      | P.Hash_join { kind; left = outer; right = inner; _ } ->
-        let so = go outer in
-        let si = go inner in
-        Stats.Derive.join ?asm kind so si (P.join_pred p)
-      | P.Index_nl { kind; outer; table; alias; _ } ->
-        let so = go outer in
-        Stats.Derive.join ?asm kind so (table_stats cat db table alias)
-          (P.join_pred p)
-      | P.Hash_agg { keys; aggs; input } | P.Stream_agg { keys; aggs; input }
-        ->
-        Stats.Derive.group (go input) ~keys ~aggs
+  (* feedback keys are only worked out when there is a cache to consult;
+     a fresh observed cardinality overrides the derived one and
+     propagates upward, exactly as in the optimizer *)
+  let step p kids =
+    let stats =
+      derive_step ?asm cat db p (List.map (fun (_, s, _) -> s) kids)
     in
-    let s = override p s in
-    acc := (p, s) :: !acc;
-    s
+    match feedback with
+    | None -> (None, stats, None)
+    | Some fb ->
+      let sub, key = key_step p (List.map (fun (sub, _, _) -> sub) kids) in
+      let stats =
+        match key with
+        | None -> stats
+        | Some (k, _) -> (
+          match Stats.Feedback.lookup fb ~db k with
+          | Stats.Feedback.Hit act -> { stats with Stats.Derive.card = act }
+          | Stats.Feedback.Stale | Stats.Feedback.Miss -> stats)
+      in
+      (sub, stats, key)
   in
-  ignore (go plan);
-  !acc
+  let per_node = Exec.Plan.bottom_up step plan in
+  { nodes = Array.of_list (Exec.Plan.preorder plan);
+    stats = Array.map (fun (_, s, _) -> s) per_node;
+    keys = Array.map (fun (_, _, k) -> k) per_node }
+
+let find (t : t) (p : Exec.Plan.t) : Stats.Derive.rel_stats option =
+  Option.map (Array.get t.stats) (Exec.Plan.find_id t.nodes p)
 
 let card (t : t) (p : Exec.Plan.t) : float option =
-  Option.map (fun s -> s.Stats.Derive.card) (List.assq_opt p t)
+  Option.map (fun s -> s.Stats.Derive.card) (find t p)
 
 let pages (t : t) (p : Exec.Plan.t) : float option =
-  Option.map Stats.Derive.pages (List.assq_opt p t)
+  Option.map Stats.Derive.pages (find t p)
 
-(* Push estimates onto an instrument recorder's operators. *)
+let feedback_key (t : t) (id : int) :
+  (Stats.Feedback.key * string list) option =
+  t.keys.(id)
+
+(* Push estimates onto an instrument recorder's operators, by op id; a
+   recorder over another plan gets none. *)
 let attach (t : t) (r : Exec.Instrument.t) : unit =
   List.iter
     (fun (o : Exec.Instrument.op) ->
-       o.Exec.Instrument.est_rows <- card t o.Exec.Instrument.node)
+       let id = o.Exec.Instrument.id in
+       o.Exec.Instrument.est_rows <-
+         (if id < Array.length t.nodes
+             && t.nodes.(id) == o.Exec.Instrument.node
+          then Some t.stats.(id).Stats.Derive.card
+          else None))
     (Exec.Instrument.ops r)

@@ -204,9 +204,11 @@ let rec walk (b : builder) (p : Exec.Plan.t) : open_seg =
       o_comm = lo.o_comm +. comm_of lo.o_part want_l (rows left);
       o_part = want_l }
 
-let decompose_assign (cfg : config) cat db (plan : Exec.Plan.t) :
+let decompose_assign ?est (cfg : config) cat db (plan : Exec.Plan.t) :
   segment list * (Exec.Plan.t * int) list =
-  let est = Obs.Est.annotate cat db plan in
+  let est =
+    match est with Some est -> est | None -> Obs.Est.annotate cat db plan
+  in
   let b = { segs = []; next = 0; assign = []; cfg; cat; db; est } in
   let top = walk b plan in
   ignore (close b top);
@@ -219,27 +221,20 @@ let decompose (cfg : config) cat db (plan : Exec.Plan.t) : segment list =
    segment's cap, clamped to the processor budget — the same dop the
    wave scheduler charges that segment with.  Nodes the decomposition
    does not reach (none today) default to the full budget. *)
-let node_dop (cfg : config) cat db (plan : Exec.Plan.t) :
+let node_dop ?est (cfg : config) cat db (plan : Exec.Plan.t) :
   Exec.Plan.t -> int =
-  let segs, assign = decompose_assign cfg cat db plan in
+  let segs, assign = decompose_assign ?est cfg cat db plan in
   let budget = max 1 cfg.processors in
-  let seg_dop =
-    List.map
-      (fun s ->
-         (s.id, min budget (max 1 (int_of_float (Float.ceil s.max_dop)))))
-      segs
+  let seg_dop sid =
+    let s = List.find (fun s -> s.id = sid) segs in
+    min budget (max 1 (int_of_float (Float.ceil s.max_dop)))
   in
+  let nodes = Array.of_list (List.map fst assign) in
+  let dops = Array.of_list (List.map (fun (_, sid) -> seg_dop sid) assign) in
   fun node ->
-    let rec go = function
-      | [] -> budget
-      | (n, sid) :: rest ->
-        if n == node then
-          match List.assoc_opt sid seg_dop with
-          | Some d -> d
-          | None -> budget
-        else go rest
-    in
-    go assign
+    match Exec.Plan.find_id nodes node with
+    | Some i -> dops.(i)
+    | None -> budget
 
 (* ------------------------------------------------------------------ *)
 (* Phase-2 scheduling: topological waves of malleable tasks *)

@@ -49,8 +49,12 @@ val decompose :
     identity) to the degree of parallelism its segment was scheduled
     at: the segment's [max_dop] cap clamped to [cfg.processors].  The
     morsel executor uses this as its per-node schedule, so phase-2
-    decisions govern the actual intra-operator parallelism. *)
+    decisions govern the actual intra-operator parallelism.  [est] is
+    the plan's annotation — the pipeline passes the one it computed
+    with the planner's assumption and feedback; without it the plan is
+    annotated here with the defaults, as {!decompose} and {!run} do. *)
 val node_dop :
+  ?est:Obs.Est.t ->
   config -> Storage.Catalog.t -> Stats.Table_stats.db -> Exec.Plan.t ->
   Exec.Plan.t -> int
 

@@ -381,20 +381,3 @@ let distinct (r : rel_stats) : rel_stats =
   in
   let card = Float.min r.card (Float.max 1. ndv_all) in
   { r with card; cols = cap_distinct card r.cols }
-
-(* Full bottom-up derivation over a logical tree. *)
-let rec of_algebra ?(asm = default_assumption) (db : Table_stats.db)
-    (t : Algebra.t) : rel_stats =
-  match t with
-  | Algebra.Scan { table; alias; schema } -> (
-    match Table_stats.find db table with
-    | Some ts -> of_table ts ~alias ~schema
-    | None -> { card = 1000.; schema; cols = [] })
-  | Algebra.Select (p, i) -> apply_select ~asm (of_algebra ~asm db i) p
-  | Algebra.Project (items, i) -> project (of_algebra ~asm db i) items
-  | Algebra.Join (k, p, l, r) ->
-    join ~asm k (of_algebra ~asm db l) (of_algebra ~asm db r) p
-  | Algebra.Group_by { keys; aggs; input } ->
-    group (of_algebra ~asm db input) ~keys ~aggs
-  | Algebra.Distinct i -> distinct (of_algebra ~asm db i)
-  | Algebra.Order_by (_, i) -> of_algebra ~asm db i

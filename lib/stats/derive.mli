@@ -61,6 +61,3 @@ val group :
 
 val project : rel_stats -> (Expr.t * string) list -> rel_stats
 val distinct : rel_stats -> rel_stats
-
-(** Full bottom-up derivation over a logical tree. *)
-val of_algebra : ?asm:assumption -> Table_stats.db -> Algebra.t -> rel_stats

@@ -372,20 +372,77 @@ let test_est_mutation () =
     | None -> Alcotest.fail "base-table scan was not planned"
   in
   let corrupted =
-    Analysis.Lint.physical ~est_of:(fun _ -> Some 0.) cat db plan
+    Analysis.Lint.physical ~est:(fun _ -> Some 0.) cat db plan
   in
   Alcotest.(check bool)
     "zeroed estimator trips est-zero-nonempty" true
     (Verify.Diag.mem ~code:"est-zero-nonempty" corrupted);
   let inflated =
-    Analysis.Lint.physical ~est_of:(fun _ -> Some 1e12) cat db plan
+    Analysis.Lint.physical ~est:(fun _ -> Some 1e12) cat db plan
   in
   Alcotest.(check bool)
     "inflated estimator trips est-above-envelope" true
     (Verify.Diag.mem ~code:"est-above-envelope" inflated);
-  let honest = Analysis.Lint.physical cat db plan in
+  let honest =
+    Analysis.Lint.physical
+      ~est:(Obs.Est.card (Obs.Est.annotate cat db plan))
+      cat db plan
+  in
   Alcotest.(check int) "honest estimator is clean on an exact-stats scan" 0
     (List.length honest)
+
+(* A plan the analyzer cannot digest is reported at the failing node,
+   never dropped silently, and the lint does not raise. *)
+let test_analysis_failed () =
+  let cat, db = mk_db () in
+  let scan =
+    Exec.Plan.Seq_scan { table = "Missing"; alias = "M"; filter = None }
+  in
+  let plan = Exec.Plan.Filter (gt (col "M" "x") (Expr.int 0), scan) in
+  match Analysis.Lint.physical ~est:(fun _ -> Some 1.) cat db plan with
+  | [ d ] ->
+    Alcotest.(check string) "code" "analysis-failed" d.Verify.Diag.code;
+    Alcotest.(check (list string)) "names the failing node"
+      [ Exec.Plan.describe scan ] d.Verify.Diag.path;
+    Alcotest.(check string) "carries the exception text"
+      "plan analysis failed: \
+       Invalid_argument(\"Catalog.find: no such table Missing\")"
+      d.Verify.Diag.message
+  | ds ->
+    Alcotest.failf "expected one analysis-failed diagnostic, got %d"
+      (List.length ds)
+
+(* The lint checks the estimates the planner used: a feedback entry far
+   above the provable envelope for Emp ⋈ Dept overrides the planner's
+   estimate, so the lint must see it too. *)
+let test_lint_reads_feedback () =
+  let w = Workload.Schemas.emp_dept ~emps:400 ~depts:20 () in
+  let cat = w.Workload.Schemas.cat and db = w.Workload.Schemas.db in
+  let blk =
+    Q.simple
+      ~select:[ (col "E" "eid", "eid"); (col "D" "did", "did") ]
+      ~from:[ base cat ~alias:"E" "Emp"; base cat ~alias:"D" "Dept" ]
+      ~where:[ eq (col "E" "did") (col "D" "did") ] ()
+  in
+  let config fb =
+    { Core.Pipeline.default_config with
+      analysis = true; estimator = `Feedback fb }
+  in
+  let _, report =
+    Core.Pipeline.run ~config:(config (Stats.Feedback.create ())) cat db blk
+  in
+  let plan = Option.get report.Core.Pipeline.plan in
+  let key, tables =
+    snd
+      (List.find
+         (fun (_, (_, tables)) -> List.sort compare tables = [ "Dept"; "Emp" ])
+         (Obs.Est.feedback_keys plan))
+  in
+  let fb = Stats.Feedback.create () in
+  Stats.Feedback.record fb ~db ~tables key 1e9;
+  let _, report = Core.Pipeline.run ~config:(config fb) cat db blk in
+  Alcotest.(check bool) "feedback estimate escapes the envelope" true
+    (Verify.Diag.mem ~code:"est-above-envelope" report.Core.Pipeline.diags)
 
 let () =
   Alcotest.run "analysis"
@@ -404,4 +461,8 @@ let () =
        [ Alcotest.test_case "contradiction folds across the grid" `Quick
            test_contradiction_grid;
          Alcotest.test_case "estimator-corruption lint" `Quick
-           test_est_mutation ]) ]
+           test_est_mutation;
+         Alcotest.test_case "analysis-failed diagnostic" `Quick
+           test_analysis_failed;
+         Alcotest.test_case "lint reads planner feedback" `Quick
+           test_lint_reads_feedback ]) ]

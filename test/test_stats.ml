@@ -223,15 +223,16 @@ let test_derive_conjunction_modes () =
 
 let test_derive_join_and_group () =
   let ed = Workload.Schemas.emp_dept ~emps:1000 ~depts:20 () in
-  let e = Storage.Catalog.scan ed.Workload.Schemas.cat ~alias:"E" "Emp" in
-  let d = Storage.Catalog.scan ed.Workload.Schemas.cat ~alias:"D" "Dept" in
-  let joined =
-    Algebra.Join
-      (Algebra.Inner,
-       Expr.Cmp (Expr.Eq, Expr.col ~rel:"E" ~col:"did", Expr.col ~rel:"D" ~col:"did"),
-       e, d)
+  let base alias table =
+    let t = Storage.Catalog.table ed.Workload.Schemas.cat table in
+    Stats.Derive.of_table
+      (Stats.Table_stats.for_table ed.Workload.Schemas.db t)
+      ~alias ~schema:(Schema.requalify t.Storage.Table.schema ~rel:alias)
   in
-  let s = Stats.Derive.of_algebra ed.Workload.Schemas.db joined in
+  let s =
+    Stats.Derive.join Algebra.Inner (base "E" "Emp") (base "D" "Dept")
+      (Expr.Cmp (Expr.Eq, Expr.col ~rel:"E" ~col:"did", Expr.col ~rel:"D" ~col:"did"))
+  in
   (* FK join: estimated rows close to Emp rows *)
   Alcotest.(check bool)
     (Printf.sprintf "fk join card %.0f ~1000" s.Stats.Derive.card)
