@@ -29,12 +29,8 @@ type state = {
   env : envelope;
 }
 
-let top_state = { cols = []; uniq = []; env = env_top }
-
 (* The one-row relation (SELECT without FROM / scalar aggregate). *)
 let unit_state = { cols = []; uniq = [ [] ]; env = env_exact 1. }
-
-let set_env st env = { st with env }
 
 let col_aval (st : state) name =
   match List.assoc_opt ("", name) st.cols with
@@ -789,7 +785,7 @@ let rec of_block ?db ?(outer = []) (b : Qgm.block) : state =
       )
       st b.Qgm.where
   in
-  (* semijoins, then outerjoins — the attachment order of Lower *)
+  (* semijoins, then outerjoins — the planner's attachment order *)
   let st =
     List.fold_left
       (fun st (sj : Qgm.semijoin) ->
@@ -895,10 +891,3 @@ let plan_node ?db (cat : Storage.Catalog.t) (p : Exec.Plan.t)
 let annotate_plan ?db (cat : Storage.Catalog.t) (p : Exec.Plan.t) :
   state array =
   Exec.Plan.bottom_up (plan_node ?db cat) p
-
-let pp_state ppf (st : state) =
-  Fmt.pf ppf "@[<v>env %a%a@]" pp_envelope st.env
-    Fmt.(
-      list ~sep:nop (fun ppf ((r, n), a) ->
-          Fmt.pf ppf "@,%s.%s: %a" r n pp_aval a))
-    st.cols

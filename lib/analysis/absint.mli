@@ -21,12 +21,8 @@ type state = {
   env : Domain.envelope;  (** provable bounds on the exact row count *)
 }
 
-val top_state : state
-
 (** The one-row relation (scalar aggregate output, FROM-less select). *)
 val unit_state : state
-
-val set_env : state -> Domain.envelope -> state
 
 (** Abstract value of an output column by (unqualified) name. *)
 val col_aval : state -> string -> Domain.aval option
@@ -104,5 +100,3 @@ val plan_node :
 val annotate_plan :
   ?db:Stats.Table_stats.db -> Storage.Catalog.t -> Exec.Plan.t ->
   state array
-
-val pp_state : Format.formatter -> state -> unit

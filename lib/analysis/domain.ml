@@ -158,9 +158,6 @@ let env_exact n = { e_lo = n; e_hi = n }
 let env_empty = { e_lo = 0.; e_hi = 0. }
 let env_is_empty (e : envelope) = e.e_hi <= 0.
 
-let env_join a b =
-  { e_lo = Float.min a.e_lo b.e_lo; e_hi = Float.max a.e_hi b.e_hi }
-
 let env_contains (e : envelope) (n : float) = n >= e.e_lo && n <= e.e_hi
 
 let pp_envelope ppf (e : envelope) =

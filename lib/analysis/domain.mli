@@ -71,6 +71,5 @@ val env_empty : envelope
 (** Provably zero rows. *)
 val env_is_empty : envelope -> bool
 
-val env_join : envelope -> envelope -> envelope
 val env_contains : envelope -> float -> bool
 val pp_envelope : Format.formatter -> envelope -> unit

@@ -85,7 +85,3 @@ let add_expr (m : t) (g : group) (e : lexpr) : bool =
   end
 
 let group_count (m : t) = Hashtbl.length m.groups
-
-let stats_line (m : t) =
-  Printf.sprintf "groups=%d exprs=%d rule-firings=%d intern-hits=%d"
-    (group_count m) m.expr_count m.rule_firings m.intern_hits

@@ -50,4 +50,3 @@ val intern : t -> lexpr -> int
 val add_expr : t -> group -> lexpr -> bool
 
 val group_count : t -> int
-val stats_line : t -> string

@@ -809,29 +809,7 @@ let rec run_query_blocks ~ctx ~config cat db (q : Rewrite.Qgm.query) :
   | Rewrite.Qgm.Q_union { all; left; right } ->
     let l, lr = run_query_blocks ~ctx ~config cat db left in
     let r, rr = run_query_blocks ~ctx ~config cat db right in
-    if
-      Relalg.Schema.arity l.Exec.Executor.schema
-      <> Relalg.Schema.arity r.Exec.Executor.schema
-    then invalid_arg "UNION: arity mismatch";
-    let rows = Array.append l.Exec.Executor.rows r.Exec.Executor.rows in
-    Exec.Context.charge_cpu ctx (Array.length rows);
-    let rows =
-      if all then rows
-      else begin
-        let seen = Hashtbl.create 64 in
-        let out = Storage.Vec.create () in
-        Array.iter
-          (fun t ->
-             let k = Array.to_list t in
-             if not (Hashtbl.mem seen k) then begin
-               Hashtbl.replace seen k ();
-               Storage.Vec.push out t
-             end)
-          rows;
-        Storage.Vec.to_array out
-      end
-    in
-    ({ Exec.Executor.schema = l.Exec.Executor.schema; rows }, lr @ rr)
+    (Rewrite.Qgm_eval.union ~ctx ~all l r, lr @ rr)
 
 let run_query ?(ctx = Exec.Context.create ()) ?(config = default_config) cat
     db (q : Rewrite.Qgm.query) : Exec.Executor.result * report list =

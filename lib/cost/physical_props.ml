@@ -15,12 +15,6 @@ let no_order : order = []
 let equal_col (a : Expr.col_ref) (b : Expr.col_ref) =
   a.Expr.rel = b.Expr.rel && a.Expr.col = b.Expr.col
 
-let equal_order (a : order) (b : order) =
-  List.length a = List.length b
-  && List.for_all2
-       (fun (c1, d1) (c2, d2) -> equal_col c1 c2 && d1 = d2)
-       a b
-
 (* A stream ordered on [have] satisfies a requirement [want] iff [want] is a
    prefix of [have]. *)
 let satisfies ~(have : order) ~(want : order) =

@@ -10,7 +10,6 @@ type order = (Expr.col_ref * Algebra.dir) list
 val no_order : order
 
 val equal_col : Expr.col_ref -> Expr.col_ref -> bool
-val equal_order : order -> order -> bool
 
 (** A stream ordered on [have] satisfies requirement [want] iff [want] is a
     prefix of [have]. *)

@@ -54,8 +54,6 @@ let pp_snapshot ppf s =
 
 let charge_spill ctx pages = ctx.spill_io <- ctx.spill_io + pages
 
-let total_io ctx = ctx.seq_io + ctx.rand_io + ctx.spill_io
-
 (* Weighted cost in the same units as the cost model: random reads are
    dearer than sequential ones, CPU ops far cheaper than either. *)
 let weighted_cost ?(seq_weight = 1.0) ?(rand_weight = 4.0)

@@ -30,9 +30,6 @@ val diff : snapshot -> snapshot -> snapshot
 val snapshot_add : snapshot -> snapshot -> snapshot
 val pp_snapshot : Format.formatter -> snapshot -> unit
 
-(** Total physical pages moved (seq + random + spill). *)
-val total_io : t -> int
-
 (** Scalar cost in the cost model's units (random reads dearer than
     sequential, CPU far cheaper than either). *)
 val weighted_cost :

@@ -1,16 +1,11 @@
 (* Compiled-evaluation helpers for the columnar engine ([Batch]): offset
-   resolution, specialized predicate compilers, join-key extraction,
-   hash-join buckets, join-row emission, and the unboxed integer-column
+   resolution, specialized predicate compilers, hash-join buckets,
+   join-row emission, and columnar chunks with their unboxed integer
    fast path.  All closures returned here are pure (no [Context]
    charging, no shared mutable state), so pooled kernels may evaluate
    them from any domain. *)
 
 open Relalg
-
-let key_nullfree (k : Value.t array) =
-  let n = Array.length k in
-  let rec go i = i = n || ((not (Value.is_null k.(i))) && go (i + 1)) in
-  go 0
 
 let offsets schema (refs : Expr.col_ref list) =
   Array.of_list
@@ -18,20 +13,6 @@ let offsets schema (refs : Expr.col_ref list) =
        (fun (r : Expr.col_ref) ->
           Schema.index_of schema ~rel:r.Expr.rel ~name:r.Expr.col)
        refs)
-
-let extract_key (offs : int array) (t : Tuple.t) : Value.t array =
-  Array.map (fun i -> Tuple.get t i) offs
-
-(* Int fast-path eligibility: every key value in [rows] at [off] is Int or
-   Null.  (Value.equal matches Int 2 = Float 2.0, so a single Float on
-   either side forces the generic path.) *)
-let int_or_null_col rows off =
-  Array.for_all
-    (fun t ->
-       match Tuple.get t off with
-       | Value.Int _ | Value.Null -> true
-       | Value.Bool _ | Value.Float _ | Value.Str _ -> false)
-    rows
 
 (* Hash-join buckets carry their length so probes never re-measure the
    chain; items are most-recent-first, matching the interpreter's
@@ -81,39 +62,6 @@ let rec pred2 (l : Schema.t) (r : Schema.t) (e : Expr.t) :
     fun x y -> pa x y || pb x y
   | _ -> Expr.holds2 l r e
 
-(* ------------------------------------------------------------------ *)
-(* Unboxed integer columns.
-
-   A column whose values are all Int-or-Null extracts once into an [int
-   array] plus a null bitmap; scans, filters and join-key extraction then
-   run over raw ints with no per-row boxing or tag dispatch.  Extraction
-   bails out (returns [None]) on the first value of any other type, so
-   eligibility costs one pass and the generic path stays authoritative. *)
-
-module Int_col = struct
-  type t = { data : int array; nulls : Bytes.t; any_null : bool }
-
-  let is_null c i = Bytes.unsafe_get c.nulls i <> '\000'
-
-  let extract (rows : Tuple.t array) (off : int) : t option =
-    let n = Array.length rows in
-    let data = Array.make n 0 in
-    let nulls = Bytes.make n '\000' in
-    let any_null = ref false in
-    let ok = ref true in
-    let i = ref 0 in
-    while !ok && !i < n do
-      (match Tuple.get rows.(!i) off with
-       | Value.Int k -> data.(!i) <- k
-       | Value.Null ->
-         Bytes.set nulls !i '\001';
-         any_null := true
-       | Value.Bool _ | Value.Float _ | Value.Str _ -> ok := false);
-      incr i
-    done;
-    if !ok then Some { data; nulls; any_null = !any_null } else None
-end
-
 (* Interned boxes for small non-negative ints.  Materializing typed
    columns back into [Value.t] rows is the hottest allocation site in the
    columnar engines; values are immutable and compared structurally, so
@@ -133,60 +81,6 @@ let col_offset (s : Schema.t) (e : Expr.t) : int option =
     | off -> Some off
     | exception _ -> None)
   | _ -> None
-
-(* Index-based predicate over a fixed row array.  Conjuncts of the shape
-   <int col> cmp <int const> or <int col> cmp <int col> evaluate over
-   unboxed column extractions; every other conjunct falls back to [pred1]
-   applied to the indexed row.  Correctness: held-ness distributes over
-   top-level AND (see [pred1]); comparisons with a NULL operand are never
-   held, which the null bitmap reproduces; [Value.sql_cmp] on two Ints is
-   [Stdlib.compare], which the raw-int comparison reproduces. *)
-let pred_rows (s : Schema.t) (e : Expr.t) (rows : Tuple.t array) :
-  int -> bool =
-  let int_col ce =
-    match col_offset s ce with
-    | Some off -> Int_col.extract rows off
-    | None -> None
-  in
-  let compile_conj c =
-    let fallback () =
-      let p = pred1 s c in
-      fun i -> p rows.(i)
-    in
-    match c with
-    | Expr.Cmp (op, a, Expr.Const (Value.Int k)) -> (
-      match int_col a with
-      | Some col ->
-        let data = col.Int_col.data in
-        fun i ->
-          (not (Int_col.is_null col i)) && Expr.compare_op op (compare data.(i) k)
-      | None -> fallback ())
-    | Expr.Cmp (op, Expr.Const (Value.Int k), b) -> (
-      match int_col b with
-      | Some col ->
-        let data = col.Int_col.data in
-        fun i ->
-          (not (Int_col.is_null col i)) && Expr.compare_op op (compare k data.(i))
-      | None -> fallback ())
-    | Expr.Cmp (op, (Expr.Col _ as a), (Expr.Col _ as b)) -> (
-      match (int_col a, int_col b) with
-      | Some ca, Some cb ->
-        let da = ca.Int_col.data and db = cb.Int_col.data in
-        fun i ->
-          (not (Int_col.is_null ca i))
-          && (not (Int_col.is_null cb i))
-          && Expr.compare_op op (compare da.(i) db.(i))
-      | _ -> fallback ())
-    | _ -> fallback ()
-  in
-  let ps = Array.of_list (List.map compile_conj (Pred.conjuncts e)) in
-  match Array.length ps with
-  | 0 -> fun _ -> true
-  | 1 -> ps.(0)
-  | 2 ->
-    let a = ps.(0) and b = ps.(1) in
-    fun i -> a i && b i
-  | _ -> fun i -> Array.for_all (fun p -> p i) ps
 
 (* ------------------------------------------------------------------ *)
 (* Columnar chunks.

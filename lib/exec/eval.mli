@@ -1,7 +1,7 @@
 (** Compiled-evaluation helpers of the columnar engine ({!Batch}):
-    offset resolution, specialized
-    WHERE-semantics predicate compilers, join-key extraction, hash-join
-    buckets, join-row emission, and the unboxed integer-column fast path.
+    offset resolution, specialized WHERE-semantics predicate compilers,
+    hash-join buckets, join-row emission, and columnar chunks with their
+    unboxed integer fast path.
 
     Everything here is pure — no {!Context} charging, no shared mutable
     state — so returned closures are safe to evaluate from worker
@@ -9,17 +9,8 @@
 
 open Relalg
 
-(** No position of the key is NULL. *)
-val key_nullfree : Value.t array -> bool
-
 (** Resolve column refs to tuple offsets, once per operator. *)
 val offsets : Schema.t -> Expr.col_ref list -> int array
-
-val extract_key : int array -> Tuple.t -> Value.t array
-
-(** Every value at [off] is Int or Null (single-int fast-path
-    eligibility). *)
-val int_or_null_col : Tuple.t array -> int -> bool
 
 (** Hash-join bucket: chain length + most-recent-first items. *)
 type bucket = { mutable blen : int; mutable items : Tuple.t list }
@@ -31,17 +22,6 @@ val pred1 : Schema.t -> Expr.t -> Tuple.t -> bool
 
 (** [pred2 l r e] — as {!pred1} over an (outer, inner) tuple pair. *)
 val pred2 : Schema.t -> Schema.t -> Expr.t -> Tuple.t -> Tuple.t -> bool
-
-(** A column whose values are all Int-or-Null, extracted once into an
-    unboxed [int array] plus null bitmap. *)
-module Int_col : sig
-  type t = { data : int array; nulls : Bytes.t; any_null : bool }
-
-  val is_null : t -> int -> bool
-
-  (** [None] when any value at [off] is neither Int nor Null. *)
-  val extract : Tuple.t array -> int -> t option
-end
 
 (** Offset of a plain column reference in the schema; [None] for
     computed expressions or unresolvable refs. *)
@@ -132,11 +112,6 @@ val int_expr : Schema.t -> Chunk.store -> Expr.t -> int_vec option
     {!int_expr} evaluate unboxed, the rest fall back to the forced row
     view.  All forcing happens at compile time. *)
 val pred_store : Schema.t -> Expr.t -> Chunk.store -> int -> bool
-
-(** [pred_rows s e rows] — {!pred1} as an index-based predicate over a
-    fixed row array; [<int col> cmp <int const/col>] conjuncts evaluate
-    over {!Int_col} extractions, the rest fall back per row. *)
-val pred_rows : Schema.t -> Expr.t -> Tuple.t array -> int -> bool
 
 (** Compiled projection item over physical rows: a plain column shares
     the existing box, integer arithmetic re-boxes through the small-int

@@ -456,7 +456,3 @@ let same_multiset_modulo_columns (a : result) (b : result) =
   && same_multiset
        { schema = []; rows = ra }
        { schema = []; rows = rb }
-
-let pp_result ppf (r : result) =
-  Fmt.pf ppf "@[<v>%a@,%a@]" Schema.pp r.schema
-    Fmt.(array ~sep:cut Tuple.pp) r.rows

@@ -29,5 +29,3 @@ val same_multiset : result -> result -> bool
 (** Multiset equality modulo column order: columns are aligned by
     (relation, name) key first (different join orders permute schemas). *)
 val same_multiset_modulo_columns : result -> result -> bool
-
-val pp_result : Format.formatter -> result -> unit

@@ -13,11 +13,6 @@ type table = {
 
 type t = { tables : table list }
 
-let table_named spec n = List.find_opt (fun t -> t.tname = n) spec.tables
-
-let total_rows spec =
-  List.fold_left (fun acc t -> acc + Array.length t.rows) 0 spec.tables
-
 let build (spec : t) : Storage.Catalog.t * Stats.Table_stats.db =
   let cat = Storage.Catalog.create () in
   List.iter

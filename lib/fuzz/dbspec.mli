@@ -22,11 +22,6 @@ type table = {
 
 type t = { tables : table list }
 
-val table_named : t -> string -> table option
-
-(** Total rows across all tables. *)
-val total_rows : t -> int
-
 (** Build a fresh catalog and ANALYZEd statistics registry. *)
 val build : t -> Storage.Catalog.t * Stats.Table_stats.db
 

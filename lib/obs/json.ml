@@ -1,9 +1,9 @@
-(* Minimal JSON validator (RFC 8259 subset, no dependency).
+(* Minimal JSON reader (RFC 8259 subset, no dependency).
 
    The trace writer hand-builds its JSON, so tests and the CI checker
    need an independent reader to certify the output is well-formed.
-   Validation only — nothing in the tree consumes parsed JSON values, so
-   no AST is built. *)
+   Validation is parsing with the value thrown away; the emission paths
+   never touch this allocation. *)
 
 type pos = { s : string; mutable i : int }
 
@@ -38,34 +38,6 @@ let hex_digit = function
   | '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true
   | _ -> false
 
-let string_body p =
-  expect p '"';
-  let rec go () =
-    match peek p with
-    | None -> fail p "unterminated string"
-    | Some '"' -> advance p
-    | Some '\\' ->
-      advance p;
-      (match peek p with
-       | Some ('"' | '\\' | '/' | 'b' | 'f' | 'n' | 'r' | 't') ->
-         advance p;
-         go ()
-       | Some 'u' ->
-         advance p;
-         for _ = 1 to 4 do
-           match peek p with
-           | Some c when hex_digit c -> advance p
-           | _ -> fail p "bad \\u escape"
-         done;
-         go ()
-       | _ -> fail p "bad escape")
-    | Some c when Char.code c < 0x20 -> fail p "control char in string"
-    | Some _ ->
-      advance p;
-      go ()
-  in
-  go ()
-
 let digits p =
   let n = ref 0 in
   while (match peek p with Some '0' .. '9' -> true | _ -> false) do
@@ -91,69 +63,6 @@ let number p =
     (match peek p with Some ('+' | '-') -> advance p | _ -> ());
     digits p
   | _ -> ()
-
-let rec value p =
-  skip_ws p;
-  match peek p with
-  | Some '"' -> string_body p
-  | Some '{' ->
-    advance p;
-    skip_ws p;
-    (match peek p with
-     | Some '}' -> advance p
-     | _ ->
-       let rec members () =
-         skip_ws p;
-         string_body p;
-         skip_ws p;
-         expect p ':';
-         value p;
-         skip_ws p;
-         match peek p with
-         | Some ',' ->
-           advance p;
-           members ()
-         | Some '}' -> advance p
-         | _ -> fail p "expected ',' or '}'"
-       in
-       members ())
-  | Some '[' ->
-    advance p;
-    skip_ws p;
-    (match peek p with
-     | Some ']' -> advance p
-     | _ ->
-       let rec elements () =
-         value p;
-         skip_ws p;
-         match peek p with
-         | Some ',' ->
-           advance p;
-           elements ()
-         | Some ']' -> advance p
-         | _ -> fail p "expected ',' or ']'"
-       in
-       elements ())
-  | Some 't' -> literal p "true"
-  | Some 'f' -> literal p "false"
-  | Some 'n' -> literal p "null"
-  | Some ('-' | '0' .. '9') -> number p
-  | _ -> fail p "expected value"
-
-let validate (s : string) : (unit, string) result =
-  let p = { s; i = 0 } in
-  match
-    value p;
-    skip_ws p;
-    if p.i <> String.length s then fail p "trailing garbage"
-  with
-  | () -> Ok ()
-  | exception Bad (msg, i) -> Error (Printf.sprintf "%s at offset %d" msg i)
-
-(* ------------------------------------------------------------------ *)
-(* Parsing: the same grammar, building a value tree.  Only the query-log
-   reader and tests consume parsed values; the hot emission paths never
-   touch this allocation. *)
 
 type value =
   | Null
@@ -296,6 +205,8 @@ let parse (s : string) : (value, string) result =
   with
   | v -> Ok v
   | exception Bad (msg, i) -> Error (Printf.sprintf "%s at offset %d" msg i)
+
+let validate (s : string) : (unit, string) result = Result.map ignore (parse s)
 
 (* Object-member lookup (first match; our emitters never repeat keys). *)
 let member (k : string) (v : value) : value option =

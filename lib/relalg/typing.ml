@@ -8,6 +8,18 @@ let value_ty (v : Value.t) : Value.ty =
   | Some ty -> ty
   | None -> Value.Tint (* untyped NULL literal; int is a harmless default *)
 
+(* The arithmetic typing table: [None] when the operands do not combine. *)
+let binop_ty (op : Expr.binop) (ta : Value.ty) (tb : Value.ty) :
+  Value.ty option =
+  match op, ta, tb with
+  | Expr.Add, Value.Tstring, Value.Tstring -> Some Value.Tstring
+  | (Expr.Add | Expr.Sub | Expr.Mul | Expr.Mod | Expr.Div), Value.Tint,
+    Value.Tint ->
+    Some Value.Tint
+  | _, (Value.Tint | Value.Tfloat), (Value.Tint | Value.Tfloat) ->
+    Some Value.Tfloat
+  | _ -> None
+
 let rec infer (schema : Schema.t) (e : Expr.t) : Value.ty =
   match e with
   | Expr.Const v -> value_ty v
@@ -18,14 +30,9 @@ let rec infer (schema : Schema.t) (e : Expr.t) : Value.ty =
       raise (Error (Fmt.str "unknown column %s.%s in %a" rel col Schema.pp schema)))
   | Expr.Binop (op, a, b) -> (
     let ta = infer schema a and tb = infer schema b in
-    match op, ta, tb with
-    | Expr.Add, Value.Tstring, Value.Tstring -> Value.Tstring
-    | (Expr.Add | Expr.Sub | Expr.Mul | Expr.Mod), Value.Tint, Value.Tint ->
-      Value.Tint
-    | Expr.Div, Value.Tint, Value.Tint -> Value.Tint
-    | _, (Value.Tint | Value.Tfloat), (Value.Tint | Value.Tfloat) ->
-      Value.Tfloat
-    | _ ->
+    match binop_ty op ta tb with
+    | Some ty -> ty
+    | None ->
       raise (Error (Fmt.str "arithmetic on %s and %s"
                       (Value.ty_name ta) (Value.ty_name tb))))
   | Expr.Cmp _ | Expr.And _ | Expr.Or _ | Expr.Not _ | Expr.Is_null _ ->

@@ -6,6 +6,10 @@ exception Error of string
 (** Type of a value; an untyped NULL literal defaults to int. *)
 val value_ty : Value.t -> Value.ty
 
+(** Result type of arithmetic on operands of the given types; [None]
+    when they do not combine. *)
+val binop_ty : Expr.binop -> Value.ty -> Value.ty -> Value.ty option
+
 (** Type of an expression against a schema. @raise Error on unknown
     columns or ill-typed arithmetic. *)
 val infer : Schema.t -> Expr.t -> Value.ty

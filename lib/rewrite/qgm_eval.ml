@@ -15,6 +15,20 @@ let extend (env : env) (schema : Schema.t) (tuple : Tuple.t) : env =
   { schema = Schema.concat env.schema schema;
     tuple = Tuple.concat env.tuple tuple }
 
+(* Keep the first occurrence of each row (DISTINCT and UNION). *)
+let dedup (rows : Tuple.t array) : Tuple.t array =
+  let seen = Hashtbl.create 64 in
+  let out = Storage.Vec.create () in
+  Array.iter
+    (fun t ->
+       let k = Array.to_list t in
+       if not (Hashtbl.mem seen k) then begin
+         Hashtbl.replace seen k ();
+         Storage.Vec.push out t
+       end)
+    rows;
+  Storage.Vec.to_array out
+
 let rec source_rows ctx cat (env : env) (s : Qgm.source) :
   Schema.t * Tuple.t array =
   match s with
@@ -290,23 +304,7 @@ and eval_block ctx cat (env : env) (b : Qgm.block) : Schema.t * Tuple.t array
       post_rows
   in
   (* 9. DISTINCT *)
-  let final =
-    if not b.Qgm.distinct then projected
-    else begin
-      let seen = Hashtbl.create 64 in
-      let out = Storage.Vec.create () in
-      Array.iter
-        (fun t ->
-           let k = Array.to_list t in
-           if not (Hashtbl.mem seen k) then begin
-             Hashtbl.replace seen k ();
-             Storage.Vec.push out t
-           end)
-        projected;
-      Storage.Vec.to_array out
-    end
-  in
-  (out_schema, final)
+  (out_schema, if b.Qgm.distinct then dedup projected else projected)
 
 let run ?(ctx = Exec.Context.create ()) cat (b : Qgm.block) :
   Exec.Executor.result =
@@ -314,7 +312,16 @@ let run ?(ctx = Exec.Context.create ()) cat (b : Qgm.block) :
   { Exec.Executor.schema; rows }
 
 (* Union semantics: UNION ALL concatenates; UNION additionally removes
-   duplicate rows (SQL set semantics). *)
+   duplicate rows (SQL set semantics).  One CPU op per combined row. *)
+let union ~ctx ~all (l : Exec.Executor.result) (r : Exec.Executor.result) :
+  Exec.Executor.result =
+  if Schema.arity l.Exec.Executor.schema <> Schema.arity r.Exec.Executor.schema
+  then invalid_arg "UNION: arity mismatch";
+  let rows = Array.append l.Exec.Executor.rows r.Exec.Executor.rows in
+  Exec.Context.charge_cpu ctx (Array.length rows);
+  { Exec.Executor.schema = l.Exec.Executor.schema;
+    rows = (if all then rows else dedup rows) }
+
 let rec run_query ?(ctx = Exec.Context.create ()) cat (q : Qgm.query) :
   Exec.Executor.result =
   match q with
@@ -322,24 +329,4 @@ let rec run_query ?(ctx = Exec.Context.create ()) cat (q : Qgm.query) :
   | Qgm.Q_union { all; left; right } ->
     let l = run_query ~ctx cat left in
     let r = run_query ~ctx cat right in
-    if Relalg.Schema.arity l.Exec.Executor.schema
-       <> Relalg.Schema.arity r.Exec.Executor.schema
-    then invalid_arg "UNION: arity mismatch";
-    let rows = Array.append l.Exec.Executor.rows r.Exec.Executor.rows in
-    let rows =
-      if all then rows
-      else begin
-        let seen = Hashtbl.create 64 in
-        let out = Storage.Vec.create () in
-        Array.iter
-          (fun t ->
-             let k = Array.to_list t in
-             if not (Hashtbl.mem seen k) then begin
-               Hashtbl.replace seen k ();
-               Storage.Vec.push out t
-             end)
-          rows;
-        Storage.Vec.to_array out
-      end
-    in
-    { Exec.Executor.schema = l.Exec.Executor.schema; rows }
+    union ~ctx ~all l r

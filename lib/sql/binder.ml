@@ -2,7 +2,7 @@
 
    Scopes are searched innermost-first: a name that resolves in an enclosing
    scope makes the subquery correlated (Section 4.2.2's terminology).
-   Aggregate queries are normalized to the QGM/Lower convention: grouped
+   Aggregate queries are normalized to the QGM convention: grouped
    output columns are unqualified names (key aliases and aggregate
    aliases), and select/having/order expressions are rewritten onto them. *)
 

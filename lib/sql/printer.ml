@@ -211,11 +211,5 @@ let with_buf pr x =
   pr buf x;
   Buffer.contents buf
 
-let expr_to_string = with_buf pr_expr
 let select_to_string = with_buf pr_select
 let query_to_string = with_buf pr_query
-
-let statement_to_string = function
-  | Ast.Select_stmt q -> query_to_string q
-  | Ast.Create_view (name, s) ->
-    Printf.sprintf "CREATE VIEW %s AS %s" name (select_to_string s)

@@ -5,7 +5,5 @@
     parenthesized conservatively so the parser reconstructs the exact tree
     shape regardless of its associativity choices. *)
 
-val expr_to_string : Ast.expr -> string
 val select_to_string : Ast.select -> string
 val query_to_string : Ast.query -> string
-val statement_to_string : Ast.statement -> string

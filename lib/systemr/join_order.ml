@@ -33,8 +33,7 @@ type config = {
   interesting_orders : bool;
   bushy : bool;
   methods : meth list;
-  graph_dp : bool;
-  prune : bool;
+  exhaustive : bool;
   feedback : Stats.Feedback.t option;
       (* observed-cardinality cache consulted in [stats_of]; None = off *)
 }
@@ -46,8 +45,7 @@ let default_config =
     interesting_orders = true;
     bushy = false;
     methods = [ Nl; Inl; Smj; Hj ];
-    graph_dp = true;
-    prune = true;
+    exhaustive = false;
     feedback = None }
 
 (* The 1979 System-R repertoire: nested loop and sort-merge only, linear
@@ -58,7 +56,7 @@ let system_r_1979 =
 (* The pre-change search: every mask, every split, alias-list connectivity,
    no cost bound.  Same plan costs as the graph-aware search (a property
    test and the bench pre-check), just slower to find them. *)
-let exhaustive c = { c with graph_dp = false; prune = false }
+let exhaustive c = { c with exhaustive = true }
 
 type counters = {
   subsets : int; (* DP table entries created *)
@@ -294,7 +292,7 @@ let graph_connected ctx =
 
 (* The pre-change connectivity test — alias lists rebuilt and every
    conjunct scanned per check — kept verbatim as the measured baseline for
-   [graph_dp = false]. *)
+   [exhaustive]. *)
 let legacy_connected ctx m1 m2 =
   let left_aliases = aliases_of ctx m1
   and right_aliases = aliases_of ctx m2 in
@@ -716,7 +714,7 @@ let optimize_entry ?trace ?(config = default_config) cat db (q : Spj.t) :
      can fall outside the bushy search space and under-cut its optimum —
      skip pruning there. *)
   let ub =
-    if (not config.prune) || n <= 1 || (config.bushy && not gconn) then
+    if config.exhaustive || n <= 1 || (config.bushy && not gconn) then
       infinity
     else
       let u = greedy_upper_bound ctx q in
@@ -785,8 +783,8 @@ let optimize_entry ?trace ?(config = default_config) cat db (q : Spj.t) :
            let connected_exts =
              List.filter
                (fun i ->
-                  if config.graph_dp then connected_masks ctx mask (1 lsl i)
-                  else legacy_connected ctx mask (1 lsl i))
+                  if config.exhaustive then legacy_connected ctx mask (1 lsl i)
+                  else connected_masks ctx mask (1 lsl i))
                exts
            in
            let chosen =
@@ -806,7 +804,8 @@ let optimize_entry ?trace ?(config = default_config) cat db (q : Spj.t) :
     done
   end
   else begin
-    if config.graph_dp && (not config.allow_cross) && gconn && n >= 2 then begin
+    if (not config.exhaustive) && (not config.allow_cross) && gconn && n >= 2
+    then begin
       (* csg–cmp generation: union masks in increasing numeric order (every
          proper submask is smaller, hence already final), and within each
          connected union, connected subgraphs containing its lowest
@@ -869,7 +868,7 @@ let optimize_entry ?trace ?(config = default_config) cat db (q : Spj.t) :
     end
     else begin
       (* every subset, every split — the pre-change enumerator, reached
-         when [graph_dp] is off (the measured baseline), under
+         under [exhaustive] (the measured baseline), under
          [allow_cross], and as the cartesian rescue when the whole graph
          is disconnected.  A merely-disconnected intermediate subset is
          simply skipped, as in standard connected-subgraph enumeration. *)
@@ -887,8 +886,8 @@ let optimize_entry ?trace ?(config = default_config) cat db (q : Spj.t) :
           let with_conn =
             List.filter
               (fun (s1, s2) ->
-                 if config.graph_dp then connected_masks ctx s1 s2
-                 else legacy_connected ctx s1 s2)
+                 if config.exhaustive then legacy_connected ctx s1 s2
+                 else connected_masks ctx s1 s2)
               !splits
           in
           let chosen =

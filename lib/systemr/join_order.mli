@@ -25,12 +25,11 @@ type config = {
   interesting_orders : bool;  (** keep per-order bests, not one cheapest *)
   bushy : bool;  (** all splits instead of left-deep extensions *)
   methods : meth list;
-  graph_dp : bool;
-  (** bitset-graph connectivity and csg–cmp bushy enumeration (on by
-      default); off = the pre-change alias-scanning enumerator *)
-  prune : bool;
-  (** branch-and-bound against a greedy upper bound (on by default);
-      interesting-order candidates are exempt *)
+  exhaustive : bool;
+  (** the oracle search (off by default): alias-scanning connectivity,
+      every split, no cost bound.  Off = bitset-graph connectivity,
+      csg–cmp bushy enumeration and branch-and-bound against a greedy
+      upper bound (interesting-order candidates are exempt) *)
   feedback : Stats.Feedback.t option;
   (** observed-cardinality cache consulted by [stats_of]: a fresh entry
       for a subset's logical subexpression overrides the derived

@@ -49,85 +49,3 @@ let graph q : Query_graph.t =
   Query_graph.of_query
     ~scans:(List.map (fun r -> (r.alias, r.table)) q.relations)
     (join_predicates q)
-
-(* Recognize an SPJ prefix: Project? (Order_by?) (Select | Join | Scan)*.
-   Returns [None] on group-by/distinct/outerjoin shapes — those must be
-   handled by the rewrite layer first. *)
-let of_algebra (a : Algebra.t) : t option =
-  let exception Not_spj in
-  let relations = ref [] in
-  let predicates = ref [] in
-  let rec walk (a : Algebra.t) =
-    match a with
-    | Algebra.Scan { table; alias; schema } ->
-      relations := { alias; table; schema } :: !relations
-    | Algebra.Select (p, i) ->
-      predicates := Pred.conjuncts p @ !predicates;
-      walk i
-    | Algebra.Join (Algebra.Inner, p, l, r) ->
-      predicates := Pred.conjuncts p @ !predicates;
-      walk l;
-      walk r
-    | Algebra.Join ((Algebra.Left_outer | Algebra.Semi | Algebra.Anti), _, _, _)
-    | Algebra.Project _ | Algebra.Group_by _ | Algebra.Distinct _
-    | Algebra.Order_by _ ->
-      raise Not_spj
-  in
-  let top (a : Algebra.t) =
-    let proj, rest =
-      match a with
-      | Algebra.Project (items, i) -> (Some items, i)
-      | _ -> (None, a)
-    in
-    let order, rest =
-      match rest with
-      | Algebra.Order_by (keys, i) ->
-        let order =
-          List.map
-            (fun (e, d) ->
-               match e with
-               | Expr.Col c -> (c, d)
-               | _ -> raise Not_spj)
-            keys
-        in
-        (order, i)
-      | _ -> ([], rest)
-    in
-    walk rest;
-    make ~projections:proj ~order_by:order
-      ~relations:(List.rev !relations)
-      ~predicates:(List.rev !predicates) ()
-  in
-  match top a with q -> Some q | exception Not_spj -> None
-
-(* The reverse direction: a canonical logical tree (left-deep in list
-   order), used for stats derivation and for feeding the Cascades
-   optimizer. *)
-let to_algebra (q : t) : Algebra.t =
-  match q.relations with
-  | [] -> invalid_arg "Spj.to_algebra: no relations"
-  | first :: rest ->
-    let scan (r : relation) =
-      Algebra.Scan { table = r.table; alias = r.alias; schema = r.schema }
-    in
-    let joined =
-      List.fold_left
-        (fun acc r ->
-           Algebra.Join (Algebra.Inner, Expr.ftrue, acc, scan r))
-        (scan first) rest
-    in
-    let selected =
-      match q.predicates with
-      | [] -> joined
-      | ps -> Algebra.Select (Pred.of_conjuncts ps, joined)
-    in
-    let projected =
-      match q.projections with
-      | None -> selected
-      | Some items -> Algebra.Project (items, selected)
-    in
-    match q.order_by with
-    | [] -> projected
-    | order ->
-      Algebra.Order_by
-        (List.map (fun (c, d) -> (Expr.Col c, d)) order, projected)

@@ -27,10 +27,3 @@ val local_predicates : t -> string -> Expr.t list
 val join_predicates : t -> Expr.t list
 
 val graph : t -> Query_graph.t
-
-(** Recognize an SPJ logical tree ([None] on group-by/distinct/outerjoin
-    shapes — handled by the rewrite layer first). *)
-val of_algebra : Algebra.t -> t option
-
-(** Canonical left-deep logical tree in declaration order. *)
-val to_algebra : t -> Algebra.t

@@ -1,7 +1,7 @@
-(* Deep, non-raising expression checking (see the .mli).  The typing rules
-   mirror [Relalg.Typing] exactly, so anything this checker accepts the
-   planner will also accept; the difference is that bad operands are
-   reported instead of silently typed [Tbool]. *)
+(* Deep, non-raising expression checking (see the .mli).  Arithmetic is
+   typed by the planner's own table, [Relalg.Typing.binop_ty]; the
+   difference is that bad operands are reported instead of silently
+   typed [Tbool]. *)
 
 open Relalg
 
@@ -34,21 +34,6 @@ let resolve (schema : Schema.t) ({ rel; col } : Expr.col_ref) :
 
 let value_ty (v : Value.t) : Value.ty option = Value.type_of v
 
-(* The arithmetic typing table of [Relalg.Typing.infer]. *)
-let binop_ty op ta tb : Value.ty option * Diag.t list =
-  match (op, ta, tb) with
-  | Expr.Add, Value.Tstring, Value.Tstring -> (Some Value.Tstring, [])
-  | (Expr.Add | Expr.Sub | Expr.Mul | Expr.Mod | Expr.Div), Value.Tint,
-    Value.Tint ->
-    (Some Value.Tint, [])
-  | _, (Value.Tint | Value.Tfloat), (Value.Tint | Value.Tfloat) ->
-    (Some Value.Tfloat, [])
-  | _ ->
-    ( None,
-      [ Diag.error ~code:"type-mismatch"
-          (Fmt.str "arithmetic %s on %s and %s" (Expr.binop_name op)
-             (Value.ty_name ta) (Value.ty_name tb)) ] )
-
 let rec infer (schema : Schema.t) (e : Expr.t) :
   Value.ty option * Diag.t list =
   match e with
@@ -58,9 +43,15 @@ let rec infer (schema : Schema.t) (e : Expr.t) :
     let ta, da = infer schema a in
     let tb, db = infer schema b in
     match (ta, tb) with
-    | Some ta, Some tb ->
-      let ty, d = binop_ty op ta tb in
-      (ty, da @ db @ d)
+    | Some ta, Some tb -> (
+      match Typing.binop_ty op ta tb with
+      | Some ty -> (Some ty, da @ db)
+      | None ->
+        ( None,
+          da @ db
+          @ [ Diag.error ~code:"type-mismatch"
+                (Fmt.str "arithmetic %s on %s and %s" (Expr.binop_name op)
+                   (Value.ty_name ta) (Value.ty_name tb)) ] ))
     | _ -> (None, da @ db))
   | Expr.Cmp (op, a, b) -> (
     let ta, da = infer schema a in

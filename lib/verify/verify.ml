@@ -1,4 +1,4 @@
-(* Plan Lint facade: logical/physical tree linting re-exported, plus the
+(* Plan Lint facade: physical plan linting re-exported, plus the
    QGM-level checks used as the rewrite oracle. *)
 
 open Relalg
@@ -6,10 +6,8 @@ module Qgm = Rewrite.Qgm
 
 module Diag = Diag
 module Typecheck = Typecheck
-module Logical = Logical
 module Physical = Physical
 
-let logical = Logical.check
 let physical = Physical.check
 
 (* ------------------------------------------------------------------ *)
@@ -83,7 +81,7 @@ let rec block ?(outer = []) (b : Qgm.block) : Diag.t list =
   let from_schema = List.concat_map safe_source_schema b.Qgm.from in
   let inner = safe_inner_schema b in
   let grouped = b.Qgm.group_by <> [] || b.Qgm.aggs <> [] in
-  (* WHERE runs before semijoins/outerjoins attach (see Lower), so its
+  (* WHERE runs before semijoins/outerjoins attach, so its
      conjuncts see only the FROM sources plus correlation columns. *)
   let where_env = Schema.concat from_schema outer in
   let check_pred env label (p : Qgm.predicate) =

@@ -7,7 +7,6 @@
     property machinery (Section 3) only working when sort requirements are
     actually met.  This library checks those invariants statically:
 
-    - {!logical} / {!Logical.check} lint a logical tree;
     - {!physical} / {!Physical.check} lint a physical plan against a
       catalog, including order-propagation analysis;
     - {!block} lints a QGM block (scoping of every clause, including
@@ -20,10 +19,8 @@ open Relalg
 
 module Diag = Diag
 module Typecheck = Typecheck
-module Logical = Logical
 module Physical = Physical
 
-val logical : Algebra.t -> Diag.t list
 val physical : Storage.Catalog.t -> Exec.Plan.t -> Diag.t list
 
 (** Non-raising variant of {!Rewrite.Qgm.block_schema}: columns whose type

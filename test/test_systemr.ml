@@ -224,16 +224,40 @@ let prop_dp_always_correct =
        let reference = execute pieces.Workload.Schemas.jcat (reference_plan q) in
        Exec.Executor.same_multiset_modulo_columns optimized reference)
 
+(* Every conjunct lands in exactly one place: the local predicates of a
+   single alias or the join predicates.  A constant conjunct goes to the
+   first relation, a theta conjunct to the joins. *)
 let test_spj_roundtrip () =
   let pieces = small_chain () in
-  let q = spj_of_pieces pieces in
-  match Systemr.Spj.of_algebra (Systemr.Spj.to_algebra q) with
-  | Some q' ->
-    Alcotest.(check int) "relations" (List.length q.Systemr.Spj.relations)
-      (List.length q'.Systemr.Spj.relations);
-    Alcotest.(check int) "predicates" (List.length q.Systemr.Spj.predicates)
-      (List.length q'.Systemr.Spj.predicates)
-  | None -> Alcotest.fail "roundtrip failed"
+  let q0 = spj_of_pieces pieces in
+  let aliases = Systemr.Spj.relation_aliases q0 in
+  let constant = Expr.Cmp (Expr.Eq, Expr.int 1, Expr.int 1) in
+  let theta =
+    match aliases with
+    | a :: b :: _ ->
+      Expr.Cmp (Expr.Lt, Expr.col ~rel:a ~col:"c", Expr.col ~rel:b ~col:"c")
+    | _ -> Alcotest.fail "chain needs two relations"
+  in
+  let q =
+    { q0 with
+      Systemr.Spj.predicates = q0.Systemr.Spj.predicates @ [ constant; theta ] }
+  in
+  let count p l = List.length (List.filter (fun x -> x == p) l) in
+  List.iter
+    (fun p ->
+       let local =
+         List.map (fun a -> count p (Systemr.Spj.local_predicates q a)) aliases
+       in
+       let joins = count p (Systemr.Spj.join_predicates q) in
+       Alcotest.(check int)
+         (Fmt.str "%a placed once" Expr.pp p)
+         1
+         (List.fold_left ( + ) joins local))
+    q.Systemr.Spj.predicates;
+  Alcotest.(check int) "constant goes to the first relation" 1
+    (count constant (Systemr.Spj.local_predicates q (List.hd aliases)));
+  Alcotest.(check int) "theta conjunct joins" 1
+    (count theta (Systemr.Spj.join_predicates q))
 
 let test_counting_formulas () =
   Alcotest.(check int) "3! = 6" 6 (Systemr.Naive.linear_sequences 3);

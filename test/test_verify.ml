@@ -40,96 +40,85 @@ let check_clean name diags =
     true (diags = [])
 
 (* ------------------------------------------------------------------ *)
-(* Logical mutations *)
+(* Expression and scoping mutations, over physical plans and QGM blocks *)
 
-let spj_tree cat pred =
-  Algebra.Project
+let seq table alias = P.Seq_scan { table; alias; filter = None }
+
+let spj_plan pred =
+  P.Project
     ( [ (col "E" "name", "name") ],
-      Algebra.Select
+      P.Filter
         ( pred,
-          Algebra.Join
-            ( Algebra.Inner,
-              eq (col "E" "did") (col "D" "did"),
-              Storage.Catalog.scan cat ~alias:"E" "Emp",
-              Storage.Catalog.scan cat ~alias:"D" "Dept" ) ) )
+          P.Hash_join
+            { kind = Algebra.Inner;
+              pairs = [ (cref "E" "did", cref "D" "did") ];
+              residual = Expr.ftrue; left = seq "Emp" "E";
+              right = seq "Dept" "D" } ) )
+
+let lint_spj pred =
+  let w = ed () in
+  Verify.physical w.Workload.Schemas.cat (spj_plan pred)
 
 let test_logical_clean () =
-  let w = ed () in
-  let t = spj_tree w.Workload.Schemas.cat
-      (Expr.Cmp (Expr.Gt, col "E" "sal", Expr.int 1000)) in
-  check_clean "well-formed SPJ tree" (Verify.logical t)
+  check_clean "well-formed SPJ plan"
+    (lint_spj (Expr.Cmp (Expr.Gt, col "E" "sal", Expr.int 1000)))
 
 let test_logical_renamed_column () =
-  let w = ed () in
   (* mutation: E.sal -> E.salary *)
-  let t = spj_tree w.Workload.Schemas.cat
-      (Expr.Cmp (Expr.Gt, col "E" "salary", Expr.int 1000)) in
-  check_has "renamed column" "unknown-column" (Verify.logical t)
+  check_has "renamed column" "unknown-column"
+    (lint_spj (Expr.Cmp (Expr.Gt, col "E" "salary", Expr.int 1000)))
 
 let test_logical_out_of_scope () =
-  let w = ed () in
-  (* mutation: join predicate references alias X bound nowhere *)
-  let t = spj_tree w.Workload.Schemas.cat (eq (col "X" "did") (Expr.int 1)) in
-  check_has "out-of-scope alias" "out-of-scope" (Verify.logical t)
+  (* mutation: predicate references alias X bound nowhere *)
+  check_has "out-of-scope alias" "out-of-scope"
+    (lint_spj (eq (col "X" "did") (Expr.int 1)))
 
 let test_logical_non_boolean_predicate () =
-  let w = ed () in
   (* mutation: arithmetic expression used as a predicate *)
-  let t = spj_tree w.Workload.Schemas.cat
-      (Expr.Binop (Expr.Add, col "E" "sal", Expr.int 1)) in
   check_has "arithmetic as predicate" "non-boolean-predicate"
-    (Verify.logical t)
+    (lint_spj (Expr.Binop (Expr.Add, col "E" "sal", Expr.int 1)))
 
 let test_logical_type_mismatch () =
-  let w = ed () in
   (* mutation: string column compared with an integer *)
-  let t = spj_tree w.Workload.Schemas.cat
-      (Expr.Cmp (Expr.Gt, col "E" "name", Expr.int 5)) in
-  check_has "string > int" "type-mismatch" (Verify.logical t)
+  check_has "string > int" "type-mismatch"
+    (lint_spj (Expr.Cmp (Expr.Gt, col "E" "name", Expr.int 5)))
 
 let test_logical_ambiguous_column () =
-  let w = ed () in
   (* both Emp and Dept carry a column [mgr] *)
-  let t = spj_tree w.Workload.Schemas.cat
-      (Expr.Cmp (Expr.Gt, col "" "mgr", Expr.int 0)) in
   check_has "unqualified mgr over Emp x Dept" "ambiguous-column"
-    (Verify.logical t)
+    (lint_spj (Expr.Cmp (Expr.Gt, col "" "mgr", Expr.int 0)))
 
 let test_logical_duplicate_projection_alias () =
   let w = ed () in
-  let t =
-    Algebra.Project
-      ( [ (col "E" "name", "x"); (col "E" "sal", "x") ],
-        Storage.Catalog.scan w.Workload.Schemas.cat ~alias:"E" "Emp" )
+  let plan =
+    P.Project ([ (col "E" "name", "x"); (col "E" "sal", "x") ], seq "Emp" "E")
   in
-  check_has "two outputs named x" "duplicate-alias" (Verify.logical t)
+  check_has "two outputs named x" "duplicate-alias"
+    (Verify.physical w.Workload.Schemas.cat plan)
 
 let test_logical_duplicate_relation_alias () =
   let w = ed () in
   let cat = w.Workload.Schemas.cat in
-  let t =
-    Algebra.Join
-      ( Algebra.Inner, Expr.ftrue,
-        Storage.Catalog.scan cat ~alias:"E" "Emp",
-        Storage.Catalog.scan cat ~alias:"E" "Dept" )
+  let b =
+    Q.simple
+      ~select:[ (col "E" "name", "name") ]
+      ~from:[ base cat ~alias:"E" "Emp"; base cat ~alias:"E" "Dept" ] ()
   in
-  check_has "alias E bound twice" "duplicate-relation-alias"
-    (Verify.logical t)
+  check_has "alias E bound twice" "duplicate-relation-alias" (Verify.block b)
 
 let test_logical_bad_agg_arg () =
   let w = ed () in
-  let t =
-    Algebra.Group_by
+  let plan =
+    P.Hash_agg
       { keys = [ (col "E" "did", "did") ];
         aggs = [ (Expr.Sum (col "E" "wage"), "total") ];
-        input = Storage.Catalog.scan w.Workload.Schemas.cat ~alias:"E" "Emp" }
+        input = seq "Emp" "E" }
   in
-  check_has "SUM over missing column" "unknown-column" (Verify.logical t)
+  check_has "SUM over missing column" "unknown-column"
+    (Verify.physical w.Workload.Schemas.cat plan)
 
 (* ------------------------------------------------------------------ *)
 (* Physical mutations *)
-
-let seq table alias = P.Seq_scan { table; alias; filter = None }
 
 let sort1 r c input =
   P.Sort ([ { P.key = Expr.Col (cref r c); descending = false } ], input)
