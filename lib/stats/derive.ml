@@ -91,27 +91,29 @@ let cmp_col_const asm (r : rel_stats) op (c : Expr.col_ref) (v : float) =
 let clamp01 s = Float.max 0. (Float.min 1. s)
 
 (* Selectivity of an arbitrary predicate against a single stream. *)
-let rec selectivity ?(asm = default_assumption) (r : rel_stats) (e : Expr.t) :
-  float =
-  clamp01 (sel asm r e)
+let rec selectivity ?(asm = default_assumption) ?join_memo (r : rel_stats)
+    (e : Expr.t) : float =
+  clamp01 (sel ?join_memo asm r e)
 
-and sel asm r (e : Expr.t) : float =
+(* [join_memo], when given, serves equi-join histogram joins
+   ([Histogram.join_rows_memo]); the estimate is the same either way. *)
+and sel ?join_memo asm r (e : Expr.t) : float =
   match e with
   | Expr.Const (Value.Bool true) -> 1.
   | Expr.Const (Value.Bool false) -> 0.
   | Expr.And (a, b) -> (
-    let sa = sel asm r a and sb = sel asm r b in
+    let sa = sel ?join_memo asm r a and sb = sel ?join_memo asm r b in
     match asm.conjunction with
     | `Independence -> sa *. sb
     | `Most_selective -> Float.min sa sb)
   | Expr.Or (a, b) ->
-    let sa = sel asm r a and sb = sel asm r b in
+    let sa = sel ?join_memo asm r a and sb = sel ?join_memo asm r b in
     sa +. sb -. (sa *. sb)
   | Expr.Not (Expr.Is_null (Expr.Col c)) -> (
     match find_col r c with
     | Some cs -> 1. -. cs.Table_stats.null_frac
     | None -> 1. -. default_eq_sel)
-  | Expr.Not a -> 1. -. sel asm r a
+  | Expr.Not a -> 1. -. sel ?join_memo asm r a
   | Expr.Is_null (Expr.Col c) -> (
     match find_col r c with
     | Some cs -> cs.Table_stats.null_frac
@@ -146,7 +148,12 @@ and sel asm r (e : Expr.t) : float =
             Some { Table_stats.hist = Some hb; _ } ->
             let na = Histogram.total ha and nb = Histogram.total hb in
             if na > 0. && nb > 0. then
-              Some (Histogram.join_rows ha hb /. (na *. nb))
+              let rows =
+                match join_memo with
+                | None -> Histogram.join_rows ha hb
+                | Some m -> Histogram.join_rows_memo m ha hb
+              in
+              Some (rows /. (na *. nb))
             else None
           | _ -> None
         else None
@@ -180,10 +187,16 @@ and sel asm r (e : Expr.t) : float =
 (* ------------------------------------------------------------------ *)
 (* Propagation through operators *)
 
+(* Cap every column's distinct count at the cardinality.  A column the cap
+   does not bind keeps its existing pair, so derived subsets share column
+   records instead of rebuilding them. *)
 let cap_distinct card cols =
+  let cap = Float.max 1. card in
   List.map
-    (fun (k, cs) ->
-       (k, { cs with Table_stats.n_distinct = Float.min cs.Table_stats.n_distinct (Float.max 1. card) }))
+    (fun ((k, cs) as kc) ->
+       let nd = Float.min cs.Table_stats.n_distinct cap in
+       if Float.equal nd cs.Table_stats.n_distinct then kc
+       else (k, { cs with Table_stats.n_distinct = nd }))
     cols
 
 (* Clamp a derived cardinality to at least one row when the input is
@@ -276,7 +289,7 @@ let apply_select ?(asm = default_assumption) (r : rel_stats) (e : Expr.t) :
   let cols = List.map restrict r.cols in
   { r with card; cols = cap_distinct card cols }
 
-let join ?(asm = default_assumption) (kind : Algebra.join_kind)
+let join ?(asm = default_assumption) ?join_memo (kind : Algebra.join_kind)
     (l : rel_stats) (rr : rel_stats) (pred : Expr.t) : rel_stats =
   let combined_cols = l.cols @ rr.cols in
   let combined =
@@ -284,7 +297,7 @@ let join ?(asm = default_assumption) (kind : Algebra.join_kind)
       schema = Schema.concat l.schema rr.schema;
       cols = combined_cols }
   in
-  let s = selectivity ~asm combined pred in
+  let s = selectivity ~asm ?join_memo combined pred in
   let inner_card = Float.max 0. (l.card *. rr.card *. s) in
   let inner_card =
     (* same convention as Semi/Anti below: a complement selectivity

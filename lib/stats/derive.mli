@@ -39,8 +39,12 @@ val of_table : Table_stats.t -> alias:string -> schema:Schema.t -> rel_stats
 
 val find_col : rel_stats -> Expr.col_ref -> Table_stats.col_stats option
 
-(** Predicate selectivity in [0, 1]. *)
-val selectivity : ?asm:assumption -> rel_stats -> Expr.t -> float
+(** Predicate selectivity in [0, 1].  [join_memo] serves the histogram
+    joins of equi-join conjuncts from a per-query memo; the estimate is
+    bit-identical with or without it. *)
+val selectivity :
+  ?asm:assumption -> ?join_memo:Histogram.join_memo -> rel_stats -> Expr.t ->
+  float
 
 (** {2 Propagation through operators} *)
 
@@ -48,10 +52,11 @@ val selectivity : ?asm:assumption -> rel_stats -> Expr.t -> float
     (the simplest propagation case of 5.1.3). *)
 val apply_select : ?asm:assumption -> rel_stats -> Expr.t -> rel_stats
 
-(** Join of two streams under a predicate. *)
+(** Join of two streams under a predicate ([join_memo] as in
+    {!selectivity}). *)
 val join :
-  ?asm:assumption -> Algebra.join_kind -> rel_stats -> rel_stats -> Expr.t ->
-  rel_stats
+  ?asm:assumption -> ?join_memo:Histogram.join_memo -> Algebra.join_kind ->
+  rel_stats -> rel_stats -> Expr.t -> rel_stats
 
 (** Grouping: output cardinality from key distinct counts, capped by the
     input cardinality. *)

@@ -184,69 +184,157 @@ let est_range t ?lo ?hi () =
 (* Histogram "join" (Section 5.1.3): align bucket boundaries of two
    histograms and estimate matching row pairs per aligned interval as
    (r1 * r2) / max(d1, d2) — the containment assumption.  Returns estimated
-   join result rows (not selectivity). *)
+   join result rows (not selectivity).
+
+   The merged boundary set is sorted once and walked as a sweep: the
+   intervals are [b_i, b_(i+1)) for consecutive bounds, each half-open
+   (its top shrunk by a relative 1e-9) to halve double-counting at shared
+   boundaries, plus a closing degenerate [b_last, b_last] — the only
+   interval that keeps its top.  Per side, a monotone start pointer skips
+   the range buckets and singletons that end below the current interval,
+   and a scan stops at the first one starting above it, so each interval
+   visits only the buckets that overlap it: linear in buckets plus bounds
+   rather than their product.  Terms are added in the fixed order range
+   buckets by index, then singletons by index, with row and distinct mass
+   in separate accumulators, so the float sums do not depend on the sweep.
+   The pointers need each side sorted by lower bound, which every
+   constructor guarantees, and finite bounds; otherwise every bucket is
+   scanned for every interval, with the same terms. *)
+
+(* [Stdlib.max]/[Stdlib.min] at type float — the same comparison, so the
+   same NaN and signed-zero behaviour — without the polymorphic compare. *)
+let max_f (x : float) y = if x >= y then x else y
+let min_f (x : float) y = if x <= y then x else y
+
+(* Row and distinct mass of one side inside the current interval. *)
+type mass = { mutable rows : float; mutable dist : float }
+
+(* Add bucket [lo, hi]'s share of [lo_v, hi_v] to [m].  Like
+   [bucket_range_rows], except a single-point overlap with a range bucket
+   contributes that bucket's per-distinct mass rather than the
+   measure-zero continuous answer.  Such overlaps arise exactly when the
+   other histogram has a point bucket sitting on this bucket's edge —
+   returning 0 there would estimate 0 join rows for a value the
+   histograms both provably contain. *)
+let[@inline] add_overlap m ~lo_v ~hi_v ~lo ~hi ~count ~distinct =
+  let olo = Float.max lo_v lo and ohi = Float.min hi_v hi in
+  if ohi < olo then ()
+  else if hi = lo then m.rows <- m.rows +. count
+  else if ohi = olo then m.rows <- m.rows +. (count /. Float.max 1. distinct)
+  else m.rows <- m.rows +. (count *. ((ohi -. olo) /. (hi -. lo)));
+  let overlap_lo = max_f lo_v lo and overlap_hi = min_f hi_v hi in
+  if overlap_hi < overlap_lo then ()
+  else if hi = lo then m.dist <- m.dist +. distinct
+  else if overlap_hi = overlap_lo then m.dist <- m.dist +. 1.
+  else
+    m.dist <-
+      m.dist +. (distinct *. ((overlap_hi -. overlap_lo) /. (hi -. lo)))
+
+let sorted_by_lo t =
+  let sorted lo a =
+    let ok = ref true in
+    for i = 1 to Array.length a - 1 do
+      if not (lo a.(i - 1) <= lo a.(i)) then ok := false
+    done;
+    !ok
+  in
+  sorted (fun b -> b.lo) t.buckets && sorted fst t.singletons
+
+(* One side's sweep state: the first range bucket and the first singleton
+   that may still overlap an interval. *)
+type cursor = { mutable b0 : int; mutable s0 : int }
+
+(* Accumulate [t]'s mass inside [lo_v, hi_v] into [m] (reset first). *)
+let side_mass ~ordered t c m ~lo_v ~hi_v =
+  m.rows <- 0.;
+  m.dist <- 0.;
+  let bs = t.buckets and ss = t.singletons in
+  let nb = Array.length bs and ns = Array.length ss in
+  if ordered then begin
+    while c.b0 < nb && bs.(c.b0).hi < lo_v do c.b0 <- c.b0 + 1 done;
+    while c.s0 < ns && fst ss.(c.s0) < lo_v do c.s0 <- c.s0 + 1 done
+  end;
+  let j = ref c.b0 in
+  while !j < nb && ((not ordered) || bs.(!j).lo <= hi_v) do
+    let bk = bs.(!j) in
+    add_overlap m ~lo_v ~hi_v ~lo:bk.lo ~hi:bk.hi ~count:bk.count
+      ~distinct:bk.distinct;
+    incr j
+  done;
+  let j = ref c.s0 in
+  while !j < ns && ((not ordered) || fst ss.(!j) <= hi_v) do
+    let v, count = ss.(!j) in
+    add_overlap m ~lo_v ~hi_v ~lo:v ~hi:v ~count ~distinct:1.;
+    incr j
+  done
+
 let join_rows (a : t) (b : t) : float =
-  let expand t =
-    Array.to_list t.buckets
-    @ (Array.to_list t.singletons
-       |> List.map (fun (v, c) -> { lo = v; hi = v; count = c; distinct = 1. }))
+  (* a's buckets, a's singletons, then b's: the order the bounds have
+     always been sorted in, so [sort_uniq] keeps the same one of two
+     equal bounds (0. and -0.) *)
+  let bounds_of t acc =
+    Array.fold_right
+      (fun bk acc -> bk.lo :: bk.hi :: acc)
+      t.buckets
+      (Array.fold_right (fun (v, _) acc -> v :: v :: acc) t.singletons acc)
   in
-  let ba = expand a and bb = expand b in
-  (* boundary set *)
   let bounds =
-    List.concat_map (fun bk -> [ bk.lo; bk.hi ]) (ba @ bb)
-    |> List.sort_uniq Float.compare
+    Array.of_list (List.sort_uniq Float.compare (bounds_of a (bounds_of b [])))
   in
-  let rec intervals = function
-    | x :: (y :: _ as rest) -> (x, y) :: intervals rest
-    | [ x ] -> [ (x, x) ]
-    | [] -> []
+  let n = Array.length bounds in
+  (* the pointers also need finite bounds: a shrunk +infinity is NaN,
+     which no comparison can stop at ([Float.compare] sorts NaN first) *)
+  let ordered =
+    n > 0
+    && Float.is_finite bounds.(0)
+    && Float.is_finite bounds.(n - 1)
+    && sorted_by_lo a && sorted_by_lo b
   in
-  (* Like [bucket_range_rows], except a single-point overlap with a range
-     bucket contributes that bucket's per-distinct mass rather than the
-     measure-zero continuous answer.  Such overlaps arise exactly when
-     the other histogram has a point bucket sitting on this bucket's
-     edge — returning 0 there would estimate 0 join rows for a value the
-     histograms both provably contain. *)
-  let rows_in bs ~lo_v ~hi_v =
-    List.fold_left
-      (fun acc bk ->
-         let olo = Float.max lo_v bk.lo and ohi = Float.min hi_v bk.hi in
-         if ohi < olo then acc
-         else if bk.hi = bk.lo then acc +. bk.count
-         else if ohi = olo then acc +. (bk.count /. Float.max 1. bk.distinct)
-         else acc +. (bk.count *. ((ohi -. olo) /. (bk.hi -. bk.lo))))
-      0. bs
+  let ca = { b0 = 0; s0 = 0 } and cb = { b0 = 0; s0 = 0 } in
+  let ma = { rows = 0.; dist = 0. } and mb = { rows = 0.; dist = 0. } in
+  let acc = ref 0. in
+  for i = 0 to n - 1 do
+    let lo_v = bounds.(i) in
+    let hi_v =
+      if i = n - 1 then lo_v
+      else
+        let hi = bounds.(i + 1) in
+        hi -. (1e-9 *. (1. +. Float.abs hi))
+    in
+    side_mass ~ordered a ca ma ~lo_v ~hi_v;
+    side_mass ~ordered b cb mb ~lo_v ~hi_v;
+    let d = max_f ma.dist mb.dist in
+    if d > 0. then acc := !acc +. (ma.rows *. mb.rows /. d)
+  done;
+  !acc
+
+(* Per-query memo of [join_rows], keyed on the physical identity of the
+   two histograms.  Histograms are immutable and statistics propagation
+   carries them through unchanged, so within one query each join edge's
+   value is a constant; a query has few edges, so a list is the table. *)
+type join_memo = {
+  mutable pairs : (t * t * float) list;
+  mutable hits : int;
+}
+
+let join_memo () = { pairs = []; hits = 0 }
+
+let join_rows_memo m a b =
+  let rec find = function
+    | [] ->
+      let r = join_rows a b in
+      m.pairs <- (a, b, r) :: m.pairs;
+      r
+    | (a', b', r) :: rest ->
+      if a' == a && b' == b then begin
+        m.hits <- m.hits + 1;
+        r
+      end
+      else find rest
   in
-  let distinct_in bs ~lo_v ~hi_v =
-    List.fold_left
-      (fun acc bk ->
-         let overlap_lo = max lo_v bk.lo and overlap_hi = min hi_v bk.hi in
-         if overlap_hi < overlap_lo then acc
-         else if bk.hi = bk.lo then acc +. bk.distinct
-         else if overlap_hi = overlap_lo then acc +. 1.
-         else
-           acc +. (bk.distinct *. ((overlap_hi -. overlap_lo) /. (bk.hi -. bk.lo))))
-      0. bs
-  in
-  (* halve interval double-counting at shared boundaries by using half-open
-     [lo, hi) intervals except the last *)
-  let ivs = intervals bounds in
-  let n = List.length ivs in
-  List.fold_left
-    (fun (acc, i) (lo_v, hi_v) ->
-       let hi_eff =
-         if i = n - 1 then hi_v
-         else hi_v -. (1e-9 *. (1. +. Float.abs hi_v))
-       in
-       let r1 = rows_in ba ~lo_v ~hi_v:hi_eff
-       and r2 = rows_in bb ~lo_v ~hi_v:hi_eff in
-       let d1 = distinct_in ba ~lo_v ~hi_v:hi_eff
-       and d2 = distinct_in bb ~lo_v ~hi_v:hi_eff in
-       let d = max d1 d2 in
-       ((if d > 0. then acc +. (r1 *. r2 /. d) else acc), i + 1))
-    (0., 0) ivs
-  |> fst
+  find m.pairs
+
+let join_memo_stats m = (m.hits, List.length m.pairs)
 
 let bucket_count t = Array.length t.buckets + Array.length t.singletons
 

@@ -37,8 +37,24 @@ val est_range : t -> ?lo:float -> ?hi:float -> unit -> float
 
 (** Histogram "join" (Section 5.1.3): align bucket boundaries and estimate
     matching row pairs per interval as r1*r2/max(d1,d2) — the containment
-    assumption.  Returns estimated result rows. *)
+    assumption.  Returns estimated result rows.  One sweep over the sorted
+    merged bounds: linear in buckets plus bounds. *)
 val join_rows : t -> t -> float
+
+(** A memo of {!join_rows} keyed on the physical identity of the two
+    histograms, meant to live for one query: histograms are immutable,
+    and propagation through operators never rebuilds one, so each join
+    edge is computed once. *)
+type join_memo
+
+val join_memo : unit -> join_memo
+
+(** {!join_rows}, served from the memo when the same pair (same
+    orientation) was joined before. *)
+val join_rows_memo : join_memo -> t -> t -> float
+
+(** [(hits, misses)]; misses = distinct pairs computed. *)
+val join_memo_stats : join_memo -> int * int
 
 (** Number of buckets including singletons. *)
 val bucket_count : t -> int

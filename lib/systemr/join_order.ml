@@ -96,6 +96,8 @@ type ctx = {
   has_index : bool array;
   base : (Candidate.t list * Stats.Derive.rel_stats) array;
   stats_memo : (int, Stats.Derive.rel_stats) Hashtbl.t;
+  join_memo : Stats.Histogram.join_memo;
+      (* histogram-join rows per join edge, shared by every subset *)
   trace : (Obs.Trace.event -> unit) option;
       (* optimizer-trace sink; None = tracing off (no event is built) *)
   mutable plans_costed : int;
@@ -200,6 +202,7 @@ let make_ctx ?trace cfg cat db (q : Spj.t) : ctx =
     has_index;
     base;
     stats_memo = Hashtbl.create 64;
+    join_memo = Stats.Histogram.join_memo ();
     trace;
     plans_costed = 0;
     splits_considered = 0;
@@ -360,8 +363,8 @@ let rec stats_of ctx mask : Stats.Derive.rel_stats =
         let ls = stats_of ctx rest in
         let rs = snd ctx.base.(top) in
         let preds = crossing_preds ctx ~left:rest ~right:(1 lsl top) in
-        Stats.Derive.join ~asm:ctx.cfg.asm Algebra.Inner ls rs
-          (Pred.of_conjuncts preds)
+        Stats.Derive.join ~asm:ctx.cfg.asm ~join_memo:ctx.join_memo
+          Algebra.Inner ls rs (Pred.of_conjuncts preds)
       end
     in
     let s =
@@ -689,10 +692,17 @@ let optimize_entry ?trace ?(config = default_config) cat db (q : Spj.t) :
   let n = Array.length ctx.rels in
   if n = 0 then invalid_arg "Join_order.optimize: no relations";
   let entries : (int, entry) Hashtbl.t = Hashtbl.create 64 in
+  (* masks of each size, in creation order, for the left-deep pass *)
+  let by_size = Array.make (n + 1) [] in
+  let add mask e =
+    Hashtbl.replace entries mask e;
+    let k = popcount mask in
+    by_size.(k) <- mask :: by_size.(k);
+    ctx.subsets_created <- ctx.subsets_created + 1
+  in
   for i = 0 to n - 1 do
     let cands, stats = ctx.base.(i) in
-    Hashtbl.replace entries (1 lsl i) { stats; cands };
-    ctx.subsets_created <- ctx.subsets_created + 1
+    add (1 lsl i) { stats; cands }
   done;
   let full = (1 lsl n) - 1 in
   let get mask = Hashtbl.find_opt entries mask in
@@ -701,8 +711,7 @@ let optimize_entry ?trace ?(config = default_config) cat db (q : Spj.t) :
     | Some e -> e
     | None ->
       let e = { stats = stats_of ctx mask; cands = [] } in
-      Hashtbl.replace entries mask e;
-      ctx.subsets_created <- ctx.subsets_created + 1;
+      add mask e;
       e
   in
   let gconn = graph_connected ctx in
@@ -765,21 +774,17 @@ let optimize_entry ?trace ?(config = default_config) cat db (q : Spj.t) :
         counters_add levels.(lvl) (counters_sub (counters_of ctx) before)
   in
   if not config.bushy then begin
-    (* left-deep, by subset size *)
+    (* left-deep, by subset size; this pass creates only masks of size
+       [size + 1], so the size-[size] list is complete.  Ascending mask
+       order fixes candidate insertion order, which breaks cost ties. *)
+    let rels = List.init n Fun.id in
     for size = 1 to n - 1 do
-      (* masks of this size may be created during this pass; snapshot *)
-      let masks =
-        Hashtbl.fold (fun m _ acc -> if popcount m = size then m :: acc else acc)
-          entries []
-        |> List.sort_uniq compare
-      in
+      let masks = List.sort Int.compare by_size.(size) in
       at_level (size + 1) @@ fun () ->
       List.iter
         (fun mask ->
            let left = Hashtbl.find entries mask in
-           let exts =
-             List.filter (fun i -> mask land (1 lsl i) = 0) (List.init n Fun.id)
-           in
+           let exts = List.filter (fun i -> mask land (1 lsl i) = 0) rels in
            let connected_exts =
              List.filter
                (fun i ->
@@ -926,7 +931,9 @@ let optimize_entry ?trace ?(config = default_config) cat db (q : Spj.t) :
        (Obs.Trace.Memo_stats
           { table = "subset_stats";
             hits = ctx.memo_hits;
-            misses = Hashtbl.length ctx.stats_memo }));
+            misses = Hashtbl.length ctx.stats_memo });
+     let hits, misses = Stats.Histogram.join_memo_stats ctx.join_memo in
+     sink (Obs.Trace.Memo_stats { table = "hist_join"; hits; misses }));
   (ctx, Hashtbl.find entries full)
 
 let finish ctx (q : Spj.t) (final : entry) : result =

@@ -59,7 +59,7 @@ val counters_zero : counters
 val counters_add : counters -> counters -> counters
 
 (** Shared optimization state: base access paths, the bitset query graph,
-    subset statistics memo, effort counters. *)
+    subset statistics and histogram-join memos, effort counters. *)
 type ctx = {
   cfg : config;
   cat : Storage.Catalog.t;
@@ -76,6 +76,9 @@ type ctx = {
   has_index : bool array;
   base : (Candidate.t list * Stats.Derive.rel_stats) array;
   stats_memo : (int, Stats.Derive.rel_stats) Hashtbl.t;
+  join_memo : Stats.Histogram.join_memo;
+      (** histogram-join rows per join edge, consulted by [stats_of] and
+          so shared by every enumerator built on this context *)
   trace : (Obs.Trace.event -> unit) option;
       (** optimizer-trace sink; [None] = tracing off (no event is built) *)
   mutable plans_costed : int;

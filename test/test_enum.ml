@@ -167,23 +167,24 @@ let test_single_relation () =
    n(n+1)/2 = 36 connected-interval DP entries, never consider more
    splits than the exhaustive walk, and actually exercise the cost
    bound. *)
+let spj_of_pieces (p : Workload.Schemas.join_pieces) =
+  Systemr.Spj.make
+    ~relations:
+      (List.map
+         (fun (alias, table) ->
+            { Systemr.Spj.alias; table;
+              schema =
+                Schema.requalify
+                  (Storage.Catalog.table p.Workload.Schemas.jcat table)
+                    .Storage.Table.schema ~rel:alias })
+         p.Workload.Schemas.relations)
+    ~predicates:p.Workload.Schemas.predicates ()
+
 let test_counters_sane () =
   let p =
     Workload.Schemas.join_shape ~rows:60 ~shape:Workload.Schemas.Chain_q ~n:8 ()
   in
-  let q =
-    Systemr.Spj.make
-      ~relations:
-        (List.map
-           (fun (alias, table) ->
-              { Systemr.Spj.alias; table;
-                schema =
-                  Schema.requalify
-                    (Storage.Catalog.table p.Workload.Schemas.jcat table)
-                      .Storage.Table.schema ~rel:alias })
-           p.Workload.Schemas.relations)
-      ~predicates:p.Workload.Schemas.predicates ()
-  in
+  let q = spj_of_pieces p in
   let config = { Systemr.Join_order.default_config with bushy = true } in
   let opt config =
     (Systemr.Join_order.optimize ~config p.Workload.Schemas.jcat
@@ -203,6 +204,51 @@ let test_counters_sane () =
     (fast.Systemr.Join_order.pruned > 0);
   Alcotest.(check int) "exhaustive never prunes" 0
     slow.Systemr.Join_order.pruned
+
+(* Star of 10: the histogram-join memo computes each of the 9 edges once
+   and serves every other subset containing the edge from the memo; the
+   full-set estimate matches a memo-free derivation bit for bit. *)
+let test_hist_join_memo () =
+  let p =
+    Workload.Schemas.join_shape ~rows:60 ~shape:Workload.Schemas.Star_q ~n:10 ()
+  in
+  let q = spj_of_pieces p in
+  let events = ref [] in
+  let ctx, final =
+    Systemr.Join_order.optimize_entry
+      ~trace:(fun e -> events := e :: !events)
+      p.Workload.Schemas.jcat p.Workload.Schemas.jdb q
+  in
+  (match
+     List.find_map
+       (function
+         | Obs.Trace.Memo_stats { table = "hist_join"; hits; misses } ->
+           Some (hits, misses)
+         | _ -> None)
+       !events
+   with
+   | None -> Alcotest.fail "no hist_join memo event"
+   | Some (hits, misses) ->
+     Alcotest.(check int) "one miss per edge" 9 misses;
+     Alcotest.(check bool) (Printf.sprintf "hits (%d) > 0" hits) true
+       (hits > 0));
+  (* [stats_of]'s canonical derivation — add the highest relation to the
+     rest — without the memo *)
+  let n = Array.length ctx.Systemr.Join_order.rels in
+  let derived = ref (snd ctx.Systemr.Join_order.base.(0)) in
+  for top = 1 to n - 1 do
+    let preds =
+      Systemr.Join_order.crossing_preds ctx ~left:((1 lsl top) - 1)
+        ~right:(1 lsl top)
+    in
+    derived :=
+      Stats.Derive.join Algebra.Inner !derived
+        (snd ctx.Systemr.Join_order.base.(top))
+        (Pred.of_conjuncts preds)
+  done;
+  Alcotest.(check int64) "full-set estimate unchanged by the memo"
+    (Int64.bits_of_float !derived.Stats.Derive.card)
+    (Int64.bits_of_float final.Systemr.Join_order.stats.Stats.Derive.card)
 
 (* ------------------------------------------------------------------ *)
 (* Candidate frontier invariant: sorted by ascending cost, an antichain
@@ -269,6 +315,7 @@ let () =
        [ Alcotest.test_case "disconnected rescue" `Quick
            test_disconnected_rescue;
          Alcotest.test_case "single relation" `Quick test_single_relation;
-         Alcotest.test_case "counters sane" `Quick test_counters_sane ]);
+         Alcotest.test_case "counters sane" `Quick test_counters_sane;
+         Alcotest.test_case "hist_join memo" `Quick test_hist_join_memo ]);
       ("frontier",
        [ QCheck_alcotest.to_alcotest prop_frontier_invariant ]) ]

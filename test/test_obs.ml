@@ -334,6 +334,7 @@ let test_span_golden_text () =
      \             ! interesting order [Dept.did] retained at cost 12.820 (best 4.820)\n\
      \             ! enum level 2: 1 subsets, 2 splits, 17 plans costed, 4 pruned\n\
      \             ! memo subset_stats: 1 hits, 2 misses\n\
+     \             ! memo hist_join: 0 hits, 1 misses\n\
      [ 5]     execute {engine=batch, dop=1}\n\
      \           op 0 Project Emp.name AS name, Dept.name AS name: est=200.0 act=200\n\
      \           op 1 Hash Join (Emp.did = Dept.did): est=200.0 act=200\n\
@@ -352,7 +353,7 @@ let test_span_golden_json () =
     ^ {|{"id":1,"parent":0,"depth":1,"name":"block"}|} ^ "\n"
     ^ {|{"id":2,"parent":1,"depth":2,"name":"rewrite","events":[{"event":"rewrite_rejected","rule":"view_merge"},{"event":"rewrite_rejected","rule":"unnest_in_exists"},{"event":"rewrite_rejected","rule":"unnest_scalar_uncorrelated"},{"event":"rewrite_rejected","rule":"unnest_scalar_correlated"},{"event":"rewrite_rejected","rule":"view_merge"},{"event":"rewrite_rejected","rule":"constant_propagation"},{"event":"rewrite_rejected","rule":"predicate_pushdown"}]}|} ^ "\n"
     ^ {|{"id":3,"parent":1,"depth":2,"name":"optimize"}|} ^ "\n"
-    ^ {|{"id":4,"parent":3,"depth":3,"name":"enumerate","attrs":{"relations":"2"},"events":[{"event":"order_retained","order":"Emp.eid","cost":14.21,"bound":4.82},{"event":"order_retained","order":"Emp.did","cost":23.21,"bound":4.82},{"event":"order_retained","order":"Emp.eid","cost":219.6,"bound":4.82},{"event":"order_retained","order":"Emp.did","cost":228.6,"bound":4.82},{"event":"order_retained","order":"Emp.did","cost":6.18199,"bound":4.82},{"event":"order_retained","order":"Emp.eid","cost":12.63,"bound":4.82},{"event":"order_retained","order":"Emp.did","cost":21.63,"bound":4.82},{"event":"order_retained","order":"Dept.did","cost":14.21,"bound":4.82},{"event":"order_retained","order":"Dept.did","cost":29.2344,"bound":4.82},{"event":"order_retained","order":"Dept.did","cost":6.18199,"bound":4.82},{"event":"order_retained","order":"Dept.did","cost":12.82,"bound":4.82},{"event":"enum_level","level":2,"subsets":1,"splits":2,"costed":17,"pruned":4},{"event":"memo_stats","table":"subset_stats","hits":1,"misses":2}]}|} ^ "\n"
+    ^ {|{"id":4,"parent":3,"depth":3,"name":"enumerate","attrs":{"relations":"2"},"events":[{"event":"order_retained","order":"Emp.eid","cost":14.21,"bound":4.82},{"event":"order_retained","order":"Emp.did","cost":23.21,"bound":4.82},{"event":"order_retained","order":"Emp.eid","cost":219.6,"bound":4.82},{"event":"order_retained","order":"Emp.did","cost":228.6,"bound":4.82},{"event":"order_retained","order":"Emp.did","cost":6.18199,"bound":4.82},{"event":"order_retained","order":"Emp.eid","cost":12.63,"bound":4.82},{"event":"order_retained","order":"Emp.did","cost":21.63,"bound":4.82},{"event":"order_retained","order":"Dept.did","cost":14.21,"bound":4.82},{"event":"order_retained","order":"Dept.did","cost":29.2344,"bound":4.82},{"event":"order_retained","order":"Dept.did","cost":6.18199,"bound":4.82},{"event":"order_retained","order":"Dept.did","cost":12.82,"bound":4.82},{"event":"enum_level","level":2,"subsets":1,"splits":2,"costed":17,"pruned":4},{"event":"memo_stats","table":"subset_stats","hits":1,"misses":2},{"event":"memo_stats","table":"hist_join","hits":0,"misses":1}]}|} ^ "\n"
     ^ {|{"id":5,"parent":1,"depth":2,"name":"execute","attrs":{"engine":"batch","dop":"1"},"ops":[{"id":0,"op":"Project Emp.name AS name, Dept.name AS name","est_rows":200,"act_rows":200},{"id":1,"op":"Hash Join (Emp.did = Dept.did)","est_rows":200,"act_rows":200},{"id":2,"op":"Table Scan Emp","est_rows":200,"act_rows":200},{"id":3,"op":"Table Scan Dept","est_rows":10,"act_rows":10}]}|} ^ "\n")
     json;
   (match Obs.Json.validate_lines json with

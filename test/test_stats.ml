@@ -75,6 +75,177 @@ let test_histogram_join_rows () =
     (Printf.sprintf "join rows ~5000, got %.0f" est)
     true (est > 2000. && est < 12000.)
 
+(* The quadratic histogram join the sweep replaced, kept verbatim as the
+   reference: for every interval of the merged boundary set, fold over
+   every bucket of both histograms. *)
+let join_rows_reference (a : Stats.Histogram.t) (b : Stats.Histogram.t) : float =
+  let open Stats.Histogram in
+  let expand t =
+    Array.to_list t.buckets
+    @ (Array.to_list t.singletons
+       |> List.map (fun (v, c) -> { lo = v; hi = v; count = c; distinct = 1. }))
+  in
+  let ba = expand a and bb = expand b in
+  let bounds =
+    List.concat_map (fun bk -> [ bk.lo; bk.hi ]) (ba @ bb)
+    |> List.sort_uniq Float.compare
+  in
+  let rec intervals = function
+    | x :: (y :: _ as rest) -> (x, y) :: intervals rest
+    | [ x ] -> [ (x, x) ]
+    | [] -> []
+  in
+  let rows_in bs ~lo_v ~hi_v =
+    List.fold_left
+      (fun acc bk ->
+         let olo = Float.max lo_v bk.lo and ohi = Float.min hi_v bk.hi in
+         if ohi < olo then acc
+         else if bk.hi = bk.lo then acc +. bk.count
+         else if ohi = olo then acc +. (bk.count /. Float.max 1. bk.distinct)
+         else acc +. (bk.count *. ((ohi -. olo) /. (bk.hi -. bk.lo))))
+      0. bs
+  in
+  let distinct_in bs ~lo_v ~hi_v =
+    List.fold_left
+      (fun acc bk ->
+         let overlap_lo = max lo_v bk.lo and overlap_hi = min hi_v bk.hi in
+         if overlap_hi < overlap_lo then acc
+         else if bk.hi = bk.lo then acc +. bk.distinct
+         else if overlap_hi = overlap_lo then acc +. 1.
+         else
+           acc +. (bk.distinct *. ((overlap_hi -. overlap_lo) /. (bk.hi -. bk.lo))))
+      0. bs
+  in
+  let ivs = intervals bounds in
+  let n = List.length ivs in
+  List.fold_left
+    (fun (acc, i) (lo_v, hi_v) ->
+       let hi_eff =
+         if i = n - 1 then hi_v
+         else hi_v -. (1e-9 *. (1. +. Float.abs hi_v))
+       in
+       let r1 = rows_in ba ~lo_v ~hi_v:hi_eff
+       and r2 = rows_in bb ~lo_v ~hi_v:hi_eff in
+       let d1 = distinct_in ba ~lo_v ~hi_v:hi_eff
+       and d2 = distinct_in bb ~lo_v ~hi_v:hi_eff in
+       let d = max d1 d2 in
+       ((if d > 0. then acc +. (r1 *. r2 /. d) else acc), i + 1))
+    (0., 0) ivs
+  |> fst
+
+let same_bits a b =
+  let ra = join_rows_reference a b and sa = Stats.Histogram.join_rows a b in
+  Int64.equal (Int64.bits_of_float ra) (Int64.bits_of_float sa)
+
+(* The histogram of column A.x after [apply_select] with [A.x op v]. *)
+let restrict (h : Stats.Histogram.t) op v : Stats.Histogram.t =
+  let cs =
+    { Stats.Table_stats.n_distinct = 10.; null_frac = 0.; lo = None; hi = None;
+      min_v = None; max_v = None; hist = Some h; sketch = None }
+  in
+  let r =
+    { Stats.Derive.card = Stats.Histogram.total h;
+      schema = [ Schema.column ~rel:"A" ~name:"x" ~ty:Value.Tfloat ];
+      cols = [ (("A", "x"), cs) ] }
+  in
+  let r' =
+    Stats.Derive.apply_select r
+      (Expr.Cmp (op, Expr.col ~rel:"A" ~col:"x", Expr.Const (Value.Float v)))
+  in
+  Option.get (snd (List.hd r'.Stats.Derive.cols)).Stats.Table_stats.hist
+
+type hist_spec = {
+  kind : int; (* 0 equi-width, 1 equi-depth, 2 compressed *)
+  buckets : int;
+  data : float list;
+  cut : (Expr.cmpop * float) option; (* restriction by apply_select *)
+}
+
+let hist_of_spec sp =
+  let data = Array.of_list sp.data in
+  let h =
+    match sp.kind with
+    | 0 -> Stats.Histogram.build_equi_width ~buckets:sp.buckets data
+    | 1 -> Stats.Histogram.build_equi_depth ~buckets:sp.buckets data
+    | _ ->
+      Stats.Histogram.build_compressed ~buckets:sp.buckets
+        ~singletons:(1 + (sp.buckets / 2)) data
+  in
+  match sp.cut with None -> h | Some (op, v) -> restrict h op v
+
+(* Values on one grid per pair, so the two histograms overlap. *)
+let gen_hist_spec ~scale ~offset =
+  let open QCheck.Gen in
+  let* kind = int_range 0 2 in
+  let* buckets = int_range 1 12 in
+  let* data =
+    list_size (int_range 0 60)
+      (map (fun i -> offset +. (scale *. float_of_int i)) (int_range 0 40))
+  in
+  let* cut =
+    option
+      (pair
+         (oneofl [ Expr.Lt; Expr.Le; Expr.Gt; Expr.Ge; Expr.Eq ])
+         (map (fun i -> offset +. (scale *. (float_of_int i /. 2.))) (int_range (-4) 84)))
+  in
+  return { kind; buckets; data; cut }
+
+let print_spec sp =
+  Printf.sprintf "{kind=%d; buckets=%d; data=[%s]; cut=%s}" sp.kind sp.buckets
+    (String.concat "; " (List.map (Printf.sprintf "%h") sp.data))
+    (match sp.cut with
+     | None -> "none"
+     | Some (op, v) -> Printf.sprintf "%s %h" (Expr.cmp_name op) v)
+
+let prop_join_rows_sweep_bitwise =
+  QCheck.Test.make ~name:"join_rows sweep = quadratic reference, bit for bit"
+    ~count:2000
+    (QCheck.make
+       ~print:(fun (a, b) -> print_spec a ^ " x " ^ print_spec b)
+       QCheck.Gen.(
+         let* scale = oneofl [ 1.; 0.5; 7.25; 1e-3; 1e6 ] in
+         let* offset = oneofl [ 0.; -30.; 1e3 ] in
+         pair (gen_hist_spec ~scale ~offset) (gen_hist_spec ~scale ~offset)))
+    (fun (sa, sb) ->
+       let a = hist_of_spec sa and b = hist_of_spec sb in
+       same_bits a b && same_bits b a && same_bits a a)
+
+let test_join_rows_edge_cases () =
+  let open Stats.Histogram in
+  let bk lo hi count distinct = { lo; hi; count; distinct } in
+  let mk ?(singletons = [||]) buckets =
+    let total =
+      Array.fold_left (fun a b -> a +. b.count) 0. buckets
+      +. Array.fold_left (fun a (_, c) -> a +. c) 0. singletons
+    in
+    { total; singletons; buckets }
+  in
+  let range = mk [| bk 0. 10. 50. 10.; bk 11. 20. 30. 5. |] in
+  let cases =
+    [ ("empty x empty", empty, empty);
+      ("empty x range", empty, range);
+      ("single bound", mk [| bk 5. 5. 3. 1. |], mk [| bk 5. 5. 7. 1. |]);
+      ("single bound x range", mk ~singletons:[| (10., 4.) |] [||], range);
+      ("points on range edges",
+       mk ~singletons:[| (0., 3.); (10., 2.); (11., 1.); (20., 6.) |] [||],
+       range);
+      ("singletons inside ranges",
+       mk ~singletons:[| (2.5, 9.); (15., 4.) |] [| bk 0. 10. 40. 8.; bk 12. 30. 10. 4. |],
+       range);
+      ("point bucket on a range edge",
+       mk [| bk 10. 10. 5. 1.; bk 11. 11. 2. 1. |], range);
+      ("tiny gap below the shrink",
+       mk [| bk 1. (1. +. 1e-12) 4. 2. |], mk [| bk 1. 2. 6. 3. |]);
+      ("unsorted buckets",
+       mk [| bk 11. 20. 30. 5.; bk 0. 10. 50. 10. |], range);
+      ("infinite bound", mk [| bk 0. infinity 10. 5. |], range);
+      ("negative infinite bound", mk [| bk neg_infinity 3. 10. 5. |], range) ]
+  in
+  List.iter
+    (fun (name, a, b) ->
+       Alcotest.(check bool) name true (same_bits a b && same_bits b a))
+    cases
+
 (* ---------- sampling ---------- *)
 
 let test_sample_full_fraction () =
@@ -423,7 +594,9 @@ let () =
          Alcotest.test_case "selectivity bounds" `Quick test_selectivity_bounds;
          Alcotest.test_case "compressed heavy hitters" `Quick test_compressed_exact_heavy_hitters;
          Alcotest.test_case "depth beats width on skew" `Quick test_equi_depth_beats_width_on_skew;
-         Alcotest.test_case "histogram join" `Quick test_histogram_join_rows ]);
+         Alcotest.test_case "histogram join" `Quick test_histogram_join_rows;
+         Alcotest.test_case "join sweep edge cases" `Quick test_join_rows_edge_cases;
+         QCheck_alcotest.to_alcotest prop_join_rows_sweep_bitwise ]);
       ("histogram2d",
        [ Alcotest.test_case "independent ~ product" `Quick test_hist2d_independent_matches_1d;
          Alcotest.test_case "captures correlation" `Quick test_hist2d_captures_correlation;
