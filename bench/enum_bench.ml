@@ -13,8 +13,10 @@
    Results go to BENCH_opt.json: per shape (chain, cycle, star, clique) ×
    mode (left-deep, bushy) × n, wall-clock for both enumerators plus the
    fast enumerator's effort counters (DP subsets, splits considered,
-   plans costed, plans pruned).  The old enumerator is skipped beyond a
-   cutoff (bushy splits grow as 3^n) and reported as null.
+   plans costed, plans pruned) and the minor-heap words one fast
+   optimization allocates (deterministic on one domain, unlike the
+   clock).  The old enumerator is skipped beyond a cutoff (bushy splits
+   grow as 3^n) and reported as null.
 
    Usage: enum_bench [--smoke] [--out FILE]
      --smoke   n ≤ 6, single repetition — a CI liveness check (the
@@ -119,24 +121,29 @@ let check_equivalence ~n shape_name shape =
 (* ------------------------------------------------------------------ *)
 (* Timing *)
 
-(* best-of-[reps] wall clock; returns (seconds, last result) *)
+(* best-of-[reps] wall clock; returns (seconds, minor-heap words the last
+   run allocated, last result).  The word count is the same on every run
+   of a deterministic [f] on one domain. *)
 let time_runs reps f =
-  let best = ref infinity and last = ref None in
+  let best = ref infinity and last = ref None and words = ref 0. in
   for _ = 1 to reps do
     Gc.full_major ();
+    let w0 = Gc.minor_words () in
     let t0 = Obs.Clock.now () in
     let r = f () in
     let dt = Obs.Clock.now () -. t0 in
+    words := Gc.minor_words () -. w0;
     if dt < !best then best := dt;
     last := Some r
   done;
-  match !last with None -> assert false | Some r -> (!best, r)
+  match !last with None -> assert false | Some r -> (!best, !words, r)
 
 type row = {
   shape : string;
   mode : string;  (* "left-deep" | "bushy" *)
   n : int;
   new_s : float;
+  minor_words : float;  (* allocated by one fast optimization *)
   old_s : float option;  (* None beyond the old enumerator's cutoff *)
   analysis_s : float;
       (* abstract-interpretation pass over the winning plan: the cost the
@@ -155,22 +162,25 @@ let bench_point ~reps ~shape_name ~shape ~bushy ~n : row =
   let fast_cfg =
     { Systemr.Join_order.default_config with bushy }
   in
-  let new_s, res = time_runs reps (fun () -> optimize fast_cfg p q) in
+  let new_s, minor_words, res =
+    time_runs reps (fun () -> optimize fast_cfg p q)
+  in
   let old_s =
     if n <= old_cutoff ~shape:shape_name ~bushy then
       let slow_cfg = Systemr.Join_order.exhaustive fast_cfg in
-      let s, _ = time_runs reps (fun () -> optimize slow_cfg p q) in
+      let s, _, _ = time_runs reps (fun () -> optimize slow_cfg p q) in
       Some s
     else None
   in
   let best = res.Systemr.Join_order.best.Systemr.Candidate.plan in
-  let analysis_s, _ =
+  let analysis_s, _, _ =
     time_runs reps (fun () ->
         Analysis.Absint.annotate_plan ~db:p.Workload.Schemas.jdb
           p.Workload.Schemas.jcat best)
   in
   { shape = shape_name; mode = (if bushy then "bushy" else "left-deep"); n;
-    new_s; old_s; analysis_s; counters = res.Systemr.Join_order.counters }
+    new_s; minor_words; old_s; analysis_s;
+    counters = res.Systemr.Join_order.counters }
 
 let bench_all (sc : scale) : row list =
   List.concat_map
@@ -238,11 +248,12 @@ let json_of_rows ~smoke ~precheck_n (rows : row list) =
        Buffer.add_string b
          (Printf.sprintf
             "    {\"shape\": %S, \"mode\": %S, \"n\": %d, \
-             \"new_s\": %.6f, \"old_s\": %s, \"speedup\": %s, \
+             \"new_s\": %.6f, \"minor_words\": %.0f, \"old_s\": %s, \
+             \"speedup\": %s, \
              \"analysis_s\": %.6f, \"analysis_pct\": %.2f, \
              \"subsets\": %d, \"splits\": %d, \"costed\": %d, \
              \"pruned\": %d}%s\n"
-            r.shape r.mode r.n r.new_s
+            r.shape r.mode r.n r.new_s r.minor_words
             (match r.old_s with
              | Some s -> Printf.sprintf "%.6f" s
              | None -> "null")
@@ -275,15 +286,15 @@ let () =
                       clean\n%!" shape_name sc.precheck_n)
     shapes;
   let rows = bench_all sc in
-  Printf.printf "%-6s %-9s %3s %10s %10s %8s %9s %8s %8s %8s %8s\n" "shape"
-    "mode" "n" "new_s" "old_s" "speedup" "anlys%" "subsets" "splits"
-    "costed" "pruned";
+  Printf.printf "%-6s %-9s %3s %10s %12s %10s %8s %9s %8s %8s %8s %8s\n"
+    "shape" "mode" "n" "new_s" "minor_words" "old_s" "speedup" "anlys%"
+    "subsets" "splits" "costed" "pruned";
   List.iter
     (fun r ->
        let c = r.counters in
        Printf.printf
-         "%-6s %-9s %3d %10.4f %10s %8s %8.2f%% %8d %8d %8d %8d\n"
-         r.shape r.mode r.n r.new_s
+         "%-6s %-9s %3d %10.4f %12.0f %10s %8s %8.2f%% %8d %8d %8d %8d\n"
+         r.shape r.mode r.n r.new_s r.minor_words
          (match r.old_s with
           | Some s -> Printf.sprintf "%.4f" s
           | None -> "-")

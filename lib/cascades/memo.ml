@@ -25,10 +25,10 @@ type lexpr =
 type group = {
   id : group_id;
   mask : int;
-  stats : Stats.Derive.rel_stats;
   mutable exprs : lexpr list;
   mutable explored : bool;
-  mutable winners : Systemr.Candidate.t list; (* Pareto over (cost, order) *)
+  winners : Systemr.Join_order.entry;
+      (* the group's statistics and its Pareto set over (cost, order) *)
   mutable optimized : bool;
 }
 
@@ -54,8 +54,9 @@ let find_or_create (m : t) ~mask ~stats : group =
   | Some g -> g
   | None ->
     let g =
-      { id = m.next_id; mask; stats; exprs = []; explored = false;
-        winners = []; optimized = false }
+      { id = m.next_id; mask; exprs = []; explored = false;
+        winners = Systemr.Join_order.new_entry stats [];
+        optimized = false }
     in
     m.next_id <- m.next_id + 1;
     Hashtbl.replace m.groups mask g;

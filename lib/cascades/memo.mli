@@ -20,10 +20,10 @@ type lexpr =
 type group = {
   id : group_id;
   mask : int;
-  stats : Stats.Derive.rel_stats;
   mutable exprs : lexpr list;
   mutable explored : bool;
-  mutable winners : Systemr.Candidate.t list;
+  winners : Systemr.Join_order.entry;
+      (** the group's statistics and its Pareto set over (cost, order) *)
   mutable optimized : bool;
 }
 

@@ -109,9 +109,10 @@ let rec optimize_group (ctx : ctx) (g : Memo.group) : unit =
   if not g.Memo.optimized then begin
     g.Memo.optimized <- true;
     explore ctx g;
-    let insert c =
-      g.Memo.winners <-
-        Systemr.Candidate.insert ~interesting_orders:true g.Memo.winners c
+    let winners = g.Memo.winners in
+    let insert =
+      Systemr.Candidate.insert ~interesting_orders:true
+        winners.Systemr.Join_order.frontier
     in
     (* promise: order splits by estimated output card of the smaller side *)
     let splits =
@@ -119,9 +120,12 @@ let rec optimize_group (ctx : ctx) (g : Memo.group) : unit =
         (function Memo.Leaf _ -> None | Memo.Split (l, r) -> Some (l, r))
         g.Memo.exprs
     in
+    let card m =
+      (group_for ctx m).Memo.winners.Systemr.Join_order.stats.Stats.Derive.card
+    in
     let promise (l, r) =
-      let sl = (group_for ctx l).Memo.stats and sr = (group_for ctx r).Memo.stats in
-      sl.Stats.Derive.card +. sr.Stats.Derive.card
+      let sl = card l and sr = card r in
+      sl +. sr
     in
     let splits =
       List.sort (fun a b -> Float.compare (promise a) (promise b)) splits
@@ -129,8 +133,9 @@ let rec optimize_group (ctx : ctx) (g : Memo.group) : unit =
     List.iter
       (function
         | Memo.Leaf i ->
-          let cands, _ = ctx.jctx.Systemr.Join_order.base.(i) in
-          List.iter insert cands
+          List.iter insert
+            ctx.jctx.Systemr.Join_order.base.(i).Systemr.Join_order.frontier
+              .Systemr.Candidate.cands
         | _ -> ())
       g.Memo.exprs;
     List.iter
@@ -140,11 +145,17 @@ let rec optimize_group (ctx : ctx) (g : Memo.group) : unit =
          optimize_group ctx gr;
          (* upper bound: the cheapest incumbent for this group *)
          let bound =
-           match Systemr.Candidate.cheapest g.Memo.winners with
+           match
+             Systemr.Candidate.cheapest
+               winners.Systemr.Join_order.frontier.Systemr.Candidate.cands
+           with
            | Some c -> c.Systemr.Candidate.cost
            | None -> infinity
          in
-         let lbest = Systemr.Candidate.cheapest gl.Memo.winners in
+         let lbest =
+           Systemr.Candidate.cheapest
+             gl.Memo.winners.Systemr.Join_order.frontier.Systemr.Candidate.cands
+         in
          (match lbest with
           | Some lb when lb.Systemr.Candidate.cost >= bound -> () (* pruned *)
           | _ ->
@@ -153,19 +164,9 @@ let rec optimize_group (ctx : ctx) (g : Memo.group) : unit =
               | [ Memo.Leaf i ] -> Some i
               | _ -> None
             in
-            let left_entry =
-              { Systemr.Join_order.stats = gl.Memo.stats;
-                cands = gl.Memo.winners }
-            and right_entry =
-              { Systemr.Join_order.stats = gr.Memo.stats;
-                cands = gr.Memo.winners }
-            in
-            let cands =
-              Systemr.Join_order.join_cands ctx.jctx ~left:left_entry
-                ~left_mask:lm ~right:right_entry ~right_mask:rm ~right_base
-                ~out_stats:g.Memo.stats
-            in
-            List.iter insert cands))
+            Systemr.Join_order.join_cands ctx.jctx ~left:gl.Memo.winners
+              ~left_mask:lm ~right:gr.Memo.winners ~right_mask:rm ~right_base
+              winners))
       splits
   end
 
@@ -174,7 +175,13 @@ let rec optimize_group (ctx : ctx) (g : Memo.group) : unit =
 
 let optimize ?(config = default_config) ?(lint = false) cat db
     (q : Systemr.Spj.t) : result =
-  let jctx = Systemr.Join_order.make_ctx config.join_config cat db q in
+  (* winners always keep per-order bests (the root's enforcer and every
+     parent's merge join read them), whatever [interesting_orders] says *)
+  let jctx =
+    Systemr.Join_order.make_ctx
+      { config.join_config with interesting_orders = true }
+      cat db q
+  in
   let memo = Memo.create () in
   let ctx = { memo; jctx; cfg = config } in
   let n = Array.length jctx.Systemr.Join_order.rels in
@@ -201,13 +208,15 @@ let optimize ?(config = default_config) ?(lint = false) cat db
     build (leaf 0) 1
   in
   optimize_group ctx root;
-  let stats = root.Memo.stats in
-  let rows = stats.Stats.Derive.card and pages = Stats.Derive.pages stats in
+  let root = root.Memo.winners in
+  let stats = root.Systemr.Join_order.stats in
+  let rows = stats.Stats.Derive.card and pages = root.Systemr.Join_order.pages in
   let best =
     match
       Systemr.Candidate.cheapest_with_order
         ~params:config.join_config.Systemr.Join_order.params ~rows ~pages
-        ~want:q.Systemr.Spj.order_by root.Memo.winners
+        ~want:q.Systemr.Spj.order_by
+        root.Systemr.Join_order.frontier.Systemr.Candidate.cands
     with
     | Some c -> c
     | None -> invalid_arg "Cascades: no plan"

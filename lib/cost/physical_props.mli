@@ -11,6 +11,9 @@ val no_order : order
 
 val equal_col : Expr.col_ref -> Expr.col_ref -> bool
 
+(** Same column, same direction. *)
+val equal_key : Expr.col_ref * Algebra.dir -> Expr.col_ref * Algebra.dir -> bool
+
 (** A stream ordered on [have] satisfies requirement [want] iff [want] is a
     prefix of [have]. *)
 val satisfies : have:order -> want:order -> bool

@@ -17,6 +17,14 @@ let keywords =
     "JOIN"; "LEFT"; "OUTER"; "ON"; "TRUE"; "FALSE"; "COUNT"; "SUM"; "MIN";
     "MAX"; "AVG"; "CREATE"; "VIEW"; "UNION"; "ALL" ]
 
+(* One hash probe per identifier instead of a scan of [keywords]. *)
+module Kw = Hashtbl.Make (String)
+
+let keyword_table =
+  let t = Kw.create 64 in
+  List.iter (fun k -> Kw.replace t k ()) keywords;
+  t
+
 let is_ident_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
 
 let is_ident_char c = is_ident_start c || (c >= '0' && c <= '9') || c = '#'
@@ -36,7 +44,7 @@ let tokenize (src : string) : token list =
       while !j < n && is_ident_char src.[!j] do incr j done;
       let word = String.sub src !i (!j - !i) in
       let up = String.uppercase_ascii word in
-      if List.mem up keywords then emit (KW up) else emit (IDENT word);
+      if Kw.mem keyword_table up then emit (KW up) else emit (IDENT word);
       i := !j
     end
     else if is_digit c then begin

@@ -43,13 +43,22 @@ let of_table (ts : Table_stats.t) ~alias ~(schema : Schema.t) : rel_stats =
     cols =
       List.map (fun (name, cs) -> ((alias, name), cs)) ts.Table_stats.cols }
 
+(* A scan with two string comparisons per column: the join enumerator
+   looks columns up for every subset it derives, and [List.assoc_opt] on
+   a (rel, col) key pays an allocation and a polymorphic compare. *)
 let find_col (r : rel_stats) (c : Expr.col_ref) : Table_stats.col_stats option
   =
-  match List.assoc_opt (c.Expr.rel, c.Expr.col) r.cols with
+  let rec find rel = function
+    | [] -> None
+    | ((a, n), cs) :: rest ->
+      if String.equal n c.Expr.col && String.equal a rel then Some cs
+      else find rel rest
+  in
+  match find c.Expr.rel r.cols with
   | Some cs -> Some cs
   | None ->
     (* unqualified output columns of projections/aggregations *)
-    List.assoc_opt ("", c.Expr.col) r.cols
+    find "" r.cols
 
 let const_float (e : Expr.t) : float option =
   match e with

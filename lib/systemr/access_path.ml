@@ -103,9 +103,6 @@ let candidates (params : Cost.Cost_model.params) (asm : Stats.Derive.assumption)
              [ ({ Expr.rel = rel.Spj.alias; col = column }, Algebra.Asc) ] })
       (Storage.Catalog.indexes cat rel.Spj.table)
   in
-  let cands =
-    List.fold_left
-      (Candidate.insert ~interesting_orders:true)
-      [] (seq :: index_cands)
-  in
-  (cands, filtered_stats)
+  let f = Candidate.frontier [] in
+  List.iter (Candidate.insert ~interesting_orders:true f) (seq :: index_cands);
+  (f.Candidate.cands, filtered_stats)

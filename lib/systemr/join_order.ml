@@ -79,6 +79,61 @@ let counters_sub a b =
     costed = a.costed - b.costed;
     pruned = a.pruned - b.pruned }
 
+(* Tables keyed by relation bitmask. *)
+module Int_tbl = Hashtbl.Make (Int)
+
+(* The join keys of a split: its equi pairs as (left key, right key), and
+   the orders a merge join wants on either side. *)
+type keys = {
+  pairs : (Expr.col_ref * Expr.col_ref) list;
+  want_l : Cost.Physical_props.order;
+  want_r : Cost.Physical_props.order;
+}
+
+let no_keys = { pairs = []; want_l = []; want_r = [] }
+
+let keys_of ~order_on l r =
+  { pairs = [ (l, r) ]; want_l = order_on l; want_r = order_on r }
+
+(* A join conjunct, classified once per query: the mask of relations it
+   mentions and, for an equi-join [l = r] between two of this block's
+   relations, [l]'s bit and the keys of each orientation.  A split reads
+   its keys and residual off these with [land]s, and a split with one equi
+   conjunct (the common case) shares its lists. *)
+type conj_kind =
+  | Equi of {
+      lbit : int;  (* bit of [l]'s relation *)
+      fwd : keys;  (* [l] on the left *)
+      bwd : keys;  (* [r] on the left *)
+    }
+  | Residual
+
+type conj = { pred : Expr.t; mask : int; kind : conj_kind }
+
+(* An index an index nested loop can probe, with the estimated distinct
+   values of each probed key prefix: [ndv.(k - 1)] for the first [k]
+   columns. *)
+type probe_index = { index : Storage.Btree.t; ndv : float array }
+
+(* Per-relation facts the join costing reads, looked up once per query. *)
+type rel_info = {
+  rows : float;  (* stored rows and pages, before local filters *)
+  pages : float;
+  probes : probe_index list;  (* [] when [Inl] is not in [methods] *)
+}
+
+(* A DP table entry: a subset's logical statistics (and its pages, read by
+   every split the subset takes part in) plus its Pareto candidate set. *)
+type entry = {
+  stats : Stats.Derive.rel_stats;
+  pages : float;
+  frontier : Candidate.frontier;
+}
+
+let new_entry stats cands =
+  { stats; pages = Stats.Derive.pages stats;
+    frontier = Candidate.frontier cands }
+
 type ctx = {
   cfg : config;
   cat : Storage.Catalog.t;
@@ -86,16 +141,15 @@ type ctx = {
   rels : Spj.relation array;
   locals : Expr.t list array;
   join_preds : Expr.t list;
-  pred_masks : (Expr.t * int) array;
-      (* every join conjunct with the mask of relations it mentions *)
+  conjs : conj array;  (* every join conjunct, in [join_preds] order *)
   neighbors : int array;
       (* per-relation adjacency mask over two-relation conjuncts *)
   hyper : int array;
       (* masks of conjuncts spanning >= 3 relations; these connect a
          partition only when fully contained in its union *)
-  has_index : bool array;
-  base : (Candidate.t list * Stats.Derive.rel_stats) array;
-  stats_memo : (int, Stats.Derive.rel_stats) Hashtbl.t;
+  info : rel_info array;
+  base : entry array;  (* access paths and filtered statistics *)
+  stats_memo : Stats.Derive.rel_stats Int_tbl.t;
   join_memo : Stats.Histogram.join_memo;
       (* histogram-join rows per join edge, shared by every subset *)
   trace : (Obs.Trace.event -> unit) option;
@@ -106,8 +160,6 @@ type ctx = {
   mutable subsets_created : int;
   mutable memo_hits : int; (* stats_memo lookups served from the memo *)
 }
-
-type entry = { stats : Stats.Derive.rel_stats; mutable cands : Candidate.t list }
 
 type result = {
   best : Candidate.t;
@@ -149,17 +201,31 @@ let make_ctx ?trace cfg cat db (q : Spj.t) : ctx =
   let n = Array.length rels in
   if n > 60 then
     invalid_arg "Join_order: more than 60 relations in one block";
-  let locals =
-    Array.map (fun (r : Spj.relation) -> Spj.local_predicates q r.Spj.alias) rels
-  in
+  let locals, join_preds = Spj.split_predicates q in
   let base =
     Array.mapi
-      (fun i r -> Access_path.candidates cfg.params cfg.asm cat db r locals.(i))
+      (fun i r ->
+         let cands, stats =
+           Access_path.candidates cfg.params cfg.asm cat db r locals.(i)
+         in
+         new_entry stats cands)
       rels
+  in
+  (* one ascending order list per join column, so candidates ordered on
+     the same column share it and the frontier's order checks mostly end
+     at [==] *)
+  let orders = Hashtbl.create 16 in
+  let order_on (c : Expr.col_ref) =
+    let key = (c.Expr.rel, c.Expr.col) in
+    match Hashtbl.find_opt orders key with
+    | Some o -> o
+    | None ->
+      let o = [ (c, Algebra.Asc) ] in
+      Hashtbl.replace orders key o;
+      o
   in
   let bit_of = Hashtbl.create (max 8 n) in
   Array.iteri (fun i (r : Spj.relation) -> Hashtbl.replace bit_of r.Spj.alias i) rels;
-  let join_preds = Spj.join_predicates q in
   let mask_of_pred p =
     List.fold_left
       (fun acc a ->
@@ -168,13 +234,25 @@ let make_ctx ?trace cfg cat db (q : Spj.t) : ctx =
          | None -> acc lor foreign_bit)
       0 (Expr.relations p)
   in
-  let pred_masks =
-    Array.of_list (List.map (fun p -> (p, mask_of_pred p)) join_preds)
+  let conj_of p =
+    let mask = mask_of_pred p in
+    let kind =
+      match p with
+      | Expr.Cmp (Expr.Eq, Expr.Col l, Expr.Col r)
+        when l.Expr.rel <> r.Expr.rel && mask land foreign_bit = 0 ->
+        Equi
+          { lbit = 1 lsl Hashtbl.find bit_of l.Expr.rel;
+            fwd = keys_of ~order_on l r;
+            bwd = keys_of ~order_on r l }
+      | _ -> Residual
+    in
+    { pred = p; mask; kind }
   in
+  let conjs = Array.of_list (List.map conj_of join_preds) in
   let neighbors = Array.make (max 1 n) 0 in
   let hyper = ref [] in
   Array.iter
-    (fun (_, m) ->
+    (fun { mask = m; _ } ->
        if m land foreign_bit = 0 then
          match popcount m with
          | 0 | 1 -> ()
@@ -184,11 +262,40 @@ let make_ctx ?trace cfg cat db (q : Spj.t) : ctx =
                neighbors.(i) <- neighbors.(i) lor (m land lnot (1 lsl i))
            done
          | _ -> hyper := m :: !hyper)
-    pred_masks;
-  let has_index =
-    Array.map
-      (fun (r : Spj.relation) -> Storage.Catalog.indexes cat r.Spj.table <> [])
-      rels
+    conjs;
+  let info_of (r : Spj.relation) =
+    let table = Storage.Catalog.table cat r.Spj.table in
+    let rows = float_of_int (Storage.Table.row_count table) in
+    let col_ndv c =
+      match
+        Stats.Table_stats.find db r.Spj.table
+        |> Fun.flip Option.bind (fun ts -> Stats.Table_stats.col ts c)
+      with
+      | Some cs -> Float.max 1. cs.Stats.Table_stats.n_distinct
+      | None -> Float.max 1. rows
+    in
+    let probe (idx : Storage.Btree.t) =
+      let cols = Array.of_list idx.Storage.Btree.columns in
+      let k = Array.length cols in
+      let acc = ref 1. in
+      let ndv =
+        Array.mapi
+          (fun j c ->
+             acc := !acc *. col_ndv c;
+             if j = k - 1 then
+               (* full key: the exact distinct-combinations statistic *)
+               Float.max 1. (float_of_int idx.Storage.Btree.distinct_keys)
+             else Float.min rows !acc)
+          cols
+      in
+      { index = idx; ndv }
+    in
+    { rows;
+      pages = float_of_int (Storage.Table.page_count table);
+      probes =
+        (if List.mem Inl cfg.methods then
+           List.map probe (Storage.Catalog.indexes cat r.Spj.table)
+         else []) }
   in
   { cfg;
     cat;
@@ -196,12 +303,12 @@ let make_ctx ?trace cfg cat db (q : Spj.t) : ctx =
     rels;
     locals;
     join_preds;
-    pred_masks;
+    conjs;
     neighbors;
     hyper = Array.of_list (List.rev !hyper);
-    has_index;
+    info = Array.map info_of rels;
     base;
-    stats_memo = Hashtbl.create 64;
+    stats_memo = Int_tbl.create 64;
     join_memo = Stats.Histogram.join_memo ();
     trace;
     plans_costed = 0;
@@ -216,17 +323,43 @@ let emit ctx e =
 let aliases_of ctx mask =
   List.rev (fold_bits (fun acc i -> ctx.rels.(i).Spj.alias :: acc) [] mask)
 
+let crosses ~left ~right m =
+  m land left <> 0 && m land right <> 0 && m land lnot (left lor right) = 0
+
 (* Join conjuncts crossing the (left, right) partition and fully contained
    in their union — two [land]s per conjunct against precomputed masks. *)
 let crossing_preds ctx ~left ~right =
-  let union = left lor right in
-  List.rev
-    (Array.fold_left
-       (fun acc (p, m) ->
-          if m land left <> 0 && m land right <> 0 && m land lnot union = 0
-          then p :: acc
-          else acc)
-       [] ctx.pred_masks)
+  let acc = ref [] in
+  for k = Array.length ctx.conjs - 1 downto 0 do
+    let c = ctx.conjs.(k) in
+    if crosses ~left ~right c.mask then acc := c.pred :: !acc
+  done;
+  !acc
+
+(* The crossing conjuncts of a split, in conjunct order: all of them, the
+   join keys of the equi conjuncts, and the non-equi residual. *)
+let split_conjuncts ctx ~left ~right =
+  let preds = ref [] and keys = ref [] and residual = ref [] in
+  for k = Array.length ctx.conjs - 1 downto 0 do
+    let c = ctx.conjs.(k) in
+    if crosses ~left ~right c.mask then begin
+      preds := c.pred :: !preds;
+      match c.kind with
+      | Equi { lbit; fwd; bwd } ->
+        keys := (if lbit land left <> 0 then fwd else bwd) :: !keys
+      | Residual -> residual := c.pred :: !residual
+    end
+  done;
+  let keys =
+    match !keys with
+    | [] -> no_keys
+    | [ k ] -> k
+    | ks ->
+      { pairs = List.concat_map (fun k -> k.pairs) ks;
+        want_l = List.concat_map (fun k -> k.want_l) ks;
+        want_r = List.concat_map (fun k -> k.want_r) ks }
+  in
+  (!preds, keys, !residual)
 
 (* Union of the neighbor masks of [mask]'s relations, minus [mask]. *)
 let neighbor_mask ctx mask =
@@ -333,11 +466,11 @@ let feedback_key ctx mask : Stats.Feedback.key option =
     in
     let join_preds =
       Array.fold_left
-        (fun acc (p, m) ->
+        (fun acc { pred; mask = m; _ } ->
            if m land foreign_bit = 0 && m land mask = m && popcount m >= 2
-           then Stats.Feedback.canon_pred p :: acc
+           then Stats.Feedback.canon_pred pred :: acc
            else acc)
-        [] ctx.pred_masks
+        [] ctx.conjs
     in
     Some (Stats.Feedback.key ~shape:"spj" ~rels ~preds:(local_preds @ join_preds))
   end
@@ -348,7 +481,7 @@ let feedback_key ctx mask : Stats.Feedback.key option =
    is configured and holds a fresh actual for the subset's logical
    subexpression, the observed cardinality replaces the derived one. *)
 let rec stats_of ctx mask : Stats.Derive.rel_stats =
-  match Hashtbl.find_opt ctx.stats_memo mask with
+  match Int_tbl.find_opt ctx.stats_memo mask with
   | Some s ->
     ctx.memo_hits <- ctx.memo_hits + 1;
     s
@@ -356,12 +489,12 @@ let rec stats_of ctx mask : Stats.Derive.rel_stats =
     let s =
       if mask = 0 then invalid_arg "stats_of: empty subset"
       else if mask land (mask - 1) = 0 then
-        snd ctx.base.(lowest_bit_index mask)
+        ctx.base.(lowest_bit_index mask).stats
       else begin
         let top = highest_bit_index mask in
         let rest = mask land lnot (1 lsl top) in
         let ls = stats_of ctx rest in
-        let rs = snd ctx.base.(top) in
+        let rs = ctx.base.(top).stats in
         let preds = crossing_preds ctx ~left:rest ~right:(1 lsl top) in
         Stats.Derive.join ~asm:ctx.cfg.asm ~join_memo:ctx.join_memo
           Algebra.Inner ls rs (Pred.of_conjuncts preds)
@@ -387,222 +520,192 @@ let rec stats_of ctx mask : Stats.Derive.rel_stats =
                   { digest = k; est = s.Stats.Derive.card; act });
             { s with Stats.Derive.card = act }))
     in
-    Hashtbl.replace ctx.stats_memo mask s;
+    Int_tbl.replace ctx.stats_memo mask s;
     s
 
 (* ------------------------------------------------------------------ *)
 (* Join candidate construction *)
 
-let col_order pairs side =
-  List.map (fun (l, r) -> ((if side = `L then l else r), Algebra.Asc)) pairs
+(* Longest prefix of an index key covered by equi-join pairs, as (index
+   column, outer key) pairs. *)
+let rec covered pairs = function
+  | [] -> []
+  | c :: rest -> (
+    match
+      List.find_opt (fun ((_ : Expr.col_ref), r) -> r.Expr.col = c) pairs
+    with
+    | Some (lcol, _) -> (c, lcol) :: covered pairs rest
+    | None -> [])
 
-(* Build all join candidates combining [left] (composite) with [right]
-   (composite when bushy; [right_base] set when it is one base relation). *)
-let join_cands ctx ~(left : entry) ~left_mask ~(right : entry) ~right_mask
-    ~right_base ~(out_stats : Stats.Derive.rel_stats) : Candidate.t list =
+(* The one emit path every priced candidate takes: count it, apply
+   [bound], and ask the frontier whether it would keep it — before its
+   plan is built.  A candidate dearer than [bound] is dropped (counted as
+   pruned) unless it carries an interesting order, which must survive
+   pruning: a dearer ordered subplan can still win globally once a sort
+   enforcer is priced in above it (Section 3.1). *)
+let admit ctx ~bound (out : entry) cost order =
+  ctx.plans_costed <- ctx.plans_costed + 1;
+  let interesting_orders = ctx.cfg.interesting_orders in
+  if cost > bound then
+    match order with
+    | _ :: _ when interesting_orders ->
+      emit ctx (fun () ->
+          Obs.Trace.Order_retained
+            { order = Cost.Physical_props.to_string order; cost; bound });
+      not (Candidate.dominated ~interesting_orders out.frontier ~cost ~order)
+    | _ ->
+      ctx.plans_pruned <- ctx.plans_pruned + 1;
+      false
+  else not (Candidate.dominated ~interesting_orders out.frontier ~cost ~order)
+
+(* Build an admitted candidate and insert it. *)
+let push ctx (out : entry) plan cost order =
+  Candidate.add ~interesting_orders:ctx.cfg.interesting_orders out.frontier
+    { Candidate.plan; cost; order }
+
+(* Per-method loops over the left candidates; everything else a
+   candidate's cost needs was priced once for the split. *)
+let rec nl_each ctx ~bound out ~pred ~(rc : Candidate.t) ~materialize ~rescan
+  = function
+  | [] -> ()
+  | (lc : Candidate.t) :: rest ->
+    let cost = lc.Candidate.cost +. rc.Candidate.cost +. rescan in
+    if admit ctx ~bound out cost lc.Candidate.order then
+      push ctx out
+        (Exec.Plan.Nested_loop
+           { kind = Algebra.Inner; pred; outer = lc.Candidate.plan;
+             inner =
+               (if materialize then Exec.Plan.Materialize rc.Candidate.plan
+                else rc.Candidate.plan) })
+        cost lc.Candidate.order;
+    nl_each ctx ~bound out ~pred ~rc ~materialize ~rescan rest
+
+let rec inl_each ctx ~bound out ~(rel : Spj.relation) ~index ~columns ~probed
+    ~probe = function
+  | [] -> ()
+  | (lc : Candidate.t) :: rest ->
+    let cost = lc.Candidate.cost +. probe in
+    if admit ctx ~bound out cost lc.Candidate.order then begin
+      let outer_keys, residual = Lazy.force probed in
+      push ctx out
+        (Exec.Plan.Index_nl
+           { kind = Algebra.Inner; outer = lc.Candidate.plan;
+             table = rel.Spj.table; alias = rel.Spj.alias; index; columns;
+             outer_keys; residual })
+        cost lc.Candidate.order
+    end;
+    inl_each ctx ~bound out ~rel ~index ~columns ~probed ~probe rest
+
+let rec hj_each ctx ~bound out ~pairs ~residual ~(rc : Candidate.t) ~build =
+  function
+  | [] -> ()
+  | (lc : Candidate.t) :: rest ->
+    let cost = lc.Candidate.cost +. rc.Candidate.cost +. build in
+    if admit ctx ~bound out cost lc.Candidate.order then
+      push ctx out
+        (Exec.Plan.Hash_join
+           { kind = Algebra.Inner; pairs; residual; left = lc.Candidate.plan;
+             right = rc.Candidate.plan })
+        cost lc.Candidate.order;
+    hj_each ctx ~bound out ~pairs ~residual ~rc ~build rest
+
+(* Cost every join candidate combining [left] (composite) with [right]
+   (composite when bushy; [right_base] set when it is one base relation)
+   and insert each into [out]'s frontier as it is priced.  What a split
+   shares — its conjuncts and keys, the NL, INL and HJ costs beside the
+   left input's, the merge join's sort enforcers — is worked out once per
+   split, and only candidates the frontier keeps are built. *)
+let join_cands ?(bound = infinity) ctx ~(left : entry) ~left_mask
+    ~(right : entry) ~right_mask ~right_base (out : entry) : unit =
   let p = ctx.cfg.params in
-  let preds = crossing_preds ctx ~left:left_mask ~right:right_mask in
-  let left_aliases = aliases_of ctx left_mask
-  and right_aliases = aliases_of ctx right_mask in
-  let pred_expr = Pred.of_conjuncts preds in
-  let pairs, residual_list = Pred.equi_pairs ~left:left_aliases ~right:right_aliases preds in
+  let preds, { pairs; want_l; want_r }, residual_list =
+    split_conjuncts ctx ~left:left_mask ~right:right_mask
+  in
   let residual = Pred.of_conjuncts residual_list in
-  let lstats = left.stats and rstats = right.stats in
-  let lrows = lstats.Stats.Derive.card and rrows = rstats.Stats.Derive.card in
-  let lpages = Stats.Derive.pages lstats and rpages = Stats.Derive.pages rstats in
-  let out_rows = out_stats.Stats.Derive.card in
-  let count c = ctx.plans_costed <- ctx.plans_costed + 1; c in
-  let nl_cands () =
-    match Candidate.cheapest right.cands with
-    | None -> []
-    | Some rc ->
-      List.filter_map
-        (fun (lc : Candidate.t) ->
-           let inner, rescan_cost =
-             match right_base with
-             | Some _ ->
-               ( rc.Candidate.plan,
-                 Cost.Cost_model.nested_loop p ~outer_rows:lrows
-                   ~inner_rows:rrows ~inner_pages:rpages )
-             | None ->
-               ( Exec.Plan.Materialize rc.Candidate.plan,
-                 p.Cost.Cost_model.cpu_tuple *. lrows *. rrows )
+  let lrows = left.stats.Stats.Derive.card
+  and rrows = right.stats.Stats.Derive.card in
+  let out_rows = out.stats.Stats.Derive.card in
+  let lcands = left.frontier.Candidate.cands in
+  let inl ri =
+    let rel = ctx.rels.(ri) and info = ctx.info.(ri) in
+    List.iter
+      (fun { index = idx; ndv } ->
+         match covered pairs idx.Storage.Btree.columns with
+         | [] -> ()
+         | cov ->
+           let columns = List.map fst cov in
+           let probed =
+             lazy
+               ( List.map (fun (_, l) -> Expr.Col l) cov,
+                 Pred.of_conjuncts
+                   (List.filter_map
+                      (fun ((l : Expr.col_ref), (r : Expr.col_ref)) ->
+                         if List.mem r.Expr.col columns then None
+                         else Some (Expr.Cmp (Expr.Eq, Expr.Col l, Expr.Col r)))
+                      pairs
+                    @ residual_list @ ctx.locals.(ri)) )
            in
-           Some
-             (count
-                { Candidate.plan =
-                    Exec.Plan.Nested_loop
-                      { kind = Algebra.Inner; pred = pred_expr;
-                        outer = lc.Candidate.plan; inner };
-                  cost = lc.Candidate.cost +. rc.Candidate.cost +. rescan_cost;
-                  order = lc.Candidate.order }))
-        left.cands
+           inl_each ctx ~bound out ~rel ~index:idx.Storage.Btree.name ~columns
+             ~probed
+             ~probe:
+               (Cost.Cost_model.index_nl p ~outer_rows:lrows
+                  ~inner_rows:info.rows ~inner_pages:info.pages
+                  ~matches_per_probe:(info.rows /. ndv.(List.length cov - 1))
+                  ~clustered:idx.Storage.Btree.clustered)
+             lcands)
+      info.probes
   in
-  let inl_cands () =
-    match right_base with
-    | None -> []
-    | Some ri ->
-      let rel = ctx.rels.(ri) in
-      let base_table = Storage.Catalog.table ctx.cat rel.Spj.table in
-      let base_rows = float_of_int (Storage.Table.row_count base_table) in
-      let base_pages = float_of_int (Storage.Table.page_count base_table) in
-      List.concat_map
-        (fun (idx : Storage.Btree.t) ->
-           (* longest prefix of the index key covered by equi-join pairs *)
-           let rec covered cols =
-             match cols with
-             | [] -> []
-             | c :: rest -> (
-               match
-                 List.find_opt
-                   (fun ((_ : Expr.col_ref), r) -> r.Expr.col = c)
-                   pairs
-               with
-               | Some (lcol, _) -> (c, lcol) :: covered rest
-               | None -> [])
-           in
-           let cov = covered idx.Storage.Btree.columns in
-           match cov with
-           | [] -> []
-           | _ ->
-             let probe_cols = List.map fst cov in
-             let other_pairs =
-               List.filter
-                 (fun (_, (r : Expr.col_ref)) ->
-                    not (List.mem r.Expr.col probe_cols))
-                 pairs
-             in
-             let residual_all =
-               Pred.of_conjuncts
-                 (List.map
-                    (fun ((l : Expr.col_ref), (r : Expr.col_ref)) ->
-                       Expr.Cmp (Expr.Eq, Expr.Col l, Expr.Col r))
-                    other_pairs
-                  @ residual_list @ ctx.locals.(ri))
-             in
-             let col_ndv c =
-               match
-                 Stats.Table_stats.find ctx.db rel.Spj.table
-                 |> Fun.flip Option.bind (fun ts -> Stats.Table_stats.col ts c)
-               with
-               | Some cs -> Float.max 1. cs.Stats.Table_stats.n_distinct
-               | None -> Float.max 1. base_rows
-             in
-             let ndv =
-               if List.length probe_cols = List.length idx.Storage.Btree.columns
-               then
-                 (* full key: use the exact distinct-combinations statistic *)
-                 Float.max 1. (float_of_int idx.Storage.Btree.distinct_keys)
-               else
-                 Float.min base_rows
-                   (List.fold_left
-                      (fun acc c -> acc *. col_ndv c)
-                      1. probe_cols)
-             in
-             List.map
-               (fun (lc : Candidate.t) ->
-                  count
-                    { Candidate.plan =
-                        Exec.Plan.Index_nl
-                          { kind = Algebra.Inner; outer = lc.Candidate.plan;
-                            table = rel.Spj.table; alias = rel.Spj.alias;
-                            index = idx.Storage.Btree.name;
-                            columns = probe_cols;
-                            outer_keys =
-                              List.map (fun (_, l) -> Expr.Col l) cov;
-                            residual = residual_all };
-                      cost =
-                        lc.Candidate.cost
-                        +. Cost.Cost_model.index_nl p ~outer_rows:lrows
-                             ~inner_rows:base_rows ~inner_pages:base_pages
-                             ~matches_per_probe:(base_rows /. ndv)
-                             ~clustered:idx.Storage.Btree.clustered;
-                      order = lc.Candidate.order })
-               left.cands)
-        (Storage.Catalog.indexes ctx.cat rel.Spj.table)
-  in
-  let smj_cands () =
-    if pairs = [] then []
-    else
-      let want_l = col_order pairs `L and want_r = col_order pairs `R in
-      let lc =
-        Candidate.cheapest_with_order ~params:p ~rows:lrows ~pages:lpages
-          ~want:want_l left.cands
-      and rc =
-        Candidate.cheapest_with_order ~params:p ~rows:rrows ~pages:rpages
-          ~want:want_r right.cands
+  let smj () =
+    match
+      ( Candidate.cheapest_ordered ~params:p ~rows:lrows ~pages:left.pages
+          ~want:want_l lcands,
+        Candidate.cheapest_ordered ~params:p ~rows:rrows ~pages:right.pages
+          ~want:want_r right.frontier.Candidate.cands )
+    with
+    | Some lo, Some ro ->
+      let cost =
+        lo.Candidate.total +. ro.Candidate.total
+        +. Cost.Cost_model.merge_join p ~left_rows:lrows ~right_rows:rrows
+             ~out_rows
       in
-      match lc, rc with
-      | Some lc, Some rc ->
-        [ count
-            { Candidate.plan =
-                Exec.Plan.Merge_join
-                  { kind = Algebra.Inner; pairs; residual;
-                    left = lc.Candidate.plan; right = rc.Candidate.plan };
-              cost =
-                lc.Candidate.cost +. rc.Candidate.cost
-                +. Cost.Cost_model.merge_join p ~left_rows:lrows
-                     ~right_rows:rrows ~out_rows;
-              order = lc.Candidate.order } ]
-      | _ -> []
+      let order = Candidate.ordered_order ~want:want_l lo in
+      if admit ctx ~bound out cost order then
+        push ctx out
+          (Exec.Plan.Merge_join
+             { kind = Algebra.Inner; pairs; residual;
+               left = Candidate.ordered_plan ~want:want_l lo;
+               right = Candidate.ordered_plan ~want:want_r ro })
+          cost order
+    | _ -> ()
   in
-  let hj_cands () =
-    if pairs = [] then []
-    else
-      match Candidate.cheapest right.cands with
-      | None -> []
-      | Some rc ->
-        List.map
-          (fun (lc : Candidate.t) ->
-             count
-               { Candidate.plan =
-                   Exec.Plan.Hash_join
-                     { kind = Algebra.Inner; pairs; residual;
-                       left = lc.Candidate.plan; right = rc.Candidate.plan };
-                 cost =
-                   lc.Candidate.cost +. rc.Candidate.cost
-                   +. Cost.Cost_model.hash_join p ~left_rows:lrows
-                        ~right_rows:rrows ~left_pages:lpages
-                        ~right_pages:rpages ~out_rows;
-                 order = lc.Candidate.order })
-          left.cands
-  in
-  List.concat_map
+  List.iter
     (fun m ->
-       match m with
-       | Nl -> nl_cands ()
-       | Inl -> inl_cands ()
-       | Smj -> smj_cands ()
-       | Hj -> hj_cands ())
+       match m, right.frontier.Candidate.cands with
+       | Nl, rc :: _ ->
+         nl_each ctx ~bound out ~pred:(Pred.of_conjuncts preds) ~rc
+           ~materialize:(right_base = None)
+           ~rescan:
+             (match right_base with
+              | Some _ ->
+                Cost.Cost_model.nested_loop p ~outer_rows:lrows
+                  ~inner_rows:rrows ~inner_pages:right.pages
+              | None -> p.Cost.Cost_model.cpu_tuple *. lrows *. rrows)
+           lcands
+       | Inl, _ -> Option.iter inl right_base
+       | Smj, _ -> if pairs <> [] then smj ()
+       | Hj, rc :: _ ->
+         if pairs <> [] then
+           hj_each ctx ~bound out ~pairs ~residual ~rc
+             ~build:
+               (Cost.Cost_model.hash_join p ~left_rows:lrows
+                  ~right_rows:rrows ~left_pages:left.pages
+                  ~right_pages:right.pages ~out_rows)
+             lcands
+       | (Nl | Hj), [] -> ())
     ctx.cfg.methods
 
 (* ------------------------------------------------------------------ *)
 (* Enumeration *)
-
-(* Insert candidates, dropping any whose accumulated cost already exceeds
-   [bound] — unless it carries an interesting order, which must survive
-   pruning: a dearer ordered subplan can still win globally once a sort
-   enforcer is priced in above it (Section 3.1). *)
-let insert_all ?(bound = infinity) ctx entry cands =
-  List.iter
-    (fun (c : Candidate.t) ->
-       if c.Candidate.cost > bound then
-         if ctx.cfg.interesting_orders && c.Candidate.order <> [] then begin
-           emit ctx (fun () ->
-               Obs.Trace.Order_retained
-                 { order = Cost.Physical_props.to_string c.Candidate.order;
-                   cost = c.Candidate.cost;
-                   bound });
-           entry.cands <-
-             Candidate.insert ~interesting_orders:ctx.cfg.interesting_orders
-               entry.cands c
-         end
-         else ctx.plans_pruned <- ctx.plans_pruned + 1
-       else
-         entry.cands <-
-           Candidate.insert ~interesting_orders:ctx.cfg.interesting_orders
-             entry.cands c)
-    cands
 
 let counters_of ctx =
   { subsets = ctx.subsets_created;
@@ -613,15 +716,14 @@ let counters_of ctx =
 (* Cost of [e]'s best candidate with the required output order and the
    final projection applied — the cost [finish] would report. *)
 let finished_cost ctx (q : Spj.t) (e : entry) : float =
-  let rows = e.stats.Stats.Derive.card
-  and pages = Stats.Derive.pages e.stats in
+  let rows = e.stats.Stats.Derive.card and pages = e.pages in
   match
-    Candidate.cheapest_with_order ~params:ctx.cfg.params ~rows ~pages
-      ~want:q.Spj.order_by e.cands
+    Candidate.cheapest_ordered ~params:ctx.cfg.params ~rows ~pages
+      ~want:q.Spj.order_by e.frontier.Candidate.cands
   with
   | None -> infinity
-  | Some c ->
-    c.Candidate.cost
+  | Some o ->
+    o.Candidate.total
     +.
     (match q.Spj.projections with
      | None -> 0.
@@ -635,19 +737,15 @@ let finished_cost ctx (q : Spj.t) (e : entry) : float =
    grow as subplans compose. *)
 let greedy_upper_bound ctx (q : Spj.t) : float =
   let n = Array.length ctx.rels in
-  let entry_of i =
-    let cands, stats = ctx.base.(i) in
-    { stats; cands }
-  in
   let start = ref 0 and start_cost = ref infinity in
   for i = 0 to n - 1 do
-    match Candidate.cheapest (fst ctx.base.(i)) with
+    match Candidate.cheapest ctx.base.(i).frontier.Candidate.cands with
     | Some c when c.Candidate.cost < !start_cost ->
       start := i;
       start_cost := c.Candidate.cost
     | _ -> ()
   done;
-  let mask = ref (1 lsl !start) and current = ref (entry_of !start) in
+  let mask = ref (1 lsl !start) and current = ref ctx.base.(!start) in
   (try
      for _ = 2 to n do
        let exts =
@@ -664,14 +762,10 @@ let greedy_upper_bound ctx (q : Spj.t) : float =
            (fun acc i ->
               let rmask = 1 lsl i in
               let union = !mask lor rmask in
-              let out = { stats = stats_of ctx union; cands = [] } in
-              let cands =
-                join_cands ctx ~left:!current ~left_mask:!mask
-                  ~right:(entry_of i) ~right_mask:rmask ~right_base:(Some i)
-                  ~out_stats:out.stats
-              in
-              insert_all ctx out cands;
-              match Candidate.cheapest out.cands, acc with
+              let out = new_entry (stats_of ctx union) [] in
+              join_cands ctx ~left:!current ~left_mask:!mask
+                ~right:ctx.base.(i) ~right_mask:rmask ~right_base:(Some i) out;
+              match Candidate.cheapest out.frontier.Candidate.cands, acc with
               | None, _ -> acc
               | Some c, Some (_, _, bc) when c.Candidate.cost >= bc -> acc
               | Some c, _ -> Some (union, out, c.Candidate.cost))
@@ -691,26 +785,25 @@ let optimize_entry ?trace ?(config = default_config) cat db (q : Spj.t) :
   let ctx = make_ctx ?trace config cat db q in
   let n = Array.length ctx.rels in
   if n = 0 then invalid_arg "Join_order.optimize: no relations";
-  let entries : (int, entry) Hashtbl.t = Hashtbl.create 64 in
+  let entries : entry Int_tbl.t = Int_tbl.create 64 in
   (* masks of each size, in creation order, for the left-deep pass *)
   let by_size = Array.make (n + 1) [] in
   let add mask e =
-    Hashtbl.replace entries mask e;
+    Int_tbl.replace entries mask e;
     let k = popcount mask in
     by_size.(k) <- mask :: by_size.(k);
     ctx.subsets_created <- ctx.subsets_created + 1
   in
   for i = 0 to n - 1 do
-    let cands, stats = ctx.base.(i) in
-    add (1 lsl i) { stats; cands }
+    add (1 lsl i) ctx.base.(i)
   done;
   let full = (1 lsl n) - 1 in
-  let get mask = Hashtbl.find_opt entries mask in
+  let get mask = Int_tbl.find_opt entries mask in
   let ensure mask =
     match get mask with
     | Some e -> e
     | None ->
-      let e = { stats = stats_of ctx mask; cands = [] } in
+      let e = new_entry (stats_of ctx mask) [] in
       add mask e;
       e
   in
@@ -736,13 +829,13 @@ let optimize_entry ?trace ?(config = default_config) cat db (q : Spj.t) :
      path exists. *)
   let consider ~(left : entry) ~left_mask ~(right : entry) ~right_mask
       ~right_base out =
-    match Candidate.cheapest left.cands, Candidate.cheapest right.cands with
-    | None, _ | _, None -> ()
-    | Some lc, Some rc ->
+    match left.frontier.Candidate.cands, right.frontier.Candidate.cands with
+    | [], _ | _, [] -> ()
+    | lc :: _, rc :: _ ->
       ctx.splits_considered <- ctx.splits_considered + 1;
       let right_may_be_free =
         match right_base with
-        | Some i -> ctx.has_index.(i) && List.mem Inl ctx.cfg.methods
+        | Some i -> ctx.info.(i).probes <> []
         | None -> false
       in
       let lb =
@@ -756,9 +849,8 @@ let optimize_entry ?trace ?(config = default_config) cat db (q : Spj.t) :
               { left_mask; right_mask; lower_bound = lb; bound = ub })
       end
       else
-        insert_all ~bound:ub ctx out
-          (join_cands ctx ~left ~left_mask ~right ~right_mask ~right_base
-             ~out_stats:out.stats)
+        join_cands ~bound:ub ctx ~left ~left_mask ~right ~right_mask
+          ~right_base out
   in
   (* Per-level enumeration counters (level = relations in the union mask),
      accumulated from snapshot deltas around each enumeration step; the
@@ -783,7 +875,7 @@ let optimize_entry ?trace ?(config = default_config) cat db (q : Spj.t) :
       at_level (size + 1) @@ fun () ->
       List.iter
         (fun mask ->
-           let left = Hashtbl.find entries mask in
+           let left = Int_tbl.find entries mask in
            let exts = List.filter (fun i -> mask land (1 lsl i) = 0) rels in
            let connected_exts =
              List.filter
@@ -800,10 +892,9 @@ let optimize_entry ?trace ?(config = default_config) cat db (q : Spj.t) :
            List.iter
              (fun i ->
                 let rmask = 1 lsl i in
-                let right = Hashtbl.find entries rmask in
                 let out = ensure (mask lor rmask) in
-                consider ~left ~left_mask:mask ~right ~right_mask:rmask
-                  ~right_base:(Some i) out)
+                consider ~left ~left_mask:mask ~right:ctx.base.(i)
+                  ~right_mask:rmask ~right_base:(Some i) out)
              chosen)
         masks
     done
@@ -931,18 +1022,18 @@ let optimize_entry ?trace ?(config = default_config) cat db (q : Spj.t) :
        (Obs.Trace.Memo_stats
           { table = "subset_stats";
             hits = ctx.memo_hits;
-            misses = Hashtbl.length ctx.stats_memo });
+            misses = Int_tbl.length ctx.stats_memo });
      let hits, misses = Stats.Histogram.join_memo_stats ctx.join_memo in
      sink (Obs.Trace.Memo_stats { table = "hist_join"; hits; misses }));
-  (ctx, Hashtbl.find entries full)
+  (ctx, Int_tbl.find entries full)
 
 let finish ctx (q : Spj.t) (final : entry) : result =
   let stats = final.stats in
-  let rows = stats.Stats.Derive.card and pages = Stats.Derive.pages stats in
+  let rows = stats.Stats.Derive.card and pages = final.pages in
   let best =
     match
       Candidate.cheapest_with_order ~params:ctx.cfg.params ~rows ~pages
-        ~want:q.Spj.order_by final.cands
+        ~want:q.Spj.order_by final.frontier.Candidate.cands
     with
     | Some c -> c
     | None -> invalid_arg "Join_order: no plan found"

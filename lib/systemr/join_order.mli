@@ -58,8 +58,34 @@ type counters = {
 val counters_zero : counters
 val counters_add : counters -> counters -> counters
 
+(** Tables keyed by relation bitmask. *)
+module Int_tbl : Hashtbl.S with type key = int
+
+(** A join conjunct classified once per query: the mask of relations it
+    mentions and, for an equi-join between two of the block's relations,
+    its join keys in both orientations. *)
+type conj
+
+(** Per-relation facts the join costing reads, looked up once per query:
+    stored rows and pages, and the indexes an index nested loop can probe
+    (none when [Inl] is not among the configured methods). *)
+type rel_info
+
+(** Per-subset entry: logical statistics, their pages (read by every
+    split the subset takes part in) and the Pareto candidate set. *)
+type entry = {
+  stats : Stats.Derive.rel_stats;
+  pages : float;
+  frontier : Candidate.frontier;
+}
+
+(** An entry with [pages] derived from [stats], holding a cost-sorted
+    Pareto set. *)
+val new_entry : Stats.Derive.rel_stats -> Candidate.t list -> entry
+
 (** Shared optimization state: base access paths, the bitset query graph,
-    subset statistics and histogram-join memos, effort counters. *)
+    classified join conjuncts, subset statistics and histogram-join
+    memos, effort counters. *)
 type ctx = {
   cfg : config;
   cat : Storage.Catalog.t;
@@ -67,15 +93,14 @@ type ctx = {
   rels : Spj.relation array;
   locals : Expr.t list array;
   join_preds : Expr.t list;
-  pred_masks : (Expr.t * int) array;
-      (** every join conjunct with the mask of relations it mentions *)
+  conjs : conj array;  (** every join conjunct, in [join_preds] order *)
   neighbors : int array;
       (** per-relation adjacency mask over two-relation conjuncts *)
   hyper : int array;
       (** masks of conjuncts spanning three or more relations *)
-  has_index : bool array;
-  base : (Candidate.t list * Stats.Derive.rel_stats) array;
-  stats_memo : (int, Stats.Derive.rel_stats) Hashtbl.t;
+  info : rel_info array;
+  base : entry array;  (** access paths and filtered statistics *)
+  stats_memo : Stats.Derive.rel_stats Int_tbl.t;
   join_memo : Stats.Histogram.join_memo;
       (** histogram-join rows per join edge, consulted by [stats_of] and
           so shared by every enumerator built on this context *)
@@ -87,12 +112,6 @@ type ctx = {
   mutable subsets_created : int;
   mutable memo_hits : int;
       (** subset-statistics lookups served from the memo *)
-}
-
-(** Per-subset entry: logical statistics plus the Pareto candidate set. *)
-type entry = {
-  stats : Stats.Derive.rel_stats;
-  mutable cands : Candidate.t list;
 }
 
 type result = {
@@ -111,8 +130,6 @@ val lowest_bit_index : int -> int
 val make_ctx :
   ?trace:(Obs.Trace.event -> unit) ->
   config -> Storage.Catalog.t -> Stats.Table_stats.db -> Spj.t -> ctx
-
-val aliases_of : ctx -> int -> string list
 
 (** Join conjuncts crossing the (left, right) partition and contained in
     its union — two [land]s per conjunct. *)
@@ -141,18 +158,16 @@ val stats_of : ctx -> int -> Stats.Derive.rel_stats
     a materialized-view temp table (unstable generated names). *)
 val feedback_key : ctx -> int -> Stats.Feedback.key option
 
-(** All join candidates combining [left] with [right] ([right_base] set
-    when the right side is one base relation, enabling index nested
-    loops). *)
+(** Cost every join candidate combining [left] with [right] ([right_base]
+    set when the right side is one base relation, enabling index nested
+    loops) and insert each into the given entry's Pareto set.  Shared
+    per-split work is done once; a candidate's plan is built only if the
+    frontier keeps it.  Candidates dearer than [bound] (default: none)
+    are dropped and counted as pruned unless they carry an interesting
+    order. *)
 val join_cands :
-  ctx -> left:entry -> left_mask:int -> right:entry -> right_mask:int ->
-  right_base:int option -> out_stats:Stats.Derive.rel_stats ->
-  Candidate.t list
-
-(** Insert candidates into the entry's Pareto set; candidates dearer than
-    [bound] are dropped (counted as pruned) unless they carry an
-    interesting order. *)
-val insert_all : ?bound:float -> ctx -> entry -> Candidate.t list -> unit
+  ?bound:float -> ctx -> left:entry -> left_mask:int -> right:entry ->
+  right_mask:int -> right_base:int option -> entry -> unit
 
 (** Run the enumeration, returning the context and the full-set entry. *)
 val optimize_entry :

@@ -75,24 +75,17 @@ let optimize ?(config = Join_order.default_config) cat db (q : Spj.t) : result
                check (1 lsl first) rest)
          in
          if not introduces_cross then begin
-           let cands0, stats0 = ctx.base.(first) in
-           let entry0 = { stats = stats0; cands = cands0 } in
            let _, final =
              List.fold_left
                (fun (mask, left) r ->
                   let rmask = 1 lsl r in
                   let union = mask lor rmask in
-                  let rcands, rstats = ctx.base.(r) in
-                  let right = { stats = rstats; cands = rcands } in
-                  let out_stats = Join_order.stats_of ctx union in
-                  let out = { stats = out_stats; cands = [] } in
-                  let cands =
-                    Join_order.join_cands ctx ~left ~left_mask:mask ~right
-                      ~right_mask:rmask ~right_base:(Some r) ~out_stats
-                  in
-                  Join_order.insert_all ctx out cands;
+                  let out = new_entry (Join_order.stats_of ctx union) [] in
+                  Join_order.join_cands ctx ~left ~left_mask:mask
+                    ~right:ctx.base.(r) ~right_mask:rmask ~right_base:(Some r)
+                    out;
                   (union, out))
-               (1 lsl first, entry0)
+               (1 lsl first, ctx.base.(first))
                rest
            in
            let res = Join_order.finish ctx q final in

@@ -19,31 +19,40 @@ let make ?(projections = None) ?(order_by = []) ~relations ~predicates () =
 
 let relation_aliases q = List.map (fun r -> r.alias) q.relations
 
-(* Local (single-relation) conjuncts for [alias].  Constant conjuncts
+(* Every conjunct placed once: the local (single-relation) conjuncts of
+   each relation, in relation order, and the conjuncts spanning at least
+   two relations — each list in predicate order.  Constant conjuncts
    (referencing no relation — e.g. the WHERE FALSE left by folding a
    contradictory predicate set) must not be dropped: they are assigned
    to the first relation, which filters the whole result exactly once
    and as early as possible. *)
-let local_predicates q alias =
-  let first =
-    match q.relations with r :: _ -> r.alias = alias | [] -> false
+let split_predicates q : Expr.t list array * Expr.t list =
+  let rels = Array.of_list q.relations in
+  let locals = Array.make (Array.length rels) [] and joins = ref [] in
+  let add_local alias p =
+    Array.iteri
+      (fun i r -> if r.alias = alias then locals.(i) <- p :: locals.(i))
+      rels
   in
-  List.filter
+  List.iter
     (fun p ->
        match Pred.classify p with
-       | Pred.Single r -> r = alias
-       | Pred.Constant -> first
-       | Pred.Equi_join _ | Pred.Theta_join _ -> false)
-    q.predicates
+       | Pred.Single r -> add_local r p
+       | Pred.Constant ->
+         if Array.length rels > 0 then add_local rels.(0).alias p
+       | Pred.Equi_join _ | Pred.Theta_join _ -> joins := p :: !joins)
+    (List.rev q.predicates);
+  (locals, !joins)
 
-(* Conjuncts spanning at least two relations. *)
-let join_predicates q =
-  List.filter
-    (fun p ->
-       match Pred.classify p with
-       | Pred.Equi_join _ | Pred.Theta_join _ -> true
-       | Pred.Constant | Pred.Single _ -> false)
-    q.predicates
+let local_predicates q alias =
+  let locals, _ = split_predicates q in
+  let rec find i = function
+    | [] -> []
+    | r :: rest -> if r.alias = alias then locals.(i) else find (i + 1) rest
+  in
+  find 0 q.relations
+
+let join_predicates q = snd (split_predicates q)
 
 let graph q : Query_graph.t =
   Query_graph.of_query

@@ -20,6 +20,11 @@ val make :
 
 val relation_aliases : t -> string list
 
+(** Every conjunct placed once, in predicate order: the single-relation
+    conjuncts of each relation (in relation order; constant conjuncts go
+    to the first relation) and the conjuncts spanning at least two. *)
+val split_predicates : t -> Expr.t list array * Expr.t list
+
 (** Single-relation conjuncts for one alias. *)
 val local_predicates : t -> string -> Expr.t list
 

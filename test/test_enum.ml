@@ -3,7 +3,9 @@
    pre-change enumerator ([Join_order.exhaustive]) on random acyclic and
    cyclic query graphs, across tree shapes and pruning-sensitive configs;
    plus fixed regressions (disconnected rescue, single relation, counter
-   sanity) and the sorted Pareto-frontier invariant of [Candidate.insert]. *)
+   sanity), the sorted Pareto-frontier invariant of [Candidate.insert],
+   and the frontier and the lazily priced sort enforcer checked step by
+   step against the list fold and eager enforcer they replaced. *)
 
 open Relalg
 
@@ -235,7 +237,7 @@ let test_hist_join_memo () =
   (* [stats_of]'s canonical derivation — add the highest relation to the
      rest — without the memo *)
   let n = Array.length ctx.Systemr.Join_order.rels in
-  let derived = ref (snd ctx.Systemr.Join_order.base.(0)) in
+  let derived = ref ctx.Systemr.Join_order.base.(0).Systemr.Join_order.stats in
   for top = 1 to n - 1 do
     let preds =
       Systemr.Join_order.crossing_preds ctx ~left:((1 lsl top) - 1)
@@ -243,7 +245,7 @@ let test_hist_join_memo () =
     in
     derived :=
       Stats.Derive.join Algebra.Inner !derived
-        (snd ctx.Systemr.Join_order.base.(top))
+        ctx.Systemr.Join_order.base.(top).Systemr.Join_order.stats
         (Pred.of_conjuncts preds)
   done;
   Alcotest.(check int64) "full-set estimate unchanged by the memo"
@@ -261,6 +263,18 @@ let orders_pool : Cost.Physical_props.order list =
   [ []; [ (a, Algebra.Asc) ]; [ (a, Algebra.Asc); (b, Algebra.Asc) ];
     [ (b, Algebra.Desc) ] ]
 
+(* Insert a stream into an empty frontier; its cost-sorted list. *)
+let frontier_of ~interesting_orders cands =
+  let f = Systemr.Candidate.frontier [] in
+  List.iter (Systemr.Candidate.insert ~interesting_orders f) cands;
+  f.Systemr.Candidate.cands
+
+(* [a] dominates [b]: no dearer, and at least as strong an order. *)
+let dominates (a : Systemr.Candidate.t) (b : Systemr.Candidate.t) =
+  a.Systemr.Candidate.cost <= b.Systemr.Candidate.cost
+  && Cost.Physical_props.satisfies ~have:a.Systemr.Candidate.order
+       ~want:b.Systemr.Candidate.order
+
 let prop_frontier_invariant =
   QCheck.Test.make ~name:"Candidate.insert keeps a sorted Pareto frontier"
     ~count:100
@@ -277,10 +291,7 @@ let prop_frontier_invariant =
                 order = List.nth orders_pool oi })
            specs
        in
-       let frontier =
-         List.fold_left
-           (Systemr.Candidate.insert ~interesting_orders:true) [] cands
-       in
+       let frontier = frontier_of ~interesting_orders:true cands in
        let rec sorted = function
          | a :: (b :: _ as rest) ->
            a.Systemr.Candidate.cost <= b.Systemr.Candidate.cost && sorted rest
@@ -289,9 +300,7 @@ let prop_frontier_invariant =
        let antichain =
          List.for_all
            (fun c ->
-              List.for_all
-                (fun c' -> c == c' || not (Systemr.Candidate.dominates c' c))
-                frontier)
+              List.for_all (fun c' -> c == c' || not (dominates c' c)) frontier)
            frontier
        in
        let min_cost =
@@ -304,6 +313,190 @@ let prop_frontier_invariant =
          | None -> false
        in
        sorted frontier && antichain && head_is_min)
+
+(* The single-pass list insertion the indexed frontier replaced, kept
+   verbatim as the reference. *)
+let reference_insert ~interesting_orders (cands : Systemr.Candidate.t list)
+    (c : Systemr.Candidate.t) =
+  let open Systemr.Candidate in
+  if not interesting_orders then
+    match cands with
+    | [] -> [ c ]
+    | best :: _ -> if c.cost < best.cost then [ c ] else cands
+  else
+    let rec go acc = function
+      | c' :: rest when c'.cost <= c.cost ->
+        if Cost.Physical_props.satisfies ~have:c'.order ~want:c.order then
+          cands
+        else if
+          c'.cost = c.cost
+          && Cost.Physical_props.satisfies ~have:c.order ~want:c'.order
+        then go acc rest
+        else go (c' :: acc) rest
+      | rest ->
+        let rest' =
+          List.filter
+            (fun c' ->
+               not (Cost.Physical_props.satisfies ~have:c.order ~want:c'.order))
+            rest
+        in
+        List.rev_append acc (c :: rest')
+    in
+    go [] cands
+
+(* The eager enforcer: the Sort plan is built before the comparison. *)
+let reference_cheapest_with_order ~params ~rows ~pages ~want
+    (cands : Systemr.Candidate.t list) =
+  let open Systemr.Candidate in
+  let direct =
+    List.find_opt
+      (fun c -> Cost.Physical_props.satisfies ~have:c.order ~want)
+      cands
+  in
+  let enforced =
+    match cheapest cands with
+    | None -> None
+    | Some c ->
+      let keys =
+        List.map
+          (fun ((col : Expr.col_ref), d) ->
+             { Exec.Plan.key = Expr.Col col;
+               descending = (d = Algebra.Desc) })
+          want
+      in
+      Some
+        { plan = Exec.Plan.Sort (keys, c.plan);
+          cost = c.cost +. Cost.Cost_model.sort params ~pages ~rows;
+          order = want }
+  in
+  match direct, enforced with
+  | None, x | x, None -> x
+  | Some d, Some e -> Some (if d.cost <= e.cost then d else e)
+
+(* Every order of up to three keys over R.a, R.b, R.b DESC and S.c — 85
+   orders, many of them prefixes of others, so long streams grow
+   frontiers past the size at which they switch to the order trie. *)
+let wide_orders : Cost.Physical_props.order array =
+  let keys =
+    [ ({ Expr.rel = "R"; col = "a" }, Algebra.Asc);
+      ({ Expr.rel = "R"; col = "b" }, Algebra.Asc);
+      ({ Expr.rel = "R"; col = "b" }, Algebra.Desc);
+      ({ Expr.rel = "S"; col = "c" }, Algebra.Asc) ]
+  in
+  let rec of_len n =
+    if n = 0 then [ [] ]
+    else List.concat_map (fun o -> List.map (fun k -> k :: o) keys) (of_len (n - 1))
+  in
+  Array.of_list (List.concat_map of_len [ 0; 1; 2; 3 ])
+
+(* Streams with many equal costs, orders that are prefixes of one
+   another, and the odd infinite or NaN cost (a sort enforcer over an
+   empty input prices at NaN); each candidate's plan names its position in
+   the stream, so the comparison sees which candidate survived, not just
+   its cost.  Short streams over four orders, or long ones over all. *)
+let stream_gen =
+  QCheck.make
+    ~print:(fun (wide, l) ->
+        Printf.sprintf "wide=%b %s" wide
+          (String.concat "; "
+             (List.map (fun (c, o) -> Printf.sprintf "(%d,%d)" c o) l)))
+    QCheck.Gen.(
+      bool >>= fun wide ->
+      let orders = if wide then Array.length wide_orders else 4 in
+      list_size
+        (if wide then int_range 0 150 else int_range 0 16)
+        (pair (int_range 0 (if wide then 41 else 7)) (int_range 0 (orders - 1)))
+      >|= fun l -> (wide, l))
+
+let stream_of (wide, specs) =
+  let top = if wide then 41 else 7 in
+  List.mapi
+    (fun i (c, oi) ->
+       { Systemr.Candidate.plan =
+           Exec.Plan.Seq_scan
+             { table = string_of_int i; alias = "T"; filter = None };
+         cost =
+           (if c = top then Float.nan
+            else if c = top - 1 then infinity
+            else float_of_int c);
+         order =
+           (if wide then wide_orders.(oi) else List.nth orders_pool oi) })
+    specs
+
+(* Structural equality that treats NaN costs as equal. *)
+let same_cands (a : Systemr.Candidate.t list) (b : Systemr.Candidate.t list) =
+  List.length a = List.length b
+  && List.for_all2
+       (fun (x : Systemr.Candidate.t) (y : Systemr.Candidate.t) ->
+          x.Systemr.Candidate.plan = y.Systemr.Candidate.plan
+          && Float.equal x.Systemr.Candidate.cost y.Systemr.Candidate.cost
+          && x.Systemr.Candidate.order = y.Systemr.Candidate.order)
+       a b
+
+let prop_frontier_matches_reference =
+  QCheck.Test.make ~name:"dominated + add = reference insert" ~count:500
+    (QCheck.pair QCheck.bool stream_gen)
+    (fun (interesting_orders, specs) ->
+       let cands = stream_of specs in
+       let expected =
+         List.fold_left (reference_insert ~interesting_orders) [] cands
+       in
+       (* every prefix of the stream: the verdict of [dominated] and the
+          resulting list agree with the reference at each step *)
+       let f = Systemr.Candidate.frontier [] in
+       let _, agree =
+         List.fold_left
+           (fun (reference, ok) (c : Systemr.Candidate.t) ->
+              let reference' = reference_insert ~interesting_orders reference c in
+              let rejected =
+                Systemr.Candidate.dominated ~interesting_orders f
+                  ~cost:c.Systemr.Candidate.cost
+                  ~order:c.Systemr.Candidate.order
+              in
+              if not rejected then Systemr.Candidate.add ~interesting_orders f c;
+              ( reference',
+                ok
+                && rejected = (reference' == reference)
+                && same_cands reference' f.Systemr.Candidate.cands ))
+           ([], true) cands
+       in
+       (* a frontier rebuilt from another's list carries on the same *)
+       let evens = List.filteri (fun i _ -> i mod 2 = 0) cands
+       and odds = List.filteri (fun i _ -> i mod 2 = 1) cands in
+       let rebuilt =
+         Systemr.Candidate.frontier (frontier_of ~interesting_orders evens)
+       in
+       List.iter (Systemr.Candidate.insert ~interesting_orders rebuilt) odds;
+       agree
+       && same_cands expected (frontier_of ~interesting_orders cands)
+       && same_cands rebuilt.Systemr.Candidate.cands
+            (List.fold_left (reference_insert ~interesting_orders) []
+               (evens @ odds)))
+
+(* Row counts below one give the sort enforcer a negative cost, so it can
+   beat an already-ordered head; both versions must agree there too. *)
+let prop_lazy_enforcer_matches_eager =
+  QCheck.Test.make ~name:"lazily priced enforcer = eager enforcer" ~count:500
+    (QCheck.triple stream_gen
+       (QCheck.int_range 0 (Array.length wide_orders - 1))
+       (QCheck.pair (QCheck.int_range 0 4000) (QCheck.int_range 0 300)))
+    (fun (specs, wi, (rows10, pages)) ->
+       let frontier =
+         List.fold_left
+           (reference_insert ~interesting_orders:true) [] (stream_of specs)
+       in
+       let params = Cost.Cost_model.default_params
+       and rows = float_of_int rows10 /. 10.
+       and pages = float_of_int pages
+       and want = wide_orders.(wi) in
+       match
+         ( reference_cheapest_with_order ~params ~rows ~pages ~want frontier,
+           Systemr.Candidate.cheapest_with_order ~params ~rows ~pages ~want
+             frontier )
+       with
+       | None, None -> true
+       | Some a, Some b -> same_cands [ a ] [ b ]
+       | _ -> false)
 
 let () =
   Alcotest.run "enum"
@@ -318,4 +511,6 @@ let () =
          Alcotest.test_case "counters sane" `Quick test_counters_sane;
          Alcotest.test_case "hist_join memo" `Quick test_hist_join_memo ]);
       ("frontier",
-       [ QCheck_alcotest.to_alcotest prop_frontier_invariant ]) ]
+       [ QCheck_alcotest.to_alcotest prop_frontier_invariant;
+         QCheck_alcotest.to_alcotest prop_frontier_matches_reference;
+         QCheck_alcotest.to_alcotest prop_lazy_enforcer_matches_eager ]) ]

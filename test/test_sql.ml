@@ -35,6 +35,32 @@ let test_lexer () =
   Alcotest.check_raises "bad char" (Sql.Lexer.Error "unexpected character ?")
     (fun () -> ignore (Sql.Lexer.tokenize "SELECT ?"))
 
+(* Every keyword is a [KW] (uppercased) whatever its case; identifiers
+   that merely contain, extend or prefix a keyword stay [IDENT]. *)
+let test_lexer_keywords () =
+  let mixed k =
+    String.mapi
+      (fun i c -> if i mod 2 = 0 then Char.lowercase_ascii c else c)
+      k
+  in
+  List.iter
+    (fun k ->
+       List.iter
+         (fun spelling ->
+            match Sql.Lexer.tokenize spelling with
+            | [ Sql.Lexer.KW k'; Sql.Lexer.EOF ] ->
+              Alcotest.(check string) spelling k k'
+            | _ -> Alcotest.failf "%s: not a single keyword" spelling)
+         [ k; String.lowercase_ascii k; mixed k ])
+    Sql.Lexer.keywords;
+  List.iter
+    (fun w ->
+       match Sql.Lexer.tokenize w with
+       | [ Sql.Lexer.IDENT w'; Sql.Lexer.EOF ] ->
+         Alcotest.(check string) w w w'
+       | _ -> Alcotest.failf "%s: not a single identifier" w)
+    [ "selects"; "order_id"; "BYTE"; "in2"; "Sel"; "_and"; "ALLx"; "count#" ]
+
 (* ---------- parser ---------- *)
 
 let test_parser_shapes () =
@@ -244,7 +270,9 @@ let test_e2e_union () =
 
 let () =
   Alcotest.run "sql"
-    [ ("lexer", [ Alcotest.test_case "tokens" `Quick test_lexer ]);
+    [ ("lexer",
+       [ Alcotest.test_case "tokens" `Quick test_lexer;
+         Alcotest.test_case "keywords" `Quick test_lexer_keywords ]);
       ("parser",
        [ Alcotest.test_case "shapes" `Quick test_parser_shapes;
          Alcotest.test_case "subqueries" `Quick test_parser_subqueries;
