@@ -92,19 +92,26 @@ let sort_on rel c input =
 (* ------------------------------------------------------------------ *)
 (* Harness *)
 
-(* best-of-[reps] wall clock plus the best run's minor-heap allocation
-   (words); returns (seconds, words, result) *)
+(* Words allocated so far, on either heap: minor + major − promoted.
+   Counting minor words alone misses every block over 256 words, which
+   goes straight to the major heap — the columnar engine's arrays. *)
+let allocated_words () =
+  let minor, promoted, major = Gc.counters () in
+  minor +. major -. promoted
+
+(* best-of-[reps] wall clock plus the best run's allocation (words, both
+   heaps); returns (seconds, words, result) *)
 let time_runs reps f =
   let best = ref infinity and last = ref None and alloc = ref 0. in
   for _ = 1 to reps do
     Gc.full_major ();
-    let a0 = Gc.minor_words () in
+    let a0 = allocated_words () in
     let t0 = Obs.Clock.now () in
     let r = f () in
     let dt = Obs.Clock.now () -. t0 in
     if dt < !best then begin
       best := dt;
-      alloc := Gc.minor_words () -. a0
+      alloc := allocated_words () -. a0
     end;
     last := Some r
   done;
@@ -118,7 +125,7 @@ type row = {
   out_rows : int;
   interp_s : float;
   batch_s : float;
-  interp_alloc_w : float; (* minor words allocated, best run *)
+  interp_alloc_w : float; (* words allocated (both heaps), best run *)
   batch_alloc_w : float;
 }
 

@@ -5,9 +5,10 @@
    the buffer-pool simulator exactly as one execution of an index fetch
    would (internal levels random, touched leaf pages, then base-table
    pages — contiguous for a clustered index, one possibly-buffered random
-   page per match otherwise), while [fetch_rows] moves the data.  The
-   batch engine charges rescans by replaying the former without repeating
-   the latter. *)
+   page per match otherwise), while [fetch_rows] moves the data for the
+   interpreter.  The batch engine never moves rows: it selects the
+   entries' row ids from the table's store, and charges rescans by
+   replaying [charge_index_fetch]. *)
 
 open Relalg
 
@@ -42,17 +43,17 @@ let charge_index_fetch ctx (idx : Storage.Btree.t) (t : Storage.Table.t)
   end;
   Context.charge_cpu ctx n;
   if idx.Storage.Btree.clustered then begin
-    (* row ids of a clustered index range are contiguous pages *)
-    let pages =
-      Array.fold_left
-        (fun acc (_, rid) ->
-           let pg = Storage.Table.page_of_row t rid in
-           if List.mem pg acc then acc else pg :: acc)
-        [] entries
-    in
-    List.iter
-      (fun pg -> Context.read_page ctx ~random:false (t.Storage.Table.name, pg))
-      (List.rev pages)
+    (* row ids of a clustered index range are contiguous pages: each
+       distinct page is read once, in order of first touch *)
+    let seen = Bytes.make (Storage.Table.page_count t) '\000' in
+    Array.iter
+      (fun (_, rid) ->
+         let pg = Storage.Table.page_of_row t rid in
+         if Bytes.get seen pg = '\000' then begin
+           Bytes.set seen pg '\001';
+           Context.read_page ctx ~random:false (t.Storage.Table.name, pg)
+         end)
+      entries
   end
   else
     Array.iter

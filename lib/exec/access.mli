@@ -17,6 +17,8 @@ val charge_index_fetch :
   Context.t -> Storage.Btree.t -> Storage.Table.t ->
   entries:(Value.t list * int) array -> lo_pos:int -> unit
 
-(** The data half: the base-table rows of the entries, in entry order. *)
+(** The data half, for the interpreter: the base-table rows of the
+    entries, in entry order (the batch engine selects their row ids
+    instead). *)
 val fetch_rows :
   Storage.Table.t -> (Value.t list * int) array -> Tuple.t array

@@ -9,10 +9,13 @@
    - operators exchange [Eval.Chunk.t] values: per-column typed storage
      (unboxed int/float arrays with null bitmaps, a boxed fallback
      column for strings/bools/mixed numerics) plus a selection vector.
-     Filters and semi/anti hash joins narrow the selection without
-     materializing rows; rows are built only where an operator is
-     inherently row-shaped (sort payloads, nested-loop rescans,
-     join-row emission, the final result);
+     Scans share their table's memoized typed columns; filters, semi/anti
+     joins, DISTINCT, sort and index scans return selections; inner and
+     outer joins return gather stores (index vectors into their two
+     inputs, columns gathered on first read); hash aggregation emits
+     typed columns.  Join emission writes row indices, never rows.  Rows
+     are built only at the root (the result), for nested-loop and
+     residual predicates, and for the stream-aggregation walk;
    - predicates and projection items whose leaves are all integer
      columns/constants compile to unboxed closures ([Eval.int_expr] /
      [Eval.pred_store]) and run directly over the column data;
@@ -48,11 +51,12 @@
    parallel sort exactly a stable sort.  Workers do pure computation
    only: every [Context] charge happens on the coordinating domain, in
    the same order relative to child executions in both modes, and the
-   lazy chunk caches a kernel reads (column/row views) are forced on the
-   coordinator before dispatch.  Operators whose work charges the
-   stateful buffer pool per row or walks its input sequentially (index
-   scan fetches, index-NL probes, the merge-join walk, stream
-   aggregation) run on the coordinator in both modes.
+   lazy caches a kernel reads (gathered columns, row views, a table's
+   shared columns) are forced on the coordinator before dispatch.
+   Operators whose work charges the stateful buffer pool per row or
+   walks its input sequentially (index scan fetches, index-NL probes,
+   the merge-join walk, stream aggregation) run on the coordinator in
+   both modes.
 
    Cost charging is decoupled from data movement — all charging loops
    run over *logical* (selection-order) row counts, so the counters are
@@ -425,9 +429,9 @@ let run_node ~ctx ~obs ~sketch ~chunk_rows ~(par : pooled option)
     in
     charge ();
     let s = Schema.requalify t.Storage.Table.schema ~rel:alias in
-    let store =
-      Chunk.store_of_rows ~arity:(Schema.arity s) (Storage.Table.rows_array t)
-    in
+    (* the table's own store: typed columns are classified once per table
+       size and shared by every later scan *)
+    let store = Chunk.of_table t in
     feed_sketches sketch t store;
     let chunk =
       match filter with
@@ -458,13 +462,13 @@ let run_node ~ctx ~obs ~sketch ~chunk_rows ~(par : pooled option)
     let charge () = Access.charge_index_fetch ctx idx t ~entries ~lo_pos in
     charge ();
     let s = Schema.requalify t.Storage.Table.schema ~rel:alias in
-    let store =
-      Chunk.store_of_rows ~arity:(Schema.arity s) (Access.fetch_rows t entries)
-    in
+    (* the fetched row ids select from the table's store: no row moves *)
+    let store = Chunk.of_table t in
+    let fetched = { Chunk.store; sel = Some (Array.map snd entries) } in
     let chunk =
       match filter with
-      | None -> Chunk.dense store
-      | Some f -> select p (Chunk.dense store) (pred_store s f store)
+      | None -> fetched
+      | Some f -> select p fetched (pred_store s f store)
     in
     { chunk; replay = charge }
 
@@ -490,8 +494,13 @@ let run_node ~ctx ~obs ~sketch ~chunk_rows ~(par : pooled option)
     Context.charge_cpu ctx n;
     let es = Array.of_list (List.map fst items) in
     let nf = Array.length es in
+    let offs = Array.map (col_offset s) es in
     let chunk =
       match store.Chunk.rows with
+      | _ when Array.for_all Option.is_some offs ->
+        (* plain columns only: share the input's columns under the new
+           positions, keep its selection — nothing is copied *)
+        { ch with Chunk.store = Chunk.remap store (Array.map Option.get offs) }
       | Some srows ->
         (* the child is already materialized: one fused row-at-a-time
            pass — plain columns share the existing boxes, integer
@@ -610,13 +619,13 @@ let run_node ~ctx ~obs ~sketch ~chunk_rows ~(par : pooled option)
                            v'.(j) <- f r.(j)
                          done))
                in
-               Some c)
+               c)
             es
         in
         let fills = Storage.Vec.to_array fills in
         if Array.length fills > 0 then
           fill p n (fun lo hi -> Array.iter (fun k -> k lo hi) fills);
-        Chunk.dense { Chunk.arity = nf; len = n; rows = None; cols = out_cols }
+        Chunk.dense (Chunk.store_of_cols ~len:n out_cols)
     in
     { chunk;
       replay = (fun () -> child.replay (); Context.charge_cpu ctx n) }
@@ -624,16 +633,9 @@ let run_node ~ctx ~obs ~sketch ~chunk_rows ~(par : pooled option)
   and sort p keys i =
     let child = exec i in
     let s = Plan.schema cat i in
-    let fs =
-      Array.of_list
-        (List.map
-           (fun (k : Plan.sort_key) ->
-              (Expr.compile s k.Plan.key, k.Plan.descending))
-           keys)
-    in
-    let nk = Array.length fs in
-    let rows = Chunk.to_rows child.chunk in
-    let n = Array.length rows in
+    let ch = child.chunk in
+    let store = ch.Chunk.store in
+    let n = Chunk.length ch in
     let cpu = n * Access.log2_ceil n in
     let pages = Storage.Page.pages_for ~rows:n s in
     let spill =
@@ -644,90 +646,122 @@ let run_node ~ctx ~obs ~sketch ~chunk_rows ~(par : pooled option)
       Context.charge_spill ctx spill
     in
     charge ();
-    (* plain column keys sort in place through precompiled offsets; computed
-       keys are decorated once per row — either way no expression is
-       evaluated inside the comparator *)
-    let key_offsets =
-      List.map
-        (fun (k : Plan.sort_key) ->
-           Option.map (fun off -> (off, k.Plan.descending)) (col_offset s k.Plan.key))
-        keys
-    in
-    let sorted =
-      if List.for_all Option.is_some key_offsets then begin
-        let ks = Array.of_list (List.filter_map Fun.id key_offsets) in
-        let cmp a b =
-          let rec go k =
-            if k = nk then 0
-            else
-              let off, desc = ks.(k) in
-              match Value.compare (Tuple.get a off) (Tuple.get b off) with
-              | 0 -> go (k + 1)
-              | c -> if desc then -c else c
+    (* The output is a stable-sorted permutation of the input's logical
+       rows, returned as a selection over the input store.  Each key
+       compares on a typed column ([Storage.Col.compare_cells] is
+       [Value.compare] without boxing): plain column keys read the
+       store's column through the selection, computed keys are evaluated
+       once per logical row into a column of their own. *)
+    let phys = Chunk.phys ch in
+    let key_cmp (k : Plan.sort_key) : int -> int -> int =
+      let cmp =
+        match col_offset s k.Plan.key with
+        | Some off ->
+          let c = Chunk.col store off in
+          let cmp = Storage.Col.compare_cells c c in
+          (match ch.Chunk.sel with
+           | None -> cmp
+           | Some sel ->
+             fun a b -> cmp (Array.unsafe_get sel a) (Array.unsafe_get sel b))
+        | None ->
+          let c =
+            match int_expr s store k.Plan.key with
+            | Some v ->
+              let d = Array.make n 0 and nb = Bytes.make n '\000' in
+              for j = 0 to n - 1 do
+                let q = phys j in
+                if v.inull q then Bytes.set nb j '\001' else d.(j) <- v.iv q
+              done;
+              Chunk.Ints (d, nb)
+            | None ->
+              let get = expr_getter s store k.Plan.key in
+              Storage.Col.classify n (fun j -> get (phys j))
           in
-          go 0
-        in
-        stable_sort p cmp rows
-      end
-      else begin
-        let deco = Array.make n ([||], [||]) in
-        fill p n (fun lo hi ->
-            for j = lo to hi - 1 do
-              let t = rows.(j) in
-              deco.(j) <- (Array.init nk (fun k -> fst fs.(k) t), t)
-            done);
-        let cmp (ka, _) (kb, _) =
-          let rec go k =
-            if k = nk then 0
-            else
-              match Value.compare ka.(k) kb.(k) with
-              | 0 -> go (k + 1)
-              | c -> if snd fs.(k) then -c else c
-          in
-          go 0
-        in
-        Array.map snd (stable_sort p cmp deco)
-      end
+          Storage.Col.compare_cells c c
+      in
+      if k.Plan.descending then fun a b -> - (cmp a b) else cmp
     in
-    { chunk = Chunk.of_rows ~arity:(Schema.arity s) sorted;
+    let cmps = Array.of_list (List.map key_cmp keys) in
+    let nk = Array.length cmps in
+    let cmp =
+      match cmps with
+      | [| c0 |] -> c0
+      | [| c0; c1 |] -> fun a b -> (match c0 a b with 0 -> c1 a b | c -> c)
+      | _ ->
+        fun a b ->
+          let c = ref 0 and k = ref 0 in
+          while !c = 0 && !k < nk do
+            c := cmps.(!k) a b;
+            incr k
+          done;
+          !c
+    in
+    let perm = stable_sort p cmp (Array.init n Fun.id) in
+    let sel =
+      match ch.Chunk.sel with
+      | None -> perm
+      | Some sel -> Array.map (fun j -> Array.unsafe_get sel j) perm
+    in
+    { chunk = { Chunk.store; sel = Some sel };
       replay = (fun () -> child.replay (); charge ()) }
 
   (* ---------------------------------------------------------------- *)
-  (* Joins.  Join-row emission ([emit_range]/[emit_list]) lives in
-     {!Eval}. *)
+  (* Joins.  Every join emits physical row indices ([Eval.emit_range]
+     or the hash chain walk) and returns a gather store over its two
+     inputs, or a selection of its left input for semi/anti
+     ([Eval.join_output]); no join builds a row.  A residual predicate
+     reads both inputs' row views. *)
+
+  (* [holds lq rq] over physical rows of two stores, or [None] for the
+     trivially true residual (no row view is forced then) *)
+  and residual_test sl sr residual (lstore : Chunk.store) (rstore : Chunk.store)
+    : (int -> int -> bool) option =
+    if residual = Expr.ftrue then None
+    else begin
+      let holds = pred2 sl sr residual in
+      let lrows = Chunk.rows_view lstore and rrows = Chunk.rows_view rstore in
+      Some (fun lq rq -> holds lrows.(lq) rrows.(rq))
+    end
 
   and nested_loop p kind pred outer inner =
     let onode = exec outer in
-    let outer_rows = Chunk.to_rows onode.chunk in
-    let n_out = Array.length outer_rows in
+    let och = onode.chunk in
+    let n_out = Chunk.length och in
     let so = Plan.schema cat outer and si = Plan.schema cat inner in
-    let inner_arity = Schema.arity si in
-    let out_arity = join_arity kind ~outer:(Schema.arity so) ~inner:inner_arity in
     if n_out = 0 then
       (* the interpreter never executes the inner of an empty outer *)
-      { chunk = Chunk.of_rows ~arity:out_arity [||]; replay = onode.replay }
+      { chunk =
+          join_output kind ~left:och.Chunk.store
+            ~right:(Chunk.store_of_rows ~arity:(Schema.arity si) [||])
+            [||];
+        replay = onode.replay }
     else begin
       (* the rescan cache: the inner subtree runs once; every further
          outer tuple replays its cost against the buffer pool *)
       let inode = exec inner in
-      let inner_rows = Chunk.to_rows inode.chunk in
-      let n_in = Array.length inner_rows in
+      let ich = inode.chunk in
+      let n_in = Chunk.length ich in
       Context.charge_cpu ctx n_in;
       for _ = 2 to n_out do
         inode.replay ();
         Context.charge_cpu ctx n_in
       done;
       let holds = pred2 so si pred in
+      let orows = Chunk.rows_view och.Chunk.store
+      and irows = Chunk.rows_view ich.Chunk.store in
+      let ophys = Chunk.phys och and iphys = Chunk.phys ich in
       let out, _ =
         collect p n_out (fun lo hi out ->
             for oi = lo to hi - 1 do
-              let ot = outer_rows.(oi) in
-              emit_range out kind ~inner_arity ot inner_rows 0 n_in
-                ~matches:(fun it -> holds ot it)
+              let lq = ophys oi in
+              let ot = orows.(lq) in
+              emit_range out kind lq 0 n_in ~rq:iphys
+                ~matches:(fun k -> holds ot irows.(iphys k))
             done;
             0)
       in
-      { chunk = Chunk.of_rows ~arity:out_arity out;
+      { chunk =
+          join_output kind ~left:och.Chunk.store ~right:ich.Chunk.store out;
         replay =
           (fun () ->
              onode.replay ();
@@ -748,14 +782,14 @@ let run_node ~ctx ~obs ~sketch ~chunk_rows ~(par : pooled option)
         invalid_arg (Printf.sprintf "Index_nl: no index %s on %s" index table)
     in
     let onode = exec outer in
-    let outer_rows = Chunk.to_rows onode.chunk in
+    let och = onode.chunk in
+    let ostore = och.Chunk.store in
     let so = Plan.schema cat outer in
     let si = Schema.requalify t.Storage.Table.schema ~rel:alias in
-    let keyfs = Array.of_list (List.map (Expr.compile so) outer_keys) in
-    let probe_keys ot = Array.to_list (Array.map (fun f -> f ot) keyfs) in
-    let holds = pred2 so si residual in
-    let inner_arity = Schema.arity si in
-    let out_arity = join_arity kind ~outer:(Schema.arity so) ~inner:inner_arity in
+    let istore = Chunk.of_table t in
+    let keyfs = Array.of_list (List.map (expr_getter so ostore) outer_keys) in
+    let probe_keys q = Array.to_list (Array.map (fun f -> f q) keyfs) in
+    let holds = residual_test so si residual ostore istore in
     let charge_probe ks =
       let entries = Storage.Btree.probe idx ks in
       Access.charge_index_fetch ctx idx t ~entries
@@ -763,77 +797,64 @@ let run_node ~ctx ~obs ~sketch ~chunk_rows ~(par : pooled option)
       Context.charge_cpu ctx (1 + Array.length entries);
       entries
     in
+    let outer_phys = Chunk.phys_array och in
     let out = Storage.Vec.create () in
     Array.iter
-      (fun ot ->
-         let entries = charge_probe (probe_keys ot) in
-         let matches = Access.fetch_rows t entries in
-         emit_range out kind ~inner_arity ot matches 0 (Array.length matches)
-           ~matches:(fun it -> holds ot it))
-      outer_rows;
-    { chunk = Chunk.of_rows ~arity:out_arity (Storage.Vec.to_array out);
+      (fun lq ->
+         let entries = charge_probe (probe_keys lq) in
+         let rq k = snd entries.(k) in
+         emit_range out kind lq 0 (Array.length entries) ~rq
+           ~matches:
+             (match holds with
+              | None -> fun _ -> true
+              | Some h -> fun k -> h lq (rq k)))
+      outer_phys;
+    { chunk =
+        join_output kind ~left:ostore ~right:istore (Storage.Vec.to_array out);
       replay =
         (fun () ->
            onode.replay ();
-           Array.iter (fun ot -> ignore (charge_probe (probe_keys ot)))
-             outer_rows) }
+           Array.iter (fun lq -> ignore (charge_probe (probe_keys lq)))
+             outer_phys) }
 
   (* the merge walk is a sequential two-pointer scan on the coordinator;
      its children (often Sorts) still run through [exec] *)
   and merge_join kind pairs residual left right =
     let lnode = exec left in
     let rnode = exec right in
-    let lrows = Chunk.to_rows lnode.chunk in
-    let rrows = Chunk.to_rows rnode.chunk in
+    let lch = lnode.chunk and rch = rnode.chunk in
+    let lstore = lch.Chunk.store and rstore = rch.Chunk.store in
     let sl = Plan.schema cat left and sr = Plan.schema cat right in
-    let loffs = offsets sl (List.map fst pairs) in
-    let roffs = offsets sr (List.map snd pairs) in
-    let nk = Array.length loffs in
-    let holds = pred2 sl sr residual in
-    let inner_arity = Schema.arity sr in
-    let out_arity = join_arity kind ~outer:(Schema.arity sl) ~inner:inner_arity in
-    let nl = Array.length lrows and nr = Array.length rrows in
+    let lcols = Array.map (Chunk.col lstore) (offsets sl (List.map fst pairs)) in
+    let rcols = Array.map (Chunk.col rstore) (offsets sr (List.map snd pairs)) in
+    let nk = Array.length lcols in
+    let holds = residual_test sl sr residual lstore rstore in
+    let nl = Chunk.length lch and nr = Chunk.length rch in
+    let lphys = Chunk.phys lch and rphys = Chunk.phys rch in
     Context.charge_cpu ctx (nl + nr);
     let cpu = ref (nl + nr) in
-    (* key comparisons read the rows in place through the offset arrays *)
-    let cmp_lr li rj =
-      let lt = lrows.(li) and rt = rrows.(rj) in
-      let rec go k =
-        if k = nk then 0
-        else
-          match Value.compare (Tuple.get lt loffs.(k)) (Tuple.get rt roffs.(k))
-          with
-          | 0 -> go (k + 1)
-          | c -> c
-      in
-      go 0
+    (* key comparisons read the typed key columns in place *)
+    let keys_cmp cmps p q =
+      let c = ref 0 and k = ref 0 in
+      while !c = 0 && !k < nk do
+        c := cmps.(!k) p q;
+        incr k
+      done;
+      !c
     in
-    let cmp_ll li li' =
-      let a = lrows.(li) and b = lrows.(li') in
-      let rec go k =
-        if k = nk then 0
-        else
-          match Value.compare (Tuple.get a loffs.(k)) (Tuple.get b loffs.(k))
-          with
-          | 0 -> go (k + 1)
-          | c -> c
-      in
-      go 0
+    let cmps_lr = Array.map2 Storage.Col.compare_cells lcols rcols in
+    let cmps_ll = Array.map2 Storage.Col.compare_cells lcols lcols in
+    let cmp_lr li rj = keys_cmp cmps_lr (lphys li) (rphys rj) in
+    let cmp_ll li li' = keys_cmp cmps_ll (lphys li) (lphys li') in
+    let nullfree cols q =
+      let k = ref 0 in
+      while !k < nk && not (Storage.Col.is_null cols.(!k) q) do
+        incr k
+      done;
+      !k = nk
     in
-    let l_nullfree li =
-      let t = lrows.(li) in
-      let rec go k =
-        k = nk || ((not (Value.is_null (Tuple.get t loffs.(k)))) && go (k + 1))
-      in
-      go 0
-    in
-    let r_nullfree rj =
-      let t = rrows.(rj) in
-      let rec go k =
-        k = nk || ((not (Value.is_null (Tuple.get t roffs.(k)))) && go (k + 1))
-      in
-      go 0
-    in
+    let l_nullfree li = nullfree lcols (lphys li) in
+    let r_nullfree rj = nullfree rcols (rphys rj) in
     let out = Storage.Vec.create () in
     let i = ref 0 in
     let j = ref 0 in
@@ -842,9 +863,9 @@ let run_node ~ctx ~obs ~sketch ~chunk_rows ~(par : pooled option)
         (* null keys never match *)
         (match kind with
          | Algebra.Left_outer ->
-           Storage.Vec.push out
-             (Tuple.concat lrows.(!i) (Tuple.nulls inner_arity))
-         | Algebra.Anti -> Storage.Vec.push out lrows.(!i)
+           Storage.Vec.push out (lphys !i);
+           Storage.Vec.push out (-1)
+         | Algebra.Anti -> Storage.Vec.push out (lphys !i)
          | Algebra.Inner | Algebra.Semi -> ());
         incr i
       end
@@ -862,18 +883,22 @@ let run_node ~ctx ~obs ~sketch ~chunk_rows ~(par : pooled option)
         done;
         (* emit for every left row sharing this key *)
         while !i < nl && l_nullfree !i && cmp_ll !i anchor = 0 do
-          let lt = lrows.(!i) in
+          let lq = lphys !i in
           let blen = !be - bs in
           Context.charge_cpu ctx blen;
           cpu := !cpu + blen;
-          emit_range out kind ~inner_arity lt rrows bs !be
-            ~matches:(fun rt -> holds lt rt);
+          emit_range out kind lq bs !be ~rq:rphys
+            ~matches:
+              (match holds with
+               | None -> fun _ -> true
+               | Some h -> fun k -> h lq (rphys k));
           incr i
         done
       end
     done;
     let total_cpu = !cpu in
-    { chunk = Chunk.of_rows ~arity:out_arity (Storage.Vec.to_array out);
+    { chunk =
+        join_output kind ~left:lstore ~right:rstore (Storage.Vec.to_array out);
       replay =
         (fun () ->
            lnode.replay ();
@@ -899,28 +924,19 @@ let run_node ~ctx ~obs ~sketch ~chunk_rows ~(par : pooled option)
     in
     if spill > 0 then Context.charge_spill ctx spill;
     let loffs = offsets sl (List.map fst pairs) in
-    let inner_arity = Schema.arity sr in
-    let out_arity = join_arity kind ~outer:(Schema.arity sl) ~inner:inner_arity in
     Context.charge_cpu ctx nl;
     let rstore = rch.Chunk.store and lstore = lch.Chunk.store in
     let rphys = Chunk.phys rch and lphys = Chunk.phys lch in
     let fault = !fault_null_key_as_zero in
-    (* semi/anti with no residual never build an output row: the result
-       is a selection over the left store, and the build side carries
-       bucket counts only — neither side materializes rows *)
-    let semi_only =
-      (match kind with Algebra.Semi | Algebra.Anti -> true | _ -> false)
-      && residual = Expr.ftrue
-    in
-    let keep_if_match =
-      match kind with Algebra.Semi -> true | _ -> false
-    in
-    let rrows = if semi_only then [||] else Chunk.to_rows rch in
-    let absent = { blen = 0; items = [] } in
-    let fresh ri = { blen = 1; items = (if semi_only then [] else [ rrows.(ri) ]) } in
+    (* Buckets chain build-side logical indices through [next]
+       (most-recent-first); no build row is boxed. *)
+    let next = Array.make nr (-1) in
+    let absent = { blen = 0; head = -1 } in
+    let fresh ri = { blen = 1; head = ri } in
     let push b ri =
-      b.blen <- b.blen + 1;
-      if not semi_only then b.items <- rrows.(ri) :: b.items
+      next.(ri) <- b.head;
+      b.head <- ri;
+      b.blen <- b.blen + 1
     in
     let nk = Array.length roffs in
     let rcol = if nk = 1 then Chunk.int_col rstore roffs.(0) else None in
@@ -973,10 +989,11 @@ let run_node ~ctx ~obs ~sketch ~chunk_rows ~(par : pooled option)
         let rgets = Array.map (fun off -> Chunk.getter rstore off) roffs in
         let lgets = Array.map (fun off -> Chunk.getter lstore off) loffs in
         let nullfree gets q =
-          let rec go c =
-            c = nk || ((not (Value.is_null (gets.(c) q))) && go (c + 1))
-          in
-          go 0
+          let c = ref 0 in
+          while !c < nk && not (Value.is_null (gets.(!c) q)) do
+            incr c
+          done;
+          !c = nk
         in
         let tbls =
           partitioned p nr
@@ -1006,38 +1023,94 @@ let run_node ~ctx ~obs ~sketch ~chunk_rows ~(par : pooled option)
               lgets q
           else absent
     in
-    (* probe kernels return the bucket lengths they scanned: the CPU
-       the interpreter charges per probe, summed and charged here *)
-    let probe_cpu, chunk =
-      if semi_only then
+    (* Probe kernels return the bucket lengths they scanned: the CPU the
+       interpreter charges per probe, summed and charged here. *)
+    let holds = residual_test sl sr residual lstore rstore in
+    let chunk, probe_cpu =
+      match (kind, holds) with
+      | (Algebra.Inner | Algebra.Left_outer), None ->
+        (* every chain entry is a match: one probe pass records each left
+           row's chain head and output count, and a fill pass writes the
+           gather's index vectors straight into place *)
+        let outer = kind = Algebra.Left_outer in
+        let heads = Array.make nl (-1) and start = Array.make (nl + 1) 0 in
+        fill p nl (fun lo hi ->
+            for li = lo to hi - 1 do
+              let b = probe li in
+              heads.(li) <- b.head;
+              start.(li + 1) <- (if outer && b.blen = 0 then 1 else b.blen)
+            done);
+        let cpu = ref 0 in
+        for li = 0 to nl - 1 do
+          if heads.(li) >= 0 then cpu := !cpu + start.(li + 1);
+          start.(li + 1) <- start.(li) + start.(li + 1)
+        done;
+        let m = start.(nl) in
+        let lidx = Array.make m 0 and ridx = Array.make m (-1) in
+        fill p nl (fun lo hi ->
+            for li = lo to hi - 1 do
+              let lq = lphys li in
+              let o = ref start.(li) in
+              if outer && heads.(li) < 0 then lidx.(!o) <- lq
+              else begin
+                let k = ref heads.(li) in
+                while !k >= 0 do
+                  lidx.(!o) <- lq;
+                  ridx.(!o) <- rphys !k;
+                  incr o;
+                  k := next.(!k)
+                done
+              end
+            done);
+        (Chunk.dense (Chunk.gather ~left:lstore ~lidx ~right:rstore ~ridx), !cpu)
+      | (Algebra.Semi | Algebra.Anti), None ->
+        (* the chain is never walked: a non-empty bucket decides *)
+        let keep_if_match = kind = Algebra.Semi in
         let sel, cpu =
           collect p nl (fun lo hi out ->
               let cpu = ref 0 in
               for li = lo to hi - 1 do
                 let blen = (probe li).blen in
                 cpu := !cpu + blen;
-                if (blen > 0) = keep_if_match then Storage.Vec.push out (lphys li)
+                if (blen > 0) = keep_if_match then
+                  Storage.Vec.push out (lphys li)
               done;
               !cpu)
         in
-        (cpu, { Chunk.store = lstore; sel = Some sel })
-      else begin
-        let lrows = Chunk.to_rows lch in
-        let holds = pred2 sl sr residual in
+        ({ Chunk.store = lstore; sel = Some sel }, cpu)
+      | _, Some holds ->
+        let matches lq ri = holds lq (rphys ri) in
         let out, cpu =
           collect p nl (fun lo hi out ->
               let cpu = ref 0 in
               for li = lo to hi - 1 do
-                let lt = lrows.(li) in
                 let b = probe li in
                 cpu := !cpu + b.blen;
-                emit_list out kind ~inner_arity lt b.items
-                  ~matches:(fun rt -> holds lt rt)
+                let lq = lphys li in
+                match kind with
+                | Algebra.Inner | Algebra.Left_outer ->
+                  let any = ref false in
+                  let k = ref b.head in
+                  while !k >= 0 do
+                    if matches lq !k then begin
+                      any := true;
+                      Storage.Vec.push out lq;
+                      Storage.Vec.push out (rphys !k)
+                    end;
+                    k := next.(!k)
+                  done;
+                  if (not !any) && kind = Algebra.Left_outer then begin
+                    Storage.Vec.push out lq;
+                    Storage.Vec.push out (-1)
+                  end
+                | Algebra.Semi | Algebra.Anti ->
+                  let rec ex k = k >= 0 && (matches lq k || ex next.(k)) in
+                  if ex b.head = (kind = Algebra.Semi) then
+                    Storage.Vec.push out lq
               done;
               !cpu)
         in
-        (cpu, Chunk.of_rows ~arity:out_arity out)
-      end
+        (join_output kind ~left:lstore ~right:rstore out, cpu)
     in
     Context.charge_cpu ctx probe_cpu;
     let total_cpu = nr + nl + probe_cpu in
@@ -1068,7 +1141,7 @@ let run_node ~ctx ~obs ~sketch ~chunk_rows ~(par : pooled option)
           else Expr.agg_final agg_arr.(k - nkeys) states.(k - nkeys))
     in
     let fresh_states () = Array.init naggs (fun _ -> Expr.agg_init ()) in
-    let out =
+    let chunk =
       if sorted then begin
         (* stream aggregation over key-sorted input: a sequential,
            row-shaped flush walk on the coordinator *)
@@ -1110,15 +1183,23 @@ let run_node ~ctx ~obs ~sketch ~chunk_rows ~(par : pooled option)
              step_all t !cur_states)
           rows;
         flush ();
-        Storage.Vec.to_array out
+        let out = Storage.Vec.to_array out in
+        let out =
+          if keys = [] && Array.length out = 0 then
+            (* scalar aggregate over the empty input: one row *)
+            [| finalize [||] (fresh_states ()) |]
+          else out
+        in
+        Chunk.of_rows ~arity:(nkeys + naggs) out
       end
       else begin
         (* hash aggregation, column-at-a-time: aggregate arguments that
            compile to integer vectors fold unboxed through
-           [Expr.agg_step_int]; the rest step through compiled row
-           closures.  Steppers take physical indices.  Pooled, rows are
-           exchanged by key hash, so each key's whole fold runs on one
-           partition in global row order (bit-exact float sums). *)
+           [Expr.agg_step_int]; the rest step through value getters
+           ([Eval.expr_getter]).  Steppers take physical indices.
+           Pooled, rows are exchanged by key hash, so each key's whole
+           fold runs on one partition in global row order (bit-exact
+           float sums). *)
         let phys = Chunk.phys ch in
         let steppers =
           Array.of_list
@@ -1132,9 +1213,8 @@ let run_node ~ctx ~obs ~sketch ~chunk_rows ~(par : pooled option)
                       fun st q ->
                         if not (v.inull q) then Expr.agg_step_int st (v.iv q)
                     | None ->
-                      let f = Expr.compile s e in
-                      let rows = Chunk.rows_view store in
-                      fun st q -> Expr.agg_step st (f rows.(q))))
+                      let get = expr_getter s store e in
+                      fun st q -> Expr.agg_step st (get q)))
                aggs)
         in
         let step_all q states =
@@ -1183,22 +1263,13 @@ let run_node ~ctx ~obs ~sketch ~chunk_rows ~(par : pooled option)
                      step_all q states);
                  ( Storage.Vec.to_array firsts,
                    Array.map
-                     (fun k -> finalize [| Value.Int k |] (Keys.Int_map.find tbl k))
+                     (fun k -> ([| Value.Int k |], Keys.Int_map.find tbl k))
                      (Storage.Vec.to_array order) ))
           | None ->
             (* generic keys: probe column-wise ([Keys.Cols_tbl]); the key
                is materialized once per group *)
             let kgets =
-              Array.of_list
-                (List.map
-                   (fun (e, _) ->
-                      match col_offset s e with
-                      | Some off -> Chunk.getter store off
-                      | None ->
-                        let f = Expr.compile s e in
-                        let rows = Chunk.rows_view store in
-                        fun q -> f rows.(q))
-                   keys)
+              Array.of_list (List.map (fun (e, _) -> expr_getter s store e) keys)
             in
             partitioned p n
               ~route:(fun li -> Keys.Cols_tbl.hash_cols kgets (phys li) land max_int)
@@ -1221,48 +1292,75 @@ let run_node ~ctx ~obs ~sketch ~chunk_rows ~(par : pooled option)
                        end
                      in
                      step_all q states);
-                 ( Storage.Vec.to_array firsts,
-                   Array.map (fun (kv, st) -> finalize kv st)
-                     (Storage.Vec.to_array order) ))
+                 (Storage.Vec.to_array firsts, Storage.Vec.to_array order))
         in
-        by_first groups
+        let groups =
+          match by_first groups with
+          | [||] when keys = [] ->
+            (* scalar aggregate over the empty input: one row *)
+            [| ([||], fresh_states ()) |]
+          | gs -> gs
+        in
+        (* typed output: the key values read at each group's first row
+           and the aggregates, classified into columns *)
+        let ng = Array.length groups in
+        let key_col c =
+          Storage.Col.classify ng (fun g -> (fst groups.(g)).(c))
+        in
+        let agg_col a =
+          Storage.Col.classify ng (fun g ->
+              Expr.agg_final agg_arr.(a) (snd groups.(g)).(a))
+        in
+        Chunk.dense
+          (Chunk.store_of_cols ~len:ng
+             (Array.append (Array.init nkeys key_col)
+                (Array.init naggs agg_col)))
       end
     in
-    let out =
-      if keys = [] && Array.length out = 0 then
-        (* scalar aggregate over the empty input: one row *)
-        [| finalize [||] (fresh_states ()) |]
-      else out
-    in
-    { chunk = Chunk.of_rows ~arity:(nkeys + naggs) out;
+    { chunk;
       replay = (fun () -> child.replay (); Context.charge_cpu ctx n) }
 
   and hash_distinct p i =
     let child = exec i in
-    let rows = Chunk.to_rows child.chunk in
-    let n = Array.length rows in
+    let ch = child.chunk in
+    let store = ch.Chunk.store in
+    let n = Chunk.length ch in
+    let phys = Chunk.phys ch in
     Context.charge_cpu ctx n;
-    (* tuples are Value.t arrays: used directly as fixed-arity keys;
-       pooled, rows exchange by whole-tuple hash *)
+    (* rows hash and compare on the typed columns, row against row
+       ([Storage.Col.compare_cells] is [Value.compare]); the survivors —
+       each key's first occurrence — select from the input store.
+       Pooled, rows exchange by row hash. *)
+    let cols = Array.init store.Chunk.arity (Chunk.col store) in
+    let cmps = Array.map (fun c -> Storage.Col.compare_cells c c) cols in
+    let hash q =
+      let acc = ref 7 in
+      for j = 0 to Array.length cols - 1 do
+        acc := (!acc * 31) + Storage.Col.hash_cell (Array.unsafe_get cols j) q
+      done;
+      !acc
+    in
+    let eq r q =
+      let j = ref 0 in
+      while !j < Array.length cmps && (Array.unsafe_get cmps !j) r q = 0 do
+        incr j
+      done;
+      !j = Array.length cmps
+    in
     let survivors =
       partitioned p n
-        ~route:(fun ri -> Keys.hash_array rows.(ri) land max_int)
+        ~route:(fun li -> int_route (hash (phys li)))
         (fun ~size:_ iter ->
-           let seen = Keys.Array_tbl.create 64 in
+           let seen = Keys.Row_set.create 64 in
            let keep = Storage.Vec.create () in
-           iter (fun ri ->
-               let t = rows.(ri) in
-               if not (Keys.Array_tbl.mem seen t) then begin
-                 Keys.Array_tbl.add seen t ();
-                 Storage.Vec.push keep ri
-               end);
+           iter (fun li ->
+               let q = phys li in
+               if Keys.Row_set.add seen (hash q) eq q then
+                 Storage.Vec.push keep li);
            let kept = Storage.Vec.to_array keep in
            (kept, kept))
     in
-    { chunk =
-        Chunk.of_rows
-          ~arity:(Schema.arity (Plan.schema cat i))
-          (Array.map (fun ri -> rows.(ri)) (by_first survivors));
+    { chunk = { Chunk.store; sel = Some (Array.map phys (by_first survivors)) };
       replay = (fun () -> child.replay (); Context.charge_cpu ctx n) }
   in
   exec plan

@@ -1,11 +1,13 @@
 (** Columnar execution engine: executes the same physical {!Plan.t}
     trees as {!Executor}, operator-at-a-time over columnar chunks
     ({!Eval.Chunk.t}: per-column typed storage plus a selection vector).
-    Filters and semi/anti hash joins narrow the selection without
-    materializing rows; integer predicates, projection items, join keys
-    and aggregate arguments run unboxed over the column data; rows are
-    materialized only where an operator is inherently row-shaped (sort
-    payloads, nested-loop rescans, join-row emission, the final result).
+    Scans share their table's memoized typed columns; filters, semi/anti
+    joins, DISTINCT, sort and index scans narrow or permute a selection;
+    joins emit row indices into gather stores over their inputs; integer
+    predicates, projection items, join keys and aggregate arguments run
+    unboxed over the column data.  Rows are built only at the root (the
+    result), for nested-loop and residual predicates, and for the
+    stream-aggregation walk.
 
     Each operator is written once, as a kernel over a logical range of
     its input.  {!run} walks the ranges inline, [chunk_rows] at a time;

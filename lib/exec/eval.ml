@@ -1,7 +1,7 @@
 (* Compiled-evaluation helpers for the columnar engine ([Batch]): offset
-   resolution, specialized predicate compilers, hash-join buckets,
-   join-row emission, and columnar chunks with their unboxed integer
-   fast path.  All closures returned here are pure (no [Context]
+   resolution, specialized predicate compilers, hash-join buckets, join
+   emission over row indices, and columnar chunks with their unboxed
+   integer fast path.  All closures returned here are pure (no [Context]
    charging, no shared mutable state), so pooled kernels may evaluate
    them from any domain. *)
 
@@ -15,9 +15,11 @@ let offsets schema (refs : Expr.col_ref list) =
        refs)
 
 (* Hash-join buckets carry their length so probes never re-measure the
-   chain; items are most-recent-first, matching the interpreter's
-   emission order. *)
-type bucket = { mutable blen : int; mutable items : Tuple.t list }
+   chain.  The chain holds build-side row indices, most-recent-first
+   (the interpreter's emission order): [head] is the latest, and the
+   operator's [next] array links each index to the one before it, -1
+   ending the chain. *)
+type bucket = { mutable blen : int; mutable head : int }
 
 (* Specialized WHERE-semantics predicates.  [Expr.holds] boxes every
    comparison result in a [Value.Bool]; for the AND/OR/Cmp/Const fragment
@@ -62,16 +64,7 @@ let rec pred2 (l : Schema.t) (r : Schema.t) (e : Expr.t) :
     fun x y -> pa x y || pb x y
   | _ -> Expr.holds2 l r e
 
-(* Interned boxes for small non-negative ints.  Materializing typed
-   columns back into [Value.t] rows is the hottest allocation site in the
-   columnar engines; values are immutable and compared structurally, so
-   sharing one physical [Value.Int] block per small int is unobservable
-   and turns the common box into an array load. *)
-let small_int_cache = Array.init 4096 (fun i -> Value.Int i)
-
-let box_int v : Value.t =
-  if v land lnot 4095 = 0 then Array.unsafe_get small_int_cache v
-  else Value.Int v
+let box_int = Storage.Col.box_int
 
 (* A column reference's offset in [s], or [None] for computed exprs. *)
 let col_offset (s : Schema.t) (e : Expr.t) : int option =
@@ -86,24 +79,39 @@ let col_offset (s : Schema.t) (e : Expr.t) : int option =
 (* Columnar chunks.
 
    A [Chunk.store] holds one batch of physical rows in per-column typed
-   storage: an all-Int-or-Null column extracts into an unboxed [int
-   array] plus null bitmap, an all-Float-or-Null column (with at least
-   one Float) into a [float array], and anything else — strings, bools,
-   mixed Int/Float (which must keep their [Value.t] identity: [Value.equal
-   (Int 2) (Float 2.0)] holds but the tuples differ) — into a [Boxed]
-   fallback column.  Row and column views are lazy caches over the same
-   store and are forced at most once; forcing mutates the store, so the
-   engines force everything they need on the coordinating domain before
-   dispatching to workers.
+   storage ({!Storage.Col}).  Each column is built on first read by the
+   store's [build] function and cached; how it is built depends on where
+   the store came from:
+
+   - a table store shares the table's memoized columns
+     ({!Storage.Table.column}), so a scan classifies nothing once the
+     table has been scanned before, and its row view is the table's own
+     row array;
+   - a gather store — a join's output — holds a (left store, left index
+     vector) pair and a (right store, right index vector) pair: column
+     [j] gathers the left or right input column through its vector, an
+     index of -1 reading NULL (a null-extended row).  Inputs may be
+     gather stores themselves, so gathers compose across a star join;
+   - a remap store — a projection of plain columns — shares its input's
+     columns under new positions;
+   - a row store classifies a column from its rows.
+
+   Per-row consumers that need no typed column (generic hash keys,
+   aggregate arguments, probe keys) use [getter], which builds nothing:
+   it reads a row view or a built column, and otherwise the store's
+   [reader], which for a gather or remap reads through to its inputs.
+   The row view is a lazy cache too, assembled from the columns when
+   nothing provided it.  Forcing mutates the store (and, for a table
+   store, the table), so the engines force everything a kernel reads on
+   the coordinating domain before dispatching to workers.
 
    A [Chunk.t] is a store plus an optional selection vector: [sel = Some
-   s] means logical row [i] is physical row [s.(i)].  Filters narrow the
-   selection without touching the data; semi/anti joins emit a selection
-   over their left input.  All logical iteration (charging, emission
-   order) is in selection order. *)
+   s] means logical row [i] is physical row [s.(i)].  Filters, semi/anti
+   joins, DISTINCT, sort and index scans all return selections; all
+   logical iteration (charging, emission order) is in selection order. *)
 
 module Chunk = struct
-  type col =
+  type col = Storage.Col.t =
     | Ints of int array * Bytes.t (* data, null bitmap *)
     | Floats of float array * Bytes.t
     | Boxed of Value.t array
@@ -113,16 +121,85 @@ module Chunk = struct
     len : int; (* physical row count *)
     mutable rows : Tuple.t array option; (* lazy row view *)
     cols : col option array; (* lazy column cache, length [arity] *)
+    build : int -> col; (* builds column [j] on first read *)
+    reader : int -> int -> Value.t;
+        (* [reader j] reads column [j] at physical rows without building
+           it: a gather or remap reads through to its inputs *)
   }
 
   type t = { store : store; sel : int array option }
 
+  let derive ~arity ~len ?rows ~reader build =
+    { arity; len; rows; cols = Array.make arity None; build; reader }
+
+  let row_reader (rows : Tuple.t array) j i =
+    Tuple.get (Array.unsafe_get rows i) j
+
   let store_of_rows ~arity (rows : Tuple.t array) =
-    { arity; len = Array.length rows; rows = Some rows;
-      cols = Array.make arity None }
+    let len = Array.length rows in
+    derive ~arity ~len ~rows ~reader:(row_reader rows) (fun j ->
+        Storage.Col.classify len (row_reader rows j))
 
   let of_rows ~arity rows = { store = store_of_rows ~arity rows; sel = None }
   let dense store = { store; sel = None }
+
+  let store_of_cols ~len (cols : col array) =
+    { arity = Array.length cols; len; rows = None;
+      cols = Array.map Option.some cols;
+      build = (fun j -> cols.(j));
+      reader = (fun j -> Storage.Col.value cols.(j)) }
+
+  (* Force column [j]. *)
+  let col (st : store) j : col =
+    match st.cols.(j) with
+    | Some c -> c
+    | None ->
+      let c = st.build j in
+      st.cols.(j) <- Some c;
+      c
+
+  (* Physical-row accessor for column [j] that allocates and builds
+     nothing where it can: an existing row view (tuple slots are already
+     boxed), else a built column (Ints/Floats re-box per access), else
+     the store's reader. *)
+  let getter (st : store) j : int -> Value.t =
+    match (st.rows, st.cols.(j)) with
+    | Some rows, _ -> row_reader rows j
+    | None, Some c -> Storage.Col.value c
+    | None, None -> st.reader j
+
+  let of_table (t : Storage.Table.t) =
+    let rows = Storage.Table.rows_array t in
+    let len = Array.length rows in
+    derive ~arity:(Schema.arity t.Storage.Table.schema) ~len ~rows
+      ~reader:(row_reader rows) (fun j ->
+        let c = Storage.Table.column t j in
+        (* the table cannot grow during one execution; guard anyway *)
+        if Storage.Col.length c = len then c
+        else Storage.Col.classify len (row_reader rows j))
+
+  let gather ~left ~lidx ~right ~ridx =
+    let la = left.arity in
+    derive ~arity:(la + right.arity) ~len:(Array.length lidx)
+      ~reader:(fun j ->
+          if j < la then begin
+            let g = getter left j in
+            fun i -> g (Array.unsafe_get lidx i)
+          end
+          else begin
+            let g = getter right (j - la) in
+            fun i ->
+              let q = Array.unsafe_get ridx i in
+              if q < 0 then Value.Null else g q
+          end)
+      (fun j ->
+         if j < la then Storage.Col.gather (col left j) lidx
+         else Storage.Col.gather (col right (j - la)) ridx)
+
+  let remap (st : store) (offs : int array) =
+    derive ~arity:(Array.length offs) ~len:st.len
+      ~reader:(fun j -> getter st offs.(j))
+      (fun j -> col st offs.(j))
 
   let length t =
     match t.sel with Some s -> Array.length s | None -> t.store.len
@@ -133,67 +210,9 @@ module Chunk = struct
     | Some s -> fun i -> Array.unsafe_get s i
     | None -> fun i -> i
 
-  let col_value (c : col) i : Value.t =
-    match c with
-    | Ints (d, nb) ->
-      if Bytes.unsafe_get nb i <> '\000' then Value.Null else box_int d.(i)
-    | Floats (d, nb) ->
-      if Bytes.unsafe_get nb i <> '\000' then Value.Null else Value.Float d.(i)
-    | Boxed v -> v.(i)
-
-  (* Force column [j]: classify the physical values and extract, in one
-     optimistic pass.  Start assuming Ints; the first Float downgrades to
-     Floats (only if no Int preceded — mixed numerics stay boxed to
-     preserve value identity), and any Bool/Str — or an Int after a
-     Float — bails to Boxed. *)
-  let col (st : store) j : col =
-    match st.cols.(j) with
-    | Some c -> c
-    | None ->
-      let rows =
-        match st.rows with
-        | Some r -> r
-        | None -> invalid_arg "Chunk.col: store has neither rows nor column"
-      in
-      let n = st.len in
-      let cell i = Array.unsafe_get (Array.unsafe_get rows i) j in
-      let boxed () = Boxed (Array.init n cell) in
-      (* prefix [0, start) was all NULL (already marked in [nulls]) *)
-      let floats start nulls =
-        let data = Array.make n 0. in
-        let rec go i =
-          if i >= n then Floats (data, nulls)
-          else
-            match cell i with
-            | Value.Float f ->
-              Array.unsafe_set data i f;
-              go (i + 1)
-            | Value.Null ->
-              Bytes.unsafe_set nulls i '\001';
-              go (i + 1)
-            | Value.Int _ | Value.Bool _ | Value.Str _ -> boxed ()
-        in
-        go start
-      in
-      let c =
-        let data = Array.make n 0 and nulls = Bytes.make n '\000' in
-        let rec go i seen_int =
-          if i >= n then Ints (data, nulls)
-          else
-            match cell i with
-            | Value.Int k ->
-              Array.unsafe_set data i k;
-              go (i + 1) true
-            | Value.Null ->
-              Bytes.unsafe_set nulls i '\001';
-              go (i + 1) seen_int
-            | Value.Float _ -> if seen_int then boxed () else floats i nulls
-            | Value.Bool _ | Value.Str _ -> boxed ()
-        in
-        go 0 false
-      in
-      st.cols.(j) <- Some c;
-      c
+  (* The physical indices of all logical rows. *)
+  let phys_array t =
+    match t.sel with Some s -> s | None -> Array.init t.store.len Fun.id
 
   (* The unboxed int view of column [j], or [None] when any physical
      value is neither Int nor Null. *)
@@ -213,16 +232,6 @@ module Chunk = struct
         if Bytes.unsafe_get nb i = '\000' then f (Array.unsafe_get d i)
       done;
       true
-
-  (* Physical-row accessor for column [j] that avoids allocation where
-     possible: prefer the existing row view (tuple slots are already
-     boxed), then the column cache (Ints/Floats re-box per access). *)
-  let getter (st : store) j : int -> Value.t =
-    match st.rows with
-    | Some rows -> fun i -> Tuple.get rows.(i) j
-    | None ->
-      let c = col st j in
-      fun i -> col_value c i
 
   (* Assemble [m] tuples from the store's columns, reading physical row
      [idx i] into output row [i].  Column-at-a-time with the variant
@@ -313,6 +322,18 @@ module Chunk = struct
       | Some rows -> Array.map (fun i -> rows.(i)) s
       | None -> assemble t.store (Array.length s) (Some s))
 end
+
+(* Value of [e] at a physical row of [st]: a plain column reads the
+   store's column (no row view is forced), anything else evaluates over
+   the row view.  Forces what it reads, so the closure is pure. *)
+let expr_getter (s : Schema.t) (st : Chunk.store) (e : Expr.t) :
+  int -> Value.t =
+  match col_offset s e with
+  | Some off -> Chunk.getter st off
+  | None ->
+    let f = Expr.compile s e in
+    let rows = Chunk.rows_view st in
+    fun q -> f rows.(q)
 
 (* ------------------------------------------------------------------ *)
 (* Compiled unboxed integer expressions over a store's physical rows.
@@ -419,25 +440,43 @@ let pred_store (s : Schema.t) (e : Expr.t) (st : Chunk.store) : int -> bool =
     let p = pred1 s c in
     fun i -> p rows.(i)
   in
+  let int_col_of a =
+    match col_offset s a with Some off -> Chunk.int_col st off | None -> None
+  in
   let compile_conj c =
     match c with
     | Expr.Cmp (op, a, Expr.Const (Value.Int k)) -> (
-      (* constant rhs: inline the comparison against [k] *)
-      match int_expr s st a with
-      | Some va ->
-        let av = va.iv in
+      (* constant rhs: inline the comparison against [k]; a plain int
+         column reads its array directly *)
+      match int_col_of a with
+      | Some (d, nb) ->
         let p : int -> bool =
           match op with
-          | Expr.Eq -> fun i -> av i = k
-          | Expr.Neq -> fun i -> av i <> k
-          | Expr.Lt -> fun i -> av i < k
-          | Expr.Le -> fun i -> av i <= k
-          | Expr.Gt -> fun i -> av i > k
-          | Expr.Ge -> fun i -> av i >= k
+          | Expr.Eq -> fun i -> Array.unsafe_get d i = k
+          | Expr.Neq -> fun i -> Array.unsafe_get d i <> k
+          | Expr.Lt -> fun i -> Array.unsafe_get d i < k
+          | Expr.Le -> fun i -> Array.unsafe_get d i <= k
+          | Expr.Gt -> fun i -> Array.unsafe_get d i > k
+          | Expr.Ge -> fun i -> Array.unsafe_get d i >= k
         in
-        if va.inull == no_null then p
-        else fun i -> (not (va.inull i)) && p i
-      | None -> fallback c)
+        if Bytes.index_opt nb '\001' = None then p
+        else fun i -> Bytes.unsafe_get nb i = '\000' && p i
+      | None -> (
+        match int_expr s st a with
+        | None -> fallback c
+        | Some va ->
+          let av = va.iv in
+          let p : int -> bool =
+            match op with
+            | Expr.Eq -> fun i -> av i = k
+            | Expr.Neq -> fun i -> av i <> k
+            | Expr.Lt -> fun i -> av i < k
+            | Expr.Le -> fun i -> av i <= k
+            | Expr.Gt -> fun i -> av i > k
+            | Expr.Ge -> fun i -> av i >= k
+          in
+          if va.inull == no_null then p
+          else fun i -> (not (va.inull i)) && p i))
     | Expr.Cmp (op, a, b) -> (
       match (int_expr s st a, int_expr s st b) with
       | Some va, Some vb ->
@@ -628,60 +667,49 @@ let proj_item (s : Schema.t) (e : Expr.t) : Tuple.t -> Value.t =
            | exception Row_not_int -> f t)
       | None -> Expr.compile s e))
 
-(* Output arity of a join: semi/anti keep the outer schema only. *)
-let join_arity kind ~outer ~inner =
-  match kind with
-  | Algebra.Inner | Algebra.Left_outer -> outer + inner
-  | Algebra.Semi | Algebra.Anti -> outer
-
 (* ------------------------------------------------------------------ *)
-(* Join-row emission (shared across the join operators).  [lo, hi) is a
-   range of [arr]; matching against an index range avoids the
-   interpreter's Array.sub copies in merge join. *)
+(* Join emission over physical row indices (shared by the join
+   operators).  For left physical row [lq], the candidate right rows are
+   [rq k] for [k] in [lo, hi), and [matches k] is the residual test.
+   Inner and Left_outer append (left, right) index pairs to [out],
+   interleaved, a right index of -1 null-extending the row; Semi and
+   Anti append the left index alone — their output is a selection. *)
 
-let emit_range out kind ~inner_arity ot arr lo hi ~matches =
+let emit_range (out : int Storage.Vec.t) kind lq lo hi ~rq ~matches =
   match kind with
   | Algebra.Inner ->
     for k = lo to hi - 1 do
-      let it = arr.(k) in
-      if matches it then Storage.Vec.push out (Tuple.concat ot it)
+      if matches k then begin
+        Storage.Vec.push out lq;
+        Storage.Vec.push out (rq k)
+      end
     done
   | Algebra.Left_outer ->
     let any = ref false in
     for k = lo to hi - 1 do
-      let it = arr.(k) in
-      if matches it then begin
+      if matches k then begin
         any := true;
-        Storage.Vec.push out (Tuple.concat ot it)
+        Storage.Vec.push out lq;
+        Storage.Vec.push out (rq k)
       end
     done;
-    if not !any then
-      Storage.Vec.push out (Tuple.concat ot (Tuple.nulls inner_arity))
-  | Algebra.Semi ->
-    let rec ex k = k < hi && (matches arr.(k) || ex (k + 1)) in
-    if ex lo then Storage.Vec.push out ot
-  | Algebra.Anti ->
-    let rec ex k = k < hi && (matches arr.(k) || ex (k + 1)) in
-    if not (ex lo) then Storage.Vec.push out ot
+    if not !any then begin
+      Storage.Vec.push out lq;
+      Storage.Vec.push out (-1)
+    end
+  | Algebra.Semi | Algebra.Anti ->
+    let rec ex k = k < hi && (matches k || ex (k + 1)) in
+    if ex lo = (kind = Algebra.Semi) then Storage.Vec.push out lq
 
-let emit_list out kind ~inner_arity ot items ~matches =
+(* A join's output chunk from its emitted indices: interleaved pairs
+   become a gather store over the two inputs; a semi/anti join's left
+   indices select from the left store. *)
+let join_output kind ~(left : Chunk.store) ~(right : Chunk.store)
+    (out : int array) : Chunk.t =
   match kind with
-  | Algebra.Inner ->
-    List.iter
-      (fun it -> if matches it then Storage.Vec.push out (Tuple.concat ot it))
-      items
-  | Algebra.Left_outer ->
-    let any = ref false in
-    List.iter
-      (fun it ->
-         if matches it then begin
-           any := true;
-           Storage.Vec.push out (Tuple.concat ot it)
-         end)
-      items;
-    if not !any then
-      Storage.Vec.push out (Tuple.concat ot (Tuple.nulls inner_arity))
-  | Algebra.Semi ->
-    if List.exists matches items then Storage.Vec.push out ot
-  | Algebra.Anti ->
-    if not (List.exists matches items) then Storage.Vec.push out ot
+  | Algebra.Semi | Algebra.Anti -> { Chunk.store = left; sel = Some out }
+  | Algebra.Inner | Algebra.Left_outer ->
+    let m = Array.length out / 2 in
+    let lidx = Array.init m (fun i -> Array.unsafe_get out (2 * i))
+    and ridx = Array.init m (fun i -> Array.unsafe_get out ((2 * i) + 1)) in
+    Chunk.dense (Chunk.gather ~left ~lidx ~right ~ridx)

@@ -1,7 +1,7 @@
 (** Compiled-evaluation helpers of the columnar engine ({!Batch}):
     offset resolution, specialized WHERE-semantics predicate compilers,
-    hash-join buckets, join-row emission, and columnar chunks with their
-    unboxed integer fast path.
+    hash-join buckets, join emission over row indices, and columnar
+    chunks with their unboxed integer fast path.
 
     Everything here is pure — no {!Context} charging, no shared mutable
     state — so returned closures are safe to evaluate from worker
@@ -12,8 +12,10 @@ open Relalg
 (** Resolve column refs to tuple offsets, once per operator. *)
 val offsets : Schema.t -> Expr.col_ref list -> int array
 
-(** Hash-join bucket: chain length + most-recent-first items. *)
-type bucket = { mutable blen : int; mutable items : Tuple.t list }
+(** Hash-join bucket: chain length + the most recent build-side row
+    index; the operator's [next] array links each index to the previous
+    one in the chain, -1 ending it. *)
+type bucket = { mutable blen : int; mutable head : int }
 
 (** [pred1 s e] compiles [e] to "held under WHERE semantics" over one
     tuple; unboxed for the AND/OR/Cmp/Const fragment, [Expr.holds]
@@ -27,20 +29,17 @@ val pred2 : Schema.t -> Schema.t -> Expr.t -> Tuple.t -> Tuple.t -> bool
     computed expressions or unresolvable refs. *)
 val col_offset : Schema.t -> Expr.t -> int option
 
-(** Box an int as a [Value.Int], sharing one interned block per small
-    non-negative int (values are immutable and compared structurally, so
-    the sharing is unobservable). *)
-val box_int : int -> Value.t
-
 (** Columnar chunks: one batch of physical rows in per-column typed
-    storage (unboxed int/float arrays with null bitmaps, or a boxed
-    fallback column for strings/bools/mixed numerics), plus an optional
-    selection vector mapping logical to physical rows.  Row and column
-    views are lazy caches forced at most once; forcing mutates the
-    store, so engines force what workers need on the coordinating domain
-    first. *)
+    storage ({!Storage.Col}), plus an optional selection vector mapping
+    logical to physical rows.  Each column is built on first read by
+    the store's [build] function — shared from a table's memoized
+    columns, gathered from a join's inputs through index vectors,
+    remapped from a projection's input, or classified from rows — and
+    cached; the row view is a lazy cache too.  Forcing mutates the store
+    (and a table's column cache), so engines force what workers need on
+    the coordinating domain first. *)
 module Chunk : sig
-  type col =
+  type col = Storage.Col.t =
     | Ints of int array * Bytes.t (* data, null bitmap *)
     | Floats of float array * Bytes.t
     | Boxed of Value.t array
@@ -50,6 +49,10 @@ module Chunk : sig
     len : int; (* physical row count *)
     mutable rows : Tuple.t array option; (* lazy row view *)
     cols : col option array; (* lazy column cache, length [arity] *)
+    build : int -> col; (* builds column [j] on first read *)
+    reader : int -> int -> Value.t;
+        (* [reader j] reads column [j] at physical rows without building
+           it: a gather or remap reads through to its inputs *)
   }
 
   (** [sel = Some s]: logical row [i] is physical row [s.(i)];
@@ -60,23 +63,40 @@ module Chunk : sig
   val of_rows : arity:int -> Tuple.t array -> t
   val dense : store -> t
 
+  (** A store over eagerly built columns of length [len]. *)
+  val store_of_cols : len:int -> col array -> store
+
+  (** A table's store: its row view is {!Storage.Table.rows_array} and its
+      columns are the table's memoized {!Storage.Table.column}s. *)
+  val of_table : Storage.Table.t -> store
+
+  (** [gather ~left ~lidx ~right ~ridx] — a join's output: row [i] is
+      left row [lidx.(i)] followed by right row [ridx.(i)], an index of -1
+      reading NULLs.  Columns are gathered on first read. *)
+  val gather :
+    left:store -> lidx:int array -> right:store -> ridx:int array -> store
+
+  (** [remap st offs] has column [j] = column [offs.(j)] of [st], shared;
+      same physical rows. *)
+  val remap : store -> int array -> store
+
   (** Logical row count. *)
   val length : t -> int
 
   (** Physical index of a logical row. *)
   val phys : t -> int -> int
 
-  (** Boxed value of a forced column at a physical row. *)
-  val col_value : col -> int -> Value.t
+  (** Physical indices of all logical rows, in order. *)
+  val phys_array : t -> int array
 
-  (** Force column [j] (classify physical values, extract typed
-      storage).  All-NULL columns classify as [Ints] with every null bit
-      set; mixed Int/Float columns stay [Boxed] to preserve value
-      identity. *)
+  (** Force column [j].  A classified column is [Ints] when all-Int-or-
+      Null (all-NULL included), [Floats] when all-Float-or-Null, and
+      [Boxed] otherwise — mixed Int/Float stays boxed to preserve value
+      identity.  A gathered column keeps its input's layout. *)
   val col : store -> int -> col
 
-  (** Unboxed int view of column [j], or [None] when any physical value
-      is neither Int nor Null. *)
+  (** Unboxed int view of column [j], or [None] when the column is not
+      [Ints]. *)
   val int_col : store -> int -> (int array * Bytes.t) option
 
   (** Feed every non-null int of column [j] to the callback, in physical
@@ -84,9 +104,9 @@ module Chunk : sig
       when the column is not int-typed. *)
   val feed_ints : store -> int -> (int -> unit) -> bool
 
-  (** Physical-row accessor for column [j], avoiding allocation where
-      possible (prefers an existing row view over re-boxing typed
-      columns). *)
+  (** Physical-row accessor for column [j] that builds no column: it
+      reads an existing row view (sharing its boxes), else a built
+      column, else through a gather's or remap's inputs. *)
   val getter : store -> int -> int -> Value.t
 
   (** Force the physical row view. *)
@@ -96,6 +116,11 @@ module Chunk : sig
       row view without copying. *)
   val to_rows : t -> Tuple.t array
 end
+
+(** [expr_getter s st e] is [e]'s value at a physical row of [st]: a
+    plain column reads the store's column without forcing its row view,
+    anything else evaluates over the row view.  Forces what it reads. *)
+val expr_getter : Schema.t -> Chunk.store -> Expr.t -> int -> Value.t
 
 (** Compiled unboxed integer expression over a store's physical rows:
     [iv i] is valid only when [inull i] is false (the NULL-divisor guard
@@ -120,17 +145,18 @@ val pred_store : Schema.t -> Expr.t -> Chunk.store -> int -> bool
     [Expr.compile] on every input. *)
 val proj_item : Schema.t -> Expr.t -> Tuple.t -> Value.t
 
-(** Output arity of a join: semi/anti keep the outer schema only. *)
-val join_arity : Algebra.join_kind -> outer:int -> inner:int -> int
-
-(** Emit join rows for one outer tuple against inner rows [lo, hi) of
-    [arr], honoring the join kind's semantics (Inner / Left_outer / Semi
-    / Anti). *)
+(** [emit_range out kind lq lo hi ~rq ~matches] emits the join of left
+    physical row [lq] with right physical rows [rq k], [k] in [lo, hi),
+    that pass [matches k], honoring the join kind: Inner / Left_outer
+    append interleaved (left, right) index pairs to [out] (-1 as the
+    right index null-extends), Semi / Anti append [lq] alone. *)
 val emit_range :
-  Tuple.t Storage.Vec.t -> Algebra.join_kind -> inner_arity:int ->
-  Tuple.t -> Tuple.t array -> int -> int -> matches:(Tuple.t -> bool) -> unit
+  int Storage.Vec.t -> Algebra.join_kind -> int -> int -> int ->
+  rq:(int -> int) -> matches:(int -> bool) -> unit
 
-(** As {!emit_range} over a bucket's item list. *)
-val emit_list :
-  Tuple.t Storage.Vec.t -> Algebra.join_kind -> inner_arity:int ->
-  Tuple.t -> Tuple.t list -> matches:(Tuple.t -> bool) -> unit
+(** A join's output chunk from the indices {!emit_range} emitted: a
+    gather store over [left] and [right] for Inner / Left_outer, a
+    selection of [left] for Semi / Anti. *)
+val join_output :
+  Algebra.join_kind -> left:Chunk.store -> right:Chunk.store -> int array ->
+  Chunk.t

@@ -35,12 +35,6 @@ let equal_array (a : Value.t array) (b : Value.t array) =
   let rec go i = i = n || (Value.equal a.(i) b.(i) && go (i + 1)) in
   go 0
 
-module Array_tbl = Hashtbl.Make (struct
-    type t = Value.t array
-    let equal = equal_array
-    let hash = hash_array
-  end)
-
 (* Columnar probing for generic (Value.t array) keys.
 
    An open-addressing table whose [find] hashes and compares key
@@ -74,22 +68,24 @@ module Cols_tbl = struct
     done;
     !acc
 
-  let equal_cols (k : Value.t array) (gets : (int -> Value.t) array) i =
-    let n = Array.length k in
-    let rec go c = c = n || (Value.equal k.(c) (gets.(c) i) && go (c + 1)) in
-    go 0
+  (* The probe loops are closed top-level functions: a local recursive
+     closure would allocate on every probe.  A gathered column repeats
+     its input's boxes, so equality tests identity first. *)
+  let rec equal_from (k : Value.t array) (gets : (int -> Value.t) array) i c =
+    c = Array.length k
+    || (let v = gets.(c) i in
+        (k.(c) == v || Value.equal k.(c) v) && equal_from k gets i (c + 1))
 
   let mix h mask = h * 0x9E3779B1 land mask
 
+  let rec find_from t gets i j =
+    if Bytes.unsafe_get t.used j = '\000' then t.dummy
+    else if equal_from (Array.unsafe_get t.keys j) gets i 0 then
+      Array.unsafe_get t.vals j
+    else find_from t gets i ((j + 1) land t.mask)
+
   (* [t.dummy] when the key read column-wise at row [i] is absent. *)
-  let find t gets i =
-    let rec probe j =
-      if Bytes.unsafe_get t.used j = '\000' then t.dummy
-      else if equal_cols (Array.unsafe_get t.keys j) gets i then
-        Array.unsafe_get t.vals j
-      else probe ((j + 1) land t.mask)
-    in
-    probe (mix (hash_cols gets i) t.mask)
+  let find t gets i = find_from t gets i (mix (hash_cols gets i) t.mask)
 
   let slot_key t (k : Value.t array) =
     let rec probe j =
@@ -126,6 +122,67 @@ module Cols_tbl = struct
     t.count <- t.count + 1
 end
 
+(* First occurrences under a caller-supplied row hash and equality.
+
+   An open-addressing set of representative row indices: [add t h eq q]
+   inserts row [q], whose hash is [h], unless a stored representative
+   [r] with the same hash satisfies [eq r q].  No key is materialized —
+   DISTINCT compares typed columns row against row.  Slots come from the
+   high bits of a multiplicative mix, so hashes that share their low
+   bits (a hash partition's rows) still spread. *)
+module Row_set = struct
+  type t = {
+    mutable hashes : int array;
+    mutable reps : int array; (* -1: empty slot *)
+    mutable mask : int;
+    mutable count : int;
+  }
+
+  let create cap =
+    let rec pow2 n = if n >= cap * 2 then n else pow2 (n * 2) in
+    let c = pow2 16 in
+    { hashes = Array.make c 0; reps = Array.make c (-1); mask = c - 1;
+      count = 0 }
+
+  let slot h mask = (h * 0x9E3779B97F4A7C1) lsr 24 land mask
+
+  let grow t =
+    let ohashes = t.hashes and oreps = t.reps in
+    let c = 2 * (t.mask + 1) in
+    t.hashes <- Array.make c 0;
+    t.reps <- Array.make c (-1);
+    t.mask <- c - 1;
+    Array.iteri
+      (fun i r ->
+         if r >= 0 then begin
+           let h = ohashes.(i) in
+           let rec probe j =
+             if t.reps.(j) < 0 then begin
+               t.reps.(j) <- r;
+               t.hashes.(j) <- h
+             end
+             else probe ((j + 1) land t.mask)
+           in
+           probe (slot h t.mask)
+         end)
+      oreps
+
+  let rec add_from t h (eq : int -> int -> bool) q j =
+    let r = Array.unsafe_get t.reps j in
+    if r < 0 then begin
+      t.reps.(j) <- q;
+      t.hashes.(j) <- h;
+      t.count <- t.count + 1;
+      if 2 * t.count > t.mask + 1 then grow t;
+      true
+    end
+    else if Array.unsafe_get t.hashes j = h && eq r q then false
+    else add_from t h eq q ((j + 1) land t.mask)
+
+  (* True when [q] was absent and now represents its key. *)
+  let add t h eq q = add_from t h eq q (slot h t.mask)
+end
+
 (* Fast path for single-column integer keys.  Only sound when every key
    value on both sides of the table is Int or Null (NULLs are handled by
    the caller): Value.equal would also match Float 2.0 = Int 2, so callers
@@ -153,15 +210,14 @@ module Int_map = struct
     { keys = Array.make c 0; vals = Array.make c dummy;
       used = Bytes.make c '\000'; mask = c - 1; count = 0; dummy }
 
+  let rec slot_from t k i =
+    if Bytes.unsafe_get t.used i = '\000' || Array.unsafe_get t.keys i = k
+    then i
+    else slot_from t k ((i + 1) land t.mask)
+
   (* Fibonacci-style multiplicative mixing; [land mask] keeps it in range
      (and non-negative) even when the product overflows. *)
-  let slot t k =
-    let rec probe i =
-      if Bytes.unsafe_get t.used i = '\000' || Array.unsafe_get t.keys i = k
-      then i
-      else probe ((i + 1) land t.mask)
-    in
-    probe (k * 0x9E3779B1 land t.mask)
+  let slot t k = slot_from t k (k * 0x9E3779B1 land t.mask)
 
   let grow t =
     let okeys = t.keys and ovals = t.vals and oused = t.used in

@@ -20,16 +20,13 @@ val hash_array : Value.t array -> int
     equal lengths (fixed arity). *)
 val equal_array : Value.t array -> Value.t array -> bool
 
-(** Hash table over array keys — the batch engine's key table. *)
-module Array_tbl : Hashtbl.S with type key = Value.t array
-
 (** Columnar probing for generic (fixed-arity [Value.t array]) keys:
     open-addressing, insert-only.  {!Cols_tbl.find} hashes and compares
     key positions straight out of per-column accessor closures, so a
     probe never materializes a key array; the key is built exactly once,
     on {!Cols_tbl.add}.  Key semantics are {!Value.equal}/{!Value.hash}
-    — identical to {!Array_tbl} (Int 2 matches Float 2.0, NULLs are
-    ordinary key values; join operators exclude NULL keys themselves).
+    (Int 2 matches Float 2.0, NULLs are ordinary key values; join
+    operators exclude NULL keys themselves).
     Misses return the [dummy]; callers that must distinguish absence use
     a physically unique dummy and compare with [==]. *)
 module Cols_tbl : sig
@@ -48,6 +45,19 @@ module Cols_tbl : sig
   (** The key must be absent (call {!find} first) and must hold the
       values the accessors produced at the probed row. *)
   val add : 'a t -> Value.t array -> 'a -> unit
+end
+
+(** First occurrences under a caller-supplied row hash and equality: an
+    open-addressing, insert-only set of representative row indices, so
+    DISTINCT never materializes a key. *)
+module Row_set : sig
+  type t
+
+  val create : int -> t
+
+  (** [add t h eq q] inserts row [q] (hash [h]) unless a stored row [r]
+      with hash [h] satisfies [eq r q]; true when [q] was inserted. *)
+  val add : t -> int -> (int -> int -> bool) -> int -> bool
 end
 
 (** Fast path for single-column integer keys: open-addressing, no

@@ -255,20 +255,22 @@ let pp_agg ppf = function
 
 (* Streaming aggregate state: fold values, then finalize.  SUM/AVG follow
    SQL semantics (NULL on empty/no non-null input; COUNT is 0). *)
-type agg_state = { mutable count : int; mutable sum : float;
+(* [sum] is a one-slot float array: a mutable float field of a mixed
+   record would box on every step. *)
+type agg_state = { mutable count : int; sum : float array;
                    mutable any_float : bool;
                    mutable minv : Value.t; mutable maxv : Value.t }
 
 let agg_init () =
-  { count = 0; sum = 0.; any_float = false;
+  { count = 0; sum = [| 0. |]; any_float = false;
     minv = Value.Null; maxv = Value.Null }
 
 let agg_step st (v : Value.t) =
   if not (Value.is_null v) then begin
     st.count <- st.count + 1;
     (match v with
-     | Value.Int i -> st.sum <- st.sum +. float_of_int i
-     | Value.Float f -> st.sum <- st.sum +. f; st.any_float <- true
+     | Value.Int i -> st.sum.(0) <- st.sum.(0) +. float_of_int i
+     | Value.Float f -> st.sum.(0) <- st.sum.(0) +. f; st.any_float <- true
      | Value.Bool _ | Value.Str _ | Value.Null -> ());
     if Value.is_null st.minv || Value.compare v st.minv < 0 then st.minv <- v;
     if Value.is_null st.maxv || Value.compare v st.maxv > 0 then st.maxv <- v
@@ -279,7 +281,7 @@ let agg_step st (v : Value.t) =
    min/max slots allocate a [Value.Int] only when they actually change. *)
 let agg_step_int st (k : int) =
   st.count <- st.count + 1;
-  st.sum <- st.sum +. float_of_int k;
+  st.sum.(0) <- st.sum.(0) +. float_of_int k;
   (match st.minv with
    | Value.Null -> st.minv <- Value.Int k
    | Value.Int m -> if k < m then st.minv <- Value.Int k
@@ -294,19 +296,19 @@ let agg_final (a : agg) st : Value.t =
   | Count_star | Count _ -> Value.Int st.count
   | Sum _ ->
     if st.count = 0 then Value.Null
-    else if st.any_float then Value.Float st.sum
-    else Value.Int (int_of_float st.sum)
+    else if st.any_float then Value.Float st.sum.(0)
+    else Value.Int (int_of_float st.sum.(0))
   | Min _ -> st.minv
   | Max _ -> st.maxv
   | Avg _ ->
     if st.count = 0 then Value.Null
-    else Value.Float (st.sum /. float_of_int st.count)
+    else Value.Float (st.sum.(0) /. float_of_int st.count)
 
 (* Combine two partial states (used by staged aggregation, Fig 4c).  Only
    valid for aggregates satisfying Agg(S ∪ S') = combine(Agg S, Agg S'). *)
 let agg_combine st st' =
   { count = st.count + st'.count;
-    sum = st.sum +. st'.sum;
+    sum = [| st.sum.(0) +. st'.sum.(0) |];
     any_float = st.any_float || st'.any_float;
     minv =
       (if Value.is_null st.minv then st'.minv

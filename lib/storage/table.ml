@@ -12,6 +12,10 @@ type t = {
   mutable rows_view : Tuple.t array option;
       (* memoized array view; tables are append-only, so a cached view
          is stale iff its length differs from the live row count *)
+  cols_view : Col.t option array;
+      (* memoized typed columns, one slot per column, under the same
+         staleness rule *)
+  per_page : int; (* tuples per page, fixed by the schema *)
 }
 
 let create ?(non_null = []) ~name ~(columns : (string * Value.ty) list) () : t
@@ -24,7 +28,9 @@ let create ?(non_null = []) ~name ~(columns : (string * Value.ty) list) () : t
            (Schema.column ~rel:name ~name:cn ~ty))
       columns
   in
-  { name; schema; rows = Vec.create (); rows_view = None }
+  { name; schema; rows = Vec.create (); rows_view = None;
+    cols_view = Array.make (Schema.arity schema) None;
+    per_page = Page.tuples_per_page schema }
 
 let insert t (tuple : Tuple.t) =
   if Tuple.arity tuple <> Schema.arity t.schema then
@@ -49,7 +55,19 @@ let rows_array t =
     t.rows_view <- Some a;
     a
 
-let tuples_per_page t = Page.tuples_per_page t.schema
+(* Typed column [j] of all rows, classified once per table size from
+   {!rows_array}.  Shared and immutable, like the row view. *)
+let column t j =
+  let n = Vec.length t.rows in
+  match t.cols_view.(j) with
+  | Some c when Col.length c = n -> c
+  | _ ->
+    let rows = rows_array t in
+    let c = Col.classify n (fun i -> Tuple.get (Array.unsafe_get rows i) j) in
+    t.cols_view.(j) <- Some c;
+    c
+
+let tuples_per_page t = t.per_page
 
 let page_count t = Page.pages_for ~rows:(row_count t) t.schema
 

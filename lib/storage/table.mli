@@ -9,6 +9,10 @@ type t = {
   mutable rows_view : Relalg.Tuple.t array option;
       (** memoized {!rows_array} view; stale iff its length differs from
           the live row count (tables are append-only) *)
+  cols_view : Col.t option array;
+      (** memoized {!column}s, one slot per column; a slot is stale iff
+          its length differs from the live row count *)
+  per_page : int;  (** {!tuples_per_page}, fixed by the schema *)
 }
 
 (** [non_null] names columns declared NOT NULL; they are recorded as
@@ -34,6 +38,11 @@ val get : t -> int -> Relalg.Tuple.t
     the bulk accessor the vectorized engines scan from.  Read-only:
     callers must never write through it. *)
 val rows_array : t -> Relalg.Tuple.t array
+
+(** Typed column [j] of all rows ({!Col.classify} over {!rows_array}),
+    memoized per table size like the row view — the columnar engine's
+    scans share it across queries.  Read-only. *)
+val column : t -> int -> Col.t
 
 val tuples_per_page : t -> int
 val page_count : t -> int

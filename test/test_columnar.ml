@@ -102,6 +102,11 @@ let differ ?buffer_pages ?work_mem_pages ?(points = grid) name cat plan =
          (name ^ ": rows identical") true
          (Array.for_all2 Tuple.equal oracle.Exec.Executor.rows
             r.Exec.Executor.rows);
+       (* [Tuple.equal] is [Value.compare]-equality (Int 2 = Float 2.0);
+          the engines must also agree on every cell's constructor *)
+       Alcotest.(check bool)
+         (name ^ ": cell identity") true
+         (compare oracle.Exec.Executor.rows r.Exec.Executor.rows = 0);
        Alcotest.(check string)
          (name ^ ": counters")
          (pp_counters (counters ctx_i))
@@ -119,6 +124,7 @@ let agrees ?buffer_pages ?work_mem_pages points cat plan =
        Array.length oracle.Exec.Executor.rows = Array.length r.Exec.Executor.rows
        && Array.for_all2 Tuple.equal oracle.Exec.Executor.rows
             r.Exec.Executor.rows
+       && compare oracle.Exec.Executor.rows r.Exec.Executor.rows = 0
        && counters ctx_i = counters ctx)
     points
 
@@ -134,6 +140,15 @@ let test_scans () =
        { table = "R"; alias = "R";
          filter =
            Some (Expr.Cmp (Expr.Ge, Expr.col ~rel:"R" ~col:"a", Expr.int 2)) });
+  (* a NULL cell of an int column holds 0 in its data array: the
+     filter must test the null bitmap first *)
+  List.iter
+    (fun (nm, op, k) ->
+       differ ("seq scan + pushed filter on nullable " ^ nm) cat
+         (Exec.Plan.Seq_scan
+            { table = "R"; alias = "R";
+              filter = Some (Expr.Cmp (op, Expr.col ~rel:"R" ~col:"a", Expr.int k)) }))
+    [ ("a < 2", Expr.Lt, 2); ("a <> 3", Expr.Neq, 3); ("a = 0", Expr.Eq, 0) ];
   differ "index scan" cat
     (Exec.Plan.Index_scan
        { table = "S"; alias = "S"; column = "a";
@@ -631,6 +646,287 @@ let test_columnar_edges () =
           (fun i k -> (k, Value.Int (10 * i)))
           [ Value.Str "bob"; Value.Str "cat"; Value.Null; Value.Str "eve" ],
         1 ) ]
+
+(* ------------------------------------------------------------------ *)
+(* The per-table column cache.  A scan shares its table's memoized typed
+   columns ({!Storage.Table.column}); the cache is stale once the table
+   has grown, and it lives on the table, so two tables never share one —
+   not even two empty tables, whose row arrays are the same [[||]]. *)
+
+let col_kind = function
+  | Storage.Col.Ints _ -> "ints"
+  | Storage.Col.Floats _ -> "floats"
+  | Storage.Col.Boxed _ -> "boxed"
+
+let test_table_cache () =
+  List.iter
+    (fun pt ->
+       let nm s = Printf.sprintf "%s @ %s" s pt.label in
+       let cat = mk_catalog default_r default_s in
+       let r = Storage.Catalog.table cat "R" in
+       let run plan =
+         let ctx_i = Exec.Context.create () and ctx = Exec.Context.create () in
+         let oracle = Exec.Executor.run ~ctx:ctx_i cat plan in
+         let got = pt.run ~ctx cat plan in
+         Alcotest.(check bool) (nm "rows = interpreter") true
+           (compare oracle.Exec.Executor.rows got.Exec.Executor.rows = 0);
+         Alcotest.(check string) (nm "counters = interpreter")
+           (pp_counters (counters ctx_i)) (pp_counters (counters ctx));
+         got.Exec.Executor.rows
+       in
+       let sum_b =
+         Exec.Plan.Hash_agg
+           { keys = []; aggs = [ (Expr.Sum (Expr.col ~rel:"R" ~col:"b"), "s") ];
+             input =
+               Exec.Plan.Seq_scan
+                 { table = "R"; alias = "R";
+                   filter =
+                     Some (Expr.Cmp (Expr.Ge, Expr.col ~rel:"R" ~col:"b",
+                                     Expr.int 20)) } }
+       in
+       Alcotest.(check int) (nm "5 rows") 5 (Array.length (run (scan "R")));
+       ignore (run sum_b);
+       Alcotest.(check string) (nm "R.b cached as ints") "ints"
+         (col_kind (Storage.Table.column r 1));
+       Storage.Table.insert r (Tuple.of_list [ Value.Int 7; Value.Int 70 ]);
+       let rows = run (scan "R") in
+       Alcotest.(check int) (nm "6 rows after insert") 6 (Array.length rows);
+       Alcotest.(check bool) (nm "inserted row scanned") true
+         (compare rows.(5) [| Value.Int 7; Value.Int 70 |] = 0);
+       Alcotest.(check bool) (nm "sum sees the new row") true
+         (compare (run sum_b) [| [| Value.Int 240 |] |] = 0);
+       (match Storage.Table.column r 1 with
+        | Storage.Col.Ints (d, _) ->
+          Alcotest.(check int) (nm "typed column grew") 6 (Array.length d);
+          Alcotest.(check int) (nm "typed column has 70") 70 d.(5)
+        | c -> Alcotest.failf "R.b classified %s" (col_kind c));
+       (* a Float after Ints: the rebuilt column is mixed, so boxed *)
+       Storage.Table.insert r (Tuple.of_list [ Value.Float 2.5; Value.Null ]);
+       ignore (run (scan "R"));
+       ignore (run (Exec.Plan.Hash_join
+                      { kind = Algebra.Inner; pairs = [ pair ];
+                        residual = Expr.ftrue; left = scan "R";
+                        right = scan "S" }));
+       Alcotest.(check string) (nm "R.a rebuilt boxed") "boxed"
+         (col_kind (Storage.Table.column r 0)))
+    grid;
+  (* two empty tables of different arity in one plan *)
+  let cat = Storage.Catalog.create () in
+  ignore
+    (Storage.Catalog.create_table cat ~name:"E1" ~columns:[ ("a", Value.Tint) ]);
+  ignore
+    (Storage.Catalog.create_table cat ~name:"E3"
+       ~columns:[ ("a", Value.Tint); ("b", Value.Tstring); ("c", Value.Tint) ]);
+  let epair = ({ Expr.rel = "E3"; col = "a" }, { Expr.rel = "E1"; col = "a" }) in
+  List.iter
+    (fun (kn, kind) ->
+       differ ("empty tables hash " ^ kn) cat
+         (Exec.Plan.Hash_join
+            { kind; pairs = [ epair ]; residual = Expr.ftrue; left = scan "E3";
+              right = scan "E1" });
+       differ ("empty tables nested loop " ^ kn) cat
+         (Exec.Plan.Nested_loop
+            { kind;
+              pred = Expr.Cmp (Expr.Eq, Expr.col ~rel:"E1" ~col:"a",
+                               Expr.col ~rel:"E3" ~col:"c");
+              outer = scan "E1"; inner = scan "E3" }))
+    kinds;
+  differ "empty tables distinct" cat
+    (Exec.Plan.Hash_distinct
+       (Exec.Plan.Project
+          ([ (Expr.col ~rel:"E3" ~col:"b", "b") ], scan "E3")));
+  (* a temporary dropped and re-created under its name with another
+     arity: the new table starts with an empty cache *)
+  let tmp = Storage.Catalog.fresh_temp_name "v" in
+  let mk_tmp columns rows =
+    let t = Storage.Catalog.create_table cat ~name:tmp ~columns in
+    List.iter (fun r -> Storage.Table.insert t (Tuple.of_list r)) rows
+  in
+  mk_tmp [ ("x", Value.Tint) ] [ [ Value.Int 1 ]; [ Value.Int 2 ] ];
+  differ "temp table" cat (scan tmp);
+  Storage.Catalog.remove_table cat tmp;
+  mk_tmp
+    [ ("x", Value.Tstring); ("y", Value.Tint) ]
+    [ [ Value.Str "p"; Value.Int 5 ]; [ Value.Null; Value.Int 6 ];
+      [ Value.Str "p"; Value.Int 7 ] ];
+  differ "temp table re-created" cat
+    (Exec.Plan.Hash_distinct
+       (Exec.Plan.Project ([ (Expr.col ~rel:tmp ~col:"x", "x") ], scan tmp)));
+  differ "temp table re-created, sorted" cat
+    (Exec.Plan.Sort
+       ([ { Exec.Plan.key = Expr.col ~rel:tmp ~col:"y"; descending = true } ],
+        scan tmp))
+
+(* ------------------------------------------------------------------ *)
+(* Gather chains.  Join outputs are gather stores over their inputs
+   (selections of the left input for semi/anti), read lazily by the
+   operators above them.  Every join kind and algorithm, with and
+   without a residual, feeds an integer SUM, a DISTINCT and a Sort, over
+   NULL join keys, null-extended rows read through typed columns, a
+   mixed Int/Float column and a three-table star. *)
+
+let mk_gather_catalog () =
+  let cat = Storage.Catalog.create () in
+  let table name cols rows =
+    let t =
+      Storage.Catalog.create_table cat ~name
+        ~columns:(List.map (fun c -> (c, Value.Tint)) cols)
+    in
+    List.iter (fun r -> Storage.Table.insert t (Tuple.of_list r)) rows
+  in
+  let i k = Value.Int k and f x = Value.Float x and null = Value.Null in
+  table "R" [ "a"; "b" ]
+    [ [ i 1; i 10 ]; [ i 2; i 20 ]; [ i 2; i 21 ]; [ i 3; i 30 ];
+      [ null; i 99 ]; [ i 4; i 40 ]; [ i 3; null ] ];
+  (* S.c mixes Int and Float: a boxed column *)
+  table "S" [ "a"; "c" ]
+    [ [ i 2; i 200 ]; [ i 2; f 2.5 ]; [ i 3; i 300 ]; [ null; i 999 ];
+      [ i 5; f 5.5 ]; [ i 1; null ]; [ i 3; i 31 ] ];
+  table "T" [ "a"; "d" ]
+    [ [ i 1; i 1000 ]; [ i 2; i 2000 ]; [ i 3; null ]; [ null; i 4 ];
+      [ i 2; i 2001 ] ];
+  (* U.a is all Float-or-NULL: a Floats column, with -0.0 = 0.0 and a
+     NaN for DISTINCT's hashing, and Int-against-Float merge keys *)
+  table "U" [ "a"; "e" ]
+    [ [ f 2.0; i 1 ]; [ f 3.0; i 2 ]; [ null; i 3 ]; [ f 2.0; i 4 ];
+      [ f 2.5; i 5 ]; [ f 0.0; i 6 ]; [ f (-0.0); i 7 ]; [ f Float.nan; i 8 ];
+      [ f Float.nan; i 9 ] ];
+  ignore (Storage.Catalog.create_index cat ~table:"S" ~column:"a" ());
+  ignore (Storage.Catalog.create_index cat ~table:"T" ~column:"a" ());
+  ignore (Storage.Catalog.create_index cat ~table:"U" ~column:"a" ());
+  cat
+
+let c rel col = Expr.col ~rel ~col
+
+(* [left.a = right.a] joined by every algorithm; [left] must expose
+   [lrel].a, and [right] is a base table (index-NL probes its index). *)
+let join_algorithms ~kind ~residual ~lrel ~left ~rrel =
+  let key = ({ Expr.rel = lrel; col = "a" }, { Expr.rel = rrel; col = "a" }) in
+  let eq = Expr.Cmp (Expr.Eq, c lrel "a", c rrel "a") in
+  [ ( "nested loop",
+      Exec.Plan.Nested_loop
+        { kind; pred = Pred.of_conjuncts (eq :: Pred.conjuncts residual); outer = left;
+          inner = scan rrel } );
+    ( "hash",
+      Exec.Plan.Hash_join
+        { kind; pairs = [ key ]; residual; left; right = scan rrel } );
+    ( "merge",
+      Exec.Plan.Merge_join
+        { kind; pairs = [ key ]; residual; left = sort_on lrel "a" left;
+          right = sort_on rrel "a" (scan rrel) } );
+    ( "index nl",
+      Exec.Plan.Index_nl
+        { kind; outer = left; table = rrel; alias = rrel;
+          index = "idx_" ^ rrel ^ "_a"; columns = [ "a" ];
+          outer_keys = [ c lrel "a" ]; residual } ) ]
+
+(* SUM, DISTINCT and Sort over join [j]; [wide] when [j] keeps the right
+   side's columns ([rcol] an int column of it). *)
+let consumers ~wide ~rcol j =
+  let r_cols = [ (c "R" "a", "a"); (c "R" "b", "b") ] in
+  [ ( "sum",
+      Exec.Plan.Hash_agg
+        { keys = [ (c "R" "a", "a") ];
+          aggs =
+            (Expr.Sum (c "R" "b"), "sb") :: (Expr.Count_star, "n")
+            :: (if wide then [ (Expr.Sum rcol, "sr"); (Expr.Max rcol, "mr") ]
+                else []);
+          input = j } );
+    ( "scalar sum",
+      Exec.Plan.Hash_agg
+        { keys = []; aggs = [ (Expr.Sum (c "R" "b"), "s") ]; input = j } );
+    ( "distinct",
+      Exec.Plan.Hash_distinct
+        (Exec.Plan.Project
+           ((if wide then (rcol, "r") :: r_cols else r_cols), j)) );
+    ( "sort",
+      Exec.Plan.Sort
+        ( { Exec.Plan.key = c "R" "b"; descending = true }
+          :: (if wide then [ { Exec.Plan.key = rcol; descending = false } ]
+              else []),
+          j ) );
+    ("join", j) ]
+
+let test_gather_chains () =
+  let cat = mk_gather_catalog () in
+  let residuals =
+    [ ("", Expr.ftrue);
+      (" + residual", Expr.Cmp (Expr.Lt, c "R" "b", c "S" "c")) ]
+  in
+  List.iter
+    (fun (kn, kind) ->
+       let wide = kind = Algebra.Inner || kind = Algebra.Left_outer in
+       List.iter
+         (fun (rn, residual) ->
+            List.iter
+              (fun (an, j) ->
+                 List.iter
+                   (fun (cn, plan) ->
+                      differ (Printf.sprintf "%s %s%s -> %s" an kn rn cn) cat plan)
+                   (consumers ~wide ~rcol:(c "S" "c") j))
+              (join_algorithms ~kind ~residual ~lrel:"R" ~left:(scan "R")
+                 ~rrel:"S"))
+         residuals;
+       (* three-table star: R x S (inner, a gather store) joined to T by
+          every algorithm; T.d through null extension *)
+       let rs =
+         Exec.Plan.Hash_join
+           { kind = Algebra.Inner; pairs = [ pair ]; residual = Expr.ftrue;
+             left = scan "R"; right = scan "S" }
+       in
+       List.iter
+         (fun (an, j) ->
+            List.iter
+              (fun (cn, plan) ->
+                 differ (Printf.sprintf "star %s %s -> %s" an kn cn) cat plan)
+              (consumers ~wide ~rcol:(c "T" "d") j))
+         (join_algorithms ~kind ~residual:Expr.ftrue ~lrel:"R" ~left:rs
+            ~rrel:"T");
+       (* Int keys against Float keys *)
+       List.iter
+         (fun (an, j) ->
+            List.iter
+              (fun (cn, plan) ->
+                 differ (Printf.sprintf "int x float %s %s -> %s" an kn cn)
+                   cat plan)
+              (consumers ~wide ~rcol:(c "U" "e") j))
+         (join_algorithms ~kind ~residual:Expr.ftrue ~lrel:"R"
+            ~left:(scan "R") ~rrel:"U"))
+    kinds;
+  differ "float distinct" cat
+    (Exec.Plan.Hash_distinct
+       (Exec.Plan.Project ([ (c "U" "a", "a") ], scan "U")));
+  differ "float sort" cat (sort_on "U" "a" (scan "U"));
+  (* the injected NULL-key fault shows through a gather chain: under it,
+     a NULL key on both sides of an int hash join matches *)
+  let plan =
+    Exec.Plan.Hash_agg
+      { keys = []; aggs = [ (Expr.Count_star, "n"); (Expr.Sum (c "T" "d"), "s") ];
+        input =
+          Exec.Plan.Hash_join
+            { kind = Algebra.Inner;
+              pairs = [ ({ Expr.rel = "R"; col = "a" }, { Expr.rel = "T"; col = "a" }) ];
+              residual = Expr.ftrue;
+              left =
+                Exec.Plan.Hash_join
+                  { kind = Algebra.Left_outer; pairs = [ pair ];
+                    residual = Expr.ftrue; left = scan "R"; right = scan "S" };
+              right = scan "T" } }
+  in
+  let oracle = (Exec.Executor.run cat plan).Exec.Executor.rows in
+  List.iter
+    (fun pt ->
+       let faulty =
+         Fun.protect
+           ~finally:(fun () -> Exec.Batch.fault_null_key_as_zero := false)
+           (fun () ->
+              Exec.Batch.fault_null_key_as_zero := true;
+              (pt.run ~ctx:(Exec.Context.create ()) cat plan).Exec.Executor.rows)
+       in
+       Alcotest.(check bool)
+         ("injected fault diverges @ " ^ pt.label) true
+         (compare oracle faulty <> 0))
+    grid
 
 (* ------------------------------------------------------------------ *)
 (* Cost-accounting-specific scenarios *)
@@ -1145,7 +1441,9 @@ let () =
          Alcotest.test_case "three-valued logic" `Quick
            test_three_valued_logic;
          Alcotest.test_case "columnar layout edges" `Quick
-           test_columnar_edges ]);
+           test_columnar_edges;
+         Alcotest.test_case "table column cache" `Quick test_table_cache;
+         Alcotest.test_case "gather chains" `Quick test_gather_chains ]);
       ("cost accounting",
        [ Alcotest.test_case "rescan faults identically" `Quick
            test_rescan_faults_identically;
