@@ -13,9 +13,9 @@ reads the JSON object on the last line of its output, and compares each
 count in the golden file exactly.  The counts (simulated cost, executor
 I/O and CPU counters, enumeration and rewrite counts, q-errors) repeat
 exactly for a seed; wall time and allocation are not compared.  A
-mismatch prints one line per differing count and exits 1; a failed run
-exits 2.  A change that moves a count on purpose writes the new values
-into bench/perf_counts.json.
+mismatch, or a count missing from a run's metrics, prints one line per
+differing count and exits 1; a failed run exits 2.  A change that moves
+a count on purpose writes the new values into bench/perf_counts.json.
 """
 
 import json
@@ -48,6 +48,10 @@ def main():
         for workload, counts in workloads.items():
             got = run(workload, seed, seconds, trace)
             for name, want in counts.items():
+                if name not in got:
+                    diffs.append("%s --trace %s %s: golden %r, missing"
+                                 % (workload, trace, name, want))
+                    continue
                 have = got[name]["value"]
                 if have != want:
                     diffs.append("%s --trace %s %s: golden %r, got %r"

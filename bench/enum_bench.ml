@@ -49,20 +49,6 @@ let old_cutoff ~shape ~bushy =
   | "clique" -> 10
   | _ -> if bushy then 12 else 16
 
-let spj_of_pieces ?(order_by = []) (p : Workload.Schemas.join_pieces) :
-  Systemr.Spj.t =
-  Systemr.Spj.make ~order_by
-    ~relations:
-      (List.map
-         (fun (alias, table) ->
-            { Systemr.Spj.alias; table;
-              schema =
-                Schema.requalify
-                  (Storage.Catalog.table p.Workload.Schemas.jcat table)
-                    .Storage.Table.schema ~rel:alias })
-         p.Workload.Schemas.relations)
-    ~predicates:p.Workload.Schemas.predicates ()
-
 let optimize config (p : Workload.Schemas.join_pieces) q =
   Systemr.Join_order.optimize ~config p.Workload.Schemas.jcat
     p.Workload.Schemas.jdb q
@@ -82,7 +68,7 @@ let check_equivalence ~n shape_name shape =
          (fun interesting_orders ->
             List.iter
               (fun (ob_name, order_by) ->
-                 let q = spj_of_pieces ~order_by p in
+                 let q = Util.spj_of_pieces ~order_by p in
                  let fast_cfg =
                    { Systemr.Join_order.default_config with
                      bushy; interesting_orders }
@@ -158,7 +144,7 @@ let speedup r =
 
 let bench_point ~reps ~shape_name ~shape ~bushy ~n : row =
   let p = Workload.Schemas.join_shape ~rows:300 ~shape ~n () in
-  let q = spj_of_pieces p in
+  let q = Util.spj_of_pieces p in
   let fast_cfg =
     { Systemr.Join_order.default_config with bushy }
   in

@@ -191,7 +191,7 @@ let e10 () =
             let most =
               Stats.Derive.selectivity
                 ~asm:{ Stats.Derive.conjunction = `Most_selective;
-                       use_histograms = true; use_sketches = false }
+                       use_histograms = true }
                 r (pred ycol cut)
             in
             let truth = actual ycol cut in

@@ -143,9 +143,6 @@ let aval_join a b =
     null = null_join a.null b.null;
     ty = (if a.ty = b.ty then a.ty else None) }
 
-let pp_aval ppf (a : aval) =
-  Fmt.pf ppf "%a %a" pp_interval a.itv pp_nullability a.null
-
 (* ------------------------------------------------------------------ *)
 (* Cardinality envelopes *)
 

@@ -58,7 +58,6 @@ type aval = {
 
 val aval_top : aval
 val aval_join : aval -> aval -> aval
-val pp_aval : Format.formatter -> aval -> unit
 
 (** Provable bounds on an operator's exact output row count:
     [e_lo <= |output| <= e_hi], with [e_hi = infinity] for unbounded. *)

@@ -39,10 +39,9 @@ type ctx = {
   cfg : config;
 }
 
-(* Group statistics come from the shared [Join_order.stats_of], so a
-   configured feedback cache ([join_config.feedback]) overrides group
-   cardinalities here exactly as in the bottom-up enumerator: the memo
-   group is the logical subexpression the cache keys identify. *)
+(* Group statistics come from the shared [Join_order.stats_of]: a memo
+   group is the same logical subexpression as the bottom-up enumerator's
+   subset, so both derive the same cardinality for it. *)
 let group_for ctx mask : Memo.group =
   Memo.find_or_create ctx.memo ~mask
     ~stats:(Systemr.Join_order.stats_of ctx.jctx mask)
@@ -208,36 +207,16 @@ let optimize ?(config = default_config) ?(lint = false) cat db
     build (leaf 0) 1
   in
   optimize_group ctx root;
-  let root = root.Memo.winners in
-  let stats = root.Systemr.Join_order.stats in
-  let rows = stats.Stats.Derive.card and pages = root.Systemr.Join_order.pages in
-  let best =
-    match
-      Systemr.Candidate.cheapest_with_order
-        ~params:config.join_config.Systemr.Join_order.params ~rows ~pages
-        ~want:q.Systemr.Spj.order_by
-        root.Systemr.Join_order.frontier.Systemr.Candidate.cands
-    with
-    | Some c -> c
-    | None -> invalid_arg "Cascades: no plan"
-  in
-  let best =
-    match q.Systemr.Spj.projections with
-    | None -> best
-    | Some items ->
-      { best with
-        Systemr.Candidate.plan =
-          Exec.Plan.Project (items, best.Systemr.Candidate.plan);
-        cost =
-          best.Systemr.Candidate.cost
-          +. Cost.Cost_model.project
-               config.join_config.Systemr.Join_order.params ~rows }
+  (* the root's order enforcer and projection, as in the bottom-up
+     enumerator *)
+  let { Systemr.Join_order.best; card; _ } =
+    Systemr.Join_order.finish jctx q root.Memo.winners
   in
   let diags =
     if lint then Verify.physical cat best.Systemr.Candidate.plan else []
   in
   { best;
-    card = stats.Stats.Derive.card;
+    card;
     groups = Memo.group_count memo;
     exprs = memo.Memo.expr_count;
     rule_firings = memo.Memo.rule_firings;

@@ -38,16 +38,17 @@ type config = {
     [ `Histogram
     | `Feedback of Stats.Feedback.t
     | `Sketch of Stats.Sketch.registry ];
-      (* cardinality estimation mode.  `Histogram is the stock
-         Stats.Derive path.  `Feedback carries an observed-cardinality
-         cache: every instrumented execution records per-operator
-         actuals under normalized subexpression digests, and
-         re-optimization overrides derived estimates with fresh cached
-         actuals.  `Sketch carries a Fast-AGMS registry: executions
-         build one-pass sketches over the plan's join-key columns
-         (batch/morsel engines), and join selectivities prefer sketch
-         estimates over histograms.  The mutable state lives in the
-         variant so one config reused across runs closes the loop;
+      (* cardinality estimation mode, the one place it is chosen.
+         `Histogram is the stock Stats.Derive path.  `Feedback carries
+         an observed-cardinality cache: every instrumented execution
+         records per-operator actuals under normalized subexpression
+         digests, and re-optimization overrides derived estimates with
+         fresh cached actuals.  `Sketch carries a Fast-AGMS registry:
+         executions build one-pass sketches over the plan's join-key
+         columns (batch/morsel engines), and each block's statistics
+         snapshot carries the fresh ones, which join selectivities
+         prefer over histograms.  The mutable state lives in the variant
+         so one config reused across runs closes the loop;
          default_config stays stateless. *)
   telemetry : Obs.Span.recorder option;
       (* the one telemetry switch.  When set, every stage (rewrite,
@@ -99,19 +100,6 @@ let stage config ?attrs ?ops name f =
 (* Optimizer trace events go to the innermost open span. *)
 let trace_sink config = Option.map Obs.Span.event config.telemetry
 
-(* Fold the estimator mode into the join config the planner actually
-   sees: `Feedback plugs the cache into [Join_order.stats_of] (and,
-   through the shared context, Cascades); `Sketch flips the assumption
-   so [Stats.Derive] prefers sketch join estimates. *)
-let effective_join_config (config : config) : Systemr.Join_order.config =
-  let jc = config.join_config in
-  match config.estimator with
-  | `Histogram -> jc
-  | `Feedback fb -> { jc with feedback = Some fb }
-  | `Sketch _ ->
-    { jc with
-      asm = { jc.Systemr.Join_order.asm with Stats.Derive.use_sketches = true } }
-
 (* The analyzer rules run after pushdown so contradictions pushed into a
    view fold there first; [fold_empty]'s own fixpoint then propagates the
    emptiness back out through the enclosing blocks. *)
@@ -123,10 +111,9 @@ let feedback_of config =
   match config.estimator with `Feedback fb -> Some fb | _ -> None
 
 (* The one plan annotation ([Obs.Est]): per-node estimates under the
-   planner's effective assumption and feedback cache, against the
-   statistics it planned with.  [config] carries the effective join
-   config.  Each executed plan is annotated at most once, and only when
-   something reads it: the provable-bound lint, telemetry, feedback
+   planner's assumption and feedback cache, against the statistics it
+   planned with.  Each executed plan is annotated at most once, and only
+   when something reads it: the provable-bound lint, telemetry, feedback
    recording or the two-phase scheduler. *)
 let annotate config cat db plan =
   Obs.Est.annotate ~asm:config.join_config.Systemr.Join_order.asm
@@ -259,39 +246,37 @@ let commit_sketches (reg : Stats.Sketch.registry) db pending : unit =
        Obs.Metrics.incr Obs.Metrics.sketches_built)
     pending
 
-(* Before planning: surface every still-fresh sketch in the statistics
-   registry's column stats, where [Stats.Derive] consults them.  ANALYZE
-   rebuilds column stats with [sketch = None], so a statistics refresh
-   (or data change, via the row-count stamp) silently retires sketches
-   until an execution rebuilds them. *)
-let inject_sketches (reg : Stats.Sketch.registry) db : unit =
-  Stats.Sketch.registry_iter
-    (fun ~table ~column e ->
-       match Stats.Table_stats.find db table with
-       | None -> ()
-       | Some ts -> (
-         match Stats.Sketch.entry_fresh e ~rows:ts.Stats.Table_stats.rows with
-         | None -> ()
-         | Some sk ->
-           let changed = ref false in
-           let cols =
-             List.map
-               (fun (n, cs) ->
-                  if
-                    n = column
-                    && (match cs.Stats.Table_stats.sketch with
-                        | Some existing -> existing != sk
-                        | None -> true)
-                  then begin
-                    changed := true;
-                    (n, { cs with Stats.Table_stats.sketch = Some sk })
-                  end
-                  else (n, cs))
-               ts.Stats.Table_stats.cols
-           in
-           if !changed then
-             Hashtbl.replace db table { ts with Stats.Table_stats.cols }))
-    reg
+(* The statistics one block is planned against: a private copy of the
+   caller's registry, so nothing the pipeline registers — view
+   temporaries, sketches — reaches the caller.  Under `Sketch the copy's
+   column stats carry every still-fresh sketch, where [Stats.Derive]
+   consults them; a sketch whose row-count stamp no longer matches
+   (statistics refreshed, data changed) stays out until an execution
+   rebuilds it. *)
+let snapshot config db : Stats.Table_stats.db =
+  let snap = Hashtbl.copy db in
+  (match config.estimator with
+   | `Sketch reg ->
+     Stats.Sketch.registry_iter
+       (fun ~table ~column e ->
+          match Stats.Table_stats.find snap table with
+          | None -> ()
+          | Some ts -> (
+            match Stats.Sketch.entry_fresh e ~rows:ts.Stats.Table_stats.rows with
+            | None -> ()
+            | Some sk ->
+              let cols =
+                List.map
+                  (fun (n, cs) ->
+                     if n = column then
+                       (n, { cs with Stats.Table_stats.sketch = Some sk })
+                     else (n, cs))
+                  ts.Stats.Table_stats.cols
+              in
+              Hashtbl.replace snap table { ts with Stats.Table_stats.cols }))
+       reg
+   | `Histogram | `Feedback _ -> ());
+  snap
 
 type path = Planned | Interpreted (* fallback for residual correlation *)
 
@@ -305,14 +290,15 @@ type report = {
       (* enumeration effort, summed over this block and its views *)
   diags : Verify.Diag.t list; (* lint findings; [] when lint is off *)
   stats_at_plan : Stats.Table_stats.db option;
-      (* shallow copy of the statistics registry as the planner saw it
-         (bindings are immutable records, so a copy is a true snapshot).
-         Re-annotating the plan later — after an ANALYZE refresh — must
-         use this, not the live registry: [Obs.Est] re-synthesizes
-         index-scan bound selectivities from whatever stats it is
-         handed, and against refreshed stats the reported "estimates"
-         would be numbers the planner never produced.  None on the
-         interpreted path. *)
+      (* the block's private statistics snapshot ([snapshot]): the
+         caller's registry as the planner saw it, plus view temporaries
+         and, under `Sketch, fresh sketches (bindings are immutable
+         records, so the copy is a true snapshot).  Re-annotating the
+         plan later — after an ANALYZE refresh — must use this, not the
+         live registry: [Obs.Est] re-synthesizes index-scan bound
+         selectivities from whatever stats it is handed, and against
+         refreshed stats the reported "estimates" would be numbers the
+         planner never produced.  None on the interpreted path. *)
   span : Obs.Span.t option;
       (* this block's span subtree (rewrite / optimize / verify /
          execute children, their events and the execute span's operator
@@ -343,7 +329,7 @@ let rec plannable (b : Rewrite.Qgm.block) : bool =
 (* Planning a base-only single block *)
 
 (* Materialize a derived source into a temporary table registered in the
-   catalog and statistics registry; returns the replacement Base source, the
+   catalog and in the statistics registry [db]; returns the replacement Base source, the
    temp name, and the estimated cost spent.  With [exec_views:false] (plain
    EXPLAIN) the view is planned but never executed: the temporary stays
    empty and its statistics are fabricated from the sub-plan's estimated
@@ -479,7 +465,8 @@ and plan_block ?(on_plan = fun (_ : Exec.Plan.t) -> ()) ?trace
       ~attrs:[ ("relations", string_of_int (List.length relations)) ]
       "enumerate"
     @@ fun () ->
-    Systemr.Join_order.optimize ?trace ~config:config.join_config cat db q
+    Systemr.Join_order.optimize ?trace ?feedback:(feedback_of config)
+      ~config:config.join_config cat db q
   in
   let plan = ref res.Systemr.Join_order.best.Systemr.Candidate.plan in
   let cost = ref res.Systemr.Join_order.best.Systemr.Candidate.cost in
@@ -576,14 +563,33 @@ let make_hooks (config : config) cat : hooks =
   let on_plan p = if config.lint then diags := !diags @ Verify.physical cat p in
   { diags; check; on_reject; on_plan }
 
+(* Rewriting, shared by [run_block] and [explain]. *)
+let rewrite config h block =
+  stage config "rewrite" @@ fun () ->
+  Rewrite.Rules.run ?check:h.check ?on_reject:h.on_reject
+    (effective_rewrites config) block
+
+(* Plan a plannable block against its private statistics [snapshot] and
+   hand [k] the plan, its estimated cost, enumeration counters and the
+   snapshot while the view temporaries are still cataloged; they leave
+   the catalog when [k] returns.  Their statistics stay in the snapshot,
+   which the plan is executed, annotated and linted against. *)
+let with_plan ?exec_views ?on_view ctx config cat db h block k =
+  let snap = snapshot config db in
+  let plan, est_cost, enum, temps =
+    stage config "optimize" @@ fun () ->
+    plan_block ~on_plan:h.on_plan ?trace:(trace_sink config) ?exec_views
+      ?on_view ctx config cat snap block
+  in
+  Fun.protect
+    ~finally:(fun () -> List.iter (Storage.Catalog.remove_table cat) temps)
+    (fun () -> k plan est_cost enum snap)
+
 (* One block end-to-end.  With telemetry on, the block's span subtree
    carries everything recorded about it. *)
 let run_block ~ctx ~config (cat : Storage.Catalog.t)
     (db : Stats.Table_stats.db) (block : Rewrite.Qgm.block) :
   Exec.Executor.result * report =
-  (* resolve the estimator into the join config once; everything below
-     (enumeration, lints, annotation) sees the effective assumptions *)
-  let config = { config with join_config = effective_join_config config } in
   let h = make_hooks config cat in
   let blk_span =
     Option.map (fun r -> Obs.Span.enter r "block") config.telemetry
@@ -593,36 +599,23 @@ let run_block ~ctx ~config (cat : Storage.Catalog.t)
     | Some r, Some s -> Obs.Span.stop r s
     | _ -> ()
   in
-  let rewritten, trace =
-    stage config "rewrite" @@ fun () ->
-    Rewrite.Rules.run ?check:h.check ?on_reject:h.on_reject
-      (effective_rewrites config) block
-  in
+  let rewritten, trace = rewrite config h block in
   if plannable rewritten then begin
-    (match config.estimator with
-     | `Sketch reg -> inject_sketches reg db
-     | `Histogram | `Feedback _ -> ());
-    let plan, est_cost, enum, temps =
-      stage config "optimize" @@ fun () ->
-      plan_block ~on_plan:h.on_plan ?trace:(trace_sink config) ctx config cat
-        db rewritten
-    in
-    (* snapshot the statistics the planner consulted — view temporaries
-       included — before execution can change anything *)
-    let stats_at_plan = Hashtbl.copy db in
-    (* the one annotation, against the plan-time snapshot while view
-       temporaries are still registered; forced only by its readers *)
-    let est = lazy (annotate config cat stats_at_plan plan) in
-    (* provable-bound lint: only here, while view temporaries are still
-       registered with exact (ANALYZE-derived) statistics — the EXPLAIN
-       path fabricates temp statistics from estimates, which would make
-       the envelope itself unsound *)
+    with_plan ctx config cat db h rewritten
+    @@ fun plan est_cost enum snap ->
+    (* the one annotation, against the snapshot while view temporaries
+       are still cataloged; forced only by its readers *)
+    let est = lazy (annotate config cat snap plan) in
+    (* provable-bound lint: only here, where view temporaries carry exact
+       (ANALYZE-derived) statistics — the EXPLAIN path fabricates temp
+       statistics from estimates, which would make the envelope itself
+       unsound *)
     if config.analysis then
       stage config "verify" (fun () ->
         h.diags :=
           !(h.diags)
           @ Analysis.Lint.physical ~est:(Obs.Est.card (Lazy.force est)) cat
-              stats_at_plan plan);
+              snap plan);
     let feedback = feedback_of config in
     let telemetry = config.telemetry <> None in
     let recorder =
@@ -638,7 +631,7 @@ let run_block ~ctx ~config (cat : Storage.Catalog.t)
     let sketching =
       match config.estimator with
       | `Sketch reg when config.engine = `Batch ->
-        Some (reg, sketch_hook_for reg db plan)
+        Some (reg, sketch_hook_for reg snap plan)
       | _ -> None
     in
     let sketch = Option.map (fun (_, (hook, _)) -> hook) sketching in
@@ -652,16 +645,14 @@ let run_block ~ctx ~config (cat : Storage.Catalog.t)
             ("dop", string_of_int config.dop) ]
         "execute"
       @@ fun () ->
-      exec_plan config ~ctx ?obs:recorder ?sketch ~est cat db plan
+      exec_plan config ~ctx ?obs:recorder ?sketch ~est cat snap plan
     in
-    (match sketching with
-     | Some (reg, (_, pending)) ->
-       commit_sketches reg db pending;
-       inject_sketches reg db
-     | None -> ());
-    (* feed observed per-operator cardinalities back into the cache while
-       temps are still present (their subtrees are skipped by keying, but
-       the base-table fingerprints must reflect the planned state) *)
+    Option.iter
+      (fun (reg, (_, pending)) -> commit_sketches reg snap pending)
+      sketching;
+    (* feed observed per-operator cardinalities back into the cache
+       (temp subtrees are skipped by keying, but the base-table
+       fingerprints must reflect the planned state) *)
     (match (feedback, recorder) with
      | Some fb, Some r ->
        let est = Lazy.force est in
@@ -672,7 +663,7 @@ let run_block ~ctx ~config (cat : Storage.Catalog.t)
               | None -> ()
               | Some (k, tables) ->
                 let act = float_of_int op.Exec.Instrument.act_rows in
-                Stats.Feedback.record fb ~db ~tables k act;
+                Stats.Feedback.record fb ~db:snap ~tables k act;
                 Obs.Metrics.incr Obs.Metrics.feedback_recorded;
                 Option.iter
                   (fun r ->
@@ -681,11 +672,6 @@ let run_block ~ctx ~config (cat : Storage.Catalog.t)
                   config.telemetry)
          (Exec.Instrument.ops r)
      | _ -> ());
-    List.iter
-      (fun t ->
-         Storage.Catalog.remove_table cat t;
-         Hashtbl.remove db t)
-      temps;
     Obs.Metrics.incr Obs.Metrics.blocks_planned;
     (match recorder with
      | Some r when telemetry -> (
@@ -699,7 +685,7 @@ let run_block ~ctx ~config (cat : Storage.Catalog.t)
     ( result,
       { rewritten; trace; path = Planned; plan = Some plan; est_cost;
         enum; diags = !(h.diags);
-        stats_at_plan = Some stats_at_plan;
+        stats_at_plan = Some snap;
         span = blk_span } )
   end
   else begin
@@ -735,36 +721,20 @@ let run ?(ctx = Exec.Context.create ()) ?(config = default_config)
   timed_query @@ fun () ->
   run_block ~ctx ~config cat db block
 
+(* EXPLAIN re-optimizes under the same estimator as [run]: with a warm
+   feedback cache or fresh sketches it shows the plan a re-execution
+   would use.  Views are planned without being executed: their
+   temporaries stay empty and carry estimate-derived statistics. *)
 let explain ?(config = default_config) cat db block : string =
-  let ctx = Exec.Context.create () in
-  (* EXPLAIN re-optimizes under the same effective estimator as [run]:
-     with a warm feedback cache or fresh sketches it shows the plan a
-     re-execution would use *)
-  let config = { config with join_config = effective_join_config config } in
-  (match config.estimator with
-   | `Sketch reg -> inject_sketches reg db
-   | `Histogram | `Feedback _ -> ());
   let h = make_hooks config cat in
-  let rewritten, trace =
-    Rewrite.Rules.run ?check:h.check ?on_reject:h.on_reject
-      (effective_rewrites config) block
-  in
+  let rewritten, trace = rewrite config h block in
   let body =
     if plannable rewritten then begin
-      (* plan views without executing them: their temporaries stay empty
-         and carry estimate-derived statistics *)
       let views = ref [] in
-      let plan, est_cost, _, temps =
-        plan_block ~on_plan:h.on_plan ?trace:(trace_sink config)
-          ~exec_views:false
-          ~on_view:(fun alias p -> views := (alias, p) :: !views)
-          ctx config cat db rewritten
-      in
-      List.iter
-        (fun t ->
-           Storage.Catalog.remove_table cat t;
-           Hashtbl.remove db t)
-        temps;
+      with_plan ~exec_views:false
+        ~on_view:(fun alias p -> views := (alias, p) :: !views)
+        (Exec.Context.create ()) config cat db h rewritten
+      @@ fun plan est_cost _ _ ->
       let views_s =
         List.rev_map
           (fun (alias, p) ->

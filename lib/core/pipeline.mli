@@ -47,19 +47,21 @@ type config = {
     [ `Histogram
     | `Feedback of Stats.Feedback.t
     | `Sketch of Stats.Sketch.registry ];
-  (** cardinality estimation mode (default [`Histogram], the stock
-      {!Stats.Derive} path — bit-identical to the pre-estimator
-      pipeline).  [`Feedback] carries an observed-cardinality cache:
-      every execution records per-operator actuals under normalized
-      subexpression digests ({!Stats.Feedback}), and re-optimization
-      overrides derived estimates with fresh cached actuals —
-      invalidated when the involved tables' statistics are refreshed to
-      different row counts.  [`Sketch] carries a Fast-AGMS registry
-      ({!Stats.Sketch}): executions build one-pass sketches over the
-      plan's join-key columns (batch/morsel engines only), and join
-      selectivities prefer sketch estimates over histograms.  The
-      mutable state lives in the variant: reuse one config across runs
-      to close the loop. *)
+  (** cardinality estimation mode, and the only switch for it (default
+      [`Histogram], the stock {!Stats.Derive} path — bit-identical to
+      the pre-estimator pipeline).  [`Feedback] carries an
+      observed-cardinality cache: every execution records per-operator
+      actuals under normalized subexpression digests ({!Stats.Feedback}),
+      and re-optimization overrides derived estimates with fresh cached
+      actuals — invalidated when the involved tables' statistics are
+      refreshed to different row counts.  [`Sketch] carries a Fast-AGMS
+      registry ({!Stats.Sketch}): executions build one-pass sketches
+      over the plan's join-key columns (batch/morsel engines only), each
+      block's statistics snapshot ([report.stats_at_plan]) carries the
+      fresh ones, and join selectivities prefer them over histograms.
+      The mutable state lives in the variant: reuse one config across
+      runs to close the loop.  The caller's statistics registry is never
+      written under any mode. *)
   telemetry : Obs.Span.recorder option;
   (** the one telemetry switch (default [None] — zero cost).  [Some r]
       records everything about the run into [r]: every stage (rewrite,
@@ -98,13 +100,15 @@ type report = {
       this block and its materialized views *)
   diags : Verify.Diag.t list;  (** lint findings; [[]] when lint is off *)
   stats_at_plan : Stats.Table_stats.db option;
-  (** snapshot of the statistics registry as the planner saw it (view
-      temporaries included).  Re-annotating the plan after an ANALYZE
-      refresh must use this, not the live registry — {!Obs.Est}
-      re-synthesizes index-scan bound selectivities from the stats it is
-      handed, and against refreshed stats the "estimates" would be
-      numbers the planner never produced.  [None] on the interpreted
-      path. *)
+  (** the block's private statistics snapshot: a copy of the caller's
+      registry taken before planning, plus the view temporaries and,
+      under [`Sketch], the fresh sketches — everything the block was
+      planned, executed, linted and annotated against.  Re-annotating
+      the plan after an ANALYZE refresh must use this, not the live
+      registry — {!Obs.Est} re-synthesizes index-scan bound
+      selectivities from the stats it is handed, and against refreshed
+      stats the "estimates" would be numbers the planner never
+      produced.  [None] on the interpreted path. *)
   span : Obs.Span.t option;
   (** this block's whole telemetry subtree — rewrite / optimize / verify
       / execute spans, their events ({!Obs.Span.events}) and the execute
@@ -118,7 +122,12 @@ val plannable : Rewrite.Qgm.block -> bool
 
 (** Plan a single plannable block, materializing derived sources into
     temporary tables; returns (plan, estimated cost, enumeration
-    counters, temp tables created).  [on_plan] is called with every
+    counters, temp tables created).  The temporaries are registered in
+    the catalog and in the statistics registry handed in, and the
+    caller removes them; {!run} and {!explain} hand it a private
+    snapshot.  A [`Feedback] estimator's cache is passed to the join
+    enumerator, and a [`Sketch] one's sketches are used only if the
+    registry handed in carries them.  [on_plan] is called with every
     finished plan — including view sub-plans, while their temporaries are
     still cataloged — which is where the linter hooks in.  [trace] is the
     optimizer-trace sink threaded into the join enumerator.  With

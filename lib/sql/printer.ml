@@ -211,5 +211,4 @@ let with_buf pr x =
   pr buf x;
   Buffer.contents buf
 
-let select_to_string = with_buf pr_select
 let query_to_string = with_buf pr_query

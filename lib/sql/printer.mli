@@ -5,5 +5,4 @@
     parenthesized conservatively so the parser reconstructs the exact tree
     shape regardless of its associativity choices. *)
 
-val select_to_string : Ast.select -> string
 val query_to_string : Ast.query -> string

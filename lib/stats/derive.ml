@@ -21,12 +21,9 @@ type rel_stats = {
 type assumption = {
   conjunction : [ `Independence | `Most_selective ];
   use_histograms : bool;
-  use_sketches : bool;
-      (* prefer Fast-AGMS sketches over histograms for join predicates *)
 }
 
-let default_assumption =
-  { conjunction = `Independence; use_histograms = true; use_sketches = false }
+let default_assumption = { conjunction = `Independence; use_histograms = true }
 
 (* System-R's ad-hoc constants, used when no statistics apply ([55]). *)
 let default_eq_sel = 0.1
@@ -132,23 +129,21 @@ and sel ?join_memo asm r (e : Expr.t) : float =
     (* join predicate: containment assumption *)
     match op with
     | Expr.Eq -> (
-      (* Fast-AGMS sketches, when both columns carry fresh compatible
-         ones: estimated join size over the product of the sketched
-         column counts.  A negative median (sketch noise) clamps to 0;
+      (* Fast-AGMS sketches, when both columns carry compatible ones:
+         estimated join size over the product of the sketched column
+         counts.  A negative median (sketch noise) clamps to 0;
          [floor_one] downstream keeps nonempty inputs at >= 1 row. *)
       let join_sel_sketch =
-        if asm.use_sketches then
-          match find_col r a, find_col r b with
-          | Some { Table_stats.sketch = Some sa; _ },
-            Some { Table_stats.sketch = Some sb; _ }
-            when Sketch.compatible sa sb ->
-            let na = float_of_int (Sketch.items sa)
-            and nb = float_of_int (Sketch.items sb) in
-            if na > 0. && nb > 0. then
-              Some (Float.max 0. (Sketch.join_estimate sa sb) /. (na *. nb))
-            else None
-          | _ -> None
-        else None
+        match find_col r a, find_col r b with
+        | Some { Table_stats.sketch = Some sa; _ },
+          Some { Table_stats.sketch = Some sb; _ }
+          when Sketch.compatible sa sb ->
+          let na = float_of_int (Sketch.items sa)
+          and nb = float_of_int (Sketch.items sb) in
+          if na > 0. && nb > 0. then
+            Some (Float.max 0. (Sketch.join_estimate sa sb) /. (na *. nb))
+          else None
+        | _ -> None
       in
       let join_sel_hist =
         if asm.use_histograms then

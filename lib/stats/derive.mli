@@ -19,9 +19,6 @@ type rel_stats = {
 type assumption = {
   conjunction : [ `Independence | `Most_selective ];
   use_histograms : bool;
-  use_sketches : bool;
-      (** prefer Fast-AGMS sketches ({!Sketch}) over histograms for join
-          predicates when both columns carry fresh compatible sketches *)
 }
 
 val default_assumption : assumption

@@ -81,8 +81,3 @@ let est_range t ?(xlo = neg_infinity) ?(xhi = infinity) ?(ylo = neg_infinity)
     done;
     Float.min 1. (!acc /. t.total)
   end
-
-let pp ppf t =
-  Fmt.pf ppf "hist2d total=%.0f grid=%dx%d" t.total
-    (Array.length t.x_bounds - 1)
-    (Array.length t.y_bounds - 1)

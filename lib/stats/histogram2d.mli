@@ -18,5 +18,3 @@ val build : ?buckets:int -> float array -> float array -> t
     optional). *)
 val est_range :
   t -> ?xlo:float -> ?xhi:float -> ?ylo:float -> ?yhi:float -> unit -> float
-
-val pp : Format.formatter -> t -> unit

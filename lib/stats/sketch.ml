@@ -131,4 +131,3 @@ let registry_iter (f : table:string -> column:string -> entry -> unit)
   Hashtbl.iter (fun (t, c) e -> f ~table:t ~column:c e) reg
 
 let registry_clear (reg : registry) : unit = Hashtbl.reset reg
-let registry_size (reg : registry) : int = Hashtbl.length reg

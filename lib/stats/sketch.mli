@@ -62,4 +62,3 @@ val registry_iter :
   (table:string -> column:string -> entry -> unit) -> registry -> unit
 
 val registry_clear : registry -> unit
-val registry_size : registry -> int

@@ -14,9 +14,10 @@ type col_stats = {
   max_v : float option;  (** exact maximum — sound bound *)
   hist : Histogram.t option;
   sketch : Sketch.t option;
-      (** Fast-AGMS sketch of the column, folded into the registry after an
-          execution that built one ({!Sketch}); consulted by the estimator
-          when [Derive.assumption.use_sketches] is set *)
+      (** Fast-AGMS sketch of the column ({!Sketch}).  [None] in the
+          registry ANALYZE builds; only the pipeline's per-block snapshot
+          under the [`Sketch] estimator carries one, and the estimator
+          prefers it for equi-join selectivity when both columns do *)
 }
 
 type t = {

@@ -39,8 +39,6 @@ let insert t (tuple : Tuple.t) =
          (Tuple.arity tuple) (Schema.arity t.schema));
   Vec.push t.rows tuple
 
-let insert_all t tuples = List.iter (insert t) tuples
-
 let row_count t = Vec.length t.rows
 
 let get t rid = Vec.get t.rows rid

@@ -28,7 +28,6 @@ val create :
 (** @raise Invalid_argument on arity mismatch. *)
 val insert : t -> Relalg.Tuple.t -> unit
 
-val insert_all : t -> Relalg.Tuple.t list -> unit
 val row_count : t -> int
 
 (** Tuple at row id [rid]. *)

@@ -34,8 +34,6 @@ type config = {
   bushy : bool;
   methods : meth list;
   exhaustive : bool;
-  feedback : Stats.Feedback.t option;
-      (* observed-cardinality cache consulted in [stats_of]; None = off *)
 }
 
 let default_config =
@@ -45,8 +43,7 @@ let default_config =
     interesting_orders = true;
     bushy = false;
     methods = [ Nl; Inl; Smj; Hj ];
-    exhaustive = false;
-    feedback = None }
+    exhaustive = false }
 
 (* The 1979 System-R repertoire: nested loop and sort-merge only, linear
    trees, no Cartesian products. *)
@@ -136,6 +133,8 @@ let new_entry stats cands =
 
 type ctx = {
   cfg : config;
+  feedback : Stats.Feedback.t option;
+      (* observed-cardinality cache consulted in [stats_of]; None = off *)
   cat : Storage.Catalog.t;
   db : Stats.Table_stats.db;
   rels : Spj.relation array;
@@ -196,7 +195,7 @@ let fold_bits f acc mask =
    behavior this replaces. *)
 let foreign_bit = 1 lsl 60
 
-let make_ctx ?trace cfg cat db (q : Spj.t) : ctx =
+let make_ctx ?trace ?feedback cfg cat db (q : Spj.t) : ctx =
   let rels = Array.of_list q.Spj.relations in
   let n = Array.length rels in
   if n > 60 then
@@ -298,6 +297,7 @@ let make_ctx ?trace cfg cat db (q : Spj.t) : ctx =
          else []) }
   in
   { cfg;
+    feedback;
     cat;
     db;
     rels;
@@ -501,7 +501,7 @@ let rec stats_of ctx mask : Stats.Derive.rel_stats =
       end
     in
     let s =
-      match ctx.cfg.feedback with
+      match ctx.feedback with
       | None -> s
       | Some fb -> (
         match feedback_key ctx mask with
@@ -780,9 +780,9 @@ let greedy_upper_bound ctx (q : Spj.t) : float =
    with Exit -> ());
   if !mask = (1 lsl n) - 1 then finished_cost ctx q !current else infinity
 
-let optimize_entry ?trace ?(config = default_config) cat db (q : Spj.t) :
-  ctx * entry =
-  let ctx = make_ctx ?trace config cat db q in
+let optimize_entry ?trace ?feedback ?(config = default_config) cat db
+    (q : Spj.t) : ctx * entry =
+  let ctx = make_ctx ?trace ?feedback config cat db q in
   let n = Array.length ctx.rels in
   if n = 0 then invalid_arg "Join_order.optimize: no relations";
   let entries : entry Int_tbl.t = Int_tbl.create 64 in
@@ -1050,6 +1050,6 @@ let finish ctx (q : Spj.t) (final : entry) : result =
     card = stats.Stats.Derive.card;
     counters = counters_of ctx }
 
-let optimize ?trace ?config cat db (q : Spj.t) : result =
-  let ctx, final = optimize_entry ?trace ?config cat db q in
+let optimize ?trace ?feedback ?config cat db (q : Spj.t) : result =
+  let ctx, final = optimize_entry ?trace ?feedback ?config cat db q in
   finish ctx q final

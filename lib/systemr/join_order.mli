@@ -30,10 +30,6 @@ type config = {
       every split, no cost bound.  Off = bitset-graph connectivity,
       csg–cmp bushy enumeration and branch-and-bound against a greedy
       upper bound (interesting-order candidates are exempt) *)
-  feedback : Stats.Feedback.t option;
-  (** observed-cardinality cache consulted by [stats_of]: a fresh entry
-      for a subset's logical subexpression overrides the derived
-      cardinality (off by default) *)
 }
 
 val default_config : config
@@ -88,6 +84,8 @@ val new_entry : Stats.Derive.rel_stats -> Candidate.t list -> entry
     memos, effort counters. *)
 type ctx = {
   cfg : config;
+  feedback : Stats.Feedback.t option;
+      (** observed-cardinality cache consulted by [stats_of]; [None] = off *)
   cat : Storage.Catalog.t;
   db : Stats.Table_stats.db;
   rels : Spj.relation array;
@@ -126,9 +124,12 @@ val lowest_bit_index : int -> int
 (** [trace] receives typed optimizer events (per-level enumeration
     counters, branch-and-bound prunes, interesting-order retentions,
     memo statistics) as the search runs; omitted = tracing off.
+    [feedback] is an observed-cardinality cache: a fresh entry for a
+    subset's logical subexpression overrides the derived cardinality in
+    [stats_of]; omitted = off.
     @raise Invalid_argument beyond 60 relations (bitset width). *)
 val make_ctx :
-  ?trace:(Obs.Trace.event -> unit) ->
+  ?trace:(Obs.Trace.event -> unit) -> ?feedback:Stats.Feedback.t ->
   config -> Storage.Catalog.t -> Stats.Table_stats.db -> Spj.t -> ctx
 
 (** Join conjuncts crossing the (left, right) partition and contained in
@@ -148,7 +149,7 @@ val mask_connected : ctx -> int -> bool
 val graph_connected : ctx -> bool
 
 (** Canonical subset statistics (independent of how the subset's plans are
-    built — a logical property).  When [config.feedback] is set and holds
+    built — a logical property).  When the context's [feedback] holds
     a fresh actual for the subset's logical subexpression, the observed
     cardinality overrides the derived one. *)
 val stats_of : ctx -> int -> Stats.Derive.rel_stats
@@ -171,7 +172,8 @@ val join_cands :
 
 (** Run the enumeration, returning the context and the full-set entry. *)
 val optimize_entry :
-  ?trace:(Obs.Trace.event -> unit) -> ?config:config ->
+  ?trace:(Obs.Trace.event -> unit) -> ?feedback:Stats.Feedback.t ->
+  ?config:config ->
   Storage.Catalog.t -> Stats.Table_stats.db -> Spj.t -> ctx * entry
 
 (** Apply the required output order and projection to the best candidate. *)
@@ -179,5 +181,6 @@ val finish : ctx -> Spj.t -> entry -> result
 
 (** End-to-end optimization.  @raise Invalid_argument on empty queries. *)
 val optimize :
-  ?trace:(Obs.Trace.event -> unit) -> ?config:config ->
+  ?trace:(Obs.Trace.event -> unit) -> ?feedback:Stats.Feedback.t ->
+  ?config:config ->
   Storage.Catalog.t -> Stats.Table_stats.db -> Spj.t -> result

@@ -206,6 +206,52 @@ let test_histogram_mode_untouched () =
   Alcotest.(check int) "no feedback events under `Histogram" 0
     (count_events (fun e -> is_override e || is_recorded e) reps)
 
+(* Planning never writes the caller's statistics registry: each block
+   plans against a private snapshot, so after runs, EXPLAIN and EXPLAIN
+   ANALYZE of a query with a derived view (a temporary table) and a UNION
+   (two blocks), under every estimator, the registry holds the very same
+   bindings and no others. *)
+let isolation_sql =
+  "SELECT V.did FROM (SELECT E.did AS did, COUNT(*) AS n FROM Emp E \
+   GROUP BY E.did) AS V, Dept D WHERE V.did = D.did AND D.budget > 100000 \
+   UNION SELECT Emp.did FROM Emp, Dept \
+   WHERE Emp.did = Dept.did AND Emp.sal > 60000"
+
+let test_caller_stats_untouched () =
+  let reg = Stats.Sketch.registry_create () in
+  List.iter
+    (fun (name, estimator) ->
+       let cat, db = emp_dept () in
+       let before = Hashtbl.fold (fun k v acc -> (k, v) :: acc) db [] in
+       let check what =
+         let label s = Printf.sprintf "%s: %s %s" name what s in
+         Alcotest.(check int) (label "adds no binding") (List.length before)
+           (Hashtbl.length db);
+         List.iter
+           (fun (table, ts) ->
+              Alcotest.(check bool) (label ("keeps " ^ table)) true
+                (match Hashtbl.find_opt db table with
+                 | Some ts' -> ts' == ts
+                 | None -> false))
+           before
+       in
+       let config = { P.default_config with estimator } in
+       let q = Sql.Binder.query_of_string cat isolation_sql in
+       (* the second run plans with what the first one recorded *)
+       for _ = 1 to 2 do
+         ignore (P.run_query ~config cat db q);
+         check "run_query"
+       done;
+       ignore (P.explain_query ~config cat db q);
+       check "explain_query";
+       ignore (P.analyze_query ~config cat db q);
+       check "analyze_query")
+    [ ("histogram", `Histogram);
+      ("feedback", `Feedback (FB.create ()));
+      ("sketch", `Sketch reg) ];
+  Alcotest.(check bool) "the sketch runs built sketches" true
+    (Stats.Sketch.registry_find reg ~table:"Emp" ~column:"did" <> None)
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -224,4 +270,6 @@ let () =
           Alcotest.test_case "append invalidates" `Quick
             test_append_invalidates_feedback;
           Alcotest.test_case "histogram mode untouched" `Quick
-            test_histogram_mode_untouched ] ) ]
+            test_histogram_mode_untouched;
+          Alcotest.test_case "caller statistics untouched" `Quick
+            test_caller_stats_untouched ] ) ]

@@ -386,8 +386,7 @@ let test_derive_conjunction_modes () =
   let indep = Stats.Derive.selectivity r p in
   let most =
     Stats.Derive.selectivity
-      ~asm:{ Stats.Derive.conjunction = `Most_selective; use_histograms = true;
-             use_sketches = false }
+      ~asm:{ Stats.Derive.conjunction = `Most_selective; use_histograms = true }
       r p
   in
   Alcotest.(check bool) "independence <= most-selective" true (indep <= most +. 1e-9)
