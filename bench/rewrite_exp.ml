@@ -89,9 +89,9 @@ let e5 () =
     [ "method"; "departments returned"; "correct" ]
     [ [ "tuple iteration (truth)";
         Util.istr (Array.length truth.Exec.Executor.rows); "yes" ];
-      [ "outerjoin + group-by rewrite"; Util.istr correct;
+      [ "aggregate-first, outerjoin"; Util.istr correct;
         (if correct = Array.length truth.Exec.Executor.rows then "yes" else "NO") ];
-      [ "naive join rewrite"; Util.istr naive;
+      [ "aggregate-first, inner join"; Util.istr naive;
         (if naive = Array.length truth.Exec.Executor.rows then "yes"
          else "NO (count bug)") ] ]
 

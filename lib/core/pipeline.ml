@@ -306,24 +306,35 @@ type report = {
          unless [config.telemetry] *)
 }
 
-(* Can this block (and everything it contains) be planned, i.e. no subquery
-   predicates anywhere and no correlation? *)
-let rec plannable (b : Rewrite.Qgm.block) : bool =
-  let pred_ok = function
-    | Rewrite.Qgm.P _ -> true
-    | Rewrite.Qgm.In_sub _ | Rewrite.Qgm.Exists_sub _ | Rewrite.Qgm.Cmp_sub _
-      -> false
+(* What keeps this block (or one nested in it) from being planned: the
+   first residual subquery predicate or correlated reference, named for
+   the interpreted-fallback trace event; [None] when it can be planned. *)
+let rec fallback_reason (b : Rewrite.Qgm.block) : string option =
+  let pred = function
+    | Rewrite.Qgm.P _ -> None
+    | (Rewrite.Qgm.In_sub _ | Rewrite.Qgm.Exists_sub _ | Rewrite.Qgm.Cmp_sub _)
+      as p ->
+      (* one line: the printer breaks nested blocks over several *)
+      let lines = String.split_on_char '\n' (Fmt.str "%a" Rewrite.Qgm.pp_pred p) in
+      Some ("subquery predicate " ^ String.concat " " (List.map String.trim lines))
   in
-  let source_ok = function
-    | Rewrite.Qgm.Base _ -> true
-    | Rewrite.Qgm.Derived { block; _ } -> plannable block
+  let source = function
+    | Rewrite.Qgm.Base _ -> None
+    | Rewrite.Qgm.Derived { block; alias } ->
+      Option.map (fun r -> "view " ^ alias ^ ": " ^ r) (fallback_reason block)
   in
-  (not (Rewrite.Qgm.is_correlated b))
-  && List.for_all pred_ok b.Rewrite.Qgm.where
-  && List.for_all pred_ok b.Rewrite.Qgm.having
-  && List.for_all source_ok b.Rewrite.Qgm.from
-  && List.for_all (fun s -> source_ok s.Rewrite.Qgm.s_source) b.Rewrite.Qgm.semijoins
-  && List.for_all (fun o -> source_ok o.Rewrite.Qgm.o_source) b.Rewrite.Qgm.outerjoins
+  match Rewrite.Qgm.free_aliases b with
+  | _ :: _ as free -> Some ("correlated on " ^ String.concat ", " free)
+  | [] -> (
+    match List.find_map pred (b.Rewrite.Qgm.where @ b.Rewrite.Qgm.having) with
+    | Some _ as r -> r
+    | None ->
+      List.find_map source
+        (b.Rewrite.Qgm.from
+         @ List.map (fun s -> s.Rewrite.Qgm.s_source) b.Rewrite.Qgm.semijoins
+         @ List.map (fun o -> o.Rewrite.Qgm.o_source) b.Rewrite.Qgm.outerjoins))
+
+let plannable b = fallback_reason b = None
 
 (* ------------------------------------------------------------------ *)
 (* Planning a base-only single block *)
@@ -600,7 +611,8 @@ let run_block ~ctx ~config (cat : Storage.Catalog.t)
     | _ -> ()
   in
   let rewritten, trace = rewrite config h block in
-  if plannable rewritten then begin
+  match fallback_reason rewritten with
+  | None ->
     with_plan ctx config cat db h rewritten
     @@ fun plan est_cost enum snap ->
     (* the one annotation, against the snapshot while view temporaries
@@ -687,10 +699,12 @@ let run_block ~ctx ~config (cat : Storage.Catalog.t)
         enum; diags = !(h.diags);
         stats_at_plan = Some snap;
         span = blk_span } )
-  end
-  else begin
+  | Some reason ->
     (* interpreted fallback: no physical plan to lint, but the block's
        scoping can still be checked statically *)
+    Option.iter
+      (fun r -> Obs.Span.event r (Obs.Trace.Interpreted_fallback { reason }))
+      config.telemetry;
     if config.lint then h.diags := !(h.diags) @ Verify.block rewritten;
     let result =
       stage config ~attrs:[ ("engine", "interpreter") ] "execute"
@@ -702,7 +716,6 @@ let run_block ~ctx ~config (cat : Storage.Catalog.t)
         enum = Systemr.Join_order.counters_zero; diags = !(h.diags);
         stats_at_plan = None;
         span = blk_span } )
-  end
 
 (* End-to-end latency histogram for every entry point; one monotonic
    read per query when nothing else is instrumented. *)

@@ -120,6 +120,12 @@ type report = {
     subquery predicates or correlation? *)
 val plannable : Rewrite.Qgm.block -> bool
 
+(** What keeps the block from being planned — the first correlated
+    reference or residual subquery predicate, in the block or a view
+    nested in it — or [None] when it is {!plannable}.  {!run} records it
+    as an {!Obs.Trace.Interpreted_fallback} event on the block's span. *)
+val fallback_reason : Rewrite.Qgm.block -> string option
+
 (** Plan a single plannable block, materializing derived sources into
     temporary tables; returns (plan, estimated cost, enumeration
     counters, temp tables created).  The temporaries are registered in

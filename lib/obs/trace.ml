@@ -32,6 +32,9 @@ type event =
       (* actual cardinality of an executed (sub)plan entered the cache *)
   | Feedback_stale of { digest : string }
       (* cached actual dropped: its tables' row counts changed *)
+  | Interpreted_fallback of { reason : string }
+      (* the block runs in the tuple interpreter; [reason] names the
+         predicate or correlation that blocked planning *)
 
 (* FNV-1a (32-bit) over the pretty-printed form: a stable, dependency-free
    fingerprint for before/after rewrite comparisons.  Not cryptographic —
@@ -67,6 +70,8 @@ let pp ppf = function
     Fmt.pf ppf "feedback %s: recorded actual %.1f" digest act
   | Feedback_stale { digest } ->
     Fmt.pf ppf "feedback %s: stale entry dropped" digest
+  | Interpreted_fallback { reason } ->
+    Fmt.pf ppf "interpreted fallback: %s" reason
 
 let to_string e = Fmt.str "%a" pp e
 
@@ -130,3 +135,6 @@ let to_json = function
       (jstr digest) (jfloat act)
   | Feedback_stale { digest } ->
     Printf.sprintf {|{"event":"feedback_stale","digest":%s}|} (jstr digest)
+  | Interpreted_fallback { reason } ->
+    Printf.sprintf {|{"event":"interpreted_fallback","reason":%s}|}
+      (jstr reason)

@@ -30,6 +30,9 @@ type event =
       (** actual cardinality of an executed (sub)plan entered the cache *)
   | Feedback_stale of { digest : string }
       (** cached actual dropped because its tables' row counts changed *)
+  | Interpreted_fallback of { reason : string }
+      (** the block left rewriting unplannable and runs in the tuple
+          interpreter; [reason] names what blocked planning *)
 
 (** Stable FNV-1a fingerprint of a printed block (8 hex digits). *)
 val digest : string -> string

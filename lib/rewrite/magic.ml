@@ -19,6 +19,12 @@
 
 open Relalg
 
+(* The magic (filter) set: the distinct values [keys] take over [from]
+   restricted by [where] — the only values a restricted computation needs
+   to cover. *)
+let filter_set ~from ?(where = []) keys =
+  { (Qgm.simple ~select:keys ~from ~where ()) with Qgm.distinct = true }
+
 let apply (b : Qgm.block) : Qgm.block option =
   if b.Qgm.group_by <> [] || b.Qgm.aggs <> [] then None
   else if b.Qgm.semijoins <> [] || b.Qgm.outerjoins <> [] then None
@@ -118,10 +124,9 @@ let apply (b : Qgm.block) : Qgm.block option =
         (* Filter: distinct join keys of PartialResult *)
         let f_alias = Qgm.fresh_alias "filter" in
         let filter_block =
-          { (Qgm.simple
-               ~select:[ (Expr.col ~rel:pr_alias ~col:(export_name outer_key_col), "key") ]
-               ~from:[ Qgm.Derived { block = partial; alias = pr_alias } ] ())
-            with Qgm.distinct = true }
+          filter_set
+            ~from:[ Qgm.Derived { block = partial; alias = pr_alias } ]
+            [ (Expr.col ~rel:pr_alias ~col:(export_name outer_key_col), "key") ]
         in
         (* LimitedView: the view restricted by the Filter on its group key *)
         let key_expr = fst (List.hd view.Qgm.group_by) in

@@ -4,6 +4,14 @@
     and restrict the view to them (LimitedView) — the paper's DepAvgSal
     example. *)
 
+(** [filter_set ~from ~where keys] is [SELECT DISTINCT keys FROM from
+    WHERE where]: the distinct values an outer computation binds [keys] to
+    (the Filter above; also the magic set of correlated-subquery
+    unnesting, {!Unnest}). *)
+val filter_set :
+  from:Qgm.source list -> ?where:Relalg.Expr.t list ->
+  (Relalg.Expr.t * string) list -> Qgm.block
+
 val apply : Qgm.block -> Qgm.block option
 
 val rule : Rules.t

@@ -9,7 +9,8 @@ open Relalg
 
 (* Push outer conjuncts into a derived FROM source when every referenced
    column belongs to that source and maps to a plain column or expression.
-   Grouped views accept only predicates on their group-by output columns. *)
+   Grouped views accept only predicates on their group-by output columns;
+   no view accepts one on a column defined over its outerjoin sources. *)
 let pushdown (b : Qgm.block) : Qgm.block option =
   let derived =
     List.filter_map
@@ -22,15 +23,28 @@ let pushdown (b : Qgm.block) : Qgm.block option =
       (* output column -> defining expression, but only columns that are
          safe to filter early: any column for SPJ views, group-by key
          columns for aggregating views *)
+      let oj_aliases =
+        List.map
+          (fun (oj : Qgm.outerjoin) -> Qgm.alias_of_source oj.Qgm.o_source)
+          view.Qgm.outerjoins
+      in
+      (* the view's WHERE runs before its outerjoins attach: a column over
+         an outer-joined source is not yet padded there *)
+      let before_outerjoins e =
+        not (List.exists (fun r -> List.mem r oj_aliases) (Expr.relations e))
+      in
       let safe_outputs =
-        if view.Qgm.aggs = [] && view.Qgm.group_by = [] then view.Qgm.select
+        if view.Qgm.aggs = [] && view.Qgm.group_by = [] then
+          List.filter (fun (e, _) -> before_outerjoins e) view.Qgm.select
         else
           (* only predicates on group-by keys may cross an aggregation *)
           List.filter
             (fun (e, _) ->
                match e with
                | Expr.Col { Expr.rel = ""; col } ->
-                 List.exists (fun (_, k) -> k = col) view.Qgm.group_by
+                 List.exists
+                   (fun (ke, k) -> k = col && before_outerjoins ke)
+                   view.Qgm.group_by
                | _ -> false)
             view.Qgm.select
       in

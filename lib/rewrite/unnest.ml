@@ -1,13 +1,16 @@
 (* Subquery unnesting (Section 4.2.2, after Kim [35], Dayal [13], and
-   Muralikrishna [44]).
+   Muralikrishna [44]; Section 4.3's magic sets [56]).
 
    - IN / EXISTS subqueries become semijoins against a decorrelated view
      (Dayal's algebraic view: tuple semantics = Semijoin).
    - NOT EXISTS becomes an antijoin.
-   - Scalar aggregate subqueries compared in WHERE become a left outerjoin
-     plus grouping — the outerjoin is what preserves zero-match outer tuples
-     (the "count bug"); [naive_cmp_rule] below deliberately uses an inner
-     join instead and is exported only for experiment E5. *)
+   - Scalar aggregate subqueries compared in WHERE are aggregated first,
+     once per correlation value — over the magic set of the outer block's
+     distinct correlation values when the correlation is not an equality —
+     and joined back to the unchanged outer block.  COUNT joins with a
+     left outerjoin, which is what preserves zero-match outer tuples (the
+     "count bug"); [naive_cmp_rule] below deliberately uses an inner join
+     instead and is exported only for experiment E5. *)
 
 open Relalg
 
@@ -25,6 +28,14 @@ type decorrelated = {
 let plain_only ps =
   List.for_all (function Qgm.P _ -> true | Qgm.In_sub _ | Qgm.Exists_sub _ | Qgm.Cmp_sub _ -> false) ps
 
+(* A subquery's plain WHERE conjuncts: (local, correlated). *)
+let split_correlated (sub : Qgm.block) =
+  let bound = Qgm.bound_aliases sub in
+  List.partition
+    (fun e ->
+       List.for_all (fun r -> r = "" || List.mem r bound) (Expr.relations e))
+    (Qgm.plain_preds sub.Qgm.where)
+
 let decorrelate_spj (sub : Qgm.block) : decorrelated option =
   if
     sub.Qgm.aggs <> [] || sub.Qgm.group_by <> [] || sub.Qgm.having <> []
@@ -34,10 +45,7 @@ let decorrelate_spj (sub : Qgm.block) : decorrelated option =
   then None
   else begin
     let bound = Qgm.bound_aliases sub in
-    let is_local e =
-      List.for_all (fun r -> r = "" || List.mem r bound) (Expr.relations e)
-    in
-    let locals, corrs = List.partition is_local (Qgm.plain_preds sub.Qgm.where) in
+    let locals, corrs = split_correlated sub in
     let alias = Qgm.fresh_alias "sq" in
     (* exported columns: internal columns used by correlated conjuncts *)
     let exports = ref [] in
@@ -157,126 +165,275 @@ let unnest_scalar_uncorrelated (b : Qgm.block) : Qgm.block option =
 let scalar_uncorrelated_rule : Rules.t =
   { name = "unnest_scalar_uncorrelated"; apply = unnest_scalar_uncorrelated }
 
-(* Correlated scalar aggregate: the outerjoin + group-by rewrite.
+(* Correlated scalar aggregate, aggregate first (Kim [35]; Section 4.3's
+   magic decorrelation [56] for non-equality correlation).
 
-   SELECT s FROM O WHERE o_preds AND e op (SELECT AGG(a) FROM I WHERE corr
-   AND local)
-   ==>
-   SELECT s' FROM O LEFT OUTER JOIN V(I restricted to local) ON corr'
-   WHERE o_preds GROUP BY all columns of O HAVING e' op AGG'(V.a)
+   SELECT s FROM O WHERE o_preds AND e op (SELECT AGG(a) FROM I WHERE
+   corr AND local)
 
-   Grouping is by every column of the outer sources; this assumes outer rows
-   are pairwise distinct (e.g. each source has a key), the standard
-   assumption of [44].  COUNT-star is rewritten to COUNT(V.c) on a correlation
-   column so padded tuples count as zero. *)
+   Equality correlation (every corr conjunct is inner_i = outer_i):
+     V = SELECT inner_i AS k_i, AGG(a) AS val FROM I WHERE local
+         GROUP BY inner_i
+     SELECT s FROM O, V WHERE o_preds AND outer_i = V.k_i AND e op V.val
+
+   Any other correlation aggregates over the magic set, the distinct
+   values of the outer correlation columns o_j:
+     M = SELECT DISTINCT o_j AS m_j FROM (O's sources of the o_j)
+         WHERE (o_preds over those sources only)
+     P = SELECT c_i AS k_i, AGG(a) AS val FROM I WHERE local
+         GROUP BY c_i                      (c_i: I's columns in corr)
+     V = SELECT M.m_j AS k_j, COMBINE(P.val) AS val FROM M, P
+         WHERE corr[o_j := M.m_j, c_i := P.k_i] GROUP BY M.m_j
+   and V joins O on o_j = V.k_j as above.  P pre-aggregates with the
+   combining forms of [Groupby]; AVG, which has none, aggregates the
+   join of M and I directly.
+
+   Neither shape regroups the outer rows, so both are exact under
+   duplicate outer rows and inside a grouped outer block.  An outer row
+   with no group in V (no inner match, or a NULL correlation value) sees
+   the subquery's empty value: NULL for MIN/MAX/SUM/AVG, which no
+   comparison accepts, so the inner join is exact; for COUNT (and possibly
+   for a select expression over the aggregate) it is not NULL, so V is
+   left outer-joined instead and a padded row reads the empty value:
+     (V.k_0 IS NULL AND e op empty) OR e op V.val
+   That filter must run after the outerjoin, which the block's WHERE does
+   not, so the joined part becomes a derived block and the filter its
+   parent's WHERE. *)
+
+(* Columns a conjunct rejects when NULL: those reached through
+   comparisons and arithmetic only. *)
+let rec null_rejected e =
+  let rec operand = function
+    | Expr.Col c -> [ c ]
+    | Expr.Binop (_, a, b) -> operand a @ operand b
+    | _ -> []
+  in
+  match e with
+  | Expr.Cmp (_, a, b) -> operand a @ operand b
+  | Expr.And (a, b) -> null_rejected a @ null_rejected b
+  | _ -> []
+
+(* [inner = outer] with each side over one block only. *)
+let equi_pair ~bound e =
+  let side x =
+    match Expr.relations x with
+    | [] -> `Const
+    | rs when List.for_all (fun r -> r = "" || List.mem r bound) rs -> `Inner
+    | rs when List.for_all (fun r -> r <> "" && not (List.mem r bound)) rs ->
+      `Outer
+    | _ -> `Mixed
+  in
+  match e with
+  | Expr.Cmp (Expr.Eq, x, y) -> (
+    match (side x, side y) with
+    | `Inner, `Outer -> Some (x, y)
+    | `Outer, `Inner -> Some (y, x)
+    | _ -> None)
+  | _ -> None
+
+(* SELECT k_0.., value AS val FROM from WHERE where GROUP BY keys, with
+   the subquery's aggregate named "agg". *)
+let grouped_view ~from ~where ~keys ~agg ~value =
+  let keys = List.mapi (fun i k -> (k, Printf.sprintf "k%d" i)) keys in
+  Qgm.simple ~from ~where ~group_by:keys ~aggs:[ (agg, "agg") ]
+    ~select:
+      (List.map (fun (_, k) -> (Expr.col ~rel:"" ~col:k, k)) keys
+       @ [ (value, "val") ])
+    ()
+
+(* Attach the grouped view [view] to [b] (whose WHERE is now [rest]) on
+   [outer_i = V.k_i] and replace the subquery comparison [e op sub] by
+   [e op V.val]; [empty] is the subquery's value on no rows. *)
+let attach ~use_outerjoin (b : Qgm.block) ~rest (op, e) ~view ~outer ~empty =
+  let v = Qgm.fresh_alias "sq" in
+  let vcol n = Expr.col ~rel:v ~col:n in
+  let on =
+    List.mapi
+      (fun i o -> Expr.Cmp (Expr.Eq, o, vcol (Printf.sprintf "k%d" i)))
+      outer
+  in
+  let cmp = Expr.Cmp (op, e, vcol "val") in
+  let source = Qgm.Derived { block = view; alias = v } in
+  if (not use_outerjoin) || empty = Expr.Const Value.Null then
+    { b with
+      Qgm.from = b.Qgm.from @ [ source ];
+      where = rest @ List.map (fun p -> Qgm.P p) (on @ [ cmp ]) }
+  else begin
+    let sources =
+      b.Qgm.from
+      @ List.map (fun (oj : Qgm.outerjoin) -> oj.Qgm.o_source) b.Qgm.outerjoins
+      @ [ source ]
+    in
+    let j = Qgm.fresh_alias "oj" in
+    let exports =
+      List.concat_map
+        (fun src ->
+           let a = Qgm.alias_of_source src in
+           List.map
+             (fun (c : Schema.column) ->
+                ({ Expr.rel = a; col = c.Schema.name },
+                 Printf.sprintf "%s__%s" a c.Schema.name))
+             (Qgm.source_schema src))
+        sources
+    in
+    let joined =
+      { b with
+        Qgm.distinct = false;
+        select = List.map (fun (c, name) -> (Expr.Col c, name)) exports;
+        where = rest;
+        group_by = []; aggs = []; having = [];
+        outerjoins =
+          b.Qgm.outerjoins
+          @ [ { Qgm.o_source = source; o_pred = Pred.of_conjuncts on } ];
+        order_by = [] }
+    in
+    let filter =
+      Expr.Or
+        (Expr.And (Expr.Is_null (vcol "k0"), Expr.Cmp (op, e, empty)), cmp)
+    in
+    Qgm.subst_block
+      (List.map (fun (c, name) -> (c, Expr.col ~rel:j ~col:name)) exports)
+      { b with
+        Qgm.from = [ Qgm.Derived { block = joined; alias = j } ];
+        where = [ Qgm.P filter ];
+        semijoins = [];
+        outerjoins = [] }
+  end
+
 let unnest_scalar_correlated ~(use_outerjoin : bool) (b : Qgm.block) :
   Qgm.block option =
-  if b.Qgm.group_by <> [] || b.Qgm.aggs <> [] || b.Qgm.having <> [] then None
-  else
-    let rec go acc = function
-      | [] -> None
-      | (Qgm.Cmp_sub (op, e, sub) as p) :: rest ->
-        if is_scalar_agg sub && Qgm.is_correlated sub then begin
-          (* build the decorrelated view exporting corr cols + agg argument *)
-          let agg, _agg_alias = List.hd sub.Qgm.aggs in
-          let spj_sub = { sub with Qgm.aggs = []; select = [] } in
-          match decorrelate_spj { spj_sub with Qgm.select = [ (Expr.int 1, "one") ] } with
-          | None -> go (p :: acc) rest
-          | Some d when d.corr_pred = [] -> go (p :: acc) rest
-          | Some d ->
-            let view_alias = d.view_alias in
-            (* add the aggregate argument to the view's select list *)
-            let agg_arg_name = "agg_arg" in
-            let view, agg' =
-              match Expr.agg_arg agg with
-              | Some arg ->
-                let view =
-                  { d.view with
-                    Qgm.select = d.view.Qgm.select @ [ (arg, agg_arg_name) ] }
-                in
-                let col = Expr.col ~rel:view_alias ~col:agg_arg_name in
-                let agg' =
-                  match agg with
-                  | Expr.Count _ -> Expr.Count col
-                  | Expr.Sum _ -> Expr.Sum col
-                  | Expr.Min _ -> Expr.Min col
-                  | Expr.Max _ -> Expr.Max col
-                  | Expr.Avg _ -> Expr.Avg col
-                  | Expr.Count_star -> Expr.Count_star
-                in
-                (view, agg')
-              | None ->
-                (* COUNT-star: count a non-null exported correlation column *)
-                let marker =
-                  match d.view.Qgm.select with
-                  | _ :: (Expr.Col _, name) :: _ ->
-                    Expr.col ~rel:view_alias ~col:name
-                  | _ -> Expr.col ~rel:view_alias ~col:"one"
-                in
-                (d.view, Expr.Count marker)
-            in
-            (* group by all outer source columns — existing outerjoin
-               sources included: their columns are part of the block's
-               pre-group rows and may be referenced by SELECT/ORDER BY *)
-            let keys =
-              List.concat_map
-                (fun src ->
-                   let a = Qgm.alias_of_source src in
-                   List.map
-                     (fun (c : Schema.column) ->
-                        ( Expr.col ~rel:a ~col:c.Schema.name,
-                          Printf.sprintf "%s__%s" a c.Schema.name ))
-                     (Qgm.source_schema src))
-                (b.Qgm.from
-                 @ List.map (fun (oj : Qgm.outerjoin) -> oj.Qgm.o_source)
-                     b.Qgm.outerjoins)
-            in
-            let key_map =
-              List.map
-                (fun (expr, alias) ->
-                   match expr with
-                   | Expr.Col c -> (c, Expr.col ~rel:"" ~col:alias)
-                   | _ -> assert false)
-                keys
-            in
-            let sk e = Qgm.subst_expr key_map e in
-            let agg_alias = Qgm.fresh_alias "agg" in
-            let source = Qgm.Derived { block = view; alias = view_alias } in
-            let base_where = List.rev acc @ rest in
-            let joined =
-              if use_outerjoin then
-                { b with
-                  Qgm.where = base_where;
-                  outerjoins =
-                    b.Qgm.outerjoins
-                    @ [ { Qgm.o_source = source;
-                          o_pred = Pred.of_conjuncts d.corr_pred } ] }
-              else
-                (* the naive (count-bug) variant: plain join *)
-                { b with
-                  Qgm.where =
-                    base_where @ List.map (fun e -> Qgm.P e) d.corr_pred;
-                  from = b.Qgm.from @ [ source ] }
-            in
-            Some
-              { joined with
-                Qgm.group_by = keys;
-                aggs = [ (agg', agg_alias) ];
-                having =
-                  [ Qgm.P (Expr.Cmp (op, sk e, Expr.col ~rel:"" ~col:agg_alias)) ];
-                select = List.map (fun (se, a) -> (sk se, a)) b.Qgm.select;
-                order_by = List.map (fun (oe, dct) -> (sk oe, dct)) b.Qgm.order_by }
-        end
-        else go (p :: acc) rest
-      | p :: rest -> go (p :: acc) rest
+  let from_aliases = List.map Qgm.alias_of_source b.Qgm.from in
+  let rewrite ~rest (op, e) (sub : Qgm.block) =
+    let bound = Qgm.bound_aliases sub in
+    let locals, corrs = split_correlated sub in
+    let agg, agg_name = List.hd sub.Qgm.aggs in
+    let value =
+      Qgm.subst_expr
+        [ ({ Expr.rel = ""; col = agg_name }, Expr.col ~rel:"" ~col:"agg") ]
+        (fst (List.hd sub.Qgm.select))
     in
-    go [] b.Qgm.where
+    let empty =
+      Qgm.subst_expr
+        [ ( { Expr.rel = ""; col = "agg" },
+            match agg with
+            | Expr.Count _ | Expr.Count_star -> Expr.int 0
+            | Expr.Sum _ | Expr.Min _ | Expr.Max _ | Expr.Avg _ ->
+              Expr.Const Value.Null ) ]
+        value
+    in
+    let outer_cols =
+      List.concat_map Expr.columns corrs
+      |> List.filter (fun (c : Expr.col_ref) ->
+          c.Expr.rel <> "" && not (List.mem c.Expr.rel bound))
+      |> List.sort_uniq compare
+    in
+    let pairs = List.filter_map (equi_pair ~bound) corrs in
+    let attach = attach ~use_outerjoin b ~rest (op, e) in
+    if
+      corrs = []
+      || Qgm.is_correlated { sub with Qgm.where = List.map (fun p -> Qgm.P p) locals }
+      || not
+           (List.for_all
+              (fun (c : Expr.col_ref) -> List.mem c.Expr.rel from_aliases)
+              outer_cols)
+    then None
+    else if List.length pairs = List.length corrs then
+      Some
+        (attach
+           ~view:
+             (grouped_view ~from:sub.Qgm.from ~where:locals
+                ~keys:(List.map fst pairs) ~agg ~value)
+           ~outer:(List.map snd pairs) ~empty)
+    else if
+      (* an outer row with a NULL correlation value matches no group of
+         V, so the subquery must be empty for it *)
+      let rejected = List.concat_map null_rejected corrs in
+      not (List.for_all (fun c -> List.mem c rejected) outer_cols)
+    then None
+    else begin
+      let m = Qgm.fresh_alias "magic" in
+      let m_names =
+        List.mapi (fun i c -> (c, Printf.sprintf "m%d" i)) outer_cols
+      in
+      let m_map =
+        List.map (fun (c, n) -> (c, Expr.col ~rel:m ~col:n)) m_names
+      in
+      let m_aliases =
+        List.sort_uniq compare
+          (List.map (fun (c : Expr.col_ref) -> c.Expr.rel) outer_cols)
+      in
+      let magic =
+        Magic.filter_set
+          ~from:
+            (List.filter
+               (fun src -> List.mem (Qgm.alias_of_source src) m_aliases)
+               b.Qgm.from)
+          ~where:
+            (List.filter
+               (fun p ->
+                  List.for_all (fun r -> List.mem r m_aliases)
+                    (Expr.relations p))
+               (Qgm.plain_preds rest))
+          (List.map (fun (c, n) -> (Expr.Col c, n)) m_names)
+      in
+      let m_src = Qgm.Derived { block = magic; alias = m } in
+      let keys = List.map snd m_map in
+      let pre = Qgm.fresh_alias "pre" in
+      let view =
+        match Groupby.combining_agg agg (Expr.col ~rel:pre ~col:"val") with
+        | Some combined ->
+          (* P: the subquery pre-aggregated on its correlation columns *)
+          let inner_cols =
+            List.concat_map Expr.columns corrs
+            |> List.filter (fun c -> not (List.mem c outer_cols))
+            |> List.sort_uniq compare
+          in
+          let partial =
+            grouped_view ~from:sub.Qgm.from ~where:locals
+              ~keys:(List.map (fun c -> Expr.Col c) inner_cols)
+              ~agg ~value:(Expr.col ~rel:"" ~col:"agg")
+          in
+          let p_map =
+            List.mapi
+              (fun i c -> (c, Expr.col ~rel:pre ~col:(Printf.sprintf "k%d" i)))
+              inner_cols
+          in
+          grouped_view
+            ~from:[ m_src; Qgm.Derived { block = partial; alias = pre } ]
+            ~where:(List.map (Qgm.subst_expr (m_map @ p_map)) corrs)
+            ~keys ~agg:combined ~value
+        | None ->
+          grouped_view ~from:(m_src :: sub.Qgm.from)
+            ~where:(locals @ List.map (Qgm.subst_expr m_map) corrs)
+            ~keys ~agg ~value
+      in
+      Some
+        (attach ~view
+           ~outer:(List.map (fun c -> Expr.Col c) outer_cols)
+           ~empty)
+    end
+  in
+  let rec go acc = function
+    | [] -> None
+    | (Qgm.Cmp_sub (op, e, sub) as p) :: rest -> (
+      let r =
+        if is_scalar_agg sub && Qgm.is_correlated sub then
+          rewrite ~rest:(List.rev acc @ rest) (op, e) sub
+        else None
+      in
+      match r with Some _ -> r | None -> go (p :: acc) rest)
+    | p :: rest -> go (p :: acc) rest
+  in
+  go [] b.Qgm.where
 
 let scalar_correlated_rule : Rules.t =
   { name = "unnest_scalar_correlated";
     apply = unnest_scalar_correlated ~use_outerjoin:true }
 
-(* The deliberately wrong rewrite exhibiting the count bug (E5). *)
+(* The deliberately wrong rewrite exhibiting the count bug (E5): the same
+   shape with an inner join, so outer rows without inner matches are lost
+   even where the subquery's value on no rows (COUNT's 0) would accept
+   them. *)
 let naive_cmp_rule : Rules.t =
   { name = "unnest_scalar_correlated_NAIVE";
     apply = unnest_scalar_correlated ~use_outerjoin:false }

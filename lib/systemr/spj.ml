@@ -25,14 +25,20 @@ let relation_aliases q = List.map (fun r -> r.alias) q.relations
    (referencing no relation — e.g. the WHERE FALSE left by folding a
    contradictory predicate set) must not be dropped: they are assigned
    to the first relation, which filters the whole result exactly once
-   and as early as possible. *)
+   and as early as possible.  A conjunct on a relation the query does not
+   join is a caller error, not a filter to drop.
+   @raise Invalid_argument naming the unknown alias. *)
 let split_predicates q : Expr.t list array * Expr.t list =
   let rels = Array.of_list q.relations in
   let locals = Array.make (Array.length rels) [] and joins = ref [] in
   let add_local alias p =
-    Array.iteri
-      (fun i r -> if r.alias = alias then locals.(i) <- p :: locals.(i))
-      rels
+    let rec place i =
+      if i = Array.length rels then
+        invalid_arg ("split_predicates: unknown relation " ^ alias)
+      else if rels.(i).alias = alias then locals.(i) <- p :: locals.(i)
+      else place (i + 1)
+    in
+    place 0
   in
   List.iter
     (fun p ->

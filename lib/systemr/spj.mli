@@ -22,7 +22,9 @@ val relation_aliases : t -> string list
 
 (** Every conjunct placed once, in predicate order: the single-relation
     conjuncts of each relation (in relation order; constant conjuncts go
-    to the first relation) and the conjuncts spanning at least two. *)
+    to the first relation) and the conjuncts spanning at least two.
+    @raise Invalid_argument when a single-relation conjunct names an
+    alias the query does not join. *)
 val split_predicates : t -> Expr.t list array * Expr.t list
 
 (** Single-relation conjuncts for one alias. *)

@@ -210,35 +210,78 @@ let preserves_schema ~(before : Qgm.block) ~(after : Qgm.block) : Diag.t list =
          sb sa)
 
 (* The count-bug shape (Section 4.2.2): a rewrite that unnests an
-   aggregate subquery introduces a top-level aggregate over a view it
-   joined into FROM.  With a plain inner join, outer tuples with no match
-   disappear instead of aggregating to 0/NULL — the view must be attached
-   with an outerjoin.  We flag any rewrite that (a) introduces top-level
-   aggregation and (b) aggregates over a source it newly inner-joined. *)
+   aggregate subquery inner-joins the aggregate's input into the outer
+   block, so outer tuples with no match disappear instead of seeing
+   0/NULL — the view must be attached with an outerjoin.  Two shapes are
+   flagged, both over a source the rewrite newly inner-joined into FROM:
+   (a) a new top-level aggregate whose argument ranges over it (join,
+   then group by the outer rows); (b) a new grouped view whose COUNT
+   output a WHERE conjunct compares (aggregate, then join). *)
 let count_bug ~(before : Qgm.block) ~(after : Qgm.block) : Diag.t list =
-  if before.Qgm.aggs <> [] || after.Qgm.aggs = [] then []
-  else
-    let aliases_of b = List.map Qgm.alias_of_source b.Qgm.from in
-    let old_aliases = aliases_of before in
-    let new_aliases =
-      List.filter (fun a -> not (List.mem a old_aliases)) (aliases_of after)
-    in
+  let old_aliases = List.map Qgm.alias_of_source before.Qgm.from in
+  let fresh =
+    List.filter
+      (fun src -> not (List.mem (Qgm.alias_of_source src) old_aliases))
+      after.Qgm.from
+  in
+  let new_aliases = List.map Qgm.alias_of_source fresh in
+  let join_first =
+    if before.Qgm.aggs <> [] then []
+    else
+      List.concat_map
+        (fun (g, out) ->
+           match Expr.agg_arg g with
+           | None -> []
+           | Some arg -> (
+             match
+               List.filter (fun r -> List.mem r new_aliases) (Expr.relations arg)
+             with
+             | [] -> []
+             | r :: _ ->
+               [ Diag.error ~code:"count-bug"
+                   (Fmt.str
+                      "aggregate %S ranges over inner-joined view %S: \
+                       zero-match outer tuples are lost (use an outerjoin)"
+                      out r) ]))
+        after.Qgm.aggs
+  in
+  let where_cols = List.concat_map Expr.columns (Qgm.plain_preds after.Qgm.where) in
+  let aggregate_first =
     List.concat_map
-      (fun (g, out) ->
-         match Expr.agg_arg g with
-         | None -> []
-         | Some arg ->
-           let refs = Expr.relations arg in
-           let offending = List.filter (fun r -> List.mem r new_aliases) refs in
-           (match offending with
-            | [] -> []
-            | r :: _ ->
-              [ Diag.error ~code:"count-bug"
-                  (Fmt.str
-                     "aggregate %S ranges over inner-joined view %S: \
-                      zero-match outer tuples are lost (use an outerjoin)"
-                     out r) ]))
-      after.Qgm.aggs
+      (function
+        | Qgm.Base _ -> []
+        | Qgm.Derived { block = v; _ } when v.Qgm.group_by = [] ->
+          (* one row whatever its input: no outer tuple goes unmatched *)
+          []
+        | Qgm.Derived { block = v; alias } ->
+          let counts =
+            List.filter_map
+              (function
+                | (Expr.Count _ | Expr.Count_star), a -> Some a
+                | _ -> None)
+              v.Qgm.aggs
+          in
+          List.filter_map
+            (fun (e, out) ->
+               if
+                 List.exists
+                   (fun (c : Expr.col_ref) ->
+                      c.Expr.rel = "" && List.mem c.Expr.col counts)
+                   (Expr.columns e)
+                 && List.mem { Expr.rel = alias; col = out } where_cols
+               then
+                 Some
+                   (Diag.error ~code:"count-bug"
+                      (Fmt.str
+                         "COUNT %S of inner-joined view %S is compared in \
+                          WHERE: zero-match outer tuples are lost (use an \
+                          outerjoin)"
+                         out alias))
+               else None)
+            v.Qgm.select)
+      fresh
+  in
+  join_first @ aggregate_first
 
 let check_rewrite ~rule ~before ~after : Diag.t list =
   Diag.within ("rule " ^ rule)

@@ -42,9 +42,11 @@ val preserves_schema :
   before:Rewrite.Qgm.block -> after:Rewrite.Qgm.block -> Diag.t list
 
 (** The rewrite oracle: {!preserves_schema}, a count-bug shape check
-    (code [count-bug]: the rewrite introduced a top-level aggregate over a
-    source it inner-joined into FROM instead of outerjoining, so
-    zero-match groups are lost), and a {!block} well-formedness pass over
+    (code [count-bug]: the rewrite inner-joined into FROM, instead of
+    outerjoining, a source that carries an aggregate — a new top-level
+    aggregate ranging over it, or a new grouped view whose COUNT a WHERE
+    conjunct compares — so zero-match outer tuples are lost), and a
+    {!block} well-formedness pass over
     the result — all tagged with ["rule <name>"]. *)
 val check_rewrite :
   rule:string -> before:Rewrite.Qgm.block -> after:Rewrite.Qgm.block ->

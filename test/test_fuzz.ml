@@ -101,6 +101,28 @@ let test_corpus () =
       files
 
 (* ------------------------------------------------------------------ *)
+(* No silent fallback: under the default rewrites every block the
+   generator produces — correlated scalar aggregates in grouped blocks
+   included — is planned, never handed to the tuple interpreter. *)
+
+let test_all_planned () =
+  for seed = 1 to 1000 do
+    let spec, ast = Fuzz.Gen.case ~seed in
+    let cat, db = Fuzz.Dbspec.build spec in
+    let _, reports =
+      Core.Pipeline.run_query cat db (Sql.Binder.bind_query cat ast)
+    in
+    List.iter
+      (fun (r : Core.Pipeline.report) ->
+         if r.Core.Pipeline.path <> Core.Pipeline.Planned then
+           Alcotest.failf "seed %d: block interpreted (%s): %s" seed
+             (Option.value ~default:"?"
+                (Core.Pipeline.fallback_reason r.Core.Pipeline.rewritten))
+             (Sql.Printer.query_to_string ast))
+      reports
+  done
+
+(* ------------------------------------------------------------------ *)
 (* Acceptance: injecting a NULL-join-key bug into the batch engine's
    single-int hash path is (a) caught by the multiset oracle, (b) shrunk
    to at most 3 relations, and (c) the saved repro text round-trips and
@@ -147,7 +169,9 @@ let () =
       ("differential",
        [ Alcotest.test_case "smoke: seeds 1..60, full grid" `Quick
            test_smoke;
-         Alcotest.test_case "corpus replay" `Quick test_corpus ]);
+         Alcotest.test_case "corpus replay" `Quick test_corpus;
+         Alcotest.test_case "seeds 1..1000 all planned" `Quick
+           test_all_planned ]);
       ("acceptance",
        [ Alcotest.test_case "injected fault caught and shrunk" `Quick
            test_injected_fault_caught ]) ]

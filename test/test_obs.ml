@@ -222,6 +222,44 @@ let test_trace_events_off_by_default () =
                r.Core.Pipeline.span)))
     reports
 
+(* A block handed to the tuple interpreter says so on its own span, naming
+   the predicate that blocked planning; a planned block records no such
+   event. *)
+let test_fallback_event () =
+  let cat, db = emp_dept () in
+  let sql =
+    "SELECT Dept.name FROM Dept WHERE EXISTS \
+     (SELECT * FROM Emp WHERE Emp.did = Dept.did)"
+  in
+  let q = Sql.Binder.query_of_string cat sql in
+  let fallbacks config =
+    let r = Obs.Span.create () in
+    let _, reports =
+      Core.Pipeline.run_query ~config:{ config with Core.Pipeline.telemetry = Some r }
+        cat db q
+    in
+    ignore (Obs.Span.finish r);
+    List.concat_map
+      (fun rep ->
+         List.filter_map
+           (function
+             | Obs.Trace.Interpreted_fallback { reason } -> Some reason
+             | _ -> None)
+           (Option.get rep.Core.Pipeline.span).Obs.Span.events)
+      reports
+  in
+  (match fallbacks Core.Pipeline.naive_config with
+   | [ reason ] ->
+     Alcotest.(check bool)
+       (Printf.sprintf "reason names the EXISTS predicate: %s" reason)
+       true
+       (let prefix = "subquery predicate EXISTS (" in
+        String.length reason > String.length prefix
+        && String.sub reason 0 (String.length prefix) = prefix)
+   | l -> Alcotest.failf "expected one fallback event, got %d" (List.length l));
+  Alcotest.(check int) "planned: no fallback event" 0
+    (List.length (fallbacks Core.Pipeline.default_config))
+
 (* Regression: per-node estimates must be re-synthesized from the
    plan-time statistics snapshot ([report.stats_at_plan]), not the live
    registry.  [Obs.Est.annotate] rebuilds index-scan bound selectivities
@@ -749,6 +787,8 @@ let () =
             test_trace_json_wellformed;
           Alcotest.test_case "off by default" `Quick
             test_trace_events_off_by_default;
+          Alcotest.test_case "interpreted fallback event" `Quick
+            test_fallback_event;
           Alcotest.test_case "annotate uses plan-time stats" `Quick
             test_annotate_uses_plan_time_stats;
           Alcotest.test_case "digest" `Quick test_digest ] );

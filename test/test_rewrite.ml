@@ -170,6 +170,99 @@ let test_count_bug_naive_rewrite_wrong () =
     (Array.length naive.Exec.Executor.rows
      < Array.length truth.Exec.Executor.rows)
 
+(* COUNT in a grouped outer block: the outerjoin shape fires under the
+   grouping (the old outer-regrouping rewrite refused it) and keeps the
+   zero-employee departments in their groups. *)
+let test_count_grouped_outer () =
+  let w = ed () in
+  let sub =
+    { (Q.simple ~select:[ (Expr.col ~rel:"" ~col:"n", "n") ]
+         ~from:[ base w.Workload.Schemas.cat ~alias:"E" "Emp" ]
+         ~where:[ eq (col "E" "did") (col "D" "did") ]
+         ~aggs:[ (Expr.Count_star, "n") ] ())
+      with Q.select = [ (Expr.col ~rel:"" ~col:"n", "n") ] }
+  in
+  let q =
+    { (Q.simple
+         ~select:
+           [ (Expr.col ~rel:"" ~col:"loc", "loc");
+             (Expr.col ~rel:"" ~col:"cnt", "cnt") ]
+         ~from:[ base w.Workload.Schemas.cat ~alias:"D" "Dept" ]
+         ~group_by:[ (col "D" "loc", "loc") ]
+         ~aggs:[ (Expr.Count_star, "cnt") ] ())
+      with Q.where = [ Q.Cmp_sub (Expr.Ge, col "D" "num_machines", sub) ] }
+  in
+  let report = check_equiv "COUNT in a grouped block" w q in
+  Alcotest.(check bool) "planned" true
+    (report.Core.Pipeline.path = Core.Pipeline.Planned);
+  Alcotest.(check bool) "unnest_scalar_correlated fired" true
+    (List.mem_assoc "unnest_scalar_correlated" report.Core.Pipeline.trace)
+
+(* Non-equality correlation goes through the magic set.  The outer table
+   repeats a row and has NULL correlation values (and a NULL compared
+   value); the inner one has NULL keys and arguments. *)
+let magic_db =
+  {|table o
+col k int
+col v int
+row 1 5
+row 1 5
+row 2 1
+row NULL 3
+row 3 NULL
+row 4 7
+row 0 0
+end
+table i
+col k int
+col w int
+row 0 2
+row 1 3
+row 1 NULL
+row 2 4
+row 3 9
+row NULL 1
+end
+query SELECT a.k AS k FROM o AS a
+|}
+
+let rec distinct_view (b : Q.block) =
+  List.exists
+    (function
+      | Q.Derived { block; _ } -> block.Q.distinct || distinct_view block
+      | Q.Base _ -> false)
+    (b.Q.from @ List.map (fun (o : Q.outerjoin) -> o.Q.o_source) b.Q.outerjoins)
+
+let test_magic_nonequi () =
+  let spec = (Fuzz.Repro.of_string magic_db).Fuzz.Repro.spec in
+  let cat, db = Fuzz.Dbspec.build spec in
+  List.iter
+    (fun (agg, op) ->
+       let sql =
+         Printf.sprintf
+           "SELECT a.k AS k, a.v AS v FROM o AS a WHERE a.v %s (SELECT %s AS \
+            x FROM i AS b WHERE b.k < a.k)"
+           op agg
+       in
+       let q =
+         match Sql.Binder.query_of_string cat sql with
+         | Q.Q_block b -> b
+         | Q.Q_union _ -> assert false
+       in
+       let truth = Rewrite.Qgm_eval.run cat q in
+       let planned, report = Core.Pipeline.run cat db q in
+       Alcotest.(check bool)
+         (Printf.sprintf "%s: pipeline == interpreter (%d rows)" agg
+            (Array.length truth.Exec.Executor.rows))
+         true
+         (Exec.Executor.same_multiset truth planned);
+       Alcotest.(check bool) (agg ^ ": planned") true
+         (report.Core.Pipeline.path = Core.Pipeline.Planned);
+       Alcotest.(check bool) (agg ^ ": through a DISTINCT magic set") true
+         (distinct_view report.Core.Pipeline.rewritten))
+    [ ("MIN(b.w)", ">"); ("SUM(b.w)", ">="); ("COUNT(*)", ">=");
+      ("COUNT(b.w)", ">"); ("AVG(b.w)", "<") ]
+
 let test_scalar_uncorrelated () =
   let w = ed () in
   let sub =
@@ -401,6 +494,8 @@ let () =
          Alcotest.test_case "EXISTS / NOT EXISTS" `Quick test_unnest_exists;
          Alcotest.test_case "count bug: correct rewrite" `Quick test_count_bug_correct_rewrite;
          Alcotest.test_case "count bug: naive rewrite is wrong" `Quick test_count_bug_naive_rewrite_wrong;
+         Alcotest.test_case "COUNT in a grouped outer block" `Quick test_count_grouped_outer;
+         Alcotest.test_case "non-equality through the magic set" `Quick test_magic_nonequi;
          Alcotest.test_case "uncorrelated scalar" `Quick test_scalar_uncorrelated ]);
       ("group-by",
        [ Alcotest.test_case "eager sum" `Quick test_eager_groupby;

@@ -259,6 +259,18 @@ let test_spj_roundtrip () =
   Alcotest.(check int) "theta conjunct joins" 1
     (count theta (Systemr.Spj.join_predicates q))
 
+(* A filter on an alias the query does not join is an error naming the
+   alias, not a conjunct silently dropped. *)
+let test_spj_unknown_alias () =
+  let q0 = spj_of_pieces (small_chain ()) in
+  let stray = Expr.Cmp (Expr.Gt, Expr.col ~rel:"ghost" ~col:"c", Expr.int 0) in
+  let q =
+    { q0 with Systemr.Spj.predicates = q0.Systemr.Spj.predicates @ [ stray ] }
+  in
+  Alcotest.check_raises "unknown alias raises"
+    (Invalid_argument "split_predicates: unknown relation ghost") (fun () ->
+      ignore (Systemr.Spj.split_predicates q))
+
 let test_counting_formulas () =
   Alcotest.(check int) "3! = 6" 6 (Systemr.Naive.linear_sequences 3);
   Alcotest.(check int) "6! = 720" 720 (Systemr.Naive.linear_sequences 6);
@@ -287,4 +299,5 @@ let () =
          Alcotest.test_case "cross products no worse" `Quick test_cross_products_no_worse ]);
       ("spj",
        [ Alcotest.test_case "roundtrip" `Quick test_spj_roundtrip;
+         Alcotest.test_case "unknown alias raises" `Quick test_spj_unknown_alias;
          Alcotest.test_case "counting formulas" `Quick test_counting_formulas ]) ]
