@@ -245,6 +245,15 @@ let workloads (sc : scale) : row list =
              [ (Expr.Count_star, "n"); (Expr.Sum (col "T" "v"), "total");
                (Expr.Max (col "T" "v"), "hi") ];
            input = scan "T" });
+    (* the same aggregates over key-sorted input: the sequential
+       adjacency walk of the aggregation kernel, after a sort on k *)
+    bench_plan ~reps ~input_rows:(2 * n) "stream_agg" r1
+      (Exec.Plan.Stream_agg
+         { keys = [ (col "T" "k", "k") ];
+           aggs =
+             [ (Expr.Count_star, "n"); (Expr.Sum (col "T" "v"), "total");
+               (Expr.Max (col "T" "v"), "hi") ];
+           input = sort_on "T" "k" (scan "T") });
     bench_plan ~reps ~input_rows:(2 * n) "distinct" r1
       (Exec.Plan.Hash_distinct
          (Exec.Plan.Project ([ (col "T" "k", "k") ], scan "T")))

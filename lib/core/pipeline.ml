@@ -391,7 +391,7 @@ let rec materialize_source ~on_plan ~trace ~exec_views ~on_view ctx config cat
 
 (* Attach a semi/anti/outer join of [source] (Base) to [plan], choosing a
    hash join when an equi predicate is available. *)
-and attach_join cat kind (plan : Exec.Plan.t) (plan_aliases : string list)
+and attach_join kind (plan : Exec.Plan.t) (plan_aliases : string list)
     (src : Rewrite.Qgm.source) (pred : Expr.t) : Exec.Plan.t =
   let table, alias =
     match src with
@@ -399,7 +399,6 @@ and attach_join cat kind (plan : Exec.Plan.t) (plan_aliases : string list)
     | Rewrite.Qgm.Derived { alias; _ } ->
       invalid_arg ("attach_join: unmaterialized " ^ alias)
   in
-  ignore cat;
   let scan = Exec.Plan.Seq_scan { table; alias; filter = None } in
   let pairs, residual =
     Pred.equi_pairs ~left:plan_aliases ~right:[ alias ] (Pred.conjuncts pred)
@@ -486,11 +485,11 @@ and plan_block ?(on_plan = fun (_ : Exec.Plan.t) -> ()) ?trace
   List.iter2
     (fun (sj : Rewrite.Qgm.semijoin) src ->
        let kind = if sj.Rewrite.Qgm.s_anti then Algebra.Anti else Algebra.Semi in
-       plan := attach_join cat kind !plan !aliases src sj.Rewrite.Qgm.s_pred)
+       plan := attach_join kind !plan !aliases src sj.Rewrite.Qgm.s_pred)
     b.Rewrite.Qgm.semijoins sj_sources;
   List.iter2
     (fun (oj : Rewrite.Qgm.outerjoin) src ->
-       plan := attach_join cat Algebra.Left_outer !plan !aliases src oj.Rewrite.Qgm.o_pred;
+       plan := attach_join Algebra.Left_outer !plan !aliases src oj.Rewrite.Qgm.o_pred;
        aliases := !aliases @ [ Rewrite.Qgm.alias_of_source src ])
     b.Rewrite.Qgm.outerjoins oj_sources;
   (* 4. grouping, having, order, projection, distinct *)

@@ -14,17 +14,23 @@
      outer joins return gather stores (index vectors into their two
      inputs, columns gathered on first read); hash aggregation emits
      typed columns.  Join emission writes row indices, never rows.  Rows
-     are built only at the root (the result), for nested-loop and
-     residual predicates, and for the stream-aggregation walk;
-   - predicates and projection items whose leaves are all integer
-     columns/constants compile to unboxed closures ([Eval.int_expr] /
-     [Eval.pred_store]) and run directly over the column data;
+     are built only at the root (the result) and for nested-loop and
+     residual predicates; a projection over a child that already has
+     its row view emits rows sharing its boxes;
+   - predicates, projection items, sort and grouping keys and aggregate
+     arguments whose leaves are all integer columns/constants compile
+     through the one integer-expression compiler ([Eval.int_expr], and
+     [Eval.pred_store] on top of it) and run directly over the column
+     data; everything else evaluates through [Expr.compile];
    - join/aggregation keys hash straight out of the columns: raw ints
      on the single-integer-column fast path ([Keys.Int_map]), and
      column-accessor probing ([Keys.Cols_tbl]) otherwise, so a probe
      never allocates a key array;
    - aggregates over integer arguments fold unboxed
-     ([Expr.agg_step_int]) with key extraction amortized per chunk.
+     ([Expr.agg_step_int]); hash and stream aggregation share one
+     kernel — the same steppers, groups and typed-column output — and
+     differ only in how rows find their group (a hash probe, or
+     adjacency in the sorted input).
 
    Kernels and dispatch.  Each operator is written once: its
    data-parallel work is a kernel over a logical range [lo, hi) of its
@@ -502,12 +508,24 @@ let run_node ~ctx ~obs ~sketch ~chunk_rows ~(par : pooled option)
            positions, keep its selection — nothing is copied *)
         { ch with Chunk.store = Chunk.remap store (Array.map Option.get offs) }
       | Some srows ->
-        (* the child is already materialized: one fused row-at-a-time
-           pass — plain columns share the existing boxes, integer
-           arithmetic re-boxes through the interned small-int cache —
-           beats building typed columns that re-box at the next
-           materialization boundary.  Output columns stay lazy. *)
-        let fs = Array.map (proj_item s) es in
+        (* the child is already materialized: one row-at-a-time pass over
+           its physical rows — plain columns share the existing boxes,
+           integer items ([Eval.int_expr]) re-box through the interned
+           small-int cache — beats building typed columns that re-box at
+           the next materialization boundary.  Output columns stay lazy. *)
+        let item e : int -> Value.t =
+          match col_offset s e with
+          | Some off -> fun q -> Tuple.get (Array.unsafe_get srows q) off
+          | None -> (
+            match int_expr s store e with
+            | Some v ->
+              fun q ->
+                if v.inull q then Value.Null else Storage.Col.box_int (v.iv q)
+            | None ->
+              let f = Expr.compile s e in
+              fun q -> f (Array.unsafe_get srows q))
+        in
+        let fs = Array.map item es in
         let out = Array.make n [||] in
         (* item evaluation stays left-to-right (explicit lets below) so
            any expression error surfaces in the interpreter's order *)
@@ -516,41 +534,39 @@ let run_node ~ctx ~obs ~sketch ~chunk_rows ~(par : pooled option)
            | None, [| f0 |] ->
              fun lo hi ->
                for j = lo to hi - 1 do
-                 Array.unsafe_set out j [| f0 (Array.unsafe_get srows j) |]
+                 Array.unsafe_set out j [| f0 j |]
                done
            | None, [| f0; f1 |] ->
              fun lo hi ->
                for j = lo to hi - 1 do
-                 let t = Array.unsafe_get srows j in
-                 let a = f0 t in
-                 let b = f1 t in
+                 let a = f0 j in
+                 let b = f1 j in
                  Array.unsafe_set out j [| a; b |]
                done
            | None, fs ->
              fun lo hi ->
                for j = lo to hi - 1 do
-                 let t = Array.unsafe_get srows j in
                  let o = Array.make nf Value.Null in
                  for c = 0 to nf - 1 do
-                   Array.unsafe_set o c ((Array.unsafe_get fs c) t)
+                   Array.unsafe_set o c ((Array.unsafe_get fs c) j)
                  done;
                  Array.unsafe_set out j o
                done
            | Some sel, [| f0; f1 |] ->
              fun lo hi ->
                for j = lo to hi - 1 do
-                 let t = Array.unsafe_get srows (Array.unsafe_get sel j) in
-                 let a = f0 t in
-                 let b = f1 t in
+                 let q = Array.unsafe_get sel j in
+                 let a = f0 q in
+                 let b = f1 q in
                  Array.unsafe_set out j [| a; b |]
                done
            | Some sel, fs ->
              fun lo hi ->
                for j = lo to hi - 1 do
-                 let t = Array.unsafe_get srows (Array.unsafe_get sel j) in
+                 let q = Array.unsafe_get sel j in
                  let o = Array.make nf Value.Null in
                  for c = 0 to nf - 1 do
-                   Array.unsafe_set o c ((Array.unsafe_get fs c) t)
+                   Array.unsafe_set o c ((Array.unsafe_get fs c) q)
                  done;
                  Array.unsafe_set out j o
                done);
@@ -1135,187 +1151,157 @@ let run_node ~ctx ~obs ~sketch ~chunk_rows ~(par : pooled option)
     let agg_arr = Array.of_list (List.map fst aggs) in
     let naggs = Array.length agg_arr in
     Context.charge_cpu ctx n;
-    let finalize kv (states : Expr.agg_state array) =
-      Array.init (nkeys + naggs) (fun k ->
-          if k < nkeys then kv.(k)
-          else Expr.agg_final agg_arr.(k - nkeys) states.(k - nkeys))
-    in
     let fresh_states () = Array.init naggs (fun _ -> Expr.agg_init ()) in
-    let chunk =
+    (* Column-at-a-time: aggregate arguments that compile to integer
+       vectors fold unboxed through [Expr.agg_step_int]; the rest step
+       through value getters ([Eval.expr_getter]).  Steppers take
+       physical indices.  Every path yields groups as (logical index of
+       the first row, (key values read at that row, states)). *)
+    let phys = Chunk.phys ch in
+    let steppers =
+      Array.of_list
+        (List.map
+           (fun (a, _) ->
+              match Expr.agg_arg a with
+              | None -> fun st (_ : int) -> Expr.agg_step_int st 1
+              | Some e -> (
+                match int_expr s store e with
+                | Some v ->
+                  fun st q ->
+                    if not (v.inull q) then Expr.agg_step_int st (v.iv q)
+                | None ->
+                  let get = expr_getter s store e in
+                  fun st q -> Expr.agg_step st (get q)))
+           aggs)
+    in
+    let step_all q states =
+      for a = 0 to naggs - 1 do
+        steppers.(a) states.(a) q
+      done
+    in
+    (* built only where read: a computed key's getter forces the row
+       view, which the single-int-key hash path never needs *)
+    let key_getters () =
+      Array.of_list (List.map (fun (e, _) -> expr_getter s store e) keys)
+    in
+    (* physically unique dummy: [fresh_states] always allocates, and
+       a zero-agg states array is [[||]], never length 1 *)
+    let dummy = Array.make 1 (Expr.agg_init ()) in
+    (* single integer key with no NULL at any selected row: raw int
+       hashing, no key boxing *)
+    let int_key () =
+      match keys with
+      | [ (e, _) ] -> (
+        match int_expr s store e with
+        | Some v ->
+          let rec clean i = i = n || ((not (v.inull (phys i))) && clean (i + 1)) in
+          if clean 0 then Some v else None
+        | None -> None)
+      | _ -> None
+    in
+    let groups =
       if sorted then begin
-        (* stream aggregation over key-sorted input: a sequential,
-           row-shaped flush walk on the coordinator *)
-        let out = Storage.Vec.create () in
-        let rows = Chunk.to_rows ch in
-        let keyfs =
-          Array.of_list (List.map (fun (e, _) -> Expr.compile s e) keys)
+        (* stream aggregation over key-sorted input: a sequential
+           adjacency walk on the coordinator.  A group ends at the first
+           row whose key differs from the group's key values under
+           [Value.equal] — the interpreter's rule *)
+        let kgets = key_getters () in
+        let firsts = Storage.Vec.create () and order = Storage.Vec.create () in
+        let cur = ref ([||], dummy) in
+        let same (kv : Value.t array) q =
+          let c = ref 0 in
+          while !c < nkeys && Value.equal kv.(!c) (kgets.(!c) q) do
+            incr c
+          done;
+          !c = nkeys
         in
-        let argfs =
-          Array.of_list
-            (List.map
-               (fun (a, _) ->
-                  match Expr.agg_arg a with
-                  | None -> fun _ -> Value.Int 1 (* count-star: any non-null *)
-                  | Some e -> Expr.compile s e)
-               aggs)
-        in
-        let step_all t states =
-          for a = 0 to naggs - 1 do
-            Expr.agg_step states.(a) (argfs.(a) t)
-          done
-        in
-        let cur_key = ref None in
-        let cur_states = ref [||] in
-        let flush () =
-          match !cur_key with
-          | None -> ()
-          | Some kv -> Storage.Vec.push out (finalize kv !cur_states)
-        in
-        Array.iter
-          (fun t ->
-             let kv = Array.init nkeys (fun k -> keyfs.(k) t) in
-             (match !cur_key with
-              | Some kv' when Keys.equal_array kv kv' -> ()
-              | Some _ | None ->
-                flush ();
-                cur_key := Some kv;
-                cur_states := fresh_states ());
-             step_all t !cur_states)
-          rows;
-        flush ();
-        let out = Storage.Vec.to_array out in
-        let out =
-          if keys = [] && Array.length out = 0 then
-            (* scalar aggregate over the empty input: one row *)
-            [| finalize [||] (fresh_states ()) |]
-          else out
-        in
-        Chunk.of_rows ~arity:(nkeys + naggs) out
+        for li = 0 to n - 1 do
+          let q = phys li in
+          if li = 0 || not (same (fst !cur) q) then begin
+            cur := (Array.init nkeys (fun c -> kgets.(c) q), fresh_states ());
+            Storage.Vec.push firsts li;
+            Storage.Vec.push order !cur
+          end;
+          step_all q (snd !cur)
+        done;
+        [| (Storage.Vec.to_array firsts, Storage.Vec.to_array order) |]
       end
-      else begin
-        (* hash aggregation, column-at-a-time: aggregate arguments that
-           compile to integer vectors fold unboxed through
-           [Expr.agg_step_int]; the rest step through value getters
-           ([Eval.expr_getter]).  Steppers take physical indices.
-           Pooled, rows are exchanged by key hash, so each key's whole
+      else match int_key () with
+      | Some v ->
+        (* Pooled, rows are exchanged by key hash, so each key's whole
            fold runs on one partition in global row order (bit-exact
            float sums). *)
-        let phys = Chunk.phys ch in
-        let steppers =
-          Array.of_list
-            (List.map
-               (fun (a, _) ->
-                  match Expr.agg_arg a with
-                  | None -> fun st (_ : int) -> Expr.agg_step_int st 1
-                  | Some e -> (
-                    match int_expr s store e with
-                    | Some v ->
-                      fun st q ->
-                        if not (v.inull q) then Expr.agg_step_int st (v.iv q)
-                    | None ->
-                      let get = expr_getter s store e in
-                      fun st q -> Expr.agg_step st (get q)))
-               aggs)
-        in
-        let step_all q states =
-          for a = 0 to naggs - 1 do
-            steppers.(a) states.(a) q
-          done
-        in
-        (* physically unique dummy: [fresh_states] always allocates, and
-           a zero-agg states array is [[||]], never length 1 *)
-        let dummy = Array.make 1 (Expr.agg_init ()) in
-        (* single integer key with no NULL at any selected row: raw int
-           hashing, no key boxing *)
-        let int_key =
-          match keys with
-          | [ (e, _) ] -> (
-            match int_expr s store e with
-            | Some v ->
-              let rec clean i = i = n || ((not (v.inull (phys i))) && clean (i + 1)) in
-              if clean 0 then Some v else None
-            | None -> None)
-          | _ -> None
-        in
-        let groups =
-          match int_key with
-          | Some v ->
-            partitioned p n
-              ~route:(fun li -> int_route (v.iv (phys li)))
-              (fun ~size:_ iter ->
-                 let tbl = Keys.Int_map.create ~dummy 64 in
-                 let firsts = Storage.Vec.create () in
-                 let order = Storage.Vec.create () in
-                 iter (fun li ->
-                     let q = phys li in
-                     let k = v.iv q in
-                     let states =
-                       let st = Keys.Int_map.find tbl k in
-                       if st != dummy then st
-                       else begin
-                         let st = fresh_states () in
-                         Keys.Int_map.add tbl k st;
-                         Storage.Vec.push firsts li;
-                         Storage.Vec.push order k;
-                         st
-                       end
-                     in
-                     step_all q states);
-                 ( Storage.Vec.to_array firsts,
-                   Array.map
-                     (fun k -> ([| Value.Int k |], Keys.Int_map.find tbl k))
-                     (Storage.Vec.to_array order) ))
-          | None ->
-            (* generic keys: probe column-wise ([Keys.Cols_tbl]); the key
-               is materialized once per group *)
-            let kgets =
-              Array.of_list (List.map (fun (e, _) -> expr_getter s store e) keys)
-            in
-            partitioned p n
-              ~route:(fun li -> Keys.Cols_tbl.hash_cols kgets (phys li) land max_int)
-              (fun ~size:_ iter ->
-                 let tbl = Keys.Cols_tbl.create ~dummy 64 in
-                 let firsts = Storage.Vec.create () in
-                 let order = Storage.Vec.create () in
-                 iter (fun li ->
-                     let q = phys li in
-                     let states =
-                       let st = Keys.Cols_tbl.find tbl kgets q in
-                       if st != dummy then st
-                       else begin
-                         let st = fresh_states () in
-                         let kv = Array.init nkeys (fun c -> kgets.(c) q) in
-                         Keys.Cols_tbl.add tbl kv st;
-                         Storage.Vec.push firsts li;
-                         Storage.Vec.push order (kv, st);
-                         st
-                       end
-                     in
-                     step_all q states);
-                 (Storage.Vec.to_array firsts, Storage.Vec.to_array order))
-        in
-        let groups =
-          match by_first groups with
-          | [||] when keys = [] ->
-            (* scalar aggregate over the empty input: one row *)
-            [| ([||], fresh_states ()) |]
-          | gs -> gs
-        in
-        (* typed output: the key values read at each group's first row
-           and the aggregates, classified into columns *)
-        let ng = Array.length groups in
-        let key_col c =
-          Storage.Col.classify ng (fun g -> (fst groups.(g)).(c))
-        in
-        let agg_col a =
-          Storage.Col.classify ng (fun g ->
-              Expr.agg_final agg_arr.(a) (snd groups.(g)).(a))
-        in
-        Chunk.dense
-          (Chunk.store_of_cols ~len:ng
-             (Array.append (Array.init nkeys key_col)
-                (Array.init naggs agg_col)))
-      end
+        partitioned p n
+          ~route:(fun li -> int_route (v.iv (phys li)))
+          (fun ~size:_ iter ->
+             let tbl = Keys.Int_map.create ~dummy 64 in
+             let firsts = Storage.Vec.create () in
+             let order = Storage.Vec.create () in
+             iter (fun li ->
+                 let q = phys li in
+                 let k = v.iv q in
+                 let states =
+                   let st = Keys.Int_map.find tbl k in
+                   if st != dummy then st
+                   else begin
+                     let st = fresh_states () in
+                     Keys.Int_map.add tbl k st;
+                     Storage.Vec.push firsts li;
+                     Storage.Vec.push order k;
+                     st
+                   end
+                 in
+                 step_all q states);
+             ( Storage.Vec.to_array firsts,
+               Array.map
+                 (fun k -> ([| Value.Int k |], Keys.Int_map.find tbl k))
+                 (Storage.Vec.to_array order) ))
+      | None ->
+        (* generic keys: probe column-wise ([Keys.Cols_tbl]); the key
+           is materialized once per group *)
+        let kgets = key_getters () in
+        partitioned p n
+          ~route:(fun li -> Keys.Cols_tbl.hash_cols kgets (phys li) land max_int)
+          (fun ~size:_ iter ->
+             let tbl = Keys.Cols_tbl.create ~dummy 64 in
+             let firsts = Storage.Vec.create () in
+             let order = Storage.Vec.create () in
+             iter (fun li ->
+                 let q = phys li in
+                 let states =
+                   let st = Keys.Cols_tbl.find tbl kgets q in
+                   if st != dummy then st
+                   else begin
+                     let st = fresh_states () in
+                     let kv = Array.init nkeys (fun c -> kgets.(c) q) in
+                     Keys.Cols_tbl.add tbl kv st;
+                     Storage.Vec.push firsts li;
+                     Storage.Vec.push order (kv, st);
+                     st
+                   end
+                 in
+                 step_all q states);
+             (Storage.Vec.to_array firsts, Storage.Vec.to_array order))
+    in
+    let groups =
+      match by_first groups with
+      | [||] when keys = [] ->
+        (* scalar aggregate over the empty input: one row *)
+        [| ([||], fresh_states ()) |]
+      | gs -> gs
+    in
+    (* typed output: the key values read at each group's first row and
+       the aggregates, classified into columns *)
+    let ng = Array.length groups in
+    let key_col c = Storage.Col.classify ng (fun g -> (fst groups.(g)).(c)) in
+    let agg_col a =
+      Storage.Col.classify ng (fun g ->
+          Expr.agg_final agg_arr.(a) (snd groups.(g)).(a))
+    in
+    let chunk =
+      Chunk.dense
+        (Chunk.store_of_cols ~len:ng
+           (Array.append (Array.init nkeys key_col) (Array.init naggs agg_col)))
     in
     { chunk;
       replay = (fun () -> child.replay (); Context.charge_cpu ctx n) }

@@ -6,8 +6,10 @@
     joins emit row indices into gather stores over their inputs; integer
     predicates, projection items, join keys and aggregate arguments run
     unboxed over the column data.  Rows are built only at the root (the
-    result), for nested-loop and residual predicates, and for the
-    stream-aggregation walk.
+    result) and for nested-loop and residual predicates; a projection
+    over a child that already has its row view emits rows sharing its
+    boxes.  Hash and stream aggregation share one kernel and emit typed
+    columns.
 
     Each operator is written once, as a kernel over a logical range of
     its input.  {!run} walks the ranges inline, [chunk_rows] at a time;

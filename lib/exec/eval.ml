@@ -1,9 +1,12 @@
 (* Compiled-evaluation helpers for the columnar engine ([Batch]): offset
    resolution, specialized predicate compilers, hash-join buckets, join
-   emission over row indices, and columnar chunks with their unboxed
-   integer fast path.  All closures returned here are pure (no [Context]
-   charging, no shared mutable state), so pooled kernels may evaluate
-   them from any domain. *)
+   emission over row indices, and columnar chunks.  [int_expr] is the
+   engine's one unboxed integer-expression compiler: predicates,
+   projection items, sort keys, grouping keys and aggregate arguments
+   all compile through it over a store's columns, and everything it
+   does not cover evaluates through [Expr.compile].  All closures
+   returned here are pure (no [Context] charging, no shared mutable
+   state), so pooled kernels may evaluate them from any domain. *)
 
 open Relalg
 
@@ -498,174 +501,6 @@ let pred_store (s : Schema.t) (e : Expr.t) (st : Chunk.store) : int -> bool =
     let a = ps.(0) and b = ps.(1) in
     fun i -> a i && b i
   | _ -> fun i -> Array.for_all (fun p -> p i) ps
-
-(* ------------------------------------------------------------------ *)
-(* Row-level compiled integer expressions for the fused projection path.
-
-   [rv t] is the expression's Int value over tuple [t]; [Row_null] means
-   the SQL result is NULL (a NULL operand, or Div/Mod by zero),
-   [Row_not_int] means a non-Int operand was hit and the caller must
-   re-evaluate that row through the generic [Expr.compile] closure
-   (which reproduces Float promotion, string concat and type errors
-   exactly).  A NULL short-circuit is always sound: [Expr.arith] maps
-   any NULL operand to NULL before it can raise. *)
-
-exception Row_null
-exception Row_not_int
-
-let rec row_int (s : Schema.t) (e : Expr.t) : (Tuple.t -> int) option =
-  match e with
-  | Expr.Const (Value.Int k) -> Some (fun _ -> k)
-  | Expr.Const Value.Null -> Some (fun _ -> raise Row_null)
-  | Expr.Col { rel; col } -> (
-    match Schema.index_of s ~rel ~name:col with
-    | exception _ -> None
-    | off ->
-      Some
-        (fun t ->
-           match Tuple.get t off with
-           | Value.Int v -> v
-           | Value.Null -> raise Row_null
-           | Value.Bool _ | Value.Float _ | Value.Str _ ->
-             raise Row_not_int))
-  | Expr.Binop (op, a, b) -> (
-    match row_int s a with
-    | None -> None
-    | Some ra -> (
-      match b with
-      | Expr.Const (Value.Int k) -> (
-        match op with
-        | Expr.Add -> Some (fun t -> ra t + k)
-        | Expr.Sub -> Some (fun t -> ra t - k)
-        | Expr.Mul -> Some (fun t -> ra t * k)
-        | (Expr.Div | Expr.Mod) when k = 0 ->
-          Some
-            (fun t ->
-               ignore (ra t);
-               raise Row_null)
-        | Expr.Div -> Some (fun t -> ra t / k)
-        | Expr.Mod -> Some (fun t -> ra t mod k))
-      | _ -> (
-        match row_int s b with
-        | None -> None
-        | Some rb -> (
-          match op with
-          | Expr.Add -> Some (fun t -> ra t + rb t)
-          | Expr.Sub -> Some (fun t -> ra t - rb t)
-          | Expr.Mul -> Some (fun t -> ra t * rb t)
-          | Expr.Div ->
-            Some
-              (fun t ->
-                 let y = rb t in
-                 if y = 0 then raise Row_null else ra t / y)
-          | Expr.Mod ->
-            Some
-              (fun t ->
-                 let y = rb t in
-                 if y = 0 then raise Row_null else ra t mod y)))))
-  | _ -> None
-
-(* Compiled projection item over physical rows: a plain column shares the
-   existing box, integer arithmetic re-boxes through the small-int cache
-   with no intermediate allocation, and everything else — including any
-   row where an int-compiled item meets a non-Int operand — evaluates
-   through [Expr.compile]. *)
-let proj_item (s : Schema.t) (e : Expr.t) : Tuple.t -> Value.t =
-  match col_offset s e with
-  | Some off -> fun t -> Tuple.get t off
-  | None -> (
-    match e with
-    (* depth-2 int arithmetic fuses into one closure: direct cell
-       matches, no exception frame; any non-Int operand re-evaluates
-       the row through the generic closure (which reproduces NULL
-       propagation, Float promotion and type errors exactly — a NULL
-       operand can also just short-circuit, [Expr.arith] maps it to
-       NULL before it can raise) *)
-    | Expr.Binop (op, a, (Expr.Const (Value.Int k) as kc))
-      when col_offset s a <> None && not ((op = Expr.Div || op = Expr.Mod) && k = 0)
-      -> (
-        let off = Option.get (col_offset s a) in
-        let fk = Expr.compile s kc in
-        let slow t = Expr.arith op (Tuple.get t off) (fk t) in
-        match op with
-        | Expr.Add -> (
-          fun t ->
-            match Tuple.get t off with
-            | Value.Int x -> box_int (x + k)
-            | Value.Null -> Value.Null
-            | _ -> slow t)
-        | Expr.Sub -> (
-          fun t ->
-            match Tuple.get t off with
-            | Value.Int x -> box_int (x - k)
-            | Value.Null -> Value.Null
-            | _ -> slow t)
-        | Expr.Mul -> (
-          fun t ->
-            match Tuple.get t off with
-            | Value.Int x -> box_int (x * k)
-            | Value.Null -> Value.Null
-            | _ -> slow t)
-        | Expr.Div -> (
-          fun t ->
-            match Tuple.get t off with
-            | Value.Int x -> box_int (x / k)
-            | Value.Null -> Value.Null
-            | _ -> slow t)
-        | Expr.Mod -> (
-          fun t ->
-            match Tuple.get t off with
-            | Value.Int x -> box_int (x mod k)
-            | Value.Null -> Value.Null
-            | _ -> slow t))
-    | Expr.Binop (op, a, b)
-      when col_offset s a <> None && col_offset s b <> None -> (
-        let oa = Option.get (col_offset s a)
-        and ob = Option.get (col_offset s b) in
-        let slow t = Expr.arith op (Tuple.get t oa) (Tuple.get t ob) in
-        match op with
-        | Expr.Add -> (
-          fun t ->
-            match (Tuple.get t oa, Tuple.get t ob) with
-            | Value.Int x, Value.Int y -> box_int (x + y)
-            | Value.Null, _ | _, Value.Null -> Value.Null
-            | _ -> slow t)
-        | Expr.Sub -> (
-          fun t ->
-            match (Tuple.get t oa, Tuple.get t ob) with
-            | Value.Int x, Value.Int y -> box_int (x - y)
-            | Value.Null, _ | _, Value.Null -> Value.Null
-            | _ -> slow t)
-        | Expr.Mul -> (
-          fun t ->
-            match (Tuple.get t oa, Tuple.get t ob) with
-            | Value.Int x, Value.Int y -> box_int (x * y)
-            | Value.Null, _ | _, Value.Null -> Value.Null
-            | _ -> slow t)
-        | Expr.Div -> (
-          fun t ->
-            match (Tuple.get t oa, Tuple.get t ob) with
-            | Value.Int x, Value.Int y ->
-              if y = 0 then Value.Null else box_int (x / y)
-            | Value.Null, _ | _, Value.Null -> Value.Null
-            | _ -> slow t)
-        | Expr.Mod -> (
-          fun t ->
-            match (Tuple.get t oa, Tuple.get t ob) with
-            | Value.Int x, Value.Int y ->
-              if y = 0 then Value.Null else box_int (x mod y)
-            | Value.Null, _ | _, Value.Null -> Value.Null
-            | _ -> slow t))
-    | _ -> (
-      match row_int s e with
-      | Some rv ->
-        let f = Expr.compile s e in
-        fun t ->
-          (match rv t with
-           | v -> box_int v
-           | exception Row_null -> Value.Null
-           | exception Row_not_int -> f t)
-      | None -> Expr.compile s e))
 
 (* ------------------------------------------------------------------ *)
 (* Join emission over physical row indices (shared by the join

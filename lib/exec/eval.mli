@@ -1,7 +1,8 @@
 (** Compiled-evaluation helpers of the columnar engine ({!Batch}):
     offset resolution, specialized WHERE-semantics predicate compilers,
     hash-join buckets, join emission over row indices, and columnar
-    chunks with their unboxed integer fast path.
+    chunks.  {!int_expr} is the engine's one unboxed integer-expression
+    compiler.
 
     Everything here is pure — no {!Context} charging, no shared mutable
     state — so returned closures are safe to evaluate from worker
@@ -137,13 +138,6 @@ val int_expr : Schema.t -> Chunk.store -> Expr.t -> int_vec option
     {!int_expr} evaluate unboxed, the rest fall back to the forced row
     view.  All forcing happens at compile time. *)
 val pred_store : Schema.t -> Expr.t -> Chunk.store -> int -> bool
-
-(** Compiled projection item over physical rows: a plain column shares
-    the existing box, integer arithmetic re-boxes through the small-int
-    cache with no intermediate allocation, everything else evaluates
-    through [Expr.compile].  Result rows are structurally identical to
-    [Expr.compile] on every input. *)
-val proj_item : Schema.t -> Expr.t -> Tuple.t -> Value.t
 
 (** [emit_range out kind lq lo hi ~rq ~matches] emits the join of left
     physical row [lq] with right physical rows [rq k], [k] in [lo, hi),

@@ -16,10 +16,6 @@ module List_tbl : Hashtbl.S with type key = Value.t list
 
 val hash_array : Value.t array -> int
 
-(** Pairwise {!Value.equal} on the first [length a] positions; assumes
-    equal lengths (fixed arity). *)
-val equal_array : Value.t array -> Value.t array -> bool
-
 (** Columnar probing for generic (fixed-arity [Value.t array]) keys:
     open-addressing, insert-only.  {!Cols_tbl.find} hashes and compares
     key positions straight out of per-column accessor closures, so a

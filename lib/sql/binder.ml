@@ -159,6 +159,11 @@ and bind_agg env scopes (fn : Ast.agg_fn) (arg : Ast.expr option) : Expr.agg =
 (* SELECT *)
 
 and bind_select env (outer : scope list) (s : Ast.select) : Q.block =
+  let b = bind_block env outer s in
+  check_block outer b;
+  b
+
+and bind_block env (outer : scope list) (s : Ast.select) : Q.block =
   (* 1. FROM: split joined items into inner sources and outerjoins *)
   let sources = ref [] in
   let outerjoin_specs = ref [] in
@@ -340,6 +345,69 @@ and bind_select env (outer : scope list) (s : Ast.select) : Q.block =
       order_by =
         List.map (fun (e, d) -> (grouped_expr e, d)) s.Ast.order_by }
   end
+
+(* ------------------------------------------------------------------ *)
+(* Static typing *)
+
+(* Reject arithmetic on operands that do not combine (string + int, a
+   comparison's Bool + 1): it would raise [Expr.Type_error] at the first
+   row, or [Typing.Error] while planning.  Every maximal arithmetic
+   subterm is typed with [Typing.infer] — comparisons and connectives
+   are not, values of any type compare — against the columns in scope
+   (all alias-qualified, innermost first, as resolution searches them),
+   and a grouped block's select, HAVING and ORDER BY against its keys
+   and aggregates.  Subquery blocks were checked when they were bound. *)
+and check_block (outer : scope list) (b : Q.block) : unit =
+  (* the schemas are built only when an arithmetic subterm needs them *)
+  let check (schema : Schema.t Lazy.t) e =
+    let rec walk (e : Expr.t) =
+      match e with
+      | Expr.Binop _ -> (
+        match Typing.infer (Lazy.force schema) e with
+        | _ -> ()
+        | exception (Typing.Error m | Failure m) ->
+          err "type error: %s in %s" m (Expr.to_string e))
+      | Expr.Cmp (_, x, y) | Expr.And (x, y) | Expr.Or (x, y) ->
+        walk x;
+        walk y
+      | Expr.Not x | Expr.Is_null x -> walk x
+      | Expr.Udf (_, args) -> List.iter walk args
+      | Expr.Const _ | Expr.Col _ -> ()
+    in
+    walk e
+  in
+  let check_pred schema = function
+    | Q.P e | Q.In_sub (e, _) | Q.Cmp_sub (_, e, _) -> check schema e
+    | Q.Exists_sub _ -> ()
+  in
+  let inner =
+    lazy
+      (List.concat_map Q.source_schema
+         (b.Q.from @ List.map (fun (oj : Q.outerjoin) -> oj.Q.o_source)
+                       b.Q.outerjoins)
+       @ List.concat_map (fun (sc : scope) -> List.concat_map snd sc) outer)
+  in
+  List.iter (check_pred inner) b.Q.where;
+  List.iter (fun (oj : Q.outerjoin) -> check inner oj.Q.o_pred) b.Q.outerjoins;
+  List.iter (fun (e, _) -> check inner e) b.Q.group_by;
+  List.iter (fun (a, _) -> Option.iter (check inner) (Expr.agg_arg a)) b.Q.aggs;
+  let grouped =
+    if b.Q.group_by = [] && b.Q.aggs = [] then inner
+    else
+      lazy
+        (let inner = Lazy.force inner in
+         List.map
+           (fun (e, a) ->
+              Schema.column ~rel:"" ~name:a ~ty:(Typing.infer inner e))
+           b.Q.group_by
+         @ List.map
+             (fun (g, a) ->
+                Schema.column ~rel:"" ~name:a ~ty:(Typing.infer_agg inner g))
+             b.Q.aggs)
+  in
+  List.iter (fun (e, _) -> check grouped e) b.Q.select;
+  List.iter (check_pred grouped) b.Q.having;
+  List.iter (fun (e, _) -> check grouped e) b.Q.order_by
 
 (* ------------------------------------------------------------------ *)
 (* Entry points *)

@@ -7,9 +7,11 @@ exception Error of string
 
 (** Bind one SELECT against a catalog; [views] supplies CREATE VIEW
     definitions by name.  @raise Error on unknown/ambiguous names, NOT IN,
-    non-grouped columns in grouped queries, or WHERE references to
+    non-grouped columns in grouped queries, WHERE references to
     outer-joined relations (WHERE is applied before outerjoins attach;
-    those columns are visible in SELECT / GROUP BY / HAVING / ORDER BY). *)
+    those columns are visible in SELECT / GROUP BY / HAVING / ORDER BY),
+    or arithmetic whose operand types {!Relalg.Typing.infer} rejects
+    (message prefixed [type error:]). *)
 val bind :
   ?views:(string * Ast.select) list -> Storage.Catalog.t -> Ast.select ->
   Rewrite.Qgm.block

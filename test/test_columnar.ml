@@ -1334,17 +1334,40 @@ let prop_columnar_differential =
        let filtered =
          Exec.Plan.Filter (Expr.Cmp (Expr.Ge, a, Expr.int 2), scan "R")
        in
+       let grouped =
+         Exec.Plan.Hash_agg
+           { keys = [ (a, "a") ];
+             aggs = [ (Expr.Count_star, "n"); (Expr.Sum b, "s") ];
+             input = filtered }
+       in
+       (* Sub, Div and Mod items — a constant-0 divisor, and a divisor
+          column holding zeros — over a child with a row view (the
+          filtered scan) and one with typed columns (the aggregate) *)
+       let arith x y =
+         [ (Expr.Binop (Expr.Sub, x, y), "d");
+           (Expr.Binop (Expr.Div, x, Expr.int 0), "q0");
+           (Expr.Binop (Expr.Div, x, y), "q");
+           (Expr.Binop (Expr.Mod, x, y), "m");
+           (Expr.Binop (Expr.Mod, y, Expr.int 3), "m3") ]
+       in
+       let g c = Expr.col ~rel:"" ~col:c in
        let plans =
          [ Exec.Plan.Project
              ( [ (Expr.Binop (Expr.Add, b, Expr.int 1), "b1"); (a, "a") ],
                filtered );
            Exec.Plan.Project
              ([ (Expr.Binop (Expr.Mul, a, b), "ab") ], filtered);
+           Exec.Plan.Project (arith a b, filtered);
+           Exec.Plan.Project (arith (g "a") (g "s"), grouped);
            sort_on "R" "b" filtered;
-           Exec.Plan.Hash_agg
+           grouped;
+           (* adjacency grouping on the mixed Int/Float/NULL key *)
+           Exec.Plan.Stream_agg
              { keys = [ (a, "a") ];
-               aggs = [ (Expr.Count_star, "n"); (Expr.Sum b, "s") ];
-               input = filtered };
+               aggs =
+                 [ (Expr.Count_star, "n"); (Expr.Sum b, "s");
+                   (Expr.Avg b, "v"); (Expr.Min b, "lo") ];
+               input = sort_on "R" "a" filtered };
            Exec.Plan.Hash_distinct (Exec.Plan.Project ([ (a, "a") ], filtered))
          ]
        in

@@ -124,7 +124,19 @@ let test_binder_ambiguity_and_errors () =
   fails "SELECT did FROM Emp, Dept";
   fails "SELECT nosuch FROM Emp";
   fails "SELECT * FROM NoTable";
-  fails "SELECT sal FROM Emp GROUP BY did"
+  fails "SELECT sal FROM Emp GROUP BY did";
+  (* ill-typed arithmetic, in a select list, a derived table and a
+     grouped block's namespace *)
+  let ill_typed sql =
+    match bind sql with
+    | exception Sql.Binder.Error m ->
+      Alcotest.(check string) (sql ^ ": stage") "type error"
+        (String.sub m 0 (min 10 (String.length m)))
+    | _ -> Alcotest.fail ("should not bind: " ^ sql)
+  in
+  ill_typed "SELECT Emp.name + 1 FROM Emp";
+  ill_typed "SELECT V.x FROM (SELECT name - 1 AS x FROM Emp) AS V";
+  ill_typed "SELECT did, COUNT(*) * did + name FROM Emp GROUP BY did, name"
 
 let test_binder_views () =
   let block =
