@@ -319,10 +319,18 @@ let agg_combine st st' =
        else if Value.is_null st'.maxv then st.maxv
        else if Value.compare st.maxv st'.maxv >= 0 then st.maxv else st'.maxv) }
 
-(* Result type of an aggregate, given its argument type. *)
+(* Result type of an aggregate, given its argument type.  SUM and AVG of
+   a string or bool raise [Type_error]: the aggregation would skip every
+   such value yet count it. *)
 let agg_ty (a : agg) (arg_ty : Value.ty option) : Value.ty =
   match a, arg_ty with
   | (Count_star | Count _), _ -> Value.Tint
+  | (Sum _ | Avg _), Some ((Value.Tstring | Value.Tbool) as ty) ->
+    raise
+      (Type_error
+         (Printf.sprintf "%s of %s"
+            (match a with Sum _ -> "SUM" | _ -> "AVG")
+            (Value.ty_name ty)))
   | Sum _, Some Value.Tfloat -> Value.Tfloat
   | Sum _, _ -> Value.Tint
   | Avg _, _ -> Value.Tfloat

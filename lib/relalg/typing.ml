@@ -42,4 +42,6 @@ let rec infer (schema : Schema.t) (e : Expr.t) : Value.ty =
 
 let infer_agg (schema : Schema.t) (a : Expr.agg) : Value.ty =
   let arg_ty = Option.map (infer schema) (Expr.agg_arg a) in
-  Expr.agg_ty a arg_ty
+  match Expr.agg_ty a arg_ty with
+  | ty -> ty
+  | exception Expr.Type_error m -> raise (Error m)

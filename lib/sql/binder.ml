@@ -244,18 +244,24 @@ and bind_block env (outer : scope list) (s : Ast.select) : Q.block =
         List.map (fun (e, d) -> (bind_expr env scopes e, d)) s.Ast.order_by }
   end
   else begin
-    (* grouped query: normalize onto key/agg aliases *)
+    (* grouped query: normalize onto key/agg aliases; a column key is
+       named after its column unless an earlier key took that name
+       (E.did and D.did) *)
     let keys =
-      List.map
-        (fun ge ->
-           let bound = bind_expr env scopes ge in
-           let name =
-             match bound with
-             | Expr.Col c -> c.Expr.col
-             | _ -> Q.fresh_alias "key"
-           in
-           (bound, name))
-        s.Ast.group_by
+      List.rev
+        (List.fold_left
+           (fun keys ge ->
+              let bound = bind_expr env scopes ge in
+              let name =
+                match bound with
+                | Expr.Col c
+                  when not (List.exists (fun (_, a) -> a = c.Expr.col) keys)
+                  ->
+                  c.Expr.col
+                | _ -> Q.fresh_alias "key"
+              in
+              (bound, name) :: keys)
+           [] s.Ast.group_by)
     in
     let aggs = ref [] in
     let agg_ref fn arg =
@@ -315,6 +321,7 @@ and bind_block env (outer : scope list) (s : Ast.select) : Q.block =
              let name =
                match alias, bound, e with
                | Some a, _, _ -> a
+               | None, Expr.Col { Expr.rel = ""; _ }, Ast.Column (_, n) -> n
                | None, Expr.Col { Expr.rel = ""; col }, _ -> col
                | None, _, _ -> Q.fresh_alias "col"
              in
@@ -356,7 +363,8 @@ and bind_block env (outer : scope list) (s : Ast.select) : Q.block =
    are not, values of any type compare — against the columns in scope
    (all alias-qualified, innermost first, as resolution searches them),
    and a grouped block's select, HAVING and ORDER BY against its keys
-   and aggregates.  Subquery blocks were checked when they were bound. *)
+   and aggregates.  SUM and AVG take numbers only.  Subquery blocks were
+   checked when they were bound. *)
 and check_block (outer : scope list) (b : Q.block) : unit =
   (* the schemas are built only when an arithmetic subterm needs them *)
   let check (schema : Schema.t Lazy.t) e =
@@ -390,7 +398,17 @@ and check_block (outer : scope list) (b : Q.block) : unit =
   List.iter (check_pred inner) b.Q.where;
   List.iter (fun (oj : Q.outerjoin) -> check inner oj.Q.o_pred) b.Q.outerjoins;
   List.iter (fun (e, _) -> check inner e) b.Q.group_by;
-  List.iter (fun (a, _) -> Option.iter (check inner) (Expr.agg_arg a)) b.Q.aggs;
+  List.iter
+    (fun (a, _) ->
+       Option.iter (check inner) (Expr.agg_arg a);
+       match a with
+       | Expr.Sum _ | Expr.Avg _ -> (
+         match Typing.infer_agg (Lazy.force inner) a with
+         | _ -> ()
+         | exception (Typing.Error m | Failure m) ->
+           err "type error: %s in %a" m Expr.pp_agg a)
+       | Expr.Count_star | Expr.Count _ | Expr.Min _ | Expr.Max _ -> ())
+    b.Q.aggs;
   let grouped =
     if b.Q.group_by = [] && b.Q.aggs = [] then inner
     else

@@ -5,7 +5,18 @@
    cardinality plus per-column statistics keyed by (alias, column).  It is a
    *logical* property: every plan for the same expression shares it (5.2's
    logical-vs-physical distinction), which is why the optimizers attach it
-   to memo groups, not to plans. *)
+   to memo groups, not to plans.
+
+   A join's summary does not copy its inputs' columns: it links them
+   ([Concat]), so deriving a subset costs the same however many columns
+   its relations carry.  Nor does it rewrite their distinct counts: every
+   summary holds a cap, and a lookup bounds a column's distinct count by
+   the least cap on the path down to it.  That equals capping each column
+   at every derivation, as [Float.min] is associative and commutative.
+   Column order is the order of a concatenated schema (left input first);
+   [find_col] returns the first match in it and [distinct] reads its first
+   four columns.  Each summary carries its tuple width, so [pages] does
+   not walk a schema. *)
 
 open Relalg
 
@@ -13,9 +24,14 @@ type col_key = string * string (* alias, column *)
 
 type rel_stats = {
   card : float;
-  schema : Schema.t; (* used for width/pages of intermediate streams *)
-  cols : (col_key * Table_stats.col_stats) list;
+  ndv_cap : float; (* bound on the distinct count of every column below *)
+  width : int; (* [Storage.Page.tuple_width] of the stream's schema *)
+  cols : cols;
 }
+
+and cols =
+  | Cols of Schema.t * (col_key * Table_stats.col_stats) list
+  | Concat of rel_stats * rel_stats
 
 (* Estimation assumptions, the knobs exercised by experiment E10. *)
 type assumption = {
@@ -32,30 +48,84 @@ let default_sel = 1. /. 3.
 
 let pages (r : rel_stats) : float =
   float_of_int
-    (Storage.Page.pages_for ~rows:(int_of_float (Float.round r.card)) r.schema)
+    (Storage.Page.pages_for_width
+       ~rows:(int_of_float (Float.round r.card)) r.width)
 
 let of_table (ts : Table_stats.t) ~alias ~(schema : Schema.t) : rel_stats =
   { card = ts.Table_stats.rows;
-    schema;
+    ndv_cap = infinity;
+    width = Storage.Page.tuple_width schema;
     cols =
-      List.map (fun (name, cs) -> ((alias, name), cs)) ts.Table_stats.cols }
+      Cols
+        ( schema,
+          List.map
+            (fun (name, cs) -> ((alias, name), cs))
+            ts.Table_stats.cols ) }
 
-(* A scan with two string comparisons per column: the join enumerator
-   looks columns up for every subset it derives, and [List.assoc_opt] on
-   a (rel, col) key pays an allocation and a polymorphic compare. *)
+let rec schema (r : rel_stats) : Schema.t =
+  match r.cols with
+  | Cols (s, _) -> s
+  | Concat (l, rr) -> Schema.concat (schema l) (schema rr)
+
+(* A column's statistics under a distinct-count cap; the record is shared
+   when the cap does not bind. *)
+let cap_col cap (cs : Table_stats.col_stats) =
+  let nd = Float.min cs.Table_stats.n_distinct cap in
+  if Float.equal nd cs.Table_stats.n_distinct then cs
+  else { cs with Table_stats.n_distinct = nd }
+
+let columns (r : rel_stats) : (col_key * Table_stats.col_stats) list =
+  let rec go cap r acc =
+    let cap = Float.min cap r.ndv_cap in
+    match r.cols with
+    | Cols (_, cs) ->
+      List.fold_right (fun (k, c) acc -> (k, cap_col cap c) :: acc) cs acc
+    | Concat (l, rr) -> go cap l (go cap rr acc)
+  in
+  go infinity r []
+
+(* The least cap on the path to a found column, gathered on the way back
+   up; a float-only record, so updating it allocates nothing. *)
+type path_cap = { mutable cap : float }
+
+(* The join enumerator looks columns up for every subset it derives, so
+   the walk allocates only the result: two string comparisons per
+   column, no [List.assoc_opt] key and no boxed float argument. *)
+let rec find_in pc rel col (r : rel_stats) =
+  let found =
+    match r.cols with
+    | Cols (_, cs) -> scan rel col cs
+    | Concat (l, rr) -> (
+      match find_in pc rel col l with
+      | None -> find_in pc rel col rr
+      | found -> found)
+  in
+  (match found with
+   | Some _ -> pc.cap <- Float.min pc.cap r.ndv_cap
+   | None -> ());
+  found
+
+and scan rel col = function
+  | [] -> None
+  | ((a, n), cs) :: rest ->
+    if String.equal n col && String.equal a rel then Some cs
+    else scan rel col rest
+
 let find_col (r : rel_stats) (c : Expr.col_ref) : Table_stats.col_stats option
   =
-  let rec find rel = function
-    | [] -> None
-    | ((a, n), cs) :: rest ->
-      if String.equal n c.Expr.col && String.equal a rel then Some cs
-      else find rel rest
+  let pc = { cap = infinity } in
+  let found =
+    match find_in pc c.Expr.rel c.Expr.col r with
+    | Some _ as found -> found
+    | None ->
+      (* unqualified output columns of projections/aggregations *)
+      find_in pc "" c.Expr.col r
   in
-  match find c.Expr.rel r.cols with
-  | Some cs -> Some cs
-  | None ->
-    (* unqualified output columns of projections/aggregations *)
-    find "" r.cols
+  match found with
+  | Some cs ->
+    let capped = cap_col pc.cap cs in
+    if capped == cs then found else Some capped
+  | None -> None
 
 let const_float (e : Expr.t) : float option =
   match e with
@@ -191,18 +261,6 @@ and sel ?join_memo asm r (e : Expr.t) : float =
 (* ------------------------------------------------------------------ *)
 (* Propagation through operators *)
 
-(* Cap every column's distinct count at the cardinality.  A column the cap
-   does not bind keeps its existing pair, so derived subsets share column
-   records instead of rebuilding them. *)
-let cap_distinct card cols =
-  let cap = Float.max 1. card in
-  List.map
-    (fun ((k, cs) as kc) ->
-       let nd = Float.min cs.Table_stats.n_distinct cap in
-       if Float.equal nd cs.Table_stats.n_distinct then kc
-       else (k, { cs with Table_stats.n_distinct = nd }))
-    cols
-
 (* Clamp a derived cardinality to at least one row when the input is
    nonempty; an estimate of exactly zero is reserved for provably empty
    inputs.  Complement selectivities (NOT, <>) and histogram range
@@ -290,16 +348,17 @@ let apply_select ?(asm = default_assumption) (r : rel_stats) (e : Expr.t) :
     in
     ((alias, col), { cs with Table_stats.hist = new_hist })
   in
-  let cols = List.map restrict r.cols in
-  { r with card; cols = cap_distinct card cols }
+  let cols = List.map restrict (columns r) in
+  { card; ndv_cap = Float.max 1. card; width = r.width;
+    cols = Cols (schema r, cols) }
 
 let join ?(asm = default_assumption) ?join_memo (kind : Algebra.join_kind)
     (l : rel_stats) (rr : rel_stats) (pred : Expr.t) : rel_stats =
-  let combined_cols = l.cols @ rr.cols in
   let combined =
     { card = l.card *. rr.card;
-      schema = Schema.concat l.schema rr.schema;
-      cols = combined_cols }
+      ndv_cap = infinity;
+      width = l.width + rr.width - Storage.Page.tuple_header;
+      cols = Concat (l, rr) }
   in
   let s = selectivity ~asm ?join_memo combined pred in
   let inner_card = Float.max 0. (l.card *. rr.card *. s) in
@@ -310,25 +369,20 @@ let join ?(asm = default_assumption) ?join_memo (kind : Algebra.join_kind)
     if provably_false pred then inner_card
     else floor_one combined.card inner_card
   in
-  let card, schema =
-    match kind with
-    | Algebra.Inner -> (inner_card, combined.schema)
-    | Algebra.Left_outer -> (Float.max inner_card l.card, combined.schema)
-    | Algebra.Semi ->
-      (* floor at one row: saturating to an exact zero would claim the
-         output is provably empty, which the independence assumption
-         cannot establish (the q-error oracle treats est=0/act>0 as a
-         contradiction) *)
-      (floor_one l.card (Float.min l.card inner_card), l.schema)
-    | Algebra.Anti ->
-      (floor_one l.card (l.card -. Float.min l.card inner_card), l.schema)
+  let capped r card =
+    { r with card; ndv_cap = Float.min r.ndv_cap (Float.max 1. card) }
   in
-  let cols =
-    match kind with
-    | Algebra.Semi | Algebra.Anti -> l.cols
-    | Algebra.Inner | Algebra.Left_outer -> combined_cols
-  in
-  { card; schema; cols = cap_distinct card cols }
+  match kind with
+  | Algebra.Inner -> capped combined inner_card
+  | Algebra.Left_outer -> capped combined (Float.max inner_card l.card)
+  | Algebra.Semi ->
+    (* floor at one row: saturating to an exact zero would claim the
+       output is provably empty, which the independence assumption
+       cannot establish (the q-error oracle treats est=0/act>0 as a
+       contradiction) *)
+    capped l (floor_one l.card (Float.min l.card inner_card))
+  | Algebra.Anti ->
+    capped l (floor_one l.card (l.card -. Float.min l.card inner_card))
 
 let group (r : rel_stats) ~(keys : (Expr.t * string) list)
     ~(aggs : (Expr.agg * string) list) : rel_stats =
@@ -342,24 +396,22 @@ let group (r : rel_stats) ~(keys : (Expr.t * string) list)
     else
       Float.min r.card (List.fold_left (fun acc k -> acc *. key_ndv k) 1. keys)
   in
+  let input = schema r in
   let schema =
     List.map
       (fun (e, a) ->
-         Schema.column ~rel:"" ~name:a ~ty:(Typing.infer r.schema e))
+         Schema.column ~rel:"" ~name:a ~ty:(Typing.infer input e))
       keys
     @ List.map
         (fun (g, a) ->
-           Schema.column ~rel:"" ~name:a ~ty:(Typing.infer_agg r.schema g))
+           Schema.column ~rel:"" ~name:a ~ty:(Typing.infer_agg input g))
         aggs
   in
   let cols =
     List.filter_map
       (fun (e, a) ->
          match e with
-         | Expr.Col c -> (
-           match find_col r c with
-           | Some cs -> Some (("", a), { cs with Table_stats.hist = cs.Table_stats.hist })
-           | None -> None)
+         | Expr.Col c -> Option.map (fun cs -> (("", a), cs)) (find_col r c)
          | _ -> None)
       keys
   in
@@ -369,13 +421,15 @@ let group (r : rel_stats) ~(keys : (Expr.t * string) list)
   let card =
     if keys <> [] && r.card <= 0. then 0. else Float.max 1. groups
   in
-  { card; schema; cols = cap_distinct groups cols }
+  { card; ndv_cap = Float.max 1. groups;
+    width = Storage.Page.tuple_width schema; cols = Cols (schema, cols) }
 
 let project (r : rel_stats) (items : (Expr.t * string) list) : rel_stats =
+  let input = schema r in
   let schema =
     List.map
       (fun (e, a) ->
-         Schema.column ~rel:"" ~name:a ~ty:(Typing.infer r.schema e))
+         Schema.column ~rel:"" ~name:a ~ty:(Typing.infer input e))
       items
   in
   let cols =
@@ -387,14 +441,16 @@ let project (r : rel_stats) (items : (Expr.t * string) list) : rel_stats =
          | _ -> None)
       items
   in
-  { r with schema; cols }
+  (* the columns already carry [r]'s caps, and a second application of
+     the same cap changes nothing *)
+  { r with width = Storage.Page.tuple_width schema; cols = Cols (schema, cols) }
 
 let distinct (r : rel_stats) : rel_stats =
   let ndv_all =
     List.fold_left
       (fun acc (_, cs) -> acc *. Float.max 1. cs.Table_stats.n_distinct)
       1.
-      (List.filteri (fun i _ -> i < 4) r.cols)
+      (List.filteri (fun i _ -> i < 4) (columns r))
   in
   let card = Float.min r.card (Float.max 1. ndv_all) in
-  { r with card; cols = cap_distinct card r.cols }
+  { r with card; ndv_cap = Float.min r.ndv_cap (Float.max 1. card) }

@@ -3,7 +3,13 @@
 
     A {!rel_stats} is the statistical summary of one data stream — a
     *logical* property shared by every plan for the same expression (the
-    logical/physical distinction of Section 5.2). *)
+    logical/physical distinction of Section 5.2).
+
+    A join's summary links its two inputs instead of copying their
+    columns, and caps distinct counts when a column is looked up rather
+    than when the summary is built, so one derivation allocates the same
+    few words however many columns its inputs carry.  Read columns
+    through {!find_col} and {!columns}, which apply the caps. *)
 
 open Relalg
 
@@ -11,9 +17,20 @@ type col_key = string * string  (** (alias, column) *)
 
 type rel_stats = {
   card : float;
-  schema : Schema.t;  (** used for width/pages of intermediate streams *)
-  cols : (col_key * Table_stats.col_stats) list;
+  ndv_cap : float;
+      (** upper bound on the distinct count of every column in [cols],
+          including those of linked inputs *)
+  width : int;  (** [Storage.Page.tuple_width] of the stream's schema *)
+  cols : cols;
 }
+
+(** The stream's columns, in the order of its schema. *)
+and cols =
+  | Cols of Schema.t * (col_key * Table_stats.col_stats) list
+      (** a base table, or the output of a selection, projection or
+          grouping *)
+  | Concat of rel_stats * rel_stats
+      (** a join: the left input's columns, then the right's *)
 
 (** Estimation assumptions (exercised by experiment E10). *)
 type assumption = {
@@ -34,7 +51,16 @@ val pages : rel_stats -> float
 (** Summary of a base table under a query alias. *)
 val of_table : Table_stats.t -> alias:string -> schema:Schema.t -> rel_stats
 
+(** The stream's schema (built by concatenation for a join). *)
+val schema : rel_stats -> Schema.t
+
+(** Statistics of a column: the first [(alias, column)] match in column
+    order, else the first unqualified [("", column)] one, with every cap
+    on its path applied. *)
 val find_col : rel_stats -> Expr.col_ref -> Table_stats.col_stats option
+
+(** Every column in order, caps applied. *)
+val columns : rel_stats -> (col_key * Table_stats.col_stats) list
 
 (** Predicate selectivity in [0, 1].  [join_memo] serves the histogram
     joins of equi-join conjuncts from a per-query memo; the estimate is

@@ -186,7 +186,8 @@ let est_range t ?lo ?hi () =
    (r1 * r2) / max(d1, d2) — the containment assumption.  Returns estimated
    join result rows (not selectivity).
 
-   The merged boundary set is sorted once and walked as a sweep: the
+   The merged boundary set is built once, by merging the two sides'
+   sorted bounds ([merged_bounds]), and walked as a sweep: the
    intervals are [b_i, b_(i+1)) for consecutive bounds, each half-open
    (its top shrunk by a relative 1e-9) to halve double-counting at shared
    boundaries, plus a closing degenerate [b_last, b_last] — the only
@@ -244,8 +245,9 @@ let sorted_by_lo t =
    that may still overlap an interval. *)
 type cursor = { mutable b0 : int; mutable s0 : int }
 
-(* Accumulate [t]'s mass inside [lo_v, hi_v] into [m] (reset first). *)
-let side_mass ~ordered t c m ~lo_v ~hi_v =
+(* Accumulate [t]'s mass inside [lo_v, hi_v] into [m] (reset first).
+   Inlined: a call would box both bounds, twice per interval. *)
+let[@inline] side_mass ~ordered t c m ~lo_v ~hi_v =
   m.rows <- 0.;
   m.dist <- 0.;
   let bs = t.buckets and ss = t.singletons in
@@ -268,20 +270,93 @@ let side_mass ~ordered t c m ~lo_v ~hi_v =
     incr j
   done
 
-let join_rows (a : t) (b : t) : float =
-  (* a's buckets, a's singletons, then b's: the order the bounds have
-     always been sorted in, so [sort_uniq] keeps the same one of two
-     equal bounds (0. and -0.) *)
+(* The merged boundary set, sorted and deduplicated under [Float.compare]:
+   a's buckets, a's singletons, then b's, in the order the bounds have
+   always been sorted in, so [sort_uniq] keeps the same one of two equal
+   bounds (0. and -0.). *)
+let sorted_bounds a b =
   let bounds_of t acc =
     Array.fold_right
       (fun bk acc -> bk.lo :: bk.hi :: acc)
       t.buckets
       (Array.fold_right (fun (v, _) acc -> v :: v :: acc) t.singletons acc)
   in
-  let bounds =
-    Array.of_list (List.sort_uniq Float.compare (bounds_of a (bounds_of b [])))
+  Array.of_list (List.sort_uniq Float.compare (bounds_of a (bounds_of b [])))
+
+(* The same bounds, as the first [n] slots of the returned array, by
+   merging four already-sorted sequences — each side's bucket bounds (lo,
+   hi, lo, hi, ...) and its singleton values — with no list and no sort.
+   Every constructor's histogram qualifies.  Raises [Exit] when a
+   sequence is out of order (the merged output would step down), holds a
+   NaN, or when two equal bounds differ in their bits (0. and -0.): which
+   one [sort_uniq] keeps depends on its merge tree, so those inputs take
+   [sorted_bounds]. *)
+let merged_bounds a b =
+  let ba = a.buckets and sa = a.singletons
+  and bb = b.buckets and sb = b.singletons in
+  let na = 2 * Array.length ba and nsa = Array.length sa
+  and nb = 2 * Array.length bb and nsb = Array.length sb in
+  let out = Array.create_float (na + nsa + nb + nsb) in
+  let n = ref 0 in
+  let i = ref 0 and j = ref 0 and k = ref 0 and l = ref 0 in
+  while !i < na || !j < nsa || !k < nb || !l < nsb do
+    (* the least head; a tie goes to the earlier sequence, though an
+       accepted tie has equal bits and so either would do *)
+    let src = ref 0 and v = ref 0. in
+    if !i < na then begin
+      let bk = ba.(!i lsr 1) in
+      src := 1;
+      v := if !i land 1 = 0 then bk.lo else bk.hi
+    end;
+    if !j < nsa then begin
+      let x = fst sa.(!j) in
+      if !src = 0 || x < !v then begin
+        src := 2;
+        v := x
+      end
+    end;
+    if !k < nb then begin
+      let bk = bb.(!k lsr 1) in
+      let x = if !k land 1 = 0 then bk.lo else bk.hi in
+      if !src = 0 || x < !v then begin
+        src := 3;
+        v := x
+      end
+    end;
+    if !l < nsb then begin
+      let x = fst sb.(!l) in
+      if !src = 0 || x < !v then begin
+        src := 4;
+        v := x
+      end
+    end;
+    (match !src with
+     | 1 -> incr i
+     | 2 -> incr j
+     | 3 -> incr k
+     | _ -> incr l);
+    let v = !v in
+    (* with NaN ruled out, [<] and [=] order as [Float.compare] does *)
+    if Float.is_nan v then raise Exit;
+    if !n = 0 || out.(!n - 1) < v then begin
+      out.(!n) <- v;
+      incr n
+    end
+    else if out.(!n - 1) > v then raise Exit
+    else if
+      not
+        (Int64.equal (Int64.bits_of_float out.(!n - 1)) (Int64.bits_of_float v))
+    then raise Exit
+  done;
+  (out, !n)
+
+let join_rows (a : t) (b : t) : float =
+  let bounds, n =
+    try merged_bounds a b
+    with Exit ->
+      let bounds = sorted_bounds a b in
+      (bounds, Array.length bounds)
   in
-  let n = Array.length bounds in
   (* the pointers also need finite bounds: a shrunk +infinity is NaN,
      which no comparison can stop at ([Float.compare] sorts NaN first) *)
   let ordered =

@@ -17,8 +17,12 @@ let tuple_width (schema : Relalg.Schema.t) =
   tuple_header
   + List.fold_left (fun acc c -> acc + value_width c.Relalg.Schema.ty) 0 schema
 
-let tuples_per_page schema = max 1 (page_size / tuple_width schema)
+let per_page width = max 1 (page_size / width)
 
-let pages_for ~rows schema =
-  if rows = 0 then 1
-  else (rows + tuples_per_page schema - 1) / tuples_per_page schema
+let tuples_per_page schema = per_page (tuple_width schema)
+
+let pages_for_width ~rows width =
+  let per_page = per_page width in
+  if rows = 0 then 1 else (rows + per_page - 1) / per_page
+
+let pages_for ~rows schema = pages_for_width ~rows (tuple_width schema)

@@ -18,3 +18,6 @@ val tuples_per_page : Relalg.Schema.t -> int
 
 (** Pages needed for [rows] tuples (at least 1). *)
 val pages_for : rows:int -> Relalg.Schema.t -> int
+
+(** [pages_for] given the schema's {!tuple_width} instead of the schema. *)
+val pages_for_width : rows:int -> int -> int

@@ -199,24 +199,22 @@ let cheapest (cands : t list) : t option =
    [total] is the cost including the enforcer. *)
 type ordered = { src : t; total : float; sorted : bool }
 
+(* The first candidate delivering [want]. *)
+let rec satisfying want = function
+  | [] -> raise_notrace Not_found
+  | c :: rest ->
+    if Cost.Physical_props.satisfies ~have:c.order ~want then c
+    else satisfying want rest
+
 let cheapest_ordered ~params ~rows ~pages ~want (cands : t list) :
   ordered option =
   match cands with
   | [] -> None
-  | head :: _ ->
-    let enforced =
-      { src = head;
-        total = head.cost +. Cost.Cost_model.sort params ~pages ~rows;
-        sorted = true }
-    in
-    (match
-       List.find_opt
-         (fun c -> Cost.Physical_props.satisfies ~have:c.order ~want)
-         cands
-     with
-     | Some d when d.cost <= enforced.total ->
-       Some { src = d; total = d.cost; sorted = false }
-     | _ -> Some enforced)
+  | head :: _ -> (
+    let total = head.cost +. Cost.Cost_model.sort params ~pages ~rows in
+    match satisfying want cands with
+    | d when d.cost <= total -> Some { src = d; total = d.cost; sorted = false }
+    | _ | (exception Not_found) -> Some { src = head; total; sorted = true })
 
 let ordered_order ~want (o : ordered) = if o.sorted then want else o.src.order
 

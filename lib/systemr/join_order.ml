@@ -336,14 +336,13 @@ let crossing_preds ctx ~left ~right =
   done;
   !acc
 
-(* The crossing conjuncts of a split, in conjunct order: all of them, the
-   join keys of the equi conjuncts, and the non-equi residual. *)
+(* The crossing conjuncts of a split, in conjunct order: the join keys of
+   the equi conjuncts, and the non-equi residual. *)
 let split_conjuncts ctx ~left ~right =
-  let preds = ref [] and keys = ref [] and residual = ref [] in
+  let keys = ref [] and residual = ref [] in
   for k = Array.length ctx.conjs - 1 downto 0 do
     let c = ctx.conjs.(k) in
     if crosses ~left ~right c.mask then begin
-      preds := c.pred :: !preds;
       match c.kind with
       | Equi { lbit; fwd; bwd } ->
         keys := (if lbit land left <> 0 then fwd else bwd) :: !keys
@@ -359,24 +358,43 @@ let split_conjuncts ctx ~left ~right =
         want_l = List.concat_map (fun k -> k.want_l) ks;
         want_r = List.concat_map (fun k -> k.want_r) ks }
   in
-  (!preds, keys, !residual)
+  (keys, !residual)
 
 (* Union of the neighbor masks of [mask]'s relations, minus [mask]. *)
 let neighbor_mask ctx mask =
-  fold_bits (fun acc i -> acc lor ctx.neighbors.(i)) 0 mask land lnot mask
+  let acc = ref 0 and m = ref mask and i = ref 0 in
+  while !m <> 0 do
+    if !m land 1 = 1 then acc := !acc lor ctx.neighbors.(!i);
+    m := !m lsr 1;
+    incr i
+  done;
+  !acc land lnot mask
 
 (* Does any conjunct cross (m1, m2) while staying contained in the union?
    Binary conjuncts reduce to one adjacency [land]; hyperedges still need
    the containment check. *)
 let connected_masks ctx m1 m2 =
   neighbor_mask ctx m1 land m2 <> 0
-  || (ctx.hyper <> [||]
+  || (Array.length ctx.hyper > 0
       &&
       let union = m1 lor m2 in
       Array.exists
         (fun hm ->
            hm land m1 <> 0 && hm land m2 <> 0 && hm land lnot union = 0)
         ctx.hyper)
+
+(* The relations [r] outside [mask] with [connected_masks ctx mask (1 lsl
+   r)], as one mask: neighbors, plus the one relation a hyperedge misses
+   when it misses exactly one. *)
+let connected_exts ctx mask =
+  let acc = ref (neighbor_mask ctx mask) in
+  for h = 0 to Array.length ctx.hyper - 1 do
+    let hm = ctx.hyper.(h) in
+    let r = hm land lnot mask in
+    if hm land mask <> 0 && r <> 0 && r land (r - 1) = 0 then
+      acc := !acc lor r
+  done;
+  !acc
 
 (* Is [mask] connected under the conjuncts contained in it?  A necessary
    condition for the subset to have any join candidate at all (an
@@ -549,9 +567,12 @@ let admit ctx ~bound (out : entry) cost order =
   if cost > bound then
     match order with
     | _ :: _ when interesting_orders ->
-      emit ctx (fun () ->
-          Obs.Trace.Order_retained
-            { order = Cost.Physical_props.to_string order; cost; bound });
+      (match ctx.trace with
+       | None -> ()
+       | Some sink ->
+         sink
+           (Obs.Trace.Order_retained
+              { order = Cost.Physical_props.to_string order; cost; bound }));
       not (Candidate.dominated ~interesting_orders out.frontier ~cost ~order)
     | _ ->
       ctx.plans_pruned <- ctx.plans_pruned + 1;
@@ -573,7 +594,8 @@ let rec nl_each ctx ~bound out ~pred ~(rc : Candidate.t) ~materialize ~rescan
     if admit ctx ~bound out cost lc.Candidate.order then
       push ctx out
         (Exec.Plan.Nested_loop
-           { kind = Algebra.Inner; pred; outer = lc.Candidate.plan;
+           { kind = Algebra.Inner; pred = Lazy.force pred;
+             outer = lc.Candidate.plan;
              inner =
                (if materialize then Exec.Plan.Materialize rc.Candidate.plan
                 else rc.Candidate.plan) })
@@ -609,6 +631,112 @@ let rec hj_each ctx ~bound out ~pairs ~residual ~(rc : Candidate.t) ~build =
         cost lc.Candidate.order;
     hj_each ctx ~bound out ~pairs ~residual ~rc ~build rest
 
+(* What every candidate of one split shares, worked out once for it. *)
+type split = {
+  left : entry;
+  right : entry;
+  right_base : int option;  (* the right side's relation, when it is one *)
+  keys : keys;
+  residual_list : Expr.t list;  (* the non-equi crossing conjuncts *)
+  residual : Expr.t;
+  nl_pred : Expr.t Lazy.t;  (* every crossing conjunct *)
+}
+
+(* Index nested loops probing each index of base relation [ri] whose key
+   prefix the split's equi pairs cover. *)
+let rec inl_cands ctx ~bound out (sp : split) ri = function
+  | [] -> ()
+  | { index = idx; ndv } :: rest ->
+    (match covered sp.keys.pairs idx.Storage.Btree.columns with
+     | [] -> ()
+     | cov ->
+       let columns = List.map fst cov in
+       let probed =
+         lazy
+           ( List.map (fun (_, l) -> Expr.Col l) cov,
+             Pred.of_conjuncts
+               (List.filter_map
+                  (fun ((l : Expr.col_ref), (r : Expr.col_ref)) ->
+                     if List.mem r.Expr.col columns then None
+                     else Some (Expr.Cmp (Expr.Eq, Expr.Col l, Expr.Col r)))
+                  sp.keys.pairs
+                @ sp.residual_list @ ctx.locals.(ri)) )
+       in
+       let info = ctx.info.(ri) in
+       inl_each ctx ~bound out ~rel:ctx.rels.(ri)
+         ~index:idx.Storage.Btree.name ~columns ~probed
+         ~probe:
+           (Cost.Cost_model.index_nl ctx.cfg.params
+              ~outer_rows:sp.left.stats.Stats.Derive.card
+              ~inner_rows:info.rows ~inner_pages:info.pages
+              ~matches_per_probe:(info.rows /. ndv.(List.length cov - 1))
+              ~clustered:idx.Storage.Btree.clustered)
+         sp.left.frontier.Candidate.cands);
+    inl_cands ctx ~bound out sp ri rest
+
+(* The merge join of the cheapest inputs delivering the key orders,
+   sort enforcers priced in. *)
+let smj_cand ctx ~bound out (sp : split) =
+  let p = ctx.cfg.params and { pairs; want_l; want_r } = sp.keys in
+  let lrows = sp.left.stats.Stats.Derive.card
+  and rrows = sp.right.stats.Stats.Derive.card in
+  match
+    ( Candidate.cheapest_ordered ~params:p ~rows:lrows ~pages:sp.left.pages
+        ~want:want_l sp.left.frontier.Candidate.cands,
+      Candidate.cheapest_ordered ~params:p ~rows:rrows ~pages:sp.right.pages
+        ~want:want_r sp.right.frontier.Candidate.cands )
+  with
+  | Some lo, Some ro ->
+    let cost =
+      lo.Candidate.total +. ro.Candidate.total
+      +. Cost.Cost_model.merge_join p ~left_rows:lrows ~right_rows:rrows
+           ~out_rows:out.stats.Stats.Derive.card
+    in
+    let order = Candidate.ordered_order ~want:want_l lo in
+    if admit ctx ~bound out cost order then
+      push ctx out
+        (Exec.Plan.Merge_join
+           { kind = Algebra.Inner; pairs; residual = sp.residual;
+             left = Candidate.ordered_plan ~want:want_l lo;
+             right = Candidate.ordered_plan ~want:want_r ro })
+        cost order
+  | _ -> ()
+
+(* The candidates of each configured method, in [methods] order. *)
+let rec method_cands ctx ~bound out (sp : split) = function
+  | [] -> ()
+  | m :: rest ->
+    let p = ctx.cfg.params in
+    let lrows = sp.left.stats.Stats.Derive.card
+    and rrows = sp.right.stats.Stats.Derive.card in
+    (match m, sp.right.frontier.Candidate.cands with
+     | Nl, rc :: _ ->
+       nl_each ctx ~bound out ~pred:sp.nl_pred ~rc
+         ~materialize:(sp.right_base = None)
+         ~rescan:
+           (match sp.right_base with
+            | Some _ ->
+              Cost.Cost_model.nested_loop p ~outer_rows:lrows
+                ~inner_rows:rrows ~inner_pages:sp.right.pages
+            | None -> p.Cost.Cost_model.cpu_tuple *. lrows *. rrows)
+         sp.left.frontier.Candidate.cands
+     | Inl, _ -> (
+       match sp.right_base with
+       | Some ri -> inl_cands ctx ~bound out sp ri ctx.info.(ri).probes
+       | None -> ())
+     | Smj, _ -> if sp.keys.pairs <> [] then smj_cand ctx ~bound out sp
+     | Hj, rc :: _ ->
+       if sp.keys.pairs <> [] then
+         hj_each ctx ~bound out ~pairs:sp.keys.pairs ~residual:sp.residual
+           ~rc
+           ~build:
+             (Cost.Cost_model.hash_join p ~left_rows:lrows ~right_rows:rrows
+                ~left_pages:sp.left.pages ~right_pages:sp.right.pages
+                ~out_rows:out.stats.Stats.Derive.card)
+           sp.left.frontier.Candidate.cands
+     | (Nl | Hj), [] -> ());
+    method_cands ctx ~bound out sp rest
+
 (* Cost every join candidate combining [left] (composite) with [right]
    (composite when bushy; [right_base] set when it is one base relation)
    and insert each into [out]'s frontier as it is priced.  What a split
@@ -617,91 +745,16 @@ let rec hj_each ctx ~bound out ~pairs ~residual ~(rc : Candidate.t) ~build =
    split, and only candidates the frontier keeps are built. *)
 let join_cands ?(bound = infinity) ctx ~(left : entry) ~left_mask
     ~(right : entry) ~right_mask ~right_base (out : entry) : unit =
-  let p = ctx.cfg.params in
-  let preds, { pairs; want_l; want_r }, residual_list =
+  let keys, residual_list =
     split_conjuncts ctx ~left:left_mask ~right:right_mask
   in
-  let residual = Pred.of_conjuncts residual_list in
-  let lrows = left.stats.Stats.Derive.card
-  and rrows = right.stats.Stats.Derive.card in
-  let out_rows = out.stats.Stats.Derive.card in
-  let lcands = left.frontier.Candidate.cands in
-  let inl ri =
-    let rel = ctx.rels.(ri) and info = ctx.info.(ri) in
-    List.iter
-      (fun { index = idx; ndv } ->
-         match covered pairs idx.Storage.Btree.columns with
-         | [] -> ()
-         | cov ->
-           let columns = List.map fst cov in
-           let probed =
-             lazy
-               ( List.map (fun (_, l) -> Expr.Col l) cov,
-                 Pred.of_conjuncts
-                   (List.filter_map
-                      (fun ((l : Expr.col_ref), (r : Expr.col_ref)) ->
-                         if List.mem r.Expr.col columns then None
-                         else Some (Expr.Cmp (Expr.Eq, Expr.Col l, Expr.Col r)))
-                      pairs
-                    @ residual_list @ ctx.locals.(ri)) )
-           in
-           inl_each ctx ~bound out ~rel ~index:idx.Storage.Btree.name ~columns
-             ~probed
-             ~probe:
-               (Cost.Cost_model.index_nl p ~outer_rows:lrows
-                  ~inner_rows:info.rows ~inner_pages:info.pages
-                  ~matches_per_probe:(info.rows /. ndv.(List.length cov - 1))
-                  ~clustered:idx.Storage.Btree.clustered)
-             lcands)
-      info.probes
-  in
-  let smj () =
-    match
-      ( Candidate.cheapest_ordered ~params:p ~rows:lrows ~pages:left.pages
-          ~want:want_l lcands,
-        Candidate.cheapest_ordered ~params:p ~rows:rrows ~pages:right.pages
-          ~want:want_r right.frontier.Candidate.cands )
-    with
-    | Some lo, Some ro ->
-      let cost =
-        lo.Candidate.total +. ro.Candidate.total
-        +. Cost.Cost_model.merge_join p ~left_rows:lrows ~right_rows:rrows
-             ~out_rows
-      in
-      let order = Candidate.ordered_order ~want:want_l lo in
-      if admit ctx ~bound out cost order then
-        push ctx out
-          (Exec.Plan.Merge_join
-             { kind = Algebra.Inner; pairs; residual;
-               left = Candidate.ordered_plan ~want:want_l lo;
-               right = Candidate.ordered_plan ~want:want_r ro })
-          cost order
-    | _ -> ()
-  in
-  List.iter
-    (fun m ->
-       match m, right.frontier.Candidate.cands with
-       | Nl, rc :: _ ->
-         nl_each ctx ~bound out ~pred:(Pred.of_conjuncts preds) ~rc
-           ~materialize:(right_base = None)
-           ~rescan:
-             (match right_base with
-              | Some _ ->
-                Cost.Cost_model.nested_loop p ~outer_rows:lrows
-                  ~inner_rows:rrows ~inner_pages:right.pages
-              | None -> p.Cost.Cost_model.cpu_tuple *. lrows *. rrows)
-           lcands
-       | Inl, _ -> Option.iter inl right_base
-       | Smj, _ -> if pairs <> [] then smj ()
-       | Hj, rc :: _ ->
-         if pairs <> [] then
-           hj_each ctx ~bound out ~pairs ~residual ~rc
-             ~build:
-               (Cost.Cost_model.hash_join p ~left_rows:lrows
-                  ~right_rows:rrows ~left_pages:left.pages
-                  ~right_pages:right.pages ~out_rows)
-             lcands
-       | (Nl | Hj), [] -> ())
+  method_cands ctx ~bound out
+    { left; right; right_base; keys; residual_list;
+      residual = Pred.of_conjuncts residual_list;
+      nl_pred =
+        lazy
+          (Pred.of_conjuncts
+             (crossing_preds ctx ~left:left_mask ~right:right_mask)) }
     ctx.cfg.methods
 
 (* ------------------------------------------------------------------ *)
@@ -745,40 +798,38 @@ let greedy_upper_bound ctx (q : Spj.t) : float =
       start_cost := c.Candidate.cost
     | _ -> ()
   done;
+  let full = (1 lsl n) - 1 in
   let mask = ref (1 lsl !start) and current = ref ctx.base.(!start) in
   (try
      for _ = 2 to n do
-       let exts =
-         List.filter
-           (fun i -> !mask land (1 lsl i) = 0)
-           (List.init n Fun.id)
-       in
-       let conn =
-         List.filter (fun i -> connected_masks ctx !mask (1 lsl i)) exts
-       in
-       let chosen = if ctx.cfg.allow_cross || conn = [] then exts else conn in
-       let step =
-         List.fold_left
-           (fun acc i ->
-              let rmask = 1 lsl i in
-              let union = !mask lor rmask in
-              let out = new_entry (stats_of ctx union) [] in
-              join_cands ctx ~left:!current ~left_mask:!mask
-                ~right:ctx.base.(i) ~right_mask:rmask ~right_base:(Some i) out;
-              match Candidate.cheapest out.frontier.Candidate.cands, acc with
-              | None, _ -> acc
-              | Some c, Some (_, _, bc) when c.Candidate.cost >= bc -> acc
-              | Some c, _ -> Some (union, out, c.Candidate.cost))
-           None chosen
-       in
-       match step with
+       let exts = full land lnot !mask in
+       let conn = connected_exts ctx !mask in
+       let chosen = if ctx.cfg.allow_cross || conn = 0 then exts else conn in
+       (* the cheapest extension; the first of equal costs wins *)
+       let step = ref None and step_cost = ref infinity in
+       for i = 0 to n - 1 do
+         let rmask = 1 lsl i in
+         if chosen land rmask <> 0 then begin
+           let union = !mask lor rmask in
+           let out = new_entry (stats_of ctx union) [] in
+           join_cands ctx ~bound:infinity ~left:!current ~left_mask:!mask
+             ~right:ctx.base.(i) ~right_mask:rmask ~right_base:(Some i) out;
+           match Candidate.cheapest out.frontier.Candidate.cands, !step with
+           | None, _ -> ()
+           | Some c, Some _ when c.Candidate.cost >= !step_cost -> ()
+           | Some c, _ ->
+             step := Some (union, out);
+             step_cost := c.Candidate.cost
+         end
+       done;
+       match !step with
        | None -> raise Exit
-       | Some (union, out, _) ->
+       | Some (union, out) ->
          mask := union;
          current := out
      done
    with Exit -> ());
-  if !mask = (1 lsl n) - 1 then finished_cost ctx q !current else infinity
+  if !mask = full then finished_cost ctx q !current else infinity
 
 let optimize_entry ?trace ?feedback ?(config = default_config) cat db
     (q : Spj.t) : ctx * entry =
@@ -844,9 +895,12 @@ let optimize_entry ?trace ?feedback ?(config = default_config) cat db
       in
       if lb > ub then begin
         ctx.plans_pruned <- ctx.plans_pruned + 1;
-        emit ctx (fun () ->
-            Obs.Trace.Prune
-              { left_mask; right_mask; lower_bound = lb; bound = ub })
+        match ctx.trace with
+        | None -> ()
+        | Some sink ->
+          sink
+            (Obs.Trace.Prune
+               { left_mask; right_mask; lower_bound = lb; bound = ub })
       end
       else
         join_cands ~bound:ub ctx ~left ~left_mask ~right ~right_mask
@@ -869,34 +923,41 @@ let optimize_entry ?trace ?feedback ?(config = default_config) cat db
     (* left-deep, by subset size; this pass creates only masks of size
        [size + 1], so the size-[size] list is complete.  Ascending mask
        order fixes candidate insertion order, which breaks cost ties. *)
-    let rels = List.init n Fun.id in
     for size = 1 to n - 1 do
-      let masks = List.sort Int.compare by_size.(size) in
+      let masks = Array.of_list by_size.(size) in
+      Array.sort Int.compare masks;
       at_level (size + 1) @@ fun () ->
-      List.iter
-        (fun mask ->
-           let left = Int_tbl.find entries mask in
-           let exts = List.filter (fun i -> mask land (1 lsl i) = 0) rels in
-           let connected_exts =
-             List.filter
-               (fun i ->
-                  if config.exhaustive then legacy_connected ctx mask (1 lsl i)
-                  else connected_masks ctx mask (1 lsl i))
-               exts
-           in
-           let chosen =
-             if config.allow_cross then exts
-             else if connected_exts <> [] then connected_exts
-             else exts (* rescue: disconnected graph needs a cross product *)
-           in
-           List.iter
-             (fun i ->
-                let rmask = 1 lsl i in
-                let out = ensure (mask lor rmask) in
-                consider ~left ~left_mask:mask ~right:ctx.base.(i)
-                  ~right_mask:rmask ~right_base:(Some i) out)
-             chosen)
-        masks
+      for k = 0 to Array.length masks - 1 do
+        let mask = masks.(k) in
+        let left = Int_tbl.find entries mask in
+        let exts = full land lnot mask in
+        let connected =
+          if config.exhaustive then begin
+            let c = ref 0 in
+            for i = 0 to n - 1 do
+              if exts land (1 lsl i) <> 0 && legacy_connected ctx mask (1 lsl i)
+              then c := !c lor (1 lsl i)
+            done;
+            !c
+          end
+          else connected_exts ctx mask
+        in
+        let chosen =
+          if config.allow_cross || connected = 0 then exts
+            (* rescue: disconnected graph needs a cross product *)
+          else connected
+        in
+        (* ascending relation order, as candidate insertion order breaks
+           cost ties *)
+        for i = 0 to n - 1 do
+          let rmask = 1 lsl i in
+          if chosen land rmask <> 0 then begin
+            let out = ensure (mask lor rmask) in
+            consider ~left ~left_mask:mask ~right:ctx.base.(i)
+              ~right_mask:rmask ~right_base:(Some i) out
+          end
+        done
+      done
     done
   end
   else begin

@@ -100,6 +100,9 @@ let check_predicate schema e =
 let infer_agg schema (a : Expr.agg) : Value.ty option * Diag.t list =
   match Expr.agg_arg a with
   | None -> (Some (Expr.agg_ty a None), [])
-  | Some arg ->
+  | Some arg -> (
     let ty, d = infer schema arg in
-    (Some (Expr.agg_ty a ty), d)
+    match Expr.agg_ty a ty with
+    | ty -> (Some ty, d)
+    | exception Expr.Type_error m ->
+      (None, d @ [ Diag.error ~code:"type-mismatch" m ]))

@@ -136,7 +136,11 @@ let test_binder_ambiguity_and_errors () =
   in
   ill_typed "SELECT Emp.name + 1 FROM Emp";
   ill_typed "SELECT V.x FROM (SELECT name - 1 AS x FROM Emp) AS V";
-  ill_typed "SELECT did, COUNT(*) * did + name FROM Emp GROUP BY did, name"
+  ill_typed "SELECT did, COUNT(*) * did + name FROM Emp GROUP BY did, name";
+  (* SUM and AVG of a string or bool: values the sum would skip *)
+  ill_typed "SELECT SUM(Emp.name) FROM Emp";
+  ill_typed "SELECT AVG(name) FROM Emp";
+  ill_typed "SELECT did, SUM(sal > 5) FROM Emp GROUP BY did"
 
 let test_binder_views () =
   let block =
@@ -160,7 +164,20 @@ let test_e2e_join () =
 
 let test_e2e_group () =
   check_against_interp "group"
-    "SELECT did, COUNT(*) AS n, SUM(sal) AS total FROM Emp GROUP BY did HAVING COUNT(*) > 3"
+    "SELECT did, COUNT(*) AS n, SUM(sal) AS total FROM Emp GROUP BY did HAVING COUNT(*) > 3";
+  (* two grouping keys with one column name *)
+  let same_name =
+    "SELECT E.did, D.did FROM Emp E, Dept D WHERE E.did = D.did \
+     GROUP BY E.did, D.did"
+  in
+  check_against_interp "keys named alike" same_name;
+  let r = run same_name in
+  Alcotest.(check (list string)) "output names" [ "did"; "did" ]
+    (List.map
+       (fun (c : Schema.column) -> c.Schema.name)
+       r.Exec.Executor.schema);
+  Alcotest.(check bool) "one row per department" true
+    (Array.length r.Exec.Executor.rows > 0)
 
 let test_e2e_nested_in () =
   check_against_interp "nested IN"

@@ -144,15 +144,17 @@ let restrict (h : Stats.Histogram.t) op v : Stats.Histogram.t =
       min_v = None; max_v = None; hist = Some h; sketch = None }
   in
   let r =
-    { Stats.Derive.card = Stats.Histogram.total h;
-      schema = [ Schema.column ~rel:"A" ~name:"x" ~ty:Value.Tfloat ];
-      cols = [ (("A", "x"), cs) ] }
+    Stats.Derive.of_table
+      { Stats.Table_stats.table = "A"; rows = Stats.Histogram.total h;
+        pages = 1; cols = [ ("x", cs) ] }
+      ~alias:"A" ~schema:[ Schema.column ~rel:"A" ~name:"x" ~ty:Value.Tfloat ]
   in
   let r' =
     Stats.Derive.apply_select r
       (Expr.Cmp (op, Expr.col ~rel:"A" ~col:"x", Expr.Const (Value.Float v)))
   in
-  Option.get (snd (List.hd r'.Stats.Derive.cols)).Stats.Table_stats.hist
+  Option.get
+    (snd (List.hd (Stats.Derive.columns r'))).Stats.Table_stats.hist
 
 type hist_spec = {
   kind : int; (* 0 equi-width, 1 equi-depth, 2 compressed *)
@@ -209,6 +211,66 @@ let prop_join_rows_sweep_bitwise =
     (fun (sa, sb) ->
        let a = hist_of_spec sa and b = hist_of_spec sb in
        same_bits a b && same_bits b a && same_bits a a)
+
+(* Hand-built histograms over a value pool with both signed zeros and both
+   infinities, sorted (the merge path) or left in generation order (the
+   sort path, when out of order). *)
+let gen_raw_hist =
+  let open QCheck.Gen in
+  let value =
+    oneof
+      [ oneofl [ 0.; -0.; infinity; neg_infinity; 2.5; -1e-300 ];
+        map float_of_int (int_range (-4) 4) ]
+  in
+  let bucket =
+    let* x = value and* y = value
+    and* count = oneofl [ 1.; 3.; 7.5 ] and* distinct = oneofl [ 1.; 2.; 4. ] in
+    let lo, hi = if Float.compare x y <= 0 then (x, y) else (y, x) in
+    return { Stats.Histogram.lo; hi; count; distinct }
+  in
+  let* buckets = list_size (int_range 0 4) bucket
+  and* singletons =
+    list_size (int_range 0 4) (pair value (oneofl [ 1.; 2.; 5. ]))
+  and* sorted = bool in
+  let buckets, singletons =
+    if sorted then
+      ( List.sort
+          (fun a b -> Float.compare a.Stats.Histogram.lo b.Stats.Histogram.lo)
+          buckets,
+        List.sort (fun (a, _) (b, _) -> Float.compare a b) singletons )
+    else (buckets, singletons)
+  in
+  let total =
+    List.fold_left (fun acc b -> acc +. b.Stats.Histogram.count) 0. buckets
+    +. List.fold_left (fun acc (_, c) -> acc +. c) 0. singletons
+  in
+  return
+    { Stats.Histogram.total; buckets = Array.of_list buckets;
+      singletons = Array.of_list singletons }
+
+let print_raw_hist (h : Stats.Histogram.t) =
+  Printf.sprintf "{buckets=[%s]; singletons=[%s]}"
+    (String.concat "; "
+       (Array.to_list
+          (Array.map
+             (fun b ->
+                Printf.sprintf "[%h,%h] %g/%g" b.Stats.Histogram.lo
+                  b.Stats.Histogram.hi b.Stats.Histogram.count
+                  b.Stats.Histogram.distinct)
+             h.Stats.Histogram.buckets)))
+    (String.concat "; "
+       (Array.to_list
+          (Array.map (fun (v, c) -> Printf.sprintf "%h:%g" v c)
+             h.Stats.Histogram.singletons)))
+
+let prop_join_rows_signed_zero_infinite_unsorted =
+  QCheck.Test.make
+    ~name:"join_rows = sort-based reference on +-0, infinities, unsorted"
+    ~count:3000
+    (QCheck.make
+       ~print:(fun (a, b) -> print_raw_hist a ^ " x " ^ print_raw_hist b)
+       QCheck.Gen.(pair gen_raw_hist gen_raw_hist))
+    (fun (a, b) -> same_bits a b && same_bits b a && same_bits a a)
 
 let test_join_rows_edge_cases () =
   let open Stats.Histogram in
@@ -595,7 +657,9 @@ let () =
          Alcotest.test_case "depth beats width on skew" `Quick test_equi_depth_beats_width_on_skew;
          Alcotest.test_case "histogram join" `Quick test_histogram_join_rows;
          Alcotest.test_case "join sweep edge cases" `Quick test_join_rows_edge_cases;
-         QCheck_alcotest.to_alcotest prop_join_rows_sweep_bitwise ]);
+         QCheck_alcotest.to_alcotest prop_join_rows_sweep_bitwise;
+         QCheck_alcotest.to_alcotest
+           prop_join_rows_signed_zero_infinite_unsorted ]);
       ("histogram2d",
        [ Alcotest.test_case "independent ~ product" `Quick test_hist2d_independent_matches_1d;
          Alcotest.test_case "captures correlation" `Quick test_hist2d_captures_correlation;

@@ -224,6 +224,217 @@ let prop_dp_always_correct =
        let reference = execute pieces.Workload.Schemas.jcat (reference_plan q) in
        Exec.Executor.same_multiset_modulo_columns optimized reference)
 
+(* ------------------------------------------------------------------ *)
+(* Subset statistics *)
+
+(* The list-based subset statistics [Derive.join] built before it linked
+   its inputs, kept as the reference: the concatenated column list with
+   every distinct count capped at each derivation, and pages from the
+   concatenated schema.  Selectivity is [Derive]'s own, read through one
+   flat summary of the list. *)
+type ref_stats = {
+  card : float;
+  schema : Schema.t;
+  cols : (Stats.Derive.col_key * Stats.Table_stats.col_stats) list;
+}
+
+let flat (r : ref_stats) : Stats.Derive.rel_stats =
+  { Stats.Derive.card = r.card; ndv_cap = infinity;
+    width = Storage.Page.tuple_width r.schema;
+    cols = Stats.Derive.Cols (r.schema, r.cols) }
+
+let cap_distinct card cols =
+  let cap = Float.max 1. card in
+  List.map
+    (fun ((k, cs) as kc) ->
+       let nd = Float.min cs.Stats.Table_stats.n_distinct cap in
+       if Float.equal nd cs.Stats.Table_stats.n_distinct then kc
+       else (k, { cs with Stats.Table_stats.n_distinct = nd }))
+    cols
+
+let ref_join (l : ref_stats) (r : ref_stats) pred : ref_stats =
+  let combined =
+    { card = l.card *. r.card; schema = Schema.concat l.schema r.schema;
+      cols = l.cols @ r.cols }
+  in
+  let s = Stats.Derive.selectivity (flat combined) pred in
+  let card = Float.max 0. (l.card *. r.card *. s) in
+  let card =
+    if
+      List.exists
+        (function Expr.Const (Value.Bool false) -> true | _ -> false)
+        (Pred.conjuncts pred)
+    then card
+    else if combined.card > 0. then Float.max 1. card
+    else Float.max 0. card
+  in
+  { combined with card; cols = cap_distinct card combined.cols }
+
+let ref_find (r : ref_stats) rel col =
+  let find rel =
+    List.find_map
+      (fun ((a, n), cs) -> if a = rel && n = col then Some cs else None)
+      r.cols
+  in
+  match find rel with Some cs -> Some cs | None -> find ""
+
+let bits = Int64.bits_of_float
+
+(* Every subset's statistics, derived the way [stats_of] derives them
+   (peel the highest relation), against the reference.  Returns the first
+   mismatch. *)
+let subset_stats_mismatch (ctx : Systemr.Join_order.ctx) =
+  let n = Array.length ctx.Systemr.Join_order.rels in
+  let base i =
+    let s = ctx.Systemr.Join_order.base.(i).Systemr.Join_order.stats in
+    { card = s.Stats.Derive.card; schema = Stats.Derive.schema s;
+      cols = Stats.Derive.columns s }
+  in
+  let refs = Array.make (1 lsl n) None in
+  let rec ref_of mask =
+    match refs.(mask) with
+    | Some r -> r
+    | None ->
+      let r =
+        if mask land (mask - 1) = 0 then
+          base (Systemr.Join_order.lowest_bit_index mask)
+        else begin
+          let top = ref 0 in
+          while mask lsr (!top + 1) <> 0 do incr top done;
+          let rest = mask land lnot (1 lsl !top) in
+          ref_join (ref_of rest) (base !top)
+            (Pred.of_conjuncts
+               (Systemr.Join_order.crossing_preds ctx ~left:rest
+                  ~right:(1 lsl !top)))
+        end
+      in
+      refs.(mask) <- Some r;
+      r
+  in
+  let check mask =
+    let s = Systemr.Join_order.stats_of ctx mask and r = ref_of mask in
+    let pages_ref =
+      float_of_int
+        (Storage.Page.pages_for ~rows:(int_of_float (Float.round r.card))
+           r.schema)
+    in
+    if bits s.Stats.Derive.card <> bits r.card then Some "card"
+    else if bits (Stats.Derive.pages s) <> bits pages_ref then Some "pages"
+    else if List.map fst (Stats.Derive.columns s) <> List.map fst r.cols then
+      Some "column order"
+    else
+      List.find_map
+        (fun ((rel, col), _) ->
+           let c = { Expr.rel; col } in
+           match Stats.Derive.find_col s c, ref_find r rel col with
+           | Some a, Some b
+             when bits a.Stats.Table_stats.n_distinct
+                  = bits b.Stats.Table_stats.n_distinct
+                  && Option.equal ( == ) a.Stats.Table_stats.hist
+                       b.Stats.Table_stats.hist ->
+             None
+           | _ -> Some (Printf.sprintf "column %s.%s" rel col))
+        r.cols
+  in
+  let rec go mask =
+    if mask >= 1 lsl n then None
+    else
+      match check mask with
+      | Some what -> Some (Printf.sprintf "mask %d: %s" mask what)
+      | None -> go (mask + 1)
+  in
+  go 1
+
+let prop_subset_stats_match_reference =
+  QCheck.Test.make ~name:"linked subset statistics = list-based reference"
+    ~count:40
+    (QCheck.make
+       ~print:(fun (shape, (n, (seed, fs))) ->
+           Printf.sprintf "%s n=%d seed=%d filters=[%s]"
+             (match shape with
+              | Workload.Schemas.Chain_q -> "chain"
+              | Workload.Schemas.Cycle_q -> "cycle"
+              | Workload.Schemas.Star_q -> "star"
+              | Workload.Schemas.Clique_q -> "clique")
+             n seed
+             (String.concat "; "
+                (List.map (fun (k, v) -> Printf.sprintf "%d:%d" k v) fs)))
+       QCheck.Gen.(
+         pair
+           (oneofl
+              [ Workload.Schemas.Chain_q; Workload.Schemas.Cycle_q;
+                Workload.Schemas.Star_q; Workload.Schemas.Clique_q ])
+           (pair (int_range 2 7)
+              (pair (int_range 1 1000)
+                 (list_size (int_range 0 7)
+                    (pair (int_range 0 3) (int_range 0 999)))))))
+    (fun (shape, (n, (seed, fs))) ->
+       let pieces = Workload.Schemas.join_shape ~seed ~rows:40 ~shape ~n () in
+       (* filter kinds: none, c < v, a = v mod 9, b >= v mod 9 *)
+       let filters =
+         List.mapi
+           (fun i (kind, v) ->
+              let rel = Printf.sprintf "R%d" ((i mod n) + 1) in
+              let cmp op col v =
+                Some (Expr.Cmp (op, Expr.col ~rel ~col, Expr.int v))
+              in
+              match kind with
+              | 1 -> cmp Expr.Lt "c" v
+              | 2 -> cmp Expr.Eq "a" (v mod 9)
+              | 3 -> cmp Expr.Ge "b" (v mod 9)
+              | _ -> None)
+           fs
+         |> List.filter_map Fun.id
+       in
+       let pieces =
+         { pieces with
+           Workload.Schemas.predicates =
+             pieces.Workload.Schemas.predicates @ filters }
+       in
+       let ctx =
+         Systemr.Join_order.make_ctx Systemr.Join_order.default_config
+           pieces.Workload.Schemas.jcat pieces.Workload.Schemas.jdb
+           (spj_of_pieces pieces)
+       in
+       match subset_stats_mismatch ctx with
+       | None -> true
+       | Some what -> QCheck.Test.fail_report what)
+
+(* A derivation links its inputs instead of copying their columns, so
+   joining a ten-relation subset to one more relation allocates no more
+   than joining two relations.  Both joins are one equi-join on a star's
+   hub, each measured on a second run, once the histogram-join memo
+   holds the edge. *)
+let test_derive_join_words_flat () =
+  let p =
+    Workload.Schemas.join_shape ~rows:40 ~shape:Workload.Schemas.Star_q ~n:10 ()
+  in
+  let ctx =
+    Systemr.Join_order.make_ctx Systemr.Join_order.default_config
+      p.Workload.Schemas.jcat p.Workload.Schemas.jdb (spj_of_pieces p)
+  in
+  let words ~left ~top =
+    let l = Systemr.Join_order.stats_of ctx left
+    and r = ctx.Systemr.Join_order.base.(top).Systemr.Join_order.stats in
+    let pred =
+      Pred.of_conjuncts
+        (Systemr.Join_order.crossing_preds ctx ~left ~right:(1 lsl top))
+    in
+    let join () =
+      Stats.Derive.join ~join_memo:ctx.Systemr.Join_order.join_memo
+        Algebra.Inner l r pred
+    in
+    ignore (join ());
+    let w0 = Gc.minor_words () in
+    ignore (Sys.opaque_identity (join ()));
+    Gc.minor_words () -. w0
+  in
+  let w2 = words ~left:1 ~top:1 and w10 = words ~left:((1 lsl 9) - 1) ~top:9 in
+  Alcotest.(check bool)
+    (Printf.sprintf "10 relations (%.0f words) <= 2 relations (%.0f words)"
+       w10 w2)
+    true (w10 <= w2)
+
 (* Every conjunct lands in exactly one place: the local predicates of a
    single alias or the join predicates.  A constant conjunct goes to the
    first relation, a theta conjunct to the joins. *)
@@ -300,4 +511,8 @@ let () =
       ("spj",
        [ Alcotest.test_case "roundtrip" `Quick test_spj_roundtrip;
          Alcotest.test_case "unknown alias raises" `Quick test_spj_unknown_alias;
-         Alcotest.test_case "counting formulas" `Quick test_counting_formulas ]) ]
+         Alcotest.test_case "counting formulas" `Quick test_counting_formulas ]);
+      ("subset statistics",
+       [ QCheck_alcotest.to_alcotest prop_subset_stats_match_reference;
+         Alcotest.test_case "join words flat in columns" `Quick
+           test_derive_join_words_flat ]) ]

@@ -115,6 +115,14 @@ let test_logical_bad_agg_arg () =
         input = seq "Emp" "E" }
   in
   check_has "SUM over missing column" "unknown-column"
+    (Verify.physical w.Workload.Schemas.cat plan);
+  let plan =
+    P.Hash_agg
+      { keys = [ (col "E" "did", "did") ];
+        aggs = [ (Expr.Sum (col "E" "name"), "total") ];
+        input = seq "Emp" "E" }
+  in
+  check_has "SUM over a string column" "type-mismatch"
     (Verify.physical w.Workload.Schemas.cat plan)
 
 (* ------------------------------------------------------------------ *)
