@@ -1,6 +1,6 @@
 (* Join-enumeration benchmark: graph-aware csg–cmp enumeration with
-   cost-bound pruning vs the pre-change all-masks/all-splits enumerator
-   ([Join_order.exhaustive] preserves it verbatim).
+   cost-bound pruning vs the all-masks/all-splits enumerator with no cost
+   bound ([Join_order.exhaustive]).
 
    Before any timing, the harness proves the fast enumerator equivalent on
    every benchmarked shape: at the pre-check size both enumerators must

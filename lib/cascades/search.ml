@@ -14,14 +14,10 @@
      upper bound prunes implementations that cannot beat the incumbent. *)
 
 
-type config = {
-  join_config : Systemr.Join_order.config;
-  allow_bushy_rules : bool; (* associativity generates bushy shapes *)
-}
+type config = { join_config : Systemr.Join_order.config }
 
 let default_config =
-  { join_config = { Systemr.Join_order.default_config with bushy = true };
-    allow_bushy_rules = true }
+  { join_config = { Systemr.Join_order.default_config with bushy = true } }
 
 type result = {
   best : Systemr.Candidate.t;
@@ -30,7 +26,6 @@ type result = {
   exprs : int;
   rule_firings : int;
   plans_costed : int;
-  diags : Verify.Diag.t list; (* lint findings; [] unless ~lint:true *)
 }
 
 type ctx = {
@@ -76,27 +71,26 @@ let rec explore (ctx : ctx) (g : Memo.group) : unit =
              if Memo.add_expr ctx.memo g (Memo.Split (rm, lm)) then
                changed := true;
              (* associate: (A join B) join C -> A join (B join C) *)
-             if ctx.cfg.allow_bushy_rules then
-               List.iter
-                 (fun le ->
-                    match le with
-                    | Memo.Leaf _ -> ()
-                    | Memo.Split (am, bm) ->
-                      let ok =
-                        ctx.cfg.join_config.Systemr.Join_order.allow_cross
-                        || connected ctx bm rm
-                      in
-                      if ok then begin
-                        ctx.memo.Memo.rule_firings <-
-                          ctx.memo.Memo.rule_firings + 1;
-                        let bc = bm lor rm in
-                        let gbc = group_for ctx bc in
-                        if Memo.add_expr ctx.memo gbc (Memo.Split (bm, rm))
-                        then changed := true;
-                        if Memo.add_expr ctx.memo g (Memo.Split (am, bc))
-                        then changed := true
-                      end)
-                 gl.Memo.exprs)
+             List.iter
+               (fun le ->
+                  match le with
+                  | Memo.Leaf _ -> ()
+                  | Memo.Split (am, bm) ->
+                    let ok =
+                      ctx.cfg.join_config.Systemr.Join_order.allow_cross
+                      || connected ctx bm rm
+                    in
+                    if ok then begin
+                      ctx.memo.Memo.rule_firings <-
+                        ctx.memo.Memo.rule_firings + 1;
+                      let bc = bm lor rm in
+                      let gbc = group_for ctx bc in
+                      if Memo.add_expr ctx.memo gbc (Memo.Split (bm, rm))
+                      then changed := true;
+                      if Memo.add_expr ctx.memo g (Memo.Split (am, bc))
+                      then changed := true
+                    end)
+               gl.Memo.exprs)
         g.Memo.exprs
     done
   end
@@ -172,7 +166,7 @@ let rec optimize_group (ctx : ctx) (g : Memo.group) : unit =
 (* ------------------------------------------------------------------ *)
 (* Entry point *)
 
-let optimize ?(config = default_config) ?(lint = false) cat db
+let optimize ?(config = default_config) cat db
     (q : Systemr.Spj.t) : result =
   (* winners always keep per-order bests (the root's enforcer and every
      parent's merge join read them), whatever [interesting_orders] says *)
@@ -212,13 +206,9 @@ let optimize ?(config = default_config) ?(lint = false) cat db
   let { Systemr.Join_order.best; card; _ } =
     Systemr.Join_order.finish jctx q root.Memo.winners
   in
-  let diags =
-    if lint then Verify.physical cat best.Systemr.Candidate.plan else []
-  in
   { best;
     card;
     groups = Memo.group_count memo;
     exprs = memo.Memo.expr_count;
     rule_firings = memo.Memo.rule_firings;
-    plans_costed = jctx.Systemr.Join_order.plans_costed;
-    diags }
+    plans_costed = jctx.Systemr.Join_order.plans_costed }

@@ -4,10 +4,7 @@
     physical joins; winners per physical property are memoized and reused;
     a promise ordering and an upper bound prune the implementation loop. *)
 
-type config = {
-  join_config : Systemr.Join_order.config;
-  allow_bushy_rules : bool;  (** associativity generates bushy shapes *)
-}
+type config = { join_config : Systemr.Join_order.config }
 
 val default_config : config
 
@@ -18,11 +15,9 @@ type result = {
   exprs : int;
   rule_firings : int;
   plans_costed : int;
-  diags : Verify.Diag.t list;  (** lint findings; [[]] unless [~lint:true] *)
 }
 
-(** Optimize an SPJ query.  [lint] runs {!Verify.physical} over the winning
-    plan.  @raise Invalid_argument on empty queries. *)
+(** Optimize an SPJ query.  @raise Invalid_argument on empty queries. *)
 val optimize :
-  ?config:config -> ?lint:bool -> Storage.Catalog.t -> Stats.Table_stats.db ->
+  ?config:config -> Storage.Catalog.t -> Stats.Table_stats.db ->
   Systemr.Spj.t -> result

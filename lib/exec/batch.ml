@@ -21,7 +21,9 @@
      arguments whose leaves are all integer columns/constants compile
      through the one integer-expression compiler ([Eval.int_expr], and
      [Eval.pred_store] on top of it) and run directly over the column
-     data; everything else evaluates through [Expr.compile];
+     data; everything else compiles through [Relalg.Expr], values with
+     [Expr.compile] and predicates with its held compiler ([Expr.holds],
+     [Expr.holds2] for nested-loop and residual join predicates);
    - join/aggregation keys hash straight out of the columns: raw ints
      on the single-integer-column fast path ([Keys.Int_map]), and
      column-accessor probing ([Keys.Cols_tbl]) otherwise, so a probe
@@ -734,7 +736,7 @@ let run_node ~ctx ~obs ~sketch ~chunk_rows ~(par : pooled option)
     : (int -> int -> bool) option =
     if residual = Expr.ftrue then None
     else begin
-      let holds = pred2 sl sr residual in
+      let holds = Expr.holds2 sl sr residual in
       let lrows = Chunk.rows_view lstore and rrows = Chunk.rows_view rstore in
       Some (fun lq rq -> holds lrows.(lq) rrows.(rq))
     end
@@ -762,7 +764,7 @@ let run_node ~ctx ~obs ~sketch ~chunk_rows ~(par : pooled option)
         inode.replay ();
         Context.charge_cpu ctx n_in
       done;
-      let holds = pred2 so si pred in
+      let holds = Expr.holds2 so si pred in
       let orows = Chunk.rows_view och.Chunk.store
       and irows = Chunk.rows_view ich.Chunk.store in
       let ophys = Chunk.phys och and iphys = Chunk.phys ich in

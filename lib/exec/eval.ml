@@ -1,12 +1,15 @@
 (* Compiled-evaluation helpers for the columnar engine ([Batch]): offset
-   resolution, specialized predicate compilers, hash-join buckets, join
-   emission over row indices, and columnar chunks.  [int_expr] is the
-   engine's one unboxed integer-expression compiler: predicates,
-   projection items, sort keys, grouping keys and aggregate arguments
-   all compile through it over a store's columns, and everything it
-   does not cover evaluates through [Expr.compile].  All closures
-   returned here are pure (no [Context] charging, no shared mutable
-   state), so pooled kernels may evaluate them from any domain. *)
+   resolution, the index-based WHERE predicate over a store, hash-join
+   buckets, join emission over row indices, and columnar chunks.
+   [int_expr] is the engine's one unboxed integer-expression compiler:
+   predicates, projection items, sort keys, grouping keys and aggregate
+   arguments all compile through it over a store's columns.  Everything
+   it does not cover compiles through [Relalg.Expr], the one expression
+   compiler: values through [Expr.compile], predicates through the held
+   compiler [Expr.holds] (one tuple) and [Expr.holds2] (a join's two
+   tuples).  All closures returned here are pure (no [Context] charging,
+   no shared mutable state), so pooled kernels may evaluate them from
+   any domain. *)
 
 open Relalg
 
@@ -23,49 +26,6 @@ let offsets schema (refs : Expr.col_ref list) =
    operator's [next] array links each index to the one before it, -1
    ending the chain. *)
 type bucket = { mutable blen : int; mutable head : int }
-
-(* Specialized WHERE-semantics predicates.  [Expr.holds] boxes every
-   comparison result in a [Value.Bool]; for the AND/OR/Cmp/Const fragment
-   the held-ness of a predicate ("evaluates to Bool true") distributes
-   over the connectives under three-valued logic — true AND x is held iff
-   both are held, x OR y is held iff either is held, and a comparison is
-   held iff [Value.sql_cmp] is conclusive and the operator accepts its
-   sign — so these compile to unboxed boolean closures.  Anything else
-   (NOT, IS NULL, UDFs, bare columns) falls back to [Expr.holds]. *)
-let rec pred1 (s : Schema.t) (e : Expr.t) : Tuple.t -> bool =
-  match e with
-  | Expr.Const (Value.Bool b) -> fun _ -> b
-  | Expr.Cmp (op, a, b) ->
-    let fa = Expr.compile s a and fb = Expr.compile s b in
-    fun t ->
-      (match Value.sql_cmp (fa t) (fb t) with
-       | None -> false
-       | Some c -> Expr.compare_op op c)
-  | Expr.And (a, b) ->
-    let pa = pred1 s a and pb = pred1 s b in
-    fun t -> pa t && pb t
-  | Expr.Or (a, b) ->
-    let pa = pred1 s a and pb = pred1 s b in
-    fun t -> pa t || pb t
-  | _ -> Expr.holds s e
-
-let rec pred2 (l : Schema.t) (r : Schema.t) (e : Expr.t) :
-  Tuple.t -> Tuple.t -> bool =
-  match e with
-  | Expr.Const (Value.Bool b) -> fun _ _ -> b
-  | Expr.Cmp (op, a, b) ->
-    let fa = Expr.compile2 l r a and fb = Expr.compile2 l r b in
-    fun x y ->
-      (match Value.sql_cmp (fa x y) (fb x y) with
-       | None -> false
-       | Some c -> Expr.compare_op op c)
-  | Expr.And (a, b) ->
-    let pa = pred2 l r a and pb = pred2 l r b in
-    fun x y -> pa x y && pb x y
-  | Expr.Or (a, b) ->
-    let pa = pred2 l r a and pb = pred2 l r b in
-    fun x y -> pa x y || pb x y
-  | _ -> Expr.holds2 l r e
 
 let box_int = Storage.Col.box_int
 
@@ -422,8 +382,8 @@ let rec int_expr (s : Schema.t) (st : Chunk.store) (e : Expr.t) :
    whose comparison operands both compile through [int_expr] evaluate
    unboxed (this covers arbitrary integer arithmetic, e.g.
    [(v mod 7) = 0], not just bare columns); every other conjunct falls
-   back to [pred1] over the forced row view.  Correctness: held-ness
-   distributes over top-level AND (see [pred1]); a comparison with a
+   back to [Expr.holds] over the forced row view.  Correctness: held-ness
+   distributes over top-level AND (see [Expr.holds]); a comparison with a
    NULL operand is never held, which [inull] reproduces; [Value.sql_cmp]
    on two Ints is [Stdlib.compare], which the raw-int comparison
    reproduces.  All forcing happens at compile time — the returned
@@ -440,7 +400,7 @@ let int_cmp_op (op : Expr.cmpop) : int -> int -> bool =
 let pred_store (s : Schema.t) (e : Expr.t) (st : Chunk.store) : int -> bool =
   let fallback c =
     let rows = Chunk.rows_view st in
-    let p = pred1 s c in
+    let p = Expr.holds s c in
     fun i -> p rows.(i)
   in
   let int_col_of a =

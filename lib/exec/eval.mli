@@ -1,5 +1,5 @@
 (** Compiled-evaluation helpers of the columnar engine ({!Batch}):
-    offset resolution, specialized WHERE-semantics predicate compilers,
+    offset resolution, the index-based WHERE predicate over a store,
     hash-join buckets, join emission over row indices, and columnar
     chunks.  {!int_expr} is the engine's one unboxed integer-expression
     compiler.
@@ -17,14 +17,6 @@ val offsets : Schema.t -> Expr.col_ref list -> int array
     index; the operator's [next] array links each index to the previous
     one in the chain, -1 ending it. *)
 type bucket = { mutable blen : int; mutable head : int }
-
-(** [pred1 s e] compiles [e] to "held under WHERE semantics" over one
-    tuple; unboxed for the AND/OR/Cmp/Const fragment, [Expr.holds]
-    otherwise. *)
-val pred1 : Schema.t -> Expr.t -> Tuple.t -> bool
-
-(** [pred2 l r e] — as {!pred1} over an (outer, inner) tuple pair. *)
-val pred2 : Schema.t -> Schema.t -> Expr.t -> Tuple.t -> Tuple.t -> bool
 
 (** Offset of a plain column reference in the schema; [None] for
     computed expressions or unresolvable refs. *)
@@ -133,7 +125,7 @@ type int_vec = { iv : int -> int; inull : int -> bool }
     compile time, so the closures are pure. *)
 val int_expr : Schema.t -> Chunk.store -> Expr.t -> int_vec option
 
-(** {!pred1} as an index-based predicate over a store's physical rows;
+(** {!Expr.holds} as an index-based predicate over a store's physical rows;
     comparison conjuncts whose operands both compile through
     {!int_expr} evaluate unboxed, the rest fall back to the forced row
     view.  All forcing happens at compile time. *)

@@ -1,8 +1,9 @@
 (* Scalar expressions with SQL three-valued logic.
 
-   Evaluation is two-stage: [compile schema e] resolves every column
-   reference to a position once, returning a closure evaluated per tuple.
-   [eval schema tuple e] is the convenience one-shot form. *)
+   Evaluation is two-stage: compiling resolves every column reference to
+   a position once, returning a closure evaluated per tuple.  There is
+   one value compiler and one held-predicate compiler, each with a
+   one-tuple and a two-tuple (join) instance. *)
 
 type col_ref = { rel : string; col : string }
 
@@ -130,75 +131,13 @@ let v3_not = function
   | Value.Int _ | Value.Float _ | Value.Str _ ->
     raise (Type_error "NOT on non-boolean")
 
-(* Compile to a closure over the tuple, resolving columns against [schema]. *)
-let rec compile (schema : Schema.t) (e : t) : Tuple.t -> Value.t =
-  match e with
-  | Const v -> fun _ -> v
-  | Col { rel; col } ->
-    let i =
-      try Schema.index_of schema ~rel ~name:col
-      with Not_found ->
-        raise (Type_error
-                 (Fmt.str "unknown column %s.%s in schema %a" rel col
-                    Schema.pp schema))
-    in
-    fun t -> Tuple.get t i
-  | Binop (op, a, b) ->
-    let fa = compile schema a and fb = compile schema b in
-    fun t -> arith op (fa t) (fb t)
-  | Cmp (op, a, b) ->
-    let fa = compile schema a and fb = compile schema b in
-    fun t ->
-      (match Value.sql_cmp (fa t) (fb t) with
-       | None -> Value.Null
-       | Some c -> Value.Bool (compare_op op c))
-  | And (a, b) ->
-    let fa = compile schema a and fb = compile schema b in
-    fun t -> v3_and (fa t) (fb t)
-  | Or (a, b) ->
-    let fa = compile schema a and fb = compile schema b in
-    fun t -> v3_or (fa t) (fb t)
-  | Not a ->
-    let fa = compile schema a in
-    fun t -> v3_not (fa t)
-  | Is_null a ->
-    let fa = compile schema a in
-    fun t -> Value.Bool (Value.is_null (fa t))
-  | Udf (u, args) ->
-    let fs = List.map (compile schema) args in
-    fun t -> u.udf_fn (List.map (fun f -> f t) fs)
-
-let eval schema tuple e = compile schema e tuple
-
-(* Predicate evaluation: UNKNOWN rejects the tuple, as in SQL WHERE. *)
-let holds schema e =
-  let f = compile schema e in
-  fun t -> match f t with Value.Bool b -> b | _ -> false
-
-(* Two-input compilation for join operators: columns resolve against
-   [left @ right] exactly as [compile (Schema.concat left right)] would —
-   same lookup, same ambiguity failures — but each reference is pinned to
-   (side, offset) so evaluation reads the two input tuples directly,
-   without materializing their concatenation. *)
-let compile2 (left : Schema.t) (right : Schema.t) (e : t) :
-  Tuple.t -> Tuple.t -> Value.t =
-  let nl = Schema.arity left in
-  let combined = Schema.concat left right in
+(* The one value compiler: two-argument closures, [col] compiling a
+   column reference into a reader of the input(s). *)
+let compile_with (col : col_ref -> 'a -> 'b -> Value.t) e : 'a -> 'b -> Value.t =
   let rec go e =
     match e with
     | Const v -> fun _ _ -> v
-    | Col { rel; col } ->
-      let i =
-        try Schema.index_of combined ~rel ~name:col
-        with Not_found ->
-          raise (Type_error
-                   (Fmt.str "unknown column %s.%s in schema %a" rel col
-                      Schema.pp combined))
-      in
-      if i < nl then fun a _ -> Tuple.get a i
-      else
-        let j = i - nl in
-        fun _ b -> Tuple.get b j
+    | Col r -> col r
     | Binop (op, a, b) ->
       let fa = go a and fb = go b in
       fun x y -> arith op (fa x y) (fb x y)
@@ -226,9 +165,68 @@ let compile2 (left : Schema.t) (right : Schema.t) (e : t) :
   in
   go e
 
-let holds2 left right e =
-  let f = compile2 left right e in
-  fun a b -> match f a b with Value.Bool b -> b | _ -> false
+(* The one held-predicate compiler: "[e] evaluates to [Bool true]" (SQL
+   WHERE: UNKNOWN rejects).  Under three-valued logic x AND y is held iff
+   both are, x OR y iff either is, and a comparison iff [Value.sql_cmp] is
+   conclusive and the operator accepts its sign, so that fragment compiles
+   to unboxed booleans; anything else tests the value. *)
+let holds_with (col : col_ref -> 'a -> 'b -> Value.t) e : 'a -> 'b -> bool =
+  let rec go e =
+    match e with
+    | Const (Value.Bool b) -> fun _ _ -> b
+    | Cmp (op, a, b) ->
+      let fa = compile_with col a and fb = compile_with col b in
+      fun x y ->
+        (match Value.sql_cmp (fa x y) (fb x y) with
+         | None -> false
+         | Some c -> compare_op op c)
+    | And (a, b) ->
+      let pa = go a and pb = go b in
+      fun x y -> pa x y && pb x y
+    | Or (a, b) ->
+      let pa = go a and pb = go b in
+      fun x y -> pa x y || pb x y
+    | _ ->
+      let f = compile_with col e in
+      fun x y -> (match f x y with Value.Bool true -> true | _ -> false)
+  in
+  go e
+
+let resolve schema { rel; col } =
+  try Schema.index_of schema ~rel ~name:col
+  with Not_found ->
+    raise (Type_error (Fmt.str "unknown column %s.%s in schema %a" rel col
+                         Schema.pp schema))
+
+(* One tuple, the second argument unit. *)
+let col1 schema r =
+  let i = resolve schema r in
+  fun t () -> Tuple.get t i
+
+(* A join's two tuples: a reference resolves against their concatenated
+   schema, then reads its side directly — no concatenated tuple. *)
+let col2 left right =
+  let nl = Schema.arity left and combined = Schema.concat left right in
+  fun r ->
+    let i = resolve combined r in
+    if i < nl then fun a _ -> Tuple.get a i
+    else
+      let j = i - nl in
+      fun _ b -> Tuple.get b j
+
+let compile schema e =
+  let f = compile_with (col1 schema) e in
+  fun t -> f t ()
+
+let eval schema tuple e = compile schema e tuple
+
+let holds schema e =
+  let p = holds_with (col1 schema) e in
+  fun t -> p t ()
+
+let compile2 left right e = compile_with (col2 left right) e
+
+let holds2 left right e = holds_with (col2 left right) e
 
 (* ------------------------------------------------------------------ *)
 (* Aggregates *)

@@ -62,25 +62,22 @@ val compile : Schema.t -> t -> Tuple.t -> Value.t
 (** One-shot evaluation. *)
 val eval : Schema.t -> Tuple.t -> t -> Value.t
 
-(** Predicate evaluation with WHERE semantics: UNKNOWN rejects. *)
+(** [holds schema e]: does [e] evaluate to [Bool true] (WHERE semantics,
+    UNKNOWN rejects)?  The one held-predicate compiler: Const/Cmp/And/Or
+    evaluate unboxed, anything else tests the value {!compile} computes. *)
 val holds : Schema.t -> t -> Tuple.t -> bool
 
 (** [compile2 left right e] resolves columns against
     [Schema.concat left right] (same lookup and ambiguity behaviour as
     {!compile} on the concatenation) but pins each reference to a (side,
     offset) pair, so join predicates evaluate over the two input tuples
-    without materializing their concatenation.
+    without materializing their concatenation.  {!compile} and
+    [compile2] are instances of one compiler.
     @raise Type_error on unresolvable columns. *)
 val compile2 : Schema.t -> Schema.t -> t -> Tuple.t -> Tuple.t -> Value.t
 
-(** {!holds} over two input tuples, via {!compile2}. *)
+(** {!holds} over two input tuples, columns pinned as by {!compile2}. *)
 val holds2 : Schema.t -> Schema.t -> t -> Tuple.t -> Tuple.t -> bool
-
-(** SQL arithmetic on two values: NULL operands propagate, Int pairs use
-    native integer arithmetic (Div/Mod by zero is NULL), mixed numerics
-    promote to Float, [Add] concatenates strings.
-    @raise Type_error on non-numeric operands otherwise. *)
-val arith : binop -> Value.t -> Value.t -> Value.t
 
 (** [compare_op op c] applies comparison operator [op] to the sign [c] of a
     three-way comparison. *)

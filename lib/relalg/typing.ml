@@ -40,6 +40,20 @@ let rec infer (schema : Schema.t) (e : Expr.t) : Value.ty =
   | Expr.Udf _ -> Value.Tbool
     (* UDFs in this library act as user-defined predicates (Section 7.2) *)
 
+(* The boolean rule, shared by [Sql.Binder] and [Verify.Typecheck]: an
+   operand of AND, OR or NOT, and a predicate, is boolean; [None] (an
+   untyped NULL, or a type not determined) passes. *)
+type boolean_use = Operand | Predicate
+
+let boolean_rule use e = function
+  | Some Value.Tbool | None -> None
+  | Some ty when use = Operand ->
+    Some (Fmt.str "boolean connective applied to %s operand %a"
+            (Value.ty_name ty) Expr.pp e)
+  | Some ty ->
+    Some (Fmt.str "predicate %a has type %s, expected bool" Expr.pp e
+            (Value.ty_name ty))
+
 let infer_agg (schema : Schema.t) (a : Expr.agg) : Value.ty =
   let arg_ty = Option.map (infer schema) (Expr.agg_arg a) in
   match Expr.agg_ty a arg_ty with

@@ -14,5 +14,13 @@ val binop_ty : Expr.binop -> Value.ty -> Value.ty -> Value.ty option
     columns or ill-typed arithmetic. *)
 val infer : Schema.t -> Expr.t -> Value.ty
 
+(** Where a boolean is required: an AND/OR/NOT operand or a predicate. *)
+type boolean_use = Operand | Predicate
+
+(** The boolean rule of the binder and the verifier: [None] when [e] of
+    type [ty] may be used so ([ty] is bool, or [None]: an untyped NULL or
+    a type not determined), else [Some] the explanation. *)
+val boolean_rule : boolean_use -> Expr.t -> Value.ty option -> string option
+
 (** Result type of an aggregate whose argument is typed against [schema]. *)
 val infer_agg : Schema.t -> Expr.agg -> Value.ty

@@ -359,15 +359,18 @@ and bind_block env (outer : scope list) (s : Ast.select) : Q.block =
 (* Reject arithmetic on operands that do not combine (string + int, a
    comparison's Bool + 1): it would raise [Expr.Type_error] at the first
    row, or [Typing.Error] while planning.  Every maximal arithmetic
-   subterm is typed with [Typing.infer] — comparisons and connectives
-   are not, values of any type compare — against the columns in scope
-   (all alias-qualified, innermost first, as resolution searches them),
-   and a grouped block's select, HAVING and ORDER BY against its keys
-   and aggregates.  SUM and AVG take numbers only.  Subquery blocks were
+   subterm is typed with [Typing.infer] — comparisons are not, values of
+   any type compare — against the columns in scope (all alias-qualified,
+   innermost first, as resolution searches them), and a grouped block's
+   select, HAVING and ORDER BY against its keys and aggregates.  Operands
+   of AND, OR and NOT, and WHERE, HAVING and ON predicates, must pass
+   [Typing.boolean_rule], the verifier's rule too: [Emp.sal AND Emp.age]
+   would reject every row under the held compiler but raise in a boxed
+   evaluation.  SUM and AVG take numbers only.  Subquery blocks were
    checked when they were bound. *)
 and check_block (outer : scope list) (b : Q.block) : unit =
-  (* the schemas are built only when an arithmetic subterm needs them *)
-  let check (schema : Schema.t Lazy.t) e =
+  (* the schemas are built only when a subterm needs typing *)
+  let check ~predicate (schema : Schema.t Lazy.t) e =
     let rec walk (e : Expr.t) =
       match e with
       | Expr.Binop _ -> (
@@ -375,17 +378,40 @@ and check_block (outer : scope list) (b : Q.block) : unit =
         | _ -> ()
         | exception (Typing.Error m | Failure m) ->
           err "type error: %s in %s" m (Expr.to_string e))
-      | Expr.Cmp (_, x, y) | Expr.And (x, y) | Expr.Or (x, y) ->
+      | Expr.Cmp (_, x, y) ->
         walk x;
         walk y
-      | Expr.Not x | Expr.Is_null x -> walk x
+      | Expr.And (x, y) | Expr.Or (x, y) ->
+        boolean Typing.Operand (Some e) x;
+        boolean Typing.Operand (Some e) y
+      | Expr.Not x -> boolean Typing.Operand (Some e) x
+      | Expr.Is_null x -> walk x
       | Expr.Udf (_, args) -> List.iter walk args
       | Expr.Const _ | Expr.Col _ -> ()
+    (* the boolean rule on [x], an operand of [within] or a predicate; a
+       column that does not resolve here (an outer reference in HAVING)
+       has no type, which passes *)
+    and boolean use within x =
+      walk x;
+      let ty =
+        match x with
+        | Expr.Const v -> Value.type_of v
+        | _ -> (
+          match Typing.infer (Lazy.force schema) x with
+          | ty -> Some ty
+          | exception (Typing.Error _ | Failure _) -> None)
+      in
+      match Typing.boolean_rule use x ty, within with
+      | None, _ -> ()
+      | Some m, None -> err "type error: %s" m
+      | Some m, Some w -> err "type error: %s in %s" m (Expr.to_string w)
     in
-    walk e
+    if predicate then boolean Typing.Predicate None e else walk e
   in
+  let value = check ~predicate:false and predicate = check ~predicate:true in
   let check_pred schema = function
-    | Q.P e | Q.In_sub (e, _) | Q.Cmp_sub (_, e, _) -> check schema e
+    | Q.P e -> predicate schema e
+    | Q.In_sub (e, _) | Q.Cmp_sub (_, e, _) -> value schema e
     | Q.Exists_sub _ -> ()
   in
   let inner =
@@ -396,11 +422,12 @@ and check_block (outer : scope list) (b : Q.block) : unit =
        @ List.concat_map (fun (sc : scope) -> List.concat_map snd sc) outer)
   in
   List.iter (check_pred inner) b.Q.where;
-  List.iter (fun (oj : Q.outerjoin) -> check inner oj.Q.o_pred) b.Q.outerjoins;
-  List.iter (fun (e, _) -> check inner e) b.Q.group_by;
+  List.iter (fun (oj : Q.outerjoin) -> predicate inner oj.Q.o_pred)
+    b.Q.outerjoins;
+  List.iter (fun (e, _) -> value inner e) b.Q.group_by;
   List.iter
     (fun (a, _) ->
-       Option.iter (check inner) (Expr.agg_arg a);
+       Option.iter (value inner) (Expr.agg_arg a);
        match a with
        | Expr.Sum _ | Expr.Avg _ -> (
          match Typing.infer_agg (Lazy.force inner) a with
@@ -423,9 +450,9 @@ and check_block (outer : scope list) (b : Q.block) : unit =
                 Schema.column ~rel:"" ~name:a ~ty:(Typing.infer_agg inner g))
              b.Q.aggs)
   in
-  List.iter (fun (e, _) -> check grouped e) b.Q.select;
+  List.iter (fun (e, _) -> value grouped e) b.Q.select;
   List.iter (check_pred grouped) b.Q.having;
-  List.iter (fun (e, _) -> check grouped e) b.Q.order_by
+  List.iter (fun (e, _) -> value grouped e) b.Q.order_by
 
 (* ------------------------------------------------------------------ *)
 (* Entry points *)

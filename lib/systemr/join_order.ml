@@ -18,9 +18,10 @@
    than a complete plan can be discarded — except that candidates carrying
    an interesting order are kept, exactly as Section 3.1 requires.
 
-   [exhaustive] turns both refinements off: it is the pre-change
-   enumerator, preserved as the equivalence oracle and benchmark baseline,
-   and doubles as the cartesian rescue path for disconnected graphs. *)
+   [exhaustive] turns both refinements off: every subset, every split, no
+   cost bound, on the same bitset connectivity test.  It is the
+   equivalence oracle and benchmark baseline, and its all-splits walk
+   doubles as the cartesian rescue path for disconnected graphs. *)
 
 open Relalg
 
@@ -50,9 +51,9 @@ let default_config =
 let system_r_1979 =
   { default_config with methods = [ Nl; Inl; Smj ] }
 
-(* The pre-change search: every mask, every split, alias-list connectivity,
-   no cost bound.  Same plan costs as the graph-aware search (a property
-   test and the bench pre-check), just slower to find them. *)
+(* The unrefined search: every mask, every split, no cost bound.  Same
+   plan costs as the graph-aware search (a property test and the bench
+   pre-check). *)
 let exhaustive c = { c with exhaustive = true }
 
 type counters = {
@@ -139,8 +140,7 @@ type ctx = {
   db : Stats.Table_stats.db;
   rels : Spj.relation array;
   locals : Expr.t list array;
-  join_preds : Expr.t list;
-  conjs : conj array;  (* every join conjunct, in [join_preds] order *)
+  conjs : conj array;  (* every join conjunct, in predicate order *)
   neighbors : int array;
       (* per-relation adjacency mask over two-relation conjuncts *)
   hyper : int array;
@@ -191,8 +191,8 @@ let fold_bits f acc mask =
 
 (* Aliases referenced by a predicate but absent from this query block
    (correlated references) map to a bit above any relation's, so the
-   containment test below can never pass — matching the alias-list
-   behavior this replaces. *)
+   containment test below can never pass: a correlated conjunct never
+   connects two subsets. *)
 let foreign_bit = 1 lsl 60
 
 let make_ctx ?trace ?feedback cfg cat db (q : Spj.t) : ctx =
@@ -302,7 +302,6 @@ let make_ctx ?trace ?feedback cfg cat db (q : Spj.t) : ctx =
     db;
     rels;
     locals;
-    join_preds;
     conjs;
     neighbors;
     hyper = Array.of_list (List.rev !hyper);
@@ -319,9 +318,6 @@ let make_ctx ?trace ?feedback cfg cat db (q : Spj.t) : ctx =
 
 let emit ctx e =
   match ctx.trace with None -> () | Some sink -> sink (e ())
-
-let aliases_of ctx mask =
-  List.rev (fold_bits (fun acc i -> ctx.rels.(i).Spj.alias :: acc) [] mask)
 
 let crosses ~left ~right m =
   m land left <> 0 && m land right <> 0 && m land lnot (left lor right) = 0
@@ -443,22 +439,6 @@ let graph_connected ctx =
     done
   done;
   !seen = full
-
-(* The pre-change connectivity test — alias lists rebuilt and every
-   conjunct scanned per check — kept verbatim as the measured baseline for
-   [exhaustive]. *)
-let legacy_connected ctx m1 m2 =
-  let left_aliases = aliases_of ctx m1
-  and right_aliases = aliases_of ctx m2 in
-  List.exists
-    (fun p ->
-       let rels = Expr.relations p in
-       List.exists (fun r -> List.mem r left_aliases) rels
-       && List.exists (fun r -> List.mem r right_aliases) rels
-       && List.for_all
-            (fun r -> List.mem r left_aliases || List.mem r right_aliases)
-            rels)
-    ctx.join_preds
 
 (* Feedback-cache key of a subset: its (alias, table) pairs plus every
    conjunct applied anywhere within it — the local filters of each member
@@ -931,17 +911,7 @@ let optimize_entry ?trace ?feedback ?(config = default_config) cat db
         let mask = masks.(k) in
         let left = Int_tbl.find entries mask in
         let exts = full land lnot mask in
-        let connected =
-          if config.exhaustive then begin
-            let c = ref 0 in
-            for i = 0 to n - 1 do
-              if exts land (1 lsl i) <> 0 && legacy_connected ctx mask (1 lsl i)
-              then c := !c lor (1 lsl i)
-            done;
-            !c
-          end
-          else connected_exts ctx mask
-        in
+        let connected = connected_exts ctx mask in
         let chosen =
           if config.allow_cross || connected = 0 then exts
             (* rescue: disconnected graph needs a cross product *)
@@ -1024,8 +994,8 @@ let optimize_entry ?trace ?feedback ?(config = default_config) cat db
       done
     end
     else begin
-      (* every subset, every split — the pre-change enumerator, reached
-         under [exhaustive] (the measured baseline), under
+      (* every subset, every split — reached under [exhaustive] (the
+         equivalence oracle and measured baseline), under
          [allow_cross], and as the cartesian rescue when the whole graph
          is disconnected.  A merely-disconnected intermediate subset is
          simply skipped, as in standard connected-subgraph enumeration. *)
@@ -1041,11 +1011,7 @@ let optimize_entry ?trace ?feedback ?(config = default_config) cat db
             s := (!s - 1) land mask
           done;
           let with_conn =
-            List.filter
-              (fun (s1, s2) ->
-                 if config.exhaustive then legacy_connected ctx s1 s2
-                 else connected_masks ctx s1 s2)
-              !splits
+            List.filter (fun (s1, s2) -> connected_masks ctx s1 s2) !splits
           in
           let chosen =
             if config.allow_cross then !splits

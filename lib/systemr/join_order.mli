@@ -7,8 +7,9 @@
     query, bushy mode pairs connected subgraphs with connected complements
     (csg–cmp generation) instead of walking all splits, and a greedy
     left-deep plan seeds a branch-and-bound upper bound.  [exhaustive]
-    restores the pre-change all-masks/all-splits search — the equivalence
-    oracle, benchmark baseline, and cartesian rescue path.
+    walks all masks and all splits with no cost bound — the equivalence
+    oracle and benchmark baseline; the same walk is the cartesian rescue
+    path.
 
     The lower-level pieces ([ctx], [entry], [join_cands], ...) are exposed
     for the naive enumerator and the Cascades optimizer, which share this
@@ -38,8 +39,9 @@ val default_config : config
     linear trees; Cartesian products deferred. *)
 val system_r_1979 : config
 
-(** The same search without graph awareness or pruning — the pre-change
-    enumerator, kept as the equivalence oracle and benchmark baseline. *)
+(** The same search without csg–cmp pairing or pruning — every split of
+    every mask, no cost bound, on the same connectivity test — kept as
+    the equivalence oracle and benchmark baseline. *)
 val exhaustive : config -> config
 
 (** Enumeration-effort counters, reported per optimization and summed per
@@ -90,8 +92,7 @@ type ctx = {
   db : Stats.Table_stats.db;
   rels : Spj.relation array;
   locals : Expr.t list array;
-  join_preds : Expr.t list;
-  conjs : conj array;  (** every join conjunct, in [join_preds] order *)
+  conjs : conj array;  (** every join conjunct, in predicate order *)
   neighbors : int array;
       (** per-relation adjacency mask over two-relation conjuncts *)
   hyper : int array;

@@ -1,7 +1,8 @@
 (* Deep, non-raising expression checking (see the .mli).  Arithmetic is
-   typed by the planner's own table, [Relalg.Typing.binop_ty]; the
-   difference is that bad operands are reported instead of silently
-   typed [Tbool]. *)
+   typed by the planner's own table, [Relalg.Typing.binop_ty], and
+   connective operands and predicates by the binder's own boolean rule,
+   [Relalg.Typing.boolean_rule]; the difference is that bad operands are
+   reported instead of raised. *)
 
 open Relalg
 
@@ -77,25 +78,16 @@ let rec infer (schema : Schema.t) (e : Expr.t) :
        own business, but the references must still resolve. *)
     (Some Value.Tbool, List.concat_map (fun a -> snd (infer schema a)) args)
 
-and boolean_operand schema e =
-  let ty, d = infer schema e in
-  match ty with
-  | Some Value.Tbool | None -> d
-  | Some ty ->
-    d
-    @ [ Diag.error ~code:"type-mismatch"
-          (Fmt.str "boolean connective applied to %s operand %a"
-             (Value.ty_name ty) Expr.pp e) ]
+and boolean_operand schema e = boolean ~code:"type-mismatch" Typing.Operand schema e
 
-let check_predicate schema e =
+and boolean ~code use schema e =
   let ty, d = infer schema e in
-  match ty with
-  | Some Value.Tbool | None -> d
-  | Some ty ->
-    d
-    @ [ Diag.error ~code:"non-boolean-predicate"
-          (Fmt.str "predicate %a has type %s, expected bool" Expr.pp e
-             (Value.ty_name ty)) ]
+  match Typing.boolean_rule use e ty with
+  | None -> d
+  | Some m -> d @ [ Diag.error ~code m ]
+
+let check_predicate =
+  boolean ~code:"non-boolean-predicate" Typing.Predicate
 
 let infer_agg schema (a : Expr.agg) : Value.ty option * Diag.t list =
   match Expr.agg_arg a with

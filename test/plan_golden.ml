@@ -170,8 +170,8 @@ let () =
                                   r.Systemr.Naive.plans_costed
                                   r.Systemr.Naive.sequences);
                              let config =
-                               { Cascades.Search.default_config with
-                                 join_config = { base with bushy = true } }
+                               { Cascades.Search.join_config =
+                                   { base with bushy = true } }
                              in
                              let r = Cascades.Search.optimize ~config cat db q in
                              line

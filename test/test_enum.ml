@@ -1,6 +1,6 @@
 (* Graph-aware enumeration tests: the bitset-graph + csg–cmp + cost-bound
-   enumerator must find exactly the same best cost as the preserved
-   pre-change enumerator ([Join_order.exhaustive]) on random acyclic and
+   enumerator must find exactly the same best cost as the all-splits
+   enumerator with no cost bound ([Join_order.exhaustive]) on random acyclic and
    cyclic query graphs, across tree shapes and pruning-sensitive configs;
    plus fixed regressions (disconnected rescue, single relation, counter
    sanity), the sorted Pareto-frontier invariant of [Candidate.insert],

@@ -176,6 +176,73 @@ let prop_cnf_equivalent =
        let after = Expr.holds small_schema (Pred.cnf p) tuple in
        before = after)
 
+(* The held compiler against the value compiler, and the two-tuple
+   instances against the one-tuple ones over the concatenation: random
+   well-typed predicates over a nullable int and a nullable string
+   column on each side of a join. *)
+let held_left =
+  [ Schema.column ~rel:"L" ~name:"a" ~ty:Value.Tint;
+    Schema.column ~rel:"L" ~name:"s" ~ty:Value.Tstring ]
+
+let held_right =
+  [ Schema.column ~rel:"R" ~name:"b" ~ty:Value.Tint;
+    Schema.column ~rel:"R" ~name:"t" ~ty:Value.Tstring ]
+
+let gen_held_case =
+  let open QCheck.Gen in
+  let nullable g = frequency [ (1, return Value.Null); (3, g) ] in
+  let int_v = nullable (map (fun i -> Value.Int i) (int_range (-2) 2)) in
+  let str_v = nullable (map (fun s -> Value.Str s) (oneofl [ "a"; "b" ])) in
+  let int_e =
+    frequency
+      [ (3, return (Expr.col ~rel:"L" ~col:"a"));
+        (3, return (Expr.col ~rel:"R" ~col:"b"));
+        (2, map (fun v -> Expr.Const v) int_v) ]
+  in
+  let str_e =
+    frequency
+      [ (2, return (Expr.col ~rel:"L" ~col:"s"));
+        (2, return (Expr.col ~rel:"R" ~col:"t"));
+        (2, map (fun v -> Expr.Const v) str_v) ]
+  in
+  let cmp = oneofl Expr.[ Eq; Neq; Lt; Le; Gt; Ge ] in
+  let leaf =
+    frequency
+      [ (3, map3 (fun op a b -> Expr.Cmp (op, a, b)) cmp int_e int_e);
+        (2, map3 (fun op a b -> Expr.Cmp (op, a, b)) cmp str_e str_e);
+        (1, map (fun e -> Expr.Is_null e) (oneof [ int_e; str_e ]));
+        (1, map (fun v -> Expr.Const v)
+              (oneofl Value.[ Bool true; Bool false; Null ])) ]
+  in
+  let rec pred depth =
+    if depth = 0 then leaf
+    else
+      let sub = pred (depth - 1) in
+      frequency
+        [ (2, leaf);
+          (1, map2 (fun a b -> Expr.And (a, b)) sub sub);
+          (1, map2 (fun a b -> Expr.Or (a, b)) sub sub);
+          (1, map (fun a -> Expr.Not a) sub);
+          (1, map (fun a -> Expr.Is_null a) sub) ]
+  in
+  triple (pred 4) (pair int_v str_v) (pair int_v str_v)
+  |> map (fun (e, (a, s), (b, t)) ->
+      (e, Tuple.of_list [ a; s ], Tuple.of_list [ b; t ]))
+
+let prop_held_compiler =
+  QCheck.Test.make ~name:"held and two-tuple compilers agree" ~count:1000
+    (QCheck.make
+       ~print:(fun (e, x, y) ->
+           Fmt.str "%a on %a, %a" Expr.pp e Tuple.pp x Tuple.pp y)
+       gen_held_case)
+    (fun (e, x, y) ->
+       let s = Schema.concat held_left held_right in
+       let t = Tuple.concat x y in
+       let v = Expr.compile s e t and h = Expr.holds s e t in
+       h = (v = Value.Bool true)
+       && Expr.holds2 held_left held_right e x y = h
+       && Expr.compile2 held_left held_right e x y = v)
+
 let prop_value_total_order =
   let arb_value =
     QCheck.make
@@ -292,7 +359,8 @@ let () =
          Alcotest.test_case "equi pairs orientation" `Quick test_equi_pairs ]);
       ("properties",
        [ QCheck_alcotest.to_alcotest prop_cnf_equivalent;
-         QCheck_alcotest.to_alcotest prop_value_total_order ]);
+         QCheck_alcotest.to_alcotest prop_value_total_order;
+         QCheck_alcotest.to_alcotest prop_held_compiler ]);
       ("query-graph",
        [ Alcotest.test_case "shapes" `Quick test_query_graph_shapes;
          Alcotest.test_case "neighbours" `Quick test_query_graph_neighbours ]);

@@ -140,7 +140,19 @@ let test_binder_ambiguity_and_errors () =
   (* SUM and AVG of a string or bool: values the sum would skip *)
   ill_typed "SELECT SUM(Emp.name) FROM Emp";
   ill_typed "SELECT AVG(name) FROM Emp";
-  ill_typed "SELECT did, SUM(sal > 5) FROM Emp GROUP BY did"
+  ill_typed "SELECT did, SUM(sal > 5) FROM Emp GROUP BY did";
+  (* non-boolean operands of AND, OR and NOT, and non-boolean predicates *)
+  ill_typed "SELECT Emp.name FROM Emp WHERE Emp.sal AND Emp.age";
+  ill_typed "SELECT Emp.name FROM Emp WHERE NOT Emp.sal";
+  ill_typed "SELECT Emp.sal AND Emp.age FROM Emp";
+  ill_typed "SELECT Emp.did FROM Emp GROUP BY Emp.did HAVING COUNT(*)";
+  ill_typed "SELECT Emp.name FROM Emp WHERE Emp.age > 30 OR Emp.name";
+  (* values of any type compare, and an untyped NULL is UNKNOWN *)
+  List.iter
+    (fun sql -> ignore (bind sql))
+    [ "SELECT Emp.name FROM Emp WHERE Emp.name = 1";
+      "SELECT Emp.name FROM Emp WHERE NULL";
+      "SELECT Emp.name FROM Emp WHERE Emp.sal > 1 AND NOT NULL" ]
 
 let test_binder_views () =
   let block =

@@ -436,12 +436,13 @@ let test_cascades_plans_clean () =
        let p = Workload.Schemas.join_shape ~rows:60 ~shape ~n:5 () in
        let q = spj_of_pieces p in
        let res =
-         Cascades.Search.optimize ~lint:true p.Workload.Schemas.jcat
+         Cascades.Search.optimize p.Workload.Schemas.jcat
            p.Workload.Schemas.jdb q
        in
        check_clean
          (Printf.sprintf "Cascades %s plan" shape_name)
-         res.Cascades.Search.diags)
+         (Verify.physical p.Workload.Schemas.jcat
+            res.Cascades.Search.best.Systemr.Candidate.plan))
     [ ("chain", Workload.Schemas.Chain_q);
       ("star", Workload.Schemas.Star_q);
       ("clique", Workload.Schemas.Clique_q) ]
