@@ -1,22 +1,22 @@
-(* Join-enumeration benchmark: graph-aware csg–cmp enumeration with
-   cost-bound pruning vs the all-masks/all-splits enumerator with no cost
-   bound ([Join_order.exhaustive]).
+(* Join-enumeration benchmark: graph-aware csg–cmp enumeration vs the
+   all-masks/all-splits enumerator ([Join_order.exhaustive]).
 
    Before any timing, the harness proves the fast enumerator equivalent on
    every benchmarked shape: at the pre-check size both enumerators must
-   agree on the final plan cost (across bushy/left-deep, interesting
-   orders on/off, with and without a required output order), and every
-   plan the fast enumerator emits must pass the [Verify.physical] lint.
-   Any violation exits 1, so a speedup can never come from a search-space
-   hole.
+   agree on the final plan cost and cost exactly the same splits and
+   candidates (across bushy/left-deep, interesting orders on/off, with and
+   without a required output order), and every plan the fast enumerator
+   emits must pass the [Verify.physical] lint.  Any violation exits 1, so
+   a speedup can never come from a search-space hole.
 
    Results go to BENCH_opt.json: per shape (chain, cycle, star, clique) ×
-   mode (left-deep, bushy) × n, wall-clock for both enumerators plus the
-   fast enumerator's effort counters (DP subsets, splits considered,
-   plans costed, plans pruned) and the minor-heap words one fast
-   optimization allocates (deterministic on one domain, unlike the
-   clock).  The old enumerator is skipped beyond a cutoff (bushy splits
-   grow as 3^n) and reported as null.
+   mode (left-deep, bushy) × n, the fast enumerator's wall clock, its
+   effort counters (DP subsets, splits considered, candidates costed,
+   candidates the Pareto sets dominated) and the minor-heap words one
+   fast optimization allocates (deterministic on one domain, unlike the
+   clock).  The old enumerator is timed for bushy rows only, up to a
+   cutoff (bushy splits grow as 3^n): in left-deep mode [exhaustive]
+   runs the same walk.  Untimed rows report it as null.
 
    Usage: enum_bench [--smoke] [--out FILE]
      --smoke   n ≤ 6, single repetition — a CI liveness check (the
@@ -42,12 +42,9 @@ let shapes =
     ("star", Workload.Schemas.Star_q); ("clique", Workload.Schemas.Clique_q) ]
 
 (* The old enumerator's bushy split loop walks all 3^n (mask, submask)
-   pairs and its left-deep loop all 2^n masks; cap it where that stays
-   under a few seconds.  The new enumerator runs at every size. *)
-let old_cutoff ~shape ~bushy =
-  match shape with
-  | "clique" -> 10
-  | _ -> if bushy then 12 else 16
+   pairs; cap it where that stays under a few seconds.  The new
+   enumerator runs at every size. *)
+let old_cutoff ~shape = match shape with "clique" -> 10 | _ -> 12
 
 let optimize config (p : Workload.Schemas.join_pieces) q =
   Systemr.Join_order.optimize ~config p.Workload.Schemas.jcat
@@ -91,6 +88,20 @@ let check_equivalence ~n shape_name shape =
                      label cf cs;
                    exit 1
                  end;
+                 let ef = fast.Systemr.Join_order.counters
+                 and es = slow.Systemr.Join_order.counters in
+                 if
+                   ef.Systemr.Join_order.splits <> es.Systemr.Join_order.splits
+                   || ef.Systemr.Join_order.costed
+                      <> es.Systemr.Join_order.costed
+                 then begin
+                   Printf.eprintf
+                     "FAIL %s: fast splits/costed %d/%d <> exhaustive %d/%d\n"
+                     label ef.Systemr.Join_order.splits
+                     ef.Systemr.Join_order.costed es.Systemr.Join_order.splits
+                     es.Systemr.Join_order.costed;
+                   exit 1
+                 end;
                  let diags =
                    Verify.physical p.Workload.Schemas.jcat
                      fast.Systemr.Join_order.best.Systemr.Candidate.plan
@@ -130,7 +141,8 @@ type row = {
   n : int;
   new_s : float;
   minor_words : float;  (* allocated by one fast optimization *)
-  old_s : float option;  (* None beyond the old enumerator's cutoff *)
+  old_s : float option;
+      (* None for left-deep rows and beyond the old enumerator's cutoff *)
   analysis_s : float;
       (* abstract-interpretation pass over the winning plan: the cost the
          [analysis] pipeline option adds on top of optimization *)
@@ -152,7 +164,7 @@ let bench_point ~reps ~shape_name ~shape ~bushy ~n : row =
     time_runs reps (fun () -> optimize fast_cfg p q)
   in
   let old_s =
-    if n <= old_cutoff ~shape:shape_name ~bushy then
+    if bushy && n <= old_cutoff ~shape:shape_name then
       let slow_cfg = Systemr.Join_order.exhaustive fast_cfg in
       let s, _, _ = time_runs reps (fun () -> optimize slow_cfg p q) in
       Some s
@@ -194,7 +206,9 @@ let json_of_rows ~smoke ~precheck_n (rows : row list) =
         \"modes\": [\"left-deep\", \"bushy\"], \
         \"interesting_orders\": [true, false], \
         \"order_by\": [\"none\", \"R1.a\"], \
-        \"cost_equal_to_exhaustive\": true, \"plans_lint_clean\": true},\n"
+        \"cost_equal_to_exhaustive\": true, \
+        \"splits_costed_equal_to_exhaustive\": true, \
+        \"plans_lint_clean\": true},\n"
        smoke precheck_n
        (String.concat ", "
           (List.map (fun (s, _) -> Printf.sprintf "%S" s) shapes)));
@@ -268,8 +282,8 @@ let () =
   List.iter
     (fun (shape_name, shape) ->
        check_equivalence ~n:sc.precheck_n shape_name shape;
-       Printf.printf "precheck %-6s n=%d: fast = exhaustive, plans lint \
-                      clean\n%!" shape_name sc.precheck_n)
+       Printf.printf "precheck %-6s n=%d: fast = exhaustive (cost, splits, \
+                      costed), plans lint clean\n%!" shape_name sc.precheck_n)
     shapes;
   let rows = bench_all sc in
   Printf.printf "%-6s %-9s %3s %10s %12s %10s %8s %9s %8s %8s %8s %8s\n"

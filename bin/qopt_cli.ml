@@ -298,7 +298,8 @@ let opt_stats_arg =
   Arg.(value & flag
        & info [ "opt-stats" ]
            ~doc:"Print enumeration counters (DP subsets, splits considered, \
-                 plans costed, plans pruned) and end-to-end wall time.")
+                 candidates costed, candidates dominated and never built) \
+                 and end-to-end wall time.")
 
 let analyze_arg =
   Arg.(value & flag
@@ -311,9 +312,8 @@ let trace_json_arg =
   Arg.(value & opt (some string) None
        & info [ "trace-json" ] ~docv:"FILE"
            ~doc:"Write the structured optimizer trace (rewrites fired and \
-                 rejected, per-level enumeration counters, prunes, \
-                 interesting-order retentions, memo statistics) to FILE as \
-                 line-delimited JSON.")
+                 rejected, per-level enumeration counters, memo statistics, \
+                 feedback overrides) to FILE as line-delimited JSON.")
 
 let metrics_arg =
   Arg.(value & flag

@@ -18,13 +18,6 @@ type event =
       costed : int;
       pruned : int;
     }
-  | Prune of {
-      left_mask : int;
-      right_mask : int;
-      lower_bound : float;
-      bound : float;
-    }
-  | Order_retained of { order : string; cost : float; bound : float }
   | Memo_stats of { table : string; hits : int; misses : int }
   | Feedback_override of { digest : string; est : float; act : float }
       (* feedback-cache hit: derived estimate replaced by observed actual *)
@@ -55,12 +48,6 @@ let pp ppf = function
     Fmt.pf ppf
       "enum level %d: %d subsets, %d splits, %d plans costed, %d pruned"
       level subsets splits costed pruned
-  | Prune { left_mask; right_mask; lower_bound; bound } ->
-    Fmt.pf ppf "prune {%#x x %#x}: lower bound %.3f > bound %.3f" left_mask
-      right_mask lower_bound bound
-  | Order_retained { order; cost; bound } ->
-    Fmt.pf ppf "interesting order [%s] retained at cost %.3f (best %.3f)"
-      order cost bound
   | Memo_stats { table; hits; misses } ->
     Fmt.pf ppf "memo %s: %d hits, %d misses" table hits misses
   | Feedback_override { digest; est; act } ->
@@ -77,7 +64,7 @@ let to_string e = Fmt.str "%a" pp e
 
 (* JSON rendering is hand-rolled (no JSON dependency in the tree): one
    object per line, strings escaped per RFC 8259, non-finite floats
-   (open bounds are +inf) mapped to null. *)
+   mapped to null. *)
 let json_escape (s : string) : string =
   let b = Buffer.create (String.length s + 8) in
   String.iter
@@ -115,14 +102,6 @@ let to_json = function
     Printf.sprintf
       {|{"event":"enum_level","level":%d,"subsets":%d,"splits":%d,"costed":%d,"pruned":%d}|}
       level subsets splits costed pruned
-  | Prune { left_mask; right_mask; lower_bound; bound } ->
-    Printf.sprintf
-      {|{"event":"prune","left_mask":%d,"right_mask":%d,"lower_bound":%s,"bound":%s}|}
-      left_mask right_mask (jfloat lower_bound) (jfloat bound)
-  | Order_retained { order; cost; bound } ->
-    Printf.sprintf
-      {|{"event":"order_retained","order":%s,"cost":%s,"bound":%s}|}
-      (jstr order) (jfloat cost) (jfloat bound)
   | Memo_stats { table; hits; misses } ->
     Printf.sprintf {|{"event":"memo_stats","table":%s,"hits":%d,"misses":%d}|}
       (jstr table) hits misses

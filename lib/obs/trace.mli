@@ -1,8 +1,8 @@
 (** Structured optimizer trace: typed events from the rewrite engine
-    (rule fired/rejected), the join enumerator (per-level counters,
-    branch-and-bound prunes, interesting-order retentions) and the
-    memoization layers (interning hits), rendered as human-readable text
-    or line-delimited JSON. *)
+    (rule fired/rejected, interpreted fallback), the join enumerator
+    (per-level counters), the memoization layers (memo hits) and the
+    cardinality feedback cache, rendered as human-readable text or
+    line-delimited JSON. *)
 
 type event =
   | Rewrite_fired of { rule : string; before : string; after : string }
@@ -13,16 +13,8 @@ type event =
       subsets : int;
       splits : int;
       costed : int;
-      pruned : int;
+      pruned : int;  (** priced candidates the Pareto set dominated *)
     }
-  | Prune of {
-      left_mask : int;
-      right_mask : int;
-      lower_bound : float;
-      bound : float;
-    }  (** branch-and-bound cut: [lower_bound > bound] *)
-  | Order_retained of { order : string; cost : float; bound : float }
-      (** a costlier plan kept for its interesting order *)
   | Memo_stats of { table : string; hits : int; misses : int }
   | Feedback_override of { digest : string; est : float; act : float }
       (** feedback-cache hit: derived estimate replaced by observed actual *)

@@ -11,10 +11,6 @@ type env = { schema : Schema.t; tuple : Tuple.t }
 
 let empty_env = { schema = []; tuple = [||] }
 
-let extend (env : env) (schema : Schema.t) (tuple : Tuple.t) : env =
-  { schema = Schema.concat env.schema schema;
-    tuple = Tuple.concat env.tuple tuple }
-
 (* Keep the first occurrence of each row (DISTINCT and UNION). *)
 let dedup (rows : Tuple.t array) : Tuple.t array =
   let seen = Hashtbl.create 64 in
@@ -43,36 +39,56 @@ let rec source_rows ctx cat (env : env) (s : Qgm.source) :
     let schema, rows = eval_block ctx cat env block in
     (Schema.requalify schema ~rel:alias, rows)
 
-(* Evaluate one predicate against a tuple (2-valued WHERE: UNKNOWN rejects).
+(* Keep the rows of [schema] that one predicate accepts (2-valued WHERE:
+   UNKNOWN rejects).  The environment's schema is joined on and the
+   predicate's expression compiled once, when there is a row to test.
    Subquery predicates recursively evaluate their block with the current
-   tuple added to the environment — tuple iteration semantics. *)
-and pred_holds ctx cat (env : env) (schema : Schema.t) (p : Qgm.predicate)
-    (t : Tuple.t) : bool =
-  let local = extend env schema t in
-  match p with
-  | Qgm.P e -> Expr.holds local.schema e local.tuple
-  | Qgm.In_sub (e, blk) ->
-    let v = Expr.eval local.schema local.tuple e in
-    if Value.is_null v then false
-    else begin
-      let _, rows = eval_block ctx cat local blk in
-      Exec.Context.charge_cpu ctx (Array.length rows);
-      Array.exists
-        (fun r -> Value.sql_cmp v (Tuple.get r 0) = Some 0)
-        rows
-    end
-  | Qgm.Exists_sub (positive, blk) ->
-    let _, rows = eval_block ctx cat local blk in
-    if positive then Array.length rows > 0 else Array.length rows = 0
-  | Qgm.Cmp_sub (op, e, blk) -> (
-    let v = Expr.eval local.schema local.tuple e in
-    let _, rows = eval_block ctx cat local blk in
-    if Array.length rows = 0 then false (* comparison with empty scalar: NULL *)
-    else
-      let w = Tuple.get rows.(0) 0 in
-      match Value.sql_cmp v w with
-      | None -> false
-      | Some c -> Expr.compare_op op c)
+   tuple added to the environment, once per tuple — tuple iteration
+   semantics. *)
+and filter_rows ctx cat (env : env) (schema : Schema.t)
+    (rows : Tuple.t array) (p : Qgm.predicate) : Tuple.t array =
+  if Array.length rows = 0 then rows
+  else begin
+    let full = Schema.concat env.schema schema in
+    let local t = { schema = full; tuple = Tuple.concat env.tuple t } in
+    let keep =
+      match p with
+      | Qgm.P e ->
+        let f = Expr.holds full e in
+        fun t -> f (Tuple.concat env.tuple t)
+      | Qgm.In_sub (e, blk) ->
+        let f = Expr.compile full e in
+        fun t ->
+          let local = local t in
+          let v = f local.tuple in
+          if Value.is_null v then false
+          else begin
+            let _, rows = eval_block ctx cat local blk in
+            Exec.Context.charge_cpu ctx (Array.length rows);
+            Array.exists
+              (fun r -> Value.sql_cmp v (Tuple.get r 0) = Some 0)
+              rows
+          end
+      | Qgm.Exists_sub (positive, blk) ->
+        fun t ->
+          let _, rows = eval_block ctx cat (local t) blk in
+          if positive then Array.length rows > 0 else Array.length rows = 0
+      | Qgm.Cmp_sub (op, e, blk) ->
+        let f = Expr.compile full e in
+        fun t ->
+          let local = local t in
+          let v = f local.tuple in
+          let _, rows = eval_block ctx cat local blk in
+          if Array.length rows = 0 then false
+            (* comparison with empty scalar: NULL *)
+          else
+            let w = Tuple.get rows.(0) 0 in
+            (match Value.sql_cmp v w with
+             | None -> false
+             | Some c -> Expr.compare_op op c)
+    in
+    Array.of_list (List.filter keep (Array.to_list rows))
+  end
 
 (* Full evaluation of a block under a correlation environment. Returns the
    block's output schema (unqualified select aliases) and rows. *)
@@ -135,14 +151,7 @@ and eval_block ctx cat (env : env) (b : Qgm.block) : Schema.t * Tuple.t array
         (List.filter (fun t -> f (Tuple.concat env.tuple t)) (Array.to_list rows))
   in
   (* 2. subquery predicates, per tuple *)
-  let rows =
-    List.fold_left
-      (fun rows p ->
-         Array.of_list
-           (List.filter (fun t -> pred_holds ctx cat env schema p t)
-              (Array.to_list rows)))
-      rows subs
-  in
+  let rows = List.fold_left (filter_rows ctx cat env schema) rows subs in
   (* 3. semijoins / antijoins *)
   let schema, rows =
     List.fold_left
@@ -257,12 +266,8 @@ and eval_block ctx cat (env : env) (b : Qgm.block) : Schema.t * Tuple.t array
   in
   (* 6. HAVING *)
   let post_rows =
-    List.fold_left
-      (fun rows p ->
-         Array.of_list
-           (List.filter (fun t -> pred_holds ctx cat env post_schema p t)
-              (Array.to_list rows)))
-      post_rows b.Qgm.having
+    List.fold_left (filter_rows ctx cat env post_schema) post_rows
+      b.Qgm.having
   in
   (* 7. ORDER BY (before projection; keys refer to the pre-select schema) *)
   let post_rows =

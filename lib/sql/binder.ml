@@ -367,17 +367,19 @@ and bind_block env (outer : scope list) (s : Ast.select) : Q.block =
    [Typing.boolean_rule], the verifier's rule too: [Emp.sal AND Emp.age]
    would reject every row under the held compiler but raise in a boxed
    evaluation.  SUM and AVG take numbers only.  Subquery blocks were
-   checked when they were bound. *)
+   checked when they were bound.  A message names a grouped block's keys
+   and aggregates by their SQL text, not by their internal aliases. *)
 and check_block (outer : scope list) (b : Q.block) : unit =
-  (* the schemas are built only when a subterm needs typing *)
-  let check ~predicate (schema : Schema.t Lazy.t) e =
+  (* a namespace: the schema, built only when a subterm needs typing, and
+     the form an error message prints an expression in *)
+  let check ~predicate ((schema : Schema.t Lazy.t), show) e =
     let rec walk (e : Expr.t) =
       match e with
       | Expr.Binop _ -> (
         match Typing.infer (Lazy.force schema) e with
         | _ -> ()
         | exception (Typing.Error m | Failure m) ->
-          err "type error: %s in %s" m (Expr.to_string e))
+          err "type error: %s in %s" m (Expr.to_string (show e)))
       | Expr.Cmp (_, x, y) ->
         walk x;
         walk y
@@ -401,10 +403,10 @@ and check_block (outer : scope list) (b : Q.block) : unit =
           | ty -> Some ty
           | exception (Typing.Error _ | Failure _) -> None)
       in
-      match Typing.boolean_rule use x ty, within with
+      match Typing.boolean_rule use (show x) ty, within with
       | None, _ -> ()
       | Some m, None -> err "type error: %s" m
-      | Some m, Some w -> err "type error: %s in %s" m (Expr.to_string w)
+      | Some m, Some w -> err "type error: %s in %s" m (Expr.to_string (show w))
     in
     if predicate then boolean Typing.Predicate None e else walk e
   in
@@ -415,11 +417,12 @@ and check_block (outer : scope list) (b : Q.block) : unit =
     | Q.Exists_sub _ -> ()
   in
   let inner =
-    lazy
-      (List.concat_map Q.source_schema
-         (b.Q.from @ List.map (fun (oj : Q.outerjoin) -> oj.Q.o_source)
-                       b.Q.outerjoins)
-       @ List.concat_map (fun (sc : scope) -> List.concat_map snd sc) outer)
+    ( lazy
+        (List.concat_map Q.source_schema
+           (b.Q.from @ List.map (fun (oj : Q.outerjoin) -> oj.Q.o_source)
+                         b.Q.outerjoins)
+         @ List.concat_map (fun (sc : scope) -> List.concat_map snd sc) outer),
+      Fun.id )
   in
   List.iter (check_pred inner) b.Q.where;
   List.iter (fun (oj : Q.outerjoin) -> predicate inner oj.Q.o_pred)
@@ -430,7 +433,7 @@ and check_block (outer : scope list) (b : Q.block) : unit =
        Option.iter (value inner) (Expr.agg_arg a);
        match a with
        | Expr.Sum _ | Expr.Avg _ -> (
-         match Typing.infer_agg (Lazy.force inner) a with
+         match Typing.infer_agg (Lazy.force (fst inner)) a with
          | _ -> ()
          | exception (Typing.Error m | Failure m) ->
            err "type error: %s in %a" m Expr.pp_agg a)
@@ -439,16 +442,36 @@ and check_block (outer : scope list) (b : Q.block) : unit =
   let grouped =
     if b.Q.group_by = [] && b.Q.aggs = [] then inner
     else
-      lazy
-        (let inner = Lazy.force inner in
-         List.map
-           (fun (e, a) ->
-              Schema.column ~rel:"" ~name:a ~ty:(Typing.infer inner e))
-           b.Q.group_by
-         @ List.map
-             (fun (g, a) ->
-                Schema.column ~rel:"" ~name:a ~ty:(Typing.infer_agg inner g))
-             b.Q.aggs)
+      let text =
+        List.map (fun (e, a) -> (a, Expr.to_string e)) b.Q.group_by
+        @ List.map (fun (g, a) -> (a, Fmt.str "%a" Expr.pp_agg g)) b.Q.aggs
+      in
+      let rec show (e : Expr.t) =
+        match e with
+        | Expr.Col { Expr.rel = ""; col } -> (
+          match List.assoc_opt col text with
+          | Some t -> Expr.col ~rel:"" ~col:t
+          | None -> e)
+        | Expr.Binop (op, x, y) -> Expr.Binop (op, show x, show y)
+        | Expr.Cmp (op, x, y) -> Expr.Cmp (op, show x, show y)
+        | Expr.And (x, y) -> Expr.And (show x, show y)
+        | Expr.Or (x, y) -> Expr.Or (show x, show y)
+        | Expr.Not x -> Expr.Not (show x)
+        | Expr.Is_null x -> Expr.Is_null (show x)
+        | Expr.Udf (u, args) -> Expr.Udf (u, List.map show args)
+        | Expr.Const _ | Expr.Col _ -> e
+      in
+      ( lazy
+          (let inner = Lazy.force (fst inner) in
+           List.map
+             (fun (e, a) ->
+                Schema.column ~rel:"" ~name:a ~ty:(Typing.infer inner e))
+             b.Q.group_by
+           @ List.map
+               (fun (g, a) ->
+                  Schema.column ~rel:"" ~name:a ~ty:(Typing.infer_agg inner g))
+               b.Q.aggs),
+        show )
   in
   List.iter (fun (e, _) -> value grouped e) b.Q.select;
   List.iter (check_pred grouped) b.Q.having;

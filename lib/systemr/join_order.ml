@@ -13,15 +13,15 @@
    lists and predicate scans.  In bushy mode, connected subsets are paired
    with connected complements (csg–cmp generation) instead of enumerating
    all ~3^n splits; chains and stars then cost only a polynomial number of
-   pairs.  A greedy left-deep plan seeds a branch-and-bound upper bound:
-   plan costs only grow as subplans compose, so a partial candidate dearer
-   than a complete plan can be discarded — except that candidates carrying
-   an interesting order are kept, exactly as Section 3.1 requires.
+   pairs.  The only pruning is the frontier's: a priced candidate that
+   one no dearer, with an order at least as useful, dominates is dropped
+   before its plan is built.
 
-   [exhaustive] turns both refinements off: every subset, every split, no
-   cost bound, on the same bitset connectivity test.  It is the
-   equivalence oracle and benchmark baseline, and its all-splits walk
-   doubles as the cartesian rescue path for disconnected graphs. *)
+   [exhaustive] pairs bushy subsets by walking every split of every
+   subset, on the same bitset connectivity test.  It is the equivalence
+   oracle and benchmark baseline, and its all-splits walk doubles as the
+   cartesian rescue path for disconnected graphs.  Left-deep search is the
+   same walk either way. *)
 
 open Relalg
 
@@ -51,16 +51,16 @@ let default_config =
 let system_r_1979 =
   { default_config with methods = [ Nl; Inl; Smj ] }
 
-(* The unrefined search: every mask, every split, no cost bound.  Same
-   plan costs as the graph-aware search (a property test and the bench
-   pre-check). *)
+(* The unrefined search: every mask, every split.  Same plans and, on a
+   connected graph, the same costed pairs as the graph-aware search (a
+   property test and the bench pre-check). *)
 let exhaustive c = { c with exhaustive = true }
 
 type counters = {
   subsets : int; (* DP table entries created *)
   splits : int; (* (left, right) combinations considered *)
   costed : int; (* physical join candidates built and costed *)
-  pruned : int; (* combinations / candidates dropped by the cost bound *)
+  pruned : int; (* priced candidates the frontier dominated, never built *)
 }
 
 let counters_zero = { subsets = 0; splits = 0; costed = 0; pruned = 0 }
@@ -535,29 +535,17 @@ let rec covered pairs = function
     | Some (lcol, _) -> (c, lcol) :: covered pairs rest
     | None -> [])
 
-(* The one emit path every priced candidate takes: count it, apply
-   [bound], and ask the frontier whether it would keep it — before its
-   plan is built.  A candidate dearer than [bound] is dropped (counted as
-   pruned) unless it carries an interesting order, which must survive
-   pruning: a dearer ordered subplan can still win globally once a sort
-   enforcer is priced in above it (Section 3.1). *)
-let admit ctx ~bound (out : entry) cost order =
+(* The one emit path every priced candidate takes: count it and ask the
+   frontier whether it would keep it — before its plan is built.  A
+   dominated candidate is counted as pruned. *)
+let admit ctx (out : entry) cost order =
   ctx.plans_costed <- ctx.plans_costed + 1;
-  let interesting_orders = ctx.cfg.interesting_orders in
-  if cost > bound then
-    match order with
-    | _ :: _ when interesting_orders ->
-      (match ctx.trace with
-       | None -> ()
-       | Some sink ->
-         sink
-           (Obs.Trace.Order_retained
-              { order = Cost.Physical_props.to_string order; cost; bound }));
-      not (Candidate.dominated ~interesting_orders out.frontier ~cost ~order)
-    | _ ->
-      ctx.plans_pruned <- ctx.plans_pruned + 1;
-      false
-  else not (Candidate.dominated ~interesting_orders out.frontier ~cost ~order)
+  let dominated =
+    Candidate.dominated ~interesting_orders:ctx.cfg.interesting_orders
+      out.frontier ~cost ~order
+  in
+  if dominated then ctx.plans_pruned <- ctx.plans_pruned + 1;
+  not dominated
 
 (* Build an admitted candidate and insert it. *)
 let push ctx (out : entry) plan cost order =
@@ -566,12 +554,12 @@ let push ctx (out : entry) plan cost order =
 
 (* Per-method loops over the left candidates; everything else a
    candidate's cost needs was priced once for the split. *)
-let rec nl_each ctx ~bound out ~pred ~(rc : Candidate.t) ~materialize ~rescan
+let rec nl_each ctx out ~pred ~(rc : Candidate.t) ~materialize ~rescan
   = function
   | [] -> ()
   | (lc : Candidate.t) :: rest ->
     let cost = lc.Candidate.cost +. rc.Candidate.cost +. rescan in
-    if admit ctx ~bound out cost lc.Candidate.order then
+    if admit ctx out cost lc.Candidate.order then
       push ctx out
         (Exec.Plan.Nested_loop
            { kind = Algebra.Inner; pred = Lazy.force pred;
@@ -580,14 +568,14 @@ let rec nl_each ctx ~bound out ~pred ~(rc : Candidate.t) ~materialize ~rescan
                (if materialize then Exec.Plan.Materialize rc.Candidate.plan
                 else rc.Candidate.plan) })
         cost lc.Candidate.order;
-    nl_each ctx ~bound out ~pred ~rc ~materialize ~rescan rest
+    nl_each ctx out ~pred ~rc ~materialize ~rescan rest
 
-let rec inl_each ctx ~bound out ~(rel : Spj.relation) ~index ~columns ~probed
+let rec inl_each ctx out ~(rel : Spj.relation) ~index ~columns ~probed
     ~probe = function
   | [] -> ()
   | (lc : Candidate.t) :: rest ->
     let cost = lc.Candidate.cost +. probe in
-    if admit ctx ~bound out cost lc.Candidate.order then begin
+    if admit ctx out cost lc.Candidate.order then begin
       let outer_keys, residual = Lazy.force probed in
       push ctx out
         (Exec.Plan.Index_nl
@@ -596,20 +584,20 @@ let rec inl_each ctx ~bound out ~(rel : Spj.relation) ~index ~columns ~probed
              outer_keys; residual })
         cost lc.Candidate.order
     end;
-    inl_each ctx ~bound out ~rel ~index ~columns ~probed ~probe rest
+    inl_each ctx out ~rel ~index ~columns ~probed ~probe rest
 
-let rec hj_each ctx ~bound out ~pairs ~residual ~(rc : Candidate.t) ~build =
+let rec hj_each ctx out ~pairs ~residual ~(rc : Candidate.t) ~build =
   function
   | [] -> ()
   | (lc : Candidate.t) :: rest ->
     let cost = lc.Candidate.cost +. rc.Candidate.cost +. build in
-    if admit ctx ~bound out cost lc.Candidate.order then
+    if admit ctx out cost lc.Candidate.order then
       push ctx out
         (Exec.Plan.Hash_join
            { kind = Algebra.Inner; pairs; residual; left = lc.Candidate.plan;
              right = rc.Candidate.plan })
         cost lc.Candidate.order;
-    hj_each ctx ~bound out ~pairs ~residual ~rc ~build rest
+    hj_each ctx out ~pairs ~residual ~rc ~build rest
 
 (* What every candidate of one split shares, worked out once for it. *)
 type split = {
@@ -624,7 +612,7 @@ type split = {
 
 (* Index nested loops probing each index of base relation [ri] whose key
    prefix the split's equi pairs cover. *)
-let rec inl_cands ctx ~bound out (sp : split) ri = function
+let rec inl_cands ctx out (sp : split) ri = function
   | [] -> ()
   | { index = idx; ndv } :: rest ->
     (match covered sp.keys.pairs idx.Storage.Btree.columns with
@@ -643,7 +631,7 @@ let rec inl_cands ctx ~bound out (sp : split) ri = function
                 @ sp.residual_list @ ctx.locals.(ri)) )
        in
        let info = ctx.info.(ri) in
-       inl_each ctx ~bound out ~rel:ctx.rels.(ri)
+       inl_each ctx out ~rel:ctx.rels.(ri)
          ~index:idx.Storage.Btree.name ~columns ~probed
          ~probe:
            (Cost.Cost_model.index_nl ctx.cfg.params
@@ -652,11 +640,11 @@ let rec inl_cands ctx ~bound out (sp : split) ri = function
               ~matches_per_probe:(info.rows /. ndv.(List.length cov - 1))
               ~clustered:idx.Storage.Btree.clustered)
          sp.left.frontier.Candidate.cands);
-    inl_cands ctx ~bound out sp ri rest
+    inl_cands ctx out sp ri rest
 
 (* The merge join of the cheapest inputs delivering the key orders,
    sort enforcers priced in. *)
-let smj_cand ctx ~bound out (sp : split) =
+let smj_cand ctx out (sp : split) =
   let p = ctx.cfg.params and { pairs; want_l; want_r } = sp.keys in
   let lrows = sp.left.stats.Stats.Derive.card
   and rrows = sp.right.stats.Stats.Derive.card in
@@ -673,7 +661,7 @@ let smj_cand ctx ~bound out (sp : split) =
            ~out_rows:out.stats.Stats.Derive.card
     in
     let order = Candidate.ordered_order ~want:want_l lo in
-    if admit ctx ~bound out cost order then
+    if admit ctx out cost order then
       push ctx out
         (Exec.Plan.Merge_join
            { kind = Algebra.Inner; pairs; residual = sp.residual;
@@ -683,7 +671,7 @@ let smj_cand ctx ~bound out (sp : split) =
   | _ -> ()
 
 (* The candidates of each configured method, in [methods] order. *)
-let rec method_cands ctx ~bound out (sp : split) = function
+let rec method_cands ctx out (sp : split) = function
   | [] -> ()
   | m :: rest ->
     let p = ctx.cfg.params in
@@ -691,7 +679,7 @@ let rec method_cands ctx ~bound out (sp : split) = function
     and rrows = sp.right.stats.Stats.Derive.card in
     (match m, sp.right.frontier.Candidate.cands with
      | Nl, rc :: _ ->
-       nl_each ctx ~bound out ~pred:sp.nl_pred ~rc
+       nl_each ctx out ~pred:sp.nl_pred ~rc
          ~materialize:(sp.right_base = None)
          ~rescan:
            (match sp.right_base with
@@ -702,12 +690,12 @@ let rec method_cands ctx ~bound out (sp : split) = function
          sp.left.frontier.Candidate.cands
      | Inl, _ -> (
        match sp.right_base with
-       | Some ri -> inl_cands ctx ~bound out sp ri ctx.info.(ri).probes
+       | Some ri -> inl_cands ctx out sp ri ctx.info.(ri).probes
        | None -> ())
-     | Smj, _ -> if sp.keys.pairs <> [] then smj_cand ctx ~bound out sp
+     | Smj, _ -> if sp.keys.pairs <> [] then smj_cand ctx out sp
      | Hj, rc :: _ ->
        if sp.keys.pairs <> [] then
-         hj_each ctx ~bound out ~pairs:sp.keys.pairs ~residual:sp.residual
+         hj_each ctx out ~pairs:sp.keys.pairs ~residual:sp.residual
            ~rc
            ~build:
              (Cost.Cost_model.hash_join p ~left_rows:lrows ~right_rows:rrows
@@ -715,7 +703,7 @@ let rec method_cands ctx ~bound out (sp : split) = function
                 ~out_rows:out.stats.Stats.Derive.card)
            sp.left.frontier.Candidate.cands
      | (Nl | Hj), [] -> ());
-    method_cands ctx ~bound out sp rest
+    method_cands ctx out sp rest
 
 (* Cost every join candidate combining [left] (composite) with [right]
    (composite when bushy; [right_base] set when it is one base relation)
@@ -723,12 +711,12 @@ let rec method_cands ctx ~bound out (sp : split) = function
    shares — its conjuncts and keys, the NL, INL and HJ costs beside the
    left input's, the merge join's sort enforcers — is worked out once per
    split, and only candidates the frontier keeps are built. *)
-let join_cands ?(bound = infinity) ctx ~(left : entry) ~left_mask
+let join_cands ctx ~(left : entry) ~left_mask
     ~(right : entry) ~right_mask ~right_base (out : entry) : unit =
   let keys, residual_list =
     split_conjuncts ctx ~left:left_mask ~right:right_mask
   in
-  method_cands ctx ~bound out
+  method_cands ctx out
     { left; right; right_base; keys; residual_list;
       residual = Pred.of_conjuncts residual_list;
       nl_pred =
@@ -745,71 +733,6 @@ let counters_of ctx =
     splits = ctx.splits_considered;
     costed = ctx.plans_costed;
     pruned = ctx.plans_pruned }
-
-(* Cost of [e]'s best candidate with the required output order and the
-   final projection applied — the cost [finish] would report. *)
-let finished_cost ctx (q : Spj.t) (e : entry) : float =
-  let rows = e.stats.Stats.Derive.card and pages = e.pages in
-  match
-    Candidate.cheapest_ordered ~params:ctx.cfg.params ~rows ~pages
-      ~want:q.Spj.order_by e.frontier.Candidate.cands
-  with
-  | None -> infinity
-  | Some o ->
-    o.Candidate.total
-    +.
-    (match q.Spj.projections with
-     | None -> 0.
-     | Some _ -> Cost.Cost_model.project ctx.cfg.params ~rows)
-
-(* A complete greedy left-deep plan: start from the cheapest access path,
-   repeatedly join the connected extension (all extensions under
-   [allow_cross] or as the cartesian rescue) yielding the cheapest
-   intermediate.  Its *finished* cost — output order and projection
-   included — is a sound branch-and-bound upper bound, since costs only
-   grow as subplans compose. *)
-let greedy_upper_bound ctx (q : Spj.t) : float =
-  let n = Array.length ctx.rels in
-  let start = ref 0 and start_cost = ref infinity in
-  for i = 0 to n - 1 do
-    match Candidate.cheapest ctx.base.(i).frontier.Candidate.cands with
-    | Some c when c.Candidate.cost < !start_cost ->
-      start := i;
-      start_cost := c.Candidate.cost
-    | _ -> ()
-  done;
-  let full = (1 lsl n) - 1 in
-  let mask = ref (1 lsl !start) and current = ref ctx.base.(!start) in
-  (try
-     for _ = 2 to n do
-       let exts = full land lnot !mask in
-       let conn = connected_exts ctx !mask in
-       let chosen = if ctx.cfg.allow_cross || conn = 0 then exts else conn in
-       (* the cheapest extension; the first of equal costs wins *)
-       let step = ref None and step_cost = ref infinity in
-       for i = 0 to n - 1 do
-         let rmask = 1 lsl i in
-         if chosen land rmask <> 0 then begin
-           let union = !mask lor rmask in
-           let out = new_entry (stats_of ctx union) [] in
-           join_cands ctx ~bound:infinity ~left:!current ~left_mask:!mask
-             ~right:ctx.base.(i) ~right_mask:rmask ~right_base:(Some i) out;
-           match Candidate.cheapest out.frontier.Candidate.cands, !step with
-           | None, _ -> ()
-           | Some c, Some _ when c.Candidate.cost >= !step_cost -> ()
-           | Some c, _ ->
-             step := Some (union, out);
-             step_cost := c.Candidate.cost
-         end
-       done;
-       match !step with
-       | None -> raise Exit
-       | Some (union, out) ->
-         mask := union;
-         current := out
-     done
-   with Exit -> ());
-  if !mask = full then finished_cost ctx q !current else infinity
 
 let optimize_entry ?trace ?feedback ?(config = default_config) cat db
     (q : Spj.t) : ctx * entry =
@@ -839,52 +762,14 @@ let optimize_entry ?trace ?feedback ?(config = default_config) cat db
       e
   in
   let gconn = graph_connected ctx in
-  (* Branch-and-bound bound, with a little relative slack so a plan
-     costing exactly the bound can never be pruned by a float tie.  The
-     bound is a complete greedy *left-deep* plan; on a disconnected graph
-     the bushy enumerator's per-subset cartesian rescue excludes some
-     join-then-cross shapes left-deep extension allows, so the greedy plan
-     can fall outside the bushy search space and under-cut its optimum —
-     skip pruning there. *)
-  let ub =
-    if config.exhaustive || n <= 1 || (config.bushy && not gconn) then
-      infinity
-    else
-      let u = greedy_upper_bound ctx q in
-      if u = infinity then infinity else u +. Float.max 1e-6 (1e-9 *. u)
-  in
-  (* One (left, right) combination: count it, apply the pair-level lower
-     bound — the cheapest cost any plan of this combination can have —
-     then cost and insert.  Index nested loop charges probes rather than a
-     scan of the inner side, so the inner's cost only counts when no index
-     path exists. *)
+  (* One (left, right) combination: count it, then cost and insert. *)
   let consider ~(left : entry) ~left_mask ~(right : entry) ~right_mask
       ~right_base out =
     match left.frontier.Candidate.cands, right.frontier.Candidate.cands with
     | [], _ | _, [] -> ()
-    | lc :: _, rc :: _ ->
+    | _ :: _, _ :: _ ->
       ctx.splits_considered <- ctx.splits_considered + 1;
-      let right_may_be_free =
-        match right_base with
-        | Some i -> ctx.info.(i).probes <> []
-        | None -> false
-      in
-      let lb =
-        if right_may_be_free then lc.Candidate.cost
-        else lc.Candidate.cost +. rc.Candidate.cost
-      in
-      if lb > ub then begin
-        ctx.plans_pruned <- ctx.plans_pruned + 1;
-        match ctx.trace with
-        | None -> ()
-        | Some sink ->
-          sink
-            (Obs.Trace.Prune
-               { left_mask; right_mask; lower_bound = lb; bound = ub })
-      end
-      else
-        join_cands ~bound:ub ctx ~left ~left_mask ~right ~right_mask
-          ~right_base out
+      join_cands ctx ~left ~left_mask ~right ~right_mask ~right_base out
   in
   (* Per-level enumeration counters (level = relations in the union mask),
      accumulated from snapshot deltas around each enumeration step; the

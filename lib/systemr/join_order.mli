@@ -4,12 +4,12 @@
 
     The enumeration is graph-aware: a bitset query graph (per-predicate
     relation masks, per-relation neighbor masks) is precomputed once per
-    query, bushy mode pairs connected subgraphs with connected complements
-    (csg–cmp generation) instead of walking all splits, and a greedy
-    left-deep plan seeds a branch-and-bound upper bound.  [exhaustive]
-    walks all masks and all splits with no cost bound — the equivalence
-    oracle and benchmark baseline; the same walk is the cartesian rescue
-    path.
+    query, and bushy mode pairs connected subgraphs with connected
+    complements (csg–cmp generation) instead of walking all splits.  The
+    only pruning is dominance: a priced candidate the subset's Pareto set
+    dominates is dropped before its plan is built.  [exhaustive] walks all
+    masks and all splits — the equivalence oracle and benchmark baseline;
+    the same walk is the cartesian rescue path.
 
     The lower-level pieces ([ctx], [entry], [join_cands], ...) are exposed
     for the naive enumerator and the Cascades optimizer, which share this
@@ -27,10 +27,11 @@ type config = {
   bushy : bool;  (** all splits instead of left-deep extensions *)
   methods : meth list;
   exhaustive : bool;
-  (** the oracle search (off by default): alias-scanning connectivity,
-      every split, no cost bound.  Off = bitset-graph connectivity,
-      csg–cmp bushy enumeration and branch-and-bound against a greedy
-      upper bound (interesting-order candidates are exempt) *)
+  (** how bushy pairs are generated (off by default): on = every split
+      of every subset, the oracle search; off = csg–cmp pairing.  Both use
+      the same bitset connectivity test and cost the same pairs on a
+      connected graph of binary joins; left-deep search ignores the
+      flag *)
 }
 
 val default_config : config
@@ -39,9 +40,9 @@ val default_config : config
     linear trees; Cartesian products deferred. *)
 val system_r_1979 : config
 
-(** The same search without csg–cmp pairing or pruning — every split of
-    every mask, no cost bound, on the same connectivity test — kept as
-    the equivalence oracle and benchmark baseline. *)
+(** The same search without csg–cmp pairing — every split of every mask,
+    on the same connectivity test — kept as the equivalence oracle and
+    benchmark baseline. *)
 val exhaustive : config -> config
 
 (** Enumeration-effort counters, reported per optimization and summed per
@@ -50,7 +51,9 @@ type counters = {
   subsets : int;  (** DP table entries created *)
   splits : int;  (** (left, right) combinations considered *)
   costed : int;  (** physical join candidates built and costed *)
-  pruned : int;  (** combinations / candidates dropped by the cost bound *)
+  pruned : int;
+      (** priced candidates the Pareto set dominated; their plans are
+          never built *)
 }
 
 val counters_zero : counters
@@ -123,8 +126,7 @@ val popcount : int -> int
 val lowest_bit_index : int -> int
 
 (** [trace] receives typed optimizer events (per-level enumeration
-    counters, branch-and-bound prunes, interesting-order retentions,
-    memo statistics) as the search runs; omitted = tracing off.
+    counters, memo statistics, feedback overrides) as the search runs; omitted = tracing off.
     [feedback] is an observed-cardinality cache: a fresh entry for a
     subset's logical subexpression overrides the derived cardinality in
     [stats_of]; omitted = off.
@@ -164,11 +166,9 @@ val feedback_key : ctx -> int -> Stats.Feedback.key option
     set when the right side is one base relation, enabling index nested
     loops) and insert each into the given entry's Pareto set.  Shared
     per-split work is done once; a candidate's plan is built only if the
-    frontier keeps it.  Candidates dearer than [bound] (default: none)
-    are dropped and counted as pruned unless they carry an interesting
-    order. *)
+    frontier keeps it; a dominated one is counted as pruned. *)
 val join_cands :
-  ?bound:float -> ctx -> left:entry -> left_mask:int -> right:entry ->
+  ctx -> left:entry -> left_mask:int -> right:entry ->
   right_mask:int -> right_base:int option -> entry -> unit
 
 (** Run the enumeration, returning the context and the full-set entry. *)

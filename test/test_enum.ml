@@ -1,7 +1,8 @@
-(* Graph-aware enumeration tests: the bitset-graph + csg–cmp + cost-bound
-   enumerator must find exactly the same best cost as the all-splits
-   enumerator with no cost bound ([Join_order.exhaustive]) on random acyclic and
-   cyclic query graphs, across tree shapes and pruning-sensitive configs;
+(* Graph-aware enumeration tests: the bitset-graph + csg–cmp enumerator
+   must find exactly the same best cost, and cost exactly the same pairs
+   and candidates, as the all-splits enumerator ([Join_order.exhaustive])
+   on random acyclic and cyclic query graphs, across tree shapes and
+   pruning-sensitive configs;
    plus fixed regressions (disconnected rescue, single relation, counter
    sanity), the sorted Pareto-frontier invariant of [Candidate.insert],
    and the frontier and the lazily priced sort enforcer checked step by
@@ -87,6 +88,14 @@ let configs =
 
 let costs_match cf cs = Float.abs (cf -. cs) <= 1e-6 *. Float.max 1. cs
 
+(* csg–cmp pairing and the all-splits walk cost the same (left, right)
+   pairs on a connected graph: the walk's other splits have a side with
+   no candidates and are skipped uncounted. *)
+let same_effort (a : Systemr.Join_order.counters)
+    (b : Systemr.Join_order.counters) =
+  a.Systemr.Join_order.splits = b.Systemr.Join_order.splits
+  && a.Systemr.Join_order.costed = b.Systemr.Join_order.costed
+
 let equiv_ok (g : graph_query) =
   List.for_all
     (fun (_, config) ->
@@ -96,7 +105,9 @@ let equiv_ok (g : graph_query) =
            ~config:(Systemr.Join_order.exhaustive config) g.cat g.db g.query
        in
        costs_match fast.Systemr.Join_order.best.Systemr.Candidate.cost
-         slow.Systemr.Join_order.best.Systemr.Candidate.cost)
+         slow.Systemr.Join_order.best.Systemr.Candidate.cost
+       && same_effort fast.Systemr.Join_order.counters
+            slow.Systemr.Join_order.counters)
     configs
 
 let check_equiv name (g : graph_query) =
@@ -112,11 +123,16 @@ let check_equiv name (g : graph_query) =
        Alcotest.(check bool)
          (Printf.sprintf "%s %s: fast %.4f = exhaustive %.4f" name cfg_name
             cf cs)
-         true (costs_match cf cs))
+         true (costs_match cf cs);
+       Alcotest.(check bool)
+         (Printf.sprintf "%s %s: same splits and costed" name cfg_name)
+         true
+         (same_effort fast.Systemr.Join_order.counters
+            slow.Systemr.Join_order.counters))
     configs
 
 let prop_fast_equals_exhaustive =
-  QCheck.Test.make ~name:"graph-aware + pruned = exhaustive best cost"
+  QCheck.Test.make ~name:"graph-aware = exhaustive best cost and effort"
     ~count:10
     (QCheck.make
        QCheck.Gen.(pair bool (pair (int_range 2 7) (int_range 1 1000))))
@@ -165,10 +181,6 @@ let test_single_relation () =
   Alcotest.(check bool) "finite cost" true
     (Float.is_finite res.Systemr.Join_order.best.Systemr.Candidate.cost)
 
-(* Chain of 8, bushy: the graph-aware enumerator must create exactly the
-   n(n+1)/2 = 36 connected-interval DP entries, never consider more
-   splits than the exhaustive walk, and actually exercise the cost
-   bound. *)
 let spj_of_pieces (p : Workload.Schemas.join_pieces) =
   Systemr.Spj.make
     ~relations:
@@ -182,30 +194,41 @@ let spj_of_pieces (p : Workload.Schemas.join_pieces) =
          p.Workload.Schemas.relations)
     ~predicates:p.Workload.Schemas.predicates ()
 
+(* Chain, cycle and star of 8 and clique of 6, left-deep and bushy: the
+   graph-aware enumerator costs exactly the splits and candidates of the
+   exhaustive walk, and bushy on the chain
+   creates exactly the n(n+1)/2 = 36 connected-interval DP entries. *)
 let test_counters_sane () =
-  let p =
-    Workload.Schemas.join_shape ~rows:60 ~shape:Workload.Schemas.Chain_q ~n:8 ()
-  in
-  let q = spj_of_pieces p in
-  let config = { Systemr.Join_order.default_config with bushy = true } in
-  let opt config =
-    (Systemr.Join_order.optimize ~config p.Workload.Schemas.jcat
-       p.Workload.Schemas.jdb q)
-      .Systemr.Join_order.counters
-  in
-  let fast = opt config
-  and slow = opt (Systemr.Join_order.exhaustive config) in
-  Alcotest.(check int) "36 connected intervals" 36
-    fast.Systemr.Join_order.subsets;
-  (* note: [costed] is not compared — the greedy upper-bound seed costs a
-     few plans of its own, which can outweigh the pruning savings at this
-     size *)
-  Alcotest.(check bool) "no more splits than exhaustive" true
-    (fast.Systemr.Join_order.splits <= slow.Systemr.Join_order.splits);
-  Alcotest.(check bool) "cost bound exercised" true
-    (fast.Systemr.Join_order.pruned > 0);
-  Alcotest.(check int) "exhaustive never prunes" 0
-    slow.Systemr.Join_order.pruned
+  let module J = Systemr.Join_order in
+  List.iter
+    (fun (shape, shape_name, n) ->
+       let p = Workload.Schemas.join_shape ~rows:60 ~shape ~n () in
+       let q = spj_of_pieces p in
+       List.iter
+         (fun bushy ->
+            let config = { J.default_config with bushy } in
+            let opt config =
+              (J.optimize ~config p.Workload.Schemas.jcat
+                 p.Workload.Schemas.jdb q)
+                .J.counters
+            in
+            let fast = opt config and slow = opt (J.exhaustive config) in
+            let label what =
+              Printf.sprintf "%s n=%d %s: %s" shape_name n
+                (if bushy then "bushy" else "left-deep")
+                what
+            in
+            Alcotest.(check int) (label "splits = exhaustive")
+              slow.J.splits fast.J.splits;
+            Alcotest.(check int) (label "costed = exhaustive")
+              slow.J.costed fast.J.costed;
+            if bushy && shape = Workload.Schemas.Chain_q then
+              Alcotest.(check int) (label "36 connected intervals") 36
+                fast.J.subsets)
+         [ false; true ])
+    Workload.Schemas.
+      [ (Chain_q, "chain", 8); (Cycle_q, "cycle", 8); (Star_q, "star", 8);
+        (Clique_q, "clique", 6) ]
 
 (* Star of 10: the histogram-join memo computes each of the 9 edges once
    and serves every other subset containing the edge from the memo; the

@@ -169,7 +169,7 @@ let prop_actuals_cross_engine =
 
 (* ------------------------------------------------------------------ *)
 (* Trace JSON: every event the pipeline emits must pass the independent
-   well-formedness checker, including non-finite bounds. *)
+   well-formedness checker, including non-finite floats. *)
 
 let test_trace_json_wellformed () =
   let cat, db = emp_dept () in
@@ -189,13 +189,13 @@ let test_trace_json_wellformed () =
    | Error m -> Alcotest.failf "malformed trace JSON: %s" m);
   (* non-finite floats must serialize as null, not as "inf" *)
   let e =
-    Obs.Trace.Prune
-      { left_mask = 1; right_mask = 2; lower_bound = 3.5; bound = infinity }
+    Obs.Trace.Feedback_override
+      { digest = "00000000"; est = infinity; act = 3.5 }
   in
   let j = Obs.Trace.to_json e in
   (match Obs.Json.validate j with
    | Ok () -> ()
-   | Error m -> Alcotest.failf "malformed JSON for infinite bound: %s" m);
+   | Error m -> Alcotest.failf "malformed JSON for infinite estimate: %s" m);
   Alcotest.(check bool) "infinity rendered as null" true
     (String.length j >= 4
      && (let found = ref false in
@@ -359,19 +359,8 @@ let test_span_golden_text () =
      \           ! rewrite predicate_pushdown rejected\n\
      [ 3]     optimize\n\
      [ 4]       enumerate {relations=2}\n\
-     \             ! interesting order [Emp.eid] retained at cost 14.210 (best 4.820)\n\
-     \             ! interesting order [Emp.did] retained at cost 23.210 (best 4.820)\n\
-     \             ! interesting order [Emp.eid] retained at cost 219.600 (best 4.820)\n\
-     \             ! interesting order [Emp.did] retained at cost 228.600 (best 4.820)\n\
-     \             ! interesting order [Emp.did] retained at cost 6.182 (best 4.820)\n\
-     \             ! interesting order [Emp.eid] retained at cost 12.630 (best 4.820)\n\
-     \             ! interesting order [Emp.did] retained at cost 21.630 (best 4.820)\n\
-     \             ! interesting order [Dept.did] retained at cost 14.210 (best 4.820)\n\
-     \             ! interesting order [Dept.did] retained at cost 29.234 (best 4.820)\n\
-     \             ! interesting order [Dept.did] retained at cost 6.182 (best 4.820)\n\
-     \             ! interesting order [Dept.did] retained at cost 12.820 (best 4.820)\n\
-     \             ! enum level 2: 1 subsets, 2 splits, 17 plans costed, 4 pruned\n\
-     \             ! memo subset_stats: 1 hits, 2 misses\n\
+     \             ! enum level 2: 1 subsets, 2 splits, 17 plans costed, 9 pruned\n\
+     \             ! memo subset_stats: 0 hits, 2 misses\n\
      \             ! memo hist_join: 0 hits, 1 misses\n\
      [ 5]     execute {engine=batch, dop=1}\n\
      \           op 0 Project Emp.name AS name, Dept.name AS name: est=200.0 act=200\n\
@@ -380,7 +369,7 @@ let test_span_golden_text () =
      \           op 3 Table Scan Dept: est=10.0 act=10\n"
     (Obs.Span.render ~show_wall:false root);
   let c = (List.hd reports).Core.Pipeline.enum in
-  Alcotest.(check (list int)) "enumeration totals" [ 3; 24; 4 ]
+  Alcotest.(check (list int)) "enumeration totals" [ 3; 17; 9 ]
     Systemr.Join_order.[ c.subsets; c.costed; c.pruned ]
 
 let test_span_golden_json () =
@@ -391,7 +380,7 @@ let test_span_golden_json () =
     ^ {|{"id":1,"parent":0,"depth":1,"name":"block"}|} ^ "\n"
     ^ {|{"id":2,"parent":1,"depth":2,"name":"rewrite","events":[{"event":"rewrite_rejected","rule":"view_merge"},{"event":"rewrite_rejected","rule":"unnest_in_exists"},{"event":"rewrite_rejected","rule":"unnest_scalar_uncorrelated"},{"event":"rewrite_rejected","rule":"unnest_scalar_correlated"},{"event":"rewrite_rejected","rule":"view_merge"},{"event":"rewrite_rejected","rule":"constant_propagation"},{"event":"rewrite_rejected","rule":"predicate_pushdown"}]}|} ^ "\n"
     ^ {|{"id":3,"parent":1,"depth":2,"name":"optimize"}|} ^ "\n"
-    ^ {|{"id":4,"parent":3,"depth":3,"name":"enumerate","attrs":{"relations":"2"},"events":[{"event":"order_retained","order":"Emp.eid","cost":14.21,"bound":4.82},{"event":"order_retained","order":"Emp.did","cost":23.21,"bound":4.82},{"event":"order_retained","order":"Emp.eid","cost":219.6,"bound":4.82},{"event":"order_retained","order":"Emp.did","cost":228.6,"bound":4.82},{"event":"order_retained","order":"Emp.did","cost":6.18199,"bound":4.82},{"event":"order_retained","order":"Emp.eid","cost":12.63,"bound":4.82},{"event":"order_retained","order":"Emp.did","cost":21.63,"bound":4.82},{"event":"order_retained","order":"Dept.did","cost":14.21,"bound":4.82},{"event":"order_retained","order":"Dept.did","cost":29.2344,"bound":4.82},{"event":"order_retained","order":"Dept.did","cost":6.18199,"bound":4.82},{"event":"order_retained","order":"Dept.did","cost":12.82,"bound":4.82},{"event":"enum_level","level":2,"subsets":1,"splits":2,"costed":17,"pruned":4},{"event":"memo_stats","table":"subset_stats","hits":1,"misses":2},{"event":"memo_stats","table":"hist_join","hits":0,"misses":1}]}|} ^ "\n"
+    ^ {|{"id":4,"parent":3,"depth":3,"name":"enumerate","attrs":{"relations":"2"},"events":[{"event":"enum_level","level":2,"subsets":1,"splits":2,"costed":17,"pruned":9},{"event":"memo_stats","table":"subset_stats","hits":0,"misses":2},{"event":"memo_stats","table":"hist_join","hits":0,"misses":1}]}|} ^ "\n"
     ^ {|{"id":5,"parent":1,"depth":2,"name":"execute","attrs":{"engine":"batch","dop":"1"},"ops":[{"id":0,"op":"Project Emp.name AS name, Dept.name AS name","est_rows":200,"act_rows":200},{"id":1,"op":"Hash Join (Emp.did = Dept.did)","est_rows":200,"act_rows":200},{"id":2,"op":"Table Scan Emp","est_rows":200,"act_rows":200},{"id":3,"op":"Table Scan Dept","est_rows":10,"act_rows":10}]}|} ^ "\n")
     json;
   (match Obs.Json.validate_lines json with

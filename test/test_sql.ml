@@ -127,11 +127,14 @@ let test_binder_ambiguity_and_errors () =
   fails "SELECT sal FROM Emp GROUP BY did";
   (* ill-typed arithmetic, in a select list, a derived table and a
      grouped block's namespace *)
-  let ill_typed sql =
+  let ill_typed ?message sql =
     match bind sql with
     | exception Sql.Binder.Error m ->
       Alcotest.(check string) (sql ^ ": stage") "type error"
-        (String.sub m 0 (min 10 (String.length m)))
+        (String.sub m 0 (min 10 (String.length m)));
+      Option.iter
+        (fun want -> Alcotest.(check string) (sql ^ ": message") want m)
+        message
     | _ -> Alcotest.fail ("should not bind: " ^ sql)
   in
   ill_typed "SELECT Emp.name + 1 FROM Emp";
@@ -145,7 +148,14 @@ let test_binder_ambiguity_and_errors () =
   ill_typed "SELECT Emp.name FROM Emp WHERE Emp.sal AND Emp.age";
   ill_typed "SELECT Emp.name FROM Emp WHERE NOT Emp.sal";
   ill_typed "SELECT Emp.sal AND Emp.age FROM Emp";
-  ill_typed "SELECT Emp.did FROM Emp GROUP BY Emp.did HAVING COUNT(*)";
+  (* a grouped block's aggregates are named by their SQL text *)
+  ill_typed
+    ~message:"type error: predicate COUNT(*) has type int, expected bool"
+    "SELECT Emp.did FROM Emp GROUP BY Emp.did HAVING COUNT(*)";
+  ill_typed
+    ~message:
+      "type error: predicate (SUM(Emp.eid) + 1) has type int, expected bool"
+    "SELECT Emp.did FROM Emp GROUP BY Emp.did HAVING SUM(Emp.eid) + 1";
   ill_typed "SELECT Emp.name FROM Emp WHERE Emp.age > 30 OR Emp.name";
   (* values of any type compare, and an untyped NULL is UNKNOWN *)
   List.iter
