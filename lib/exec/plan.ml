@@ -83,13 +83,7 @@ let rec schema (cat : Storage.Catalog.t) (p : t) : Schema.t =
       ~rel:alias
   | Filter (_, i) | Sort (_, i) | Materialize i | Hash_distinct i ->
     schema cat i
-  | Project (items, i) ->
-    let s = schema cat i in
-    List.map
-      (fun (e, a) ->
-         Schema.with_nullable (Algebra.expr_nullable s e)
-           (Schema.column ~rel:"" ~name:a ~ty:(Typing.infer s e)))
-      items
+  | Project (items, i) -> Algebra.output_columns (schema cat i) items []
   | Nested_loop { kind; outer; inner; _ } -> (
     match kind with
     | Algebra.Semi | Algebra.Anti -> schema cat outer
@@ -113,17 +107,7 @@ let rec schema (cat : Storage.Catalog.t) (p : t) : Schema.t =
       Schema.concat (schema cat left)
         (outer_side kind (schema cat right)))
   | Hash_agg { keys; aggs; input } | Stream_agg { keys; aggs; input } ->
-    let s = schema cat input in
-    List.map
-      (fun (e, a) ->
-         Schema.with_nullable (Algebra.expr_nullable s e)
-           (Schema.column ~rel:"" ~name:a ~ty:(Typing.infer s e)))
-      keys
-    @ List.map
-        (fun (g, a) ->
-           Schema.with_nullable (Algebra.agg_nullable s g)
-             (Schema.column ~rel:"" ~name:a ~ty:(Typing.infer_agg s g)))
-        aggs
+    Algebra.output_columns (schema cat input) keys aggs
 
 let pp_sort_key ppf { key; descending } =
   Fmt.pf ppf "%a%s" Expr.pp key (if descending then " DESC" else "")

@@ -125,24 +125,10 @@ let rewrite (v : view) (q : Systemr.Spj.t) : Systemr.Spj.t option =
                (c, Expr.col ~rel:v.name ~col:(Option.get m)))
             mapping
         in
-        let subst e =
-          (* reuse the rewrite substitution helper shape locally *)
-          let rec go e =
-            match e with
-            | Expr.Col c -> (
-              match List.find_opt (fun (c', _) -> c' = c) map with
-              | Some (_, e') -> e'
-              | None -> e)
-            | Expr.Const _ -> e
-            | Expr.Binop (op, a, b) -> Expr.Binop (op, go a, go b)
-            | Expr.Cmp (op, a, b) -> Expr.Cmp (op, go a, go b)
-            | Expr.And (a, b) -> Expr.And (go a, go b)
-            | Expr.Or (a, b) -> Expr.Or (go a, go b)
-            | Expr.Not a -> Expr.Not (go a)
-            | Expr.Is_null a -> Expr.Is_null (go a)
-            | Expr.Udf (u, args) -> Expr.Udf (u, List.map go args)
-          in
-          go e
+        let subst =
+          Expr.map (function
+            | Expr.Col c as e -> Option.value (List.assoc_opt c map) ~default:e
+            | e -> e)
         in
         let view_rel_schema =
           (* schema of the stored table, qualified by the view name *)

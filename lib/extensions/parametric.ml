@@ -11,17 +11,8 @@ open Relalg
 
 (* Blank out literal constants so structurally identical strategies compare
    equal. *)
-let rec blank_expr (e : Expr.t) : Expr.t =
-  match e with
-  | Expr.Const _ -> Expr.Const Value.Null
-  | Expr.Col _ -> e
-  | Expr.Binop (op, a, b) -> Expr.Binop (op, blank_expr a, blank_expr b)
-  | Expr.Cmp (op, a, b) -> Expr.Cmp (op, blank_expr a, blank_expr b)
-  | Expr.And (a, b) -> Expr.And (blank_expr a, blank_expr b)
-  | Expr.Or (a, b) -> Expr.Or (blank_expr a, blank_expr b)
-  | Expr.Not a -> Expr.Not (blank_expr a)
-  | Expr.Is_null a -> Expr.Is_null (blank_expr a)
-  | Expr.Udf (u, args) -> Expr.Udf (u, List.map blank_expr args)
+let blank_expr : Expr.t -> Expr.t =
+  Expr.map (function Expr.Const _ -> Expr.Const Value.Null | e -> e)
 
 let blank_bound : Exec.Plan.bound -> Exec.Plan.bound = function
   | Exec.Plan.Unbounded -> Exec.Plan.Unbounded
@@ -115,17 +106,10 @@ let static_plan ?(config = Systemr.Join_order.default_config) cat db
    can be executed at a different parameter value. *)
 let rec rebind ~(assumed : Value.t) ~(actual : Value.t) (p : Exec.Plan.t) :
   Exec.Plan.t =
-  let rec re_expr (e : Expr.t) : Expr.t =
-    match e with
-    | Expr.Const v when Value.equal v assumed -> Expr.Const actual
-    | Expr.Const _ | Expr.Col _ -> e
-    | Expr.Binop (op, a, b) -> Expr.Binop (op, re_expr a, re_expr b)
-    | Expr.Cmp (op, a, b) -> Expr.Cmp (op, re_expr a, re_expr b)
-    | Expr.And (a, b) -> Expr.And (re_expr a, re_expr b)
-    | Expr.Or (a, b) -> Expr.Or (re_expr a, re_expr b)
-    | Expr.Not a -> Expr.Not (re_expr a)
-    | Expr.Is_null a -> Expr.Is_null (re_expr a)
-    | Expr.Udf (u, args) -> Expr.Udf (u, List.map re_expr args)
+  let re_expr =
+    Expr.map (function
+      | Expr.Const v when Value.equal v assumed -> Expr.Const actual
+      | e -> e)
   in
   let re_bound = function
     | Exec.Plan.Incl v when Value.equal v assumed -> Exec.Plan.Incl actual

@@ -44,10 +44,9 @@ let join_kind_name = function
 let expr_nullable (s : Schema.t) (e : Expr.t) : bool =
   match e with
   | Expr.Col c -> (
-    match Schema.find_opt s ~rel:c.Expr.rel ~name:c.Expr.col with
-    | Some (_, col) -> col.Schema.nullable
-    | None -> true
-    | exception Failure _ -> true)
+    match Schema.find s ~rel:c.Expr.rel ~name:c.Expr.col with
+    | col -> col.Schema.nullable
+    | exception (Not_found | Failure _) -> true)
   | Expr.Const v -> Value.is_null v
   | _ -> true
 
@@ -57,6 +56,20 @@ let agg_nullable (s : Schema.t) (a : Expr.agg) : bool =
   | Expr.Sum _ | Expr.Min _ | Expr.Max _ | Expr.Avg _ ->
     ignore s;
     true (* NULL over an empty/all-NULL group *)
+
+(* The output columns of a projection ([aggs = []]) or a grouping: one
+   unqualified column per item, named by its alias. *)
+let output_columns (s : Schema.t) items aggs : Schema.t =
+  List.map
+    (fun (e, alias) ->
+       Schema.with_nullable (expr_nullable s e)
+         (Schema.column ~rel:"" ~name:alias ~ty:(Typing.infer s e)))
+    items
+  @ List.map
+      (fun (g, alias) ->
+         Schema.with_nullable (agg_nullable s g)
+           (Schema.column ~rel:"" ~name:alias ~ty:(Typing.infer_agg s g)))
+      aggs
 
 (* Output schema.  Projection and grouping introduce unqualified columns
    named by their aliases; [requalify] can re-introduce a qualifier when an
@@ -71,25 +84,8 @@ let rec schema (t : t) : Schema.t =
     Schema.concat (schema l)
       (List.map (fun c -> { c with Schema.nullable = true }) (schema r))
   | Join (Inner, _, l, r) -> Schema.concat (schema l) (schema r)
-  | Project (items, input) ->
-    let s = schema input in
-    List.map
-      (fun (e, alias) ->
-         Schema.with_nullable (expr_nullable s e)
-           (Schema.column ~rel:"" ~name:alias ~ty:(Typing.infer s e)))
-      items
-  | Group_by { keys; aggs; input } ->
-    let s = schema input in
-    List.map
-      (fun (e, alias) ->
-         Schema.with_nullable (expr_nullable s e)
-           (Schema.column ~rel:"" ~name:alias ~ty:(Typing.infer s e)))
-      keys
-    @ List.map
-        (fun (a, alias) ->
-           Schema.with_nullable (agg_nullable s a)
-             (Schema.column ~rel:"" ~name:alias ~ty:(Typing.infer_agg s a)))
-        aggs
+  | Project (items, input) -> output_columns (schema input) items []
+  | Group_by { keys; aggs; input } -> output_columns (schema input) keys aggs
   | Distinct input -> schema input
   | Order_by (_, input) -> schema input
 

@@ -36,6 +36,14 @@ val expr_nullable : Schema.t -> Expr.t -> bool
     AVG may be (empty or all-NULL group). *)
 val agg_nullable : Schema.t -> Expr.agg -> bool
 
+(** [output_columns input items aggs]: the output schema of a projection
+    ([aggs = []]) or a grouping over [input] — one unqualified column per
+    item (then per aggregate), named by its alias, typed by
+    {!Typing.infer} (or {!Typing.infer_agg}), nullable by
+    {!expr_nullable} (or {!agg_nullable}).  @raise Typing.Error. *)
+val output_columns :
+  Schema.t -> (Expr.t * string) list -> (Expr.agg * string) list -> Schema.t
+
 (** Output schema.  Projection and grouping outputs are unqualified columns
     named by their aliases; nullability is propagated (outer-join right
     sides become nullable, plain projected columns inherit). *)

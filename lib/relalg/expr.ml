@@ -72,6 +72,18 @@ let columns e =
   go e;
   List.rev !acc
 
+(* Rebuild [e] with [f] applied at its leaves. *)
+let rec map f e =
+  match e with
+  | Const _ | Col _ -> f e
+  | Binop (op, a, b) -> Binop (op, map f a, map f b)
+  | Cmp (op, a, b) -> Cmp (op, map f a, map f b)
+  | And (a, b) -> And (map f a, map f b)
+  | Or (a, b) -> Or (map f a, map f b)
+  | Not a -> Not (map f a)
+  | Is_null a -> Is_null (map f a)
+  | Udf (u, args) -> Udf (u, List.map (map f) args)
+
 (* Relation aliases an expression depends on. *)
 let relations e =
   columns e |> List.map (fun c -> c.rel)

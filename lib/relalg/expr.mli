@@ -48,6 +48,10 @@ val binop_name : binop -> string
 (** Columns referenced, deduplicated, in first-occurrence order. *)
 val columns : t -> col_ref list
 
+(** [map f e] rebuilds [e] with [f] applied at its [Col] and [Const]
+    leaves. *)
+val map : (t -> t) -> t -> t
+
 (** Relation aliases referenced, sorted and deduplicated. *)
 val relations : t -> string list
 

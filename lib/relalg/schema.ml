@@ -17,23 +17,36 @@ let with_nullable nullable c = { c with nullable }
 
 let arity (s : t) = List.length s
 
-let matches ~rel ~name (c : column) =
-  c.name = name && (rel = "" || c.rel = rel)
+(* Does column [c] answer to the reference?  [unqualified]: only an
+   unqualified column does. *)
+let hit ~unqualified ~rel ~name c =
+  c.name = name && (if unqualified then c.rel = "" else rel = "" || c.rel = rel)
 
-(* Position of a (possibly unqualified) column reference. Raises [Not_found]
-   if absent, [Failure] if an unqualified reference is ambiguous. *)
+let rec count ~unqualified ~rel ~name = function
+  | [] -> 0
+  | c :: rest ->
+    Bool.to_int (hit ~unqualified ~rel ~name c)
+    + count ~unqualified ~rel ~name rest
+
+let rec position ~unqualified ~rel ~name i = function
+  | [] -> raise Not_found
+  | c :: rest ->
+    if hit ~unqualified ~rel ~name c then i
+    else position ~unqualified ~rel ~name (i + 1) rest
+
+(* Position of a column reference: the first column of that name under
+   qualifier [rel].  An unqualified reference names an unqualified column
+   (a projection or grouping output) when one has that name, else a column
+   under any qualifier, and is ambiguous when that leaves two.  Raises
+   [Not_found] if absent, [Failure] if ambiguous.  Allocates only to
+   raise. *)
 let index_of (s : t) ~rel ~name =
-  let hits =
-    List.filteri (fun _ c -> matches ~rel ~name c) s
-    |> fun cs -> List.length cs
-  in
-  if rel = "" && hits > 1 then
+  let unqualified = rel = "" && count ~unqualified:true ~rel ~name s > 0 in
+  if rel = "" && count ~unqualified ~rel ~name s > 1 then
     failwith (Printf.sprintf "ambiguous column reference: %s" name);
-  let rec go i = function
-    | [] -> raise Not_found
-    | c :: rest -> if matches ~rel ~name c then i else go (i + 1) rest
-  in
-  go 0 s
+  position ~unqualified ~rel ~name 0 s
+
+let find (s : t) ~rel ~name = List.nth s (index_of s ~rel ~name)
 
 let find_opt (s : t) ~rel ~name =
   match index_of s ~rel ~name with

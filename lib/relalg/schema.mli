@@ -19,10 +19,18 @@ val with_nullable : bool -> column -> column
 (** Number of columns. *)
 val arity : t -> int
 
-(** Position of a column reference. An empty [rel] matches any qualifier.
+(** Position of a column reference: the first column of that name under
+    qualifier [rel].  An unqualified reference ([rel = ""]) names an
+    unqualified column (a projection or grouping output) when one has
+    that name, else a column under any qualifier.  Allocates only to
+    raise.
     @raise Not_found when absent.
-    @raise Failure when an unqualified reference is ambiguous. *)
+    @raise Failure when an unqualified reference matches two columns. *)
 val index_of : t -> rel:string -> name:string -> int
+
+(** The column {!index_of} finds.  @raise Not_found
+    @raise Failure as {!index_of}. *)
+val find : t -> rel:string -> name:string -> column
 
 (** Like {!index_of}, returning the position and the column, or [None]. *)
 val find_opt : t -> rel:string -> name:string -> (int * column) option

@@ -235,16 +235,7 @@ and eval_block ctx cat (env : env) (b : Qgm.block) : Schema.t * Tuple.t array
            Exec.Context.charge_cpu ctx 1;
            List.iter2 (fun f st -> Expr.agg_step st (f w)) argfs states)
         rows;
-      let out_schema =
-        List.map
-          (fun (e, a) ->
-             Schema.column ~rel:"" ~name:a ~ty:(Typing.infer full e))
-          b.Qgm.group_by
-        @ List.map
-            (fun (g, a) ->
-               Schema.column ~rel:"" ~name:a ~ty:(Typing.infer_agg full g))
-            b.Qgm.aggs
-      in
+      let out_schema = Algebra.output_columns full b.Qgm.group_by b.Qgm.aggs in
       let out = Storage.Vec.create () in
       Storage.Vec.iter
         (fun kv ->
@@ -296,11 +287,7 @@ and eval_block ctx cat (env : env) (b : Qgm.block) : Schema.t * Tuple.t array
   (* 8. SELECT list *)
   let full = Schema.concat env.schema post_schema in
   let sel_fs = List.map (fun (e, _) -> Expr.compile full e) b.Qgm.select in
-  let out_schema =
-    List.map
-      (fun (e, a) -> Schema.column ~rel:"" ~name:a ~ty:(Typing.infer full e))
-      b.Qgm.select
-  in
+  let out_schema = Algebra.output_columns full b.Qgm.select [] in
   let projected =
     Array.map
       (fun t ->

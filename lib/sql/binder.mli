@@ -10,8 +10,11 @@ exception Error of string
     non-grouped columns in grouped queries, WHERE references to
     outer-joined relations (WHERE is applied before outerjoins attach;
     those columns are visible in SELECT / GROUP BY / HAVING / ORDER BY),
-    or arithmetic whose operand types {!Relalg.Typing.infer} rejects
-    (message prefixed [type error:]). *)
+    or the first error {!Relalg.Typing.check} reports in any clause —
+    arithmetic or a comparison on operands of types that do not combine,
+    SUM or AVG of a non-number, a non-boolean predicate or connective
+    operand, the operand of IN or of a subquery comparison against the
+    subquery's column (message prefixed [type error:]). *)
 val bind :
   ?views:(string * Ast.select) list -> Storage.Catalog.t -> Ast.select ->
   Rewrite.Qgm.block

@@ -396,17 +396,7 @@ let group (r : rel_stats) ~(keys : (Expr.t * string) list)
     else
       Float.min r.card (List.fold_left (fun acc k -> acc *. key_ndv k) 1. keys)
   in
-  let input = schema r in
-  let schema =
-    List.map
-      (fun (e, a) ->
-         Schema.column ~rel:"" ~name:a ~ty:(Typing.infer input e))
-      keys
-    @ List.map
-        (fun (g, a) ->
-           Schema.column ~rel:"" ~name:a ~ty:(Typing.infer_agg input g))
-        aggs
-  in
+  let schema = Algebra.output_columns (schema r) keys aggs in
   let cols =
     List.filter_map
       (fun (e, a) ->
@@ -425,13 +415,7 @@ let group (r : rel_stats) ~(keys : (Expr.t * string) list)
     width = Storage.Page.tuple_width schema; cols = Cols (schema, cols) }
 
 let project (r : rel_stats) (items : (Expr.t * string) list) : rel_stats =
-  let input = schema r in
-  let schema =
-    List.map
-      (fun (e, a) ->
-         Schema.column ~rel:"" ~name:a ~ty:(Typing.infer input e))
-      items
-  in
+  let schema = Algebra.output_columns (schema r) items [] in
   let cols =
     List.filter_map
       (fun (e, a) ->

@@ -18,7 +18,6 @@
 open Relalg
 
 module Diag = Diag
-module Typecheck = Typecheck
 module Physical = Physical
 
 val physical : Storage.Catalog.t -> Exec.Plan.t -> Diag.t list
@@ -30,8 +29,10 @@ val safe_block_schema : Rewrite.Qgm.block -> Schema.t
 (** Lint a QGM block: every clause is checked in its proper scope (WHERE
     sees the FROM sources; outerjoin predicates see the sources joined so
     far; select/having/order-by see the grouped schema when grouping).
-    [outer] supplies correlation columns visible from enclosing blocks.
-    Codes as in {!Typecheck} plus [duplicate-alias],
+    The operand of IN, or of a comparison with a subquery, must compare
+    with the subquery's output column.  [outer] supplies correlation
+    columns visible from enclosing blocks.
+    Codes as in {!Relalg.Typing.error} plus [duplicate-alias],
     [duplicate-relation-alias], [subquery-arity]. *)
 val block : ?outer:Schema.t -> Rewrite.Qgm.block -> Diag.t list
 
