@@ -42,6 +42,13 @@ val alias_of_source : source -> string
 (** Output schema: unqualified columns named by select aliases. *)
 val block_schema : block -> Schema.t
 
+(** [top_schema ~outer inner b]: what [b]'s select, HAVING and ORDER BY
+    see when its WHERE, GROUP BY and aggregate arguments see [inner],
+    which ends with the correlation columns [outer] (default none): its
+    keys and aggregates, then [outer], in place of [inner] when it groups.
+    @raise Relalg.Typing.Error when a key or aggregate does not type. *)
+val top_schema : ?outer:Schema.t -> Schema.t -> block -> Schema.t
+
 (** Columns visible inside the block (inner + outerjoin sources). *)
 val inner_schema : block -> Schema.t
 
