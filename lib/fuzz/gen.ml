@@ -231,9 +231,13 @@ let fresh_alias fresh prefix =
 (* Subqueries *)
 
 (* Inner select over one fresh relation; [corr] optionally correlates it
-   with an outer relation. *)
-let gen_sub_conjunct st (spec : Dbspec.t) ~fresh ~(rels : rel list) : A.expr =
+   with an outer relation.  An IN or EXISTS subquery's select list
+   sometimes names the outer relation's column instead, a choice drawn
+   from its own stream [st_sel] so that the other draws stay as they were. *)
+let gen_sub_conjunct st ~st_sel (spec : Dbspec.t) ~fresh ~(rels : rel list) :
+  A.expr =
   let outer = G.pick st rels in
+  let names_outer () = G.chance st_sel 0.2 in
   let tb = G.pick st spec.Dbspec.tables in
   let s =
     { alias = fresh_alias fresh "r"; tbl = Some tb; rcols = tb.Dbspec.cols }
@@ -252,18 +256,19 @@ let gen_sub_conjunct st (spec : Dbspec.t) ~fresh ~(rels : rel list) : A.expr =
   | 0 ->
     (* IN subquery, correlated with probability 0.3 *)
     let c = jcol st s in
-    let sub =
-      simple_sub [ A.Item (col_ref s c, None) ] (filters (G.chance st 0.3))
+    let item =
+      if names_outer () then col_ref outer (jcol st_sel outer) else col_ref s c
     in
+    let sub = simple_sub [ A.Item (item, None) ] (filters (G.chance st 0.3)) in
     A.In_query (col_ref outer (jcol st outer), sub)
-  | 1 ->
-    (* EXISTS, usually correlated *)
-    let sub = simple_sub [ A.Star ] (filters (G.chance st 0.8)) in
-    A.Exists (true, sub)
-  | 2 ->
-    (* NOT EXISTS, usually correlated *)
-    let sub = simple_sub [ A.Star ] (filters (G.chance st 0.8)) in
-    A.Exists (false, sub)
+  | (1 | 2) as k ->
+    (* EXISTS or NOT EXISTS, usually correlated *)
+    let items =
+      if names_outer () then
+        [ A.Item (col_ref outer (G.pick st_sel outer.rcols), None) ]
+      else [ A.Star ]
+    in
+    A.Exists (k = 1, simple_sub items (filters (G.chance st 0.8)))
   | _ ->
     (* scalar aggregate subquery — COUNT star included: the count bug *)
     let agg =
@@ -329,7 +334,7 @@ let gen_derived st (spec : Dbspec.t) ~fresh : rel * A.from_item =
 let product tbls =
   List.fold_left (fun p (tb : Dbspec.table) -> p * max 1 (Array.length tb.Dbspec.rows)) 1 tbls
 
-let gen_select st (spec : Dbspec.t) ~fresh ~depth : A.select =
+let gen_select st ~st_sel (spec : Dbspec.t) ~fresh ~depth : A.select =
   let nrel =
     List.nth [ 1; 1; 1; 2; 2; 2; 2; 2; 3; 3; 3 ] (G.uniform_int st ~lo:0 ~hi:10)
   in
@@ -425,7 +430,7 @@ let gen_select st (spec : Dbspec.t) ~fresh ~depth : A.select =
   in
   let subs =
     if depth > 0 && G.chance st 0.35 then
-      [ gen_sub_conjunct st spec ~fresh ~rels:plain_rels ]
+      [ gen_sub_conjunct st ~st_sel spec ~fresh ~rels:plain_rels ]
     else []
   in
   let where = and_all (!edges @ filters @ subs) in
@@ -577,7 +582,9 @@ let query ~seed (spec : Dbspec.t) : A.query =
     let all = G.chance st 0.5 in
     A.Union (A.Single (arm ()), all, A.Single (arm ()))
   end
-  else A.Single (gen_select st spec ~fresh ~depth:1)
+  else
+    A.Single
+      (gen_select st ~st_sel:(G.rng (G.derive seed 2)) spec ~fresh ~depth:1)
 
 let db = db
 

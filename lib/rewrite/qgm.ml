@@ -41,20 +41,18 @@ and predicate =
 let alias_of_source = function
   | Base { alias; _ } | Derived { alias; _ } -> alias
 
-(* What a block's select, HAVING and ORDER BY see, given what its
-   WHERE, GROUP BY and aggregate arguments see ([inner], ending with the
-   correlation columns [outer]): its keys and aggregates in place of its
-   sources when grouping. *)
-let top_schema ?(outer = []) inner (b : block) : Schema.t =
-  if b.aggs = [] && b.group_by = [] then inner
-  else Algebra.output_columns inner b.group_by b.aggs @ outer
-
 (* Output schema of a block: unqualified columns named by select aliases.
    Nullability flows through: plain projected columns inherit their
    source's flag, outer-joined sources are nullable (NULL padding), COUNT
-   aggregates are non-null. *)
+   aggregates are non-null.  Select sees the keys and aggregates in place
+   of the sources when the block groups. *)
 let rec block_schema (b : block) : Schema.t =
-  Algebra.output_columns (top_schema (inner_schema b) b) b.select []
+  let inner = inner_schema b in
+  let top =
+    if b.aggs = [] && b.group_by = [] then inner
+    else Algebra.output_columns inner b.group_by b.aggs
+  in
+  Algebra.output_columns top b.select []
 
 (* Schema visible inside the block: all source columns (inner, semi sources
    excluded from output but visible in predicates; treat them as visible
@@ -134,16 +132,6 @@ let plain_preds ps =
 
 let sub_preds ps =
   List.filter (function P _ -> false | In_sub _ | Exists_sub _ | Cmp_sub _ -> true) ps
-
-let select_star (sources : source list) : (Expr.t * string) list =
-  List.concat_map
-    (fun s ->
-       let alias = alias_of_source s in
-       List.map
-         (fun (c : Schema.column) ->
-            (Expr.col ~rel:alias ~col:c.Schema.name, c.Schema.name))
-         (source_schema s))
-    sources
 
 (* Substitute column references according to [map] (rel, col) -> expr. *)
 let subst_expr (map : (Expr.col_ref * Expr.t) list) : Expr.t -> Expr.t =

@@ -42,13 +42,6 @@ val alias_of_source : source -> string
 (** Output schema: unqualified columns named by select aliases. *)
 val block_schema : block -> Schema.t
 
-(** [top_schema ~outer inner b]: what [b]'s select, HAVING and ORDER BY
-    see when its WHERE, GROUP BY and aggregate arguments see [inner],
-    which ends with the correlation columns [outer] (default none): its
-    keys and aggregates, then [outer], in place of [inner] when it groups.
-    @raise Relalg.Typing.Error when a key or aggregate does not type. *)
-val top_schema : ?outer:Schema.t -> Schema.t -> block -> Schema.t
-
 (** Columns visible inside the block (inner + outerjoin sources). *)
 val inner_schema : block -> Schema.t
 
@@ -67,9 +60,6 @@ val is_simple_spj : block -> bool
 
 val plain_preds : predicate list -> Expr.t list
 val sub_preds : predicate list -> predicate list
-
-(** SELECT * items over the given sources. *)
-val select_star : source list -> (Expr.t * string) list
 
 (** Column-reference substitution. *)
 val subst_expr : (Expr.col_ref * Expr.t) list -> Expr.t -> Expr.t

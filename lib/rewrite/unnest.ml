@@ -28,12 +28,16 @@ type decorrelated = {
 let plain_only ps =
   List.for_all (function Qgm.P _ -> true | Qgm.In_sub _ | Qgm.Exists_sub _ | Qgm.Cmp_sub _ -> false) ps
 
+(* Does [e] name a relation the subquery [sub] does not bind?  An
+   unqualified column is an enclosing block's grouped output. *)
+let names_outer (sub : Qgm.block) e =
+  let bound = Qgm.bound_aliases sub in
+  List.exists (fun r -> not (List.mem r bound)) (Expr.relations e)
+
 (* A subquery's plain WHERE conjuncts: (local, correlated). *)
 let split_correlated (sub : Qgm.block) =
-  let bound = Qgm.bound_aliases sub in
   List.partition
-    (fun e ->
-       List.for_all (fun r -> r = "" || List.mem r bound) (Expr.relations e))
+    (fun e -> not (names_outer sub e))
     (Qgm.plain_preds sub.Qgm.where)
 
 let decorrelate_spj (sub : Qgm.block) : decorrelated option =
@@ -88,41 +92,57 @@ let decorrelate_spj (sub : Qgm.block) : decorrelated option =
 (* ------------------------------------------------------------------ *)
 (* IN / EXISTS -> semijoin; NOT EXISTS -> antijoin *)
 
+(* The view sees only the subquery's sources, so a select item naming an
+   outer relation cannot move into it.  EXISTS never reads its select
+   list, and [x IN (SELECT f ...)] is [EXISTS (SELECT ... WHERE x = f)]:
+   such a subquery is unnested as that EXISTS over a constant. *)
+let local_select (p : Qgm.predicate) : Qgm.predicate =
+  let constant sub = { sub with Qgm.select = [ (Expr.int 1, "one") ] } in
+  match p with
+  | Qgm.In_sub (x, ({ Qgm.select = [ (f, _) ]; _ } as sub))
+    when names_outer sub f ->
+    Qgm.Exists_sub
+      ( true,
+        constant
+          { sub with
+            Qgm.where = sub.Qgm.where @ [ Qgm.P (Expr.Cmp (Expr.Eq, x, f)) ] } )
+  | Qgm.Exists_sub (positive, sub)
+    when List.exists (fun (e, _) -> names_outer sub e) sub.Qgm.select ->
+    Qgm.Exists_sub (positive, constant sub)
+  | p -> p
+
 let unnest_quantified (b : Qgm.block) : Qgm.block option =
+  let semijoin rest acc (d : decorrelated) pred anti =
+    { b with
+      Qgm.where = List.rev acc @ rest;
+      semijoins =
+        b.Qgm.semijoins
+        @ [ { Qgm.s_source =
+                Qgm.Derived { block = d.view; alias = d.view_alias };
+              s_pred = pred;
+              s_anti = anti } ] }
+  in
   let rec go acc = function
     | [] -> None
-    | (Qgm.In_sub (e, sub) as p) :: rest -> (
-      match decorrelate_spj sub with
-      | None -> go (p :: acc) rest
-      | Some d ->
-        let pred =
-          Pred.of_conjuncts
-            (Expr.Cmp (Expr.Eq, e, Expr.Col d.out_col) :: d.corr_pred)
-        in
-        Some
-          { b with
-            Qgm.where = List.rev acc @ rest;
-            semijoins =
-              b.Qgm.semijoins
-              @ [ { Qgm.s_source =
-                      Qgm.Derived { block = d.view; alias = d.view_alias };
-                    s_pred = pred;
-                    s_anti = false } ] })
-    | (Qgm.Exists_sub (positive, sub) as p) :: rest -> (
-      match decorrelate_spj sub with
-      | None -> go (p :: acc) rest
-      | Some d ->
-        let pred = Pred.of_conjuncts d.corr_pred in
-        Some
-          { b with
-            Qgm.where = List.rev acc @ rest;
-            semijoins =
-              b.Qgm.semijoins
-              @ [ { Qgm.s_source =
-                      Qgm.Derived { block = d.view; alias = d.view_alias };
-                    s_pred = pred;
-                    s_anti = not positive } ] })
-    | p :: rest -> go (p :: acc) rest
+    | p :: rest -> (
+      match local_select p with
+      | Qgm.In_sub (e, sub) -> (
+        match decorrelate_spj sub with
+        | None -> go (p :: acc) rest
+        | Some d ->
+          let pred =
+            Pred.of_conjuncts
+              (Expr.Cmp (Expr.Eq, e, Expr.Col d.out_col) :: d.corr_pred)
+          in
+          Some (semijoin rest acc d pred false))
+      | Qgm.Exists_sub (positive, sub) -> (
+        match decorrelate_spj sub with
+        | None -> go (p :: acc) rest
+        | Some d ->
+          Some
+            (semijoin rest acc d (Pred.of_conjuncts d.corr_pred)
+               (not positive)))
+      | Qgm.P _ | Qgm.Cmp_sub _ -> go (p :: acc) rest)
   in
   go [] b.Qgm.where
 

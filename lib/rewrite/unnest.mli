@@ -18,7 +18,10 @@ type decorrelated = {
 
 val decorrelate_spj : Qgm.block -> decorrelated option
 
-(** IN / EXISTS -> semijoin; NOT EXISTS -> antijoin. *)
+(** IN / EXISTS -> semijoin; NOT EXISTS -> antijoin.  A subquery whose
+    select list names an outer relation is unnested as an EXISTS: an IN
+    operand's comparison with the select item joins its WHERE, and the
+    view selects a constant. *)
 val quantified_rule : Rules.t
 
 (** Uncorrelated scalar subquery -> one-row derived source. *)

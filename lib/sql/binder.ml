@@ -4,7 +4,10 @@
    scope makes the subquery correlated (Section 4.2.2's terminology).
    Aggregate queries are normalized to the QGM convention: grouped
    output columns are unqualified names (key aliases and aggregate
-   aliases), and select/having/order expressions are rewritten onto them. *)
+   aliases), and select/having/order expressions are rewritten onto them.
+   Binding resolves names only; the bound block, its subqueries and its
+   derived sources are then checked by the plan lint's {!Verify.block},
+   whose first error is raised. *)
 
 open Relalg
 module Q = Rewrite.Qgm
@@ -18,15 +21,30 @@ type env = {
   views : (string * Ast.select) list; (* CREATE VIEW definitions *)
 }
 
-type scope = (string * Schema.t) list (* alias -> schema (alias-qualified) *)
+type scope = (string * string list) list (* alias -> its column names *)
 
-(* The type of a subquery's one output column, seen from a block whose
-   clauses see [outer]. *)
-let output_ty (outer : Schema.t) (sub : Q.block) : Value.ty option =
-  match sub.Q.select with
-  | [ (e, _) ] ->
-    fst (Typing.check (Q.top_schema ~outer (Q.inner_schema sub @ outer) sub) e)
-  | _ -> None
+let scope_of (src : Q.source) : string * string list =
+  match src with
+  | Q.Base { alias; schema; _ } ->
+    (alias, List.map (fun (c : Schema.column) -> c.Schema.name) schema)
+  | Q.Derived { block; alias } -> (alias, List.map snd block.Q.select)
+
+(* A derived source's outputs are referenced by name ([V.x]), so a
+   repeated name gets a suffix ([did], [did_2]); a deterministic one, so
+   binding the same text twice gives equal blocks. *)
+let unique_outputs (b : Q.block) : Q.block =
+  let rec fresh used name k =
+    let n = Printf.sprintf "%s_%d" name k in
+    if List.mem n used then fresh used name (k + 1) else n
+  in
+  let _, select =
+    List.fold_left
+      (fun (used, select) (e, name) ->
+         let name = if List.mem name used then fresh used name 2 else name in
+         (name :: used, (e, name) :: select))
+      ([], []) b.Q.select
+  in
+  { b with Q.select = List.rev select }
 
 (* ------------------------------------------------------------------ *)
 (* Sources *)
@@ -38,8 +56,7 @@ let rec bind_from_item env (outer : scope list) (item : Ast.from_item) :
     let alias = Option.value alias_opt ~default:name in
     match List.assoc_opt name env.views with
     | Some vdef ->
-      let block = bind_select env outer vdef in
-      Q.Derived { block; alias }
+      Q.Derived { block = unique_outputs (bind_select env outer vdef); alias }
     | None -> (
       match Storage.Catalog.find_opt env.cat name with
       | Some e ->
@@ -50,7 +67,7 @@ let rec bind_from_item env (outer : scope list) (item : Ast.from_item) :
                 ~rel:alias }
       | None -> err "unknown table or view: %s" name))
   | Ast.Subquery (s, alias) ->
-    Q.Derived { block = bind_select env outer s; alias }
+    Q.Derived { block = unique_outputs (bind_select env outer s); alias }
 
 (* ------------------------------------------------------------------ *)
 (* Expressions *)
@@ -60,32 +77,11 @@ and resolve_column (scopes : scope list) (qual : string option) (name : string)
   let try_scope (sc : scope) : Expr.col_ref option =
     match qual with
     | Some q ->
-      if
-        List.exists
-          (fun (alias, schema) ->
-             alias = q && Schema.mem schema ~rel:q ~name)
-          sc
+      if List.exists (fun (alias, names) -> alias = q && List.mem name names) sc
       then Some { Expr.rel = q; col = name }
-      else
-        (* a derived source exposes unqualified output columns requalified
-           under its alias *)
-        if
-          List.exists
-            (fun (alias, schema) ->
-               alias = q
-               && List.exists (fun (c : Schema.column) -> c.Schema.name = name)
-                    schema)
-            sc
-        then Some { Expr.rel = q; col = name }
-        else None
+      else None
     | None -> (
-      let hits =
-        List.filter
-          (fun ((_ : string), schema) ->
-             List.exists (fun (c : Schema.column) -> c.Schema.name = name) schema)
-          sc
-      in
-      match hits with
+      match List.filter (fun (_, names) -> List.mem name names) sc with
       | [ (alias, _) ] -> Some { Expr.rel = alias; col = name }
       | [] -> None
       | _ :: _ :: _ -> err "ambiguous column: %s" name)
@@ -167,11 +163,6 @@ and bind_agg env scopes (fn : Ast.agg_fn) (arg : Ast.expr option) : Expr.agg =
 (* SELECT *)
 
 and bind_select env (outer : scope list) (s : Ast.select) : Q.block =
-  let b = bind_block env outer s in
-  check_block outer b;
-  b
-
-and bind_block env (outer : scope list) (s : Ast.select) : Q.block =
   (* 1. FROM: split joined items into inner sources and outerjoins *)
   let sources = ref [] in
   let outerjoin_specs = ref [] in
@@ -183,23 +174,24 @@ and bind_block env (outer : scope list) (s : Ast.select) : Q.block =
       outerjoin_specs := !outerjoin_specs @ [ (bind_from_item env outer item, pred) ]
   in
   List.iter flatten s.Ast.from;
-  let scope_of src = (Q.alias_of_source src, Q.source_schema src) in
-  let scope : scope =
-    List.map scope_of (!sources @ List.map fst !outerjoin_specs)
+  let from_scope : scope = List.map scope_of !sources in
+  (* outerjoins attach left to right: the nth ON predicate sees the FROM
+     sources and outerjoin sources 0..n *)
+  let scope, outerjoins =
+    List.fold_left_map
+      (fun (scope : scope) (src, pred) ->
+         let scope = scope @ [ scope_of src ] in
+         ( scope,
+           { Q.o_source = src; o_pred = bind_expr env (scope :: outer) pred } ))
+      from_scope !outerjoin_specs
   in
   let scopes = scope :: outer in
-  let outerjoins =
-    List.map
-      (fun (src, pred) ->
-         { Q.o_source = src; o_pred = bind_expr env scopes pred })
-      !outerjoin_specs
-  in
   (* 2. WHERE.  Outer-joined relations are NOT in scope here: the whole
      pipeline (QGM evaluation, lowering, the verifier) applies WHERE
      before outerjoins attach, so a reference to one would either crash
      or silently change meaning.  Such columns are visible after the
      join — in SELECT, GROUP BY, HAVING and ORDER BY. *)
-  let where_scopes = (List.map scope_of !sources : scope) :: outer in
+  let where_scopes = from_scope :: outer in
   let where =
     match s.Ast.where with
     | None -> []
@@ -229,7 +221,11 @@ and bind_block env (outer : scope list) (s : Ast.select) : Q.block =
       List.concat_map
         (fun item ->
            match item with
-           | Ast.Star -> Q.select_star !sources
+           | Ast.Star ->
+             List.concat_map
+               (fun (alias, names) ->
+                  List.map (fun n -> (Expr.col ~rel:alias ~col:n, n)) names)
+               from_scope
            | Ast.Item (e, alias) ->
              let bound = bind_expr env scopes e in
              let name =
@@ -340,17 +336,25 @@ and bind_block env (outer : scope list) (s : Ast.select) : Q.block =
       match s.Ast.having with
       | None -> []
       | Some e -> (
-        (* subquery conjuncts in HAVING keep their own binding; plain ones
-           are rewritten into the grouped namespace *)
+        (* plain conjuncts are rewritten into the grouped namespace; a
+           subquery is bound against the block's sources, then its
+           references to column keys are moved onto the key outputs, the
+           only columns of the sources that HAVING sees *)
+        let key_outputs =
+          List.filter_map
+            (function
+              | Expr.Col c, alias -> Some (c, Expr.col ~rel:"" ~col:alias)
+              | _ -> None)
+            keys
+        in
+        let sub s = Q.subst_block key_outputs (bind_select env scopes s) in
         let rec split (e : Ast.expr) : Q.predicate list =
           match e with
           | Ast.And (a, b) -> split a @ split b
-          | Ast.In_query (x, sub) ->
-            [ Q.In_sub (grouped_expr x, bind_select env scopes sub) ]
-          | Ast.Exists (positive, sub) ->
-            [ Q.Exists_sub (positive, bind_select env scopes sub) ]
-          | Ast.Cmp_query (op, x, sub) ->
-            [ Q.Cmp_sub (op, grouped_expr x, bind_select env scopes sub) ]
+          | Ast.In_query (x, s) -> [ Q.In_sub (grouped_expr x, sub s) ]
+          | Ast.Exists (positive, s) -> [ Q.Exists_sub (positive, sub s) ]
+          | Ast.Cmp_query (op, x, s) ->
+            [ Q.Cmp_sub (op, grouped_expr x, sub s) ]
           | e -> [ Q.P (grouped_expr e) ]
         in
         split e)
@@ -362,78 +366,26 @@ and bind_block env (outer : scope list) (s : Ast.select) : Q.block =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Static typing *)
-
-(* Every clause is typed by [Typing.check], the plan lint's checker, and
-   its first error is raised.  Arithmetic on operands that do not combine
-   (string + int) would raise [Expr.Type_error] at the first row, or
-   [Typing.Error] while planning; a comparison of values that do not
-   compare (string and int) would rank every string above every int; a
-   non-boolean operand of AND, OR or NOT, or WHERE, HAVING or ON
-   predicate ([Emp.sal AND Emp.age]) would reject every row under the
-   held compiler but raise in a boxed evaluation; SUM and AVG of a string
-   would skip every value yet count it.  The operand of IN, or of a
-   comparison with a subquery, must compare with the subquery's output
-   column.  Subquery blocks were checked when they were bound.  A message
-   names a grouped block's keys and aggregates by their SQL text, not by
-   their internal aliases. *)
-and check_block (outer : scope list) (b : Q.block) : unit =
-  let raise_first = function
-    | [] -> ()
-    | (e : Typing.error) :: _ -> err "type error: %s" e.Typing.message
-  in
-  let show e =
-    let text =
-      List.map (fun (e, a) -> (a, Expr.to_string e)) b.Q.group_by
-      @ List.map (fun (g, a) -> (a, Fmt.str "%a" Expr.pp_agg g)) b.Q.aggs
-    in
-    Expr.to_string
-      (Expr.map
-         (function
-           | Expr.Col { Expr.rel = ""; col } as e -> (
-             match List.assoc_opt col text with
-             | Some t -> Expr.col ~rel:"" ~col:t
-             | None -> e)
-           | e -> e)
-         e)
-  in
-  let outer =
-    List.concat_map (fun (sc : scope) -> List.concat_map snd sc) outer
-  in
-  let where = List.concat_map Q.source_schema b.Q.from @ outer in
-  let inner = Q.inner_schema b @ outer in
-  let value ns e = raise_first (snd (Typing.check ~show ns e)) in
-  let predicate ns e = raise_first (Typing.check_predicate ~show ns e) in
-  (* [ns] types the operand; a subquery was bound seeing [sub_outer] *)
-  let clause ns sub_outer = function
-    | Q.P e -> predicate ns e
-    | Q.In_sub (e, sub) | Q.Cmp_sub (_, e, sub) ->
-      let ty, errors = Typing.check ~show ns e in
-      raise_first
-        (errors @ Typing.check_comparison ~show e ty (output_ty sub_outer sub))
-    | Q.Exists_sub _ -> ()
-  in
-  List.iter (clause where where) b.Q.where;
-  List.iter (fun (oj : Q.outerjoin) -> predicate inner oj.Q.o_pred)
-    b.Q.outerjoins;
-  List.iter (fun (e, _) -> value inner e) b.Q.group_by;
-  List.iter (fun (a, _) -> raise_first (snd (Typing.check_agg inner a)))
-    b.Q.aggs;
-  let top = Q.top_schema ~outer inner b in
-  List.iter (fun (e, _) -> value top e) b.Q.select;
-  List.iter (clause top inner) b.Q.having;
-  List.iter (fun (e, _) -> value top e) b.Q.order_by
-
-(* ------------------------------------------------------------------ *)
 (* Entry points *)
 
+(* The one check of a bound block, its subqueries and derived sources:
+   the plan lint's.  A type error keeps its [type error:] prefix. *)
+let checked (b : Q.block) : Q.block =
+  match Verify.Diag.errors (Verify.block b) with
+  | [] -> b
+  | d :: _ ->
+    (match d.Verify.Diag.code with
+     | "type-mismatch" | "non-boolean-predicate" -> err "type error: %s"
+     | _ -> err "%s")
+      d.Verify.Diag.message
+
 let bind ?(views = []) cat (s : Ast.select) : Q.block =
-  bind_select { cat; views } [] s
+  checked (bind_select { cat; views } [] s)
 
 (* Bind a full query expression (UNION [ALL] chains). *)
 let rec bind_query_expr env (q : Ast.query) : Q.query =
   match q with
-  | Ast.Single s -> Q.Q_block (bind_select env [] s)
+  | Ast.Single s -> Q.Q_block (checked (bind_select env [] s))
   | Ast.Union (l, all, r) ->
     let lq = bind_query_expr env l and rq = bind_query_expr env r in
     if

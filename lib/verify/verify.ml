@@ -44,22 +44,44 @@ let sub_ty outer (b : Qgm.block) =
 (* ------------------------------------------------------------------ *)
 (* QGM block well-formedness *)
 
-(* An output column whose type cannot be determined (e.g. a bare NULL
-   literal) silently falls back to int in [safe_block_schema]; surface
-   that instead of hiding it.  Only fires when inference produced no
-   other diagnostic — a column that fails to resolve is already
-   reported. *)
-let unknown_ty env ((e, a) : Expr.t * string) : Diag.t list =
-  match Typing.check env e with
+(* An output column's typing errors.  One whose type cannot be
+   determined (e.g. a bare NULL literal) silently falls back to int in
+   [safe_block_schema]; surface that instead of hiding it.  Only fires
+   when typing reported no error — a column that fails to resolve is
+   already reported. *)
+let output show env ((e, a) : Expr.t * string) : Diag.t list =
+  match Typing.check ~show env e with
   | None, [] ->
     [ Diag.warning ~code:"unknown-column-type"
         (Fmt.str
            "output column %S has an undeterminable type; the schema falls \
             back to int"
            a) ]
-  | _ -> []
+  | _, errors -> Diag.of_typing errors
+
+(* A grouped block's keys and aggregates are named in messages by their
+   SQL text ([COUNT( * )]), not by their output aliases ([agg0]). *)
+let display (b : Qgm.block) : Expr.t -> string =
+  if b.Qgm.group_by = [] && b.Qgm.aggs = [] then Expr.to_string
+  else fun e ->
+    let text =
+      List.map (fun (e, a) -> (a, Expr.to_string e)) b.Qgm.group_by
+      @ List.map (fun (g, a) -> (a, Fmt.str "%a" Expr.pp_agg g)) b.Qgm.aggs
+    in
+    Expr.to_string
+      (Expr.map
+         (function
+           | Expr.Col { Expr.rel = ""; col } as e -> (
+             match List.assoc_opt col text with
+             | Some t -> Expr.col ~rel:"" ~col:t
+             | None -> e)
+           | e -> e)
+         e)
 
 let rec block ?(outer = []) (b : Qgm.block) : Diag.t list =
+  let show = display b in
+  let typing env e = Diag.of_typing (snd (Typing.check ~show env e)) in
+  let predicate env e = Diag.of_typing (Typing.check_predicate ~show env e) in
   let from_schema = List.concat_map safe_source_schema b.Qgm.from in
   let inner = safe_inner_schema b in
   (* WHERE runs before semijoins/outerjoins attach, so its
@@ -67,12 +89,12 @@ let rec block ?(outer = []) (b : Qgm.block) : Diag.t list =
   let where_env = Schema.concat from_schema outer in
   let check_pred env label (p : Qgm.predicate) =
     match p with
-    | Qgm.P e -> Diag.within label (Diag.predicate env e)
+    | Qgm.P e -> Diag.within label (predicate env e)
     | Qgm.In_sub (e, blk) | Qgm.Cmp_sub (_, e, blk) ->
-      let ty, errors = Typing.check env e in
+      let ty, errors = Typing.check ~show env e in
       Diag.within label
         (Diag.of_typing
-           (errors @ Typing.check_comparison e ty (sub_ty env blk))
+           (errors @ Typing.check_comparison ~show e ty (sub_ty env blk))
          @ subquery_arity 1 blk
          @ block ~outer:env blk)
     | Qgm.Exists_sub (_, blk) -> Diag.within label (block ~outer:env blk)
@@ -100,7 +122,7 @@ let rec block ?(outer = []) (b : Qgm.block) : Diag.t list =
              (Schema.concat from_schema (safe_source_schema sj.Qgm.s_source))
              outer
          in
-         Diag.within "semijoin" (Diag.predicate env sj.Qgm.s_pred))
+         Diag.within "semijoin" (predicate env sj.Qgm.s_pred))
       b.Qgm.semijoins
   in
   (* outerjoins attach left to right: the nth predicate sees the FROM
@@ -112,13 +134,13 @@ let rec block ?(outer = []) (b : Qgm.block) : Diag.t list =
          ( env,
            acc
            @ Diag.within "outerjoin"
-               (Diag.predicate (Schema.concat env outer) oj.Qgm.o_pred) ))
+               (predicate (Schema.concat env outer) oj.Qgm.o_pred) ))
       (from_schema, []) b.Qgm.outerjoins
   in
   let group_env = Schema.concat inner outer in
   let group_diags =
     Diag.within "group-by"
-      (List.concat_map (fun (e, _) -> Diag.typing group_env e) b.Qgm.group_by
+      (List.concat_map (fun (e, _) -> typing group_env e) b.Qgm.group_by
        @ List.concat_map
            (fun (g, _) ->
               Diag.of_typing (snd (Typing.check_agg group_env g)))
@@ -130,17 +152,14 @@ let rec block ?(outer = []) (b : Qgm.block) : Diag.t list =
   let top_env = Schema.concat (safe_scope inner b) outer in
   let select_diags =
     Diag.within "select"
-      (List.concat_map (fun (e, _) -> Diag.typing top_env e) b.Qgm.select
-       @ List.concat_map (unknown_ty top_env) b.Qgm.select
-       @ Diag.duplicates ~code:"duplicate-alias" ~what:"select alias"
-           (List.map snd b.Qgm.select))
+      (List.concat_map (output show top_env) b.Qgm.select)
   in
   let having_diags =
     List.concat_map (check_pred top_env "having") b.Qgm.having
   in
   let order_diags =
     Diag.within "order-by"
-      (List.concat_map (fun (e, _) -> Diag.typing top_env e) b.Qgm.order_by)
+      (List.concat_map (fun (e, _) -> typing top_env e) b.Qgm.order_by)
   in
   source_diags @ alias_diags @ where_diags @ semi_diags @ outer_diags
   @ group_diags @ select_diags @ having_diags @ order_diags
@@ -148,7 +167,13 @@ let rec block ?(outer = []) (b : Qgm.block) : Diag.t list =
 and source_check ~outer = function
   | Qgm.Base _ -> []
   | Qgm.Derived { block = blk; alias } ->
-    Diag.within ("view " ^ alias) (block ~outer blk)
+    (* a view's outputs are referenced by name ([V.x]); a block's own
+       outputs are not, so only a view's must be unique *)
+    Diag.within ("view " ^ alias)
+      (block ~outer blk
+       @ Diag.within "select"
+           (Diag.duplicates ~code:"duplicate-alias" ~what:"select alias"
+              (List.map snd blk.Qgm.select)))
 
 and subquery_arity n blk =
   let arity = Schema.arity (safe_block_schema blk) in

@@ -31,9 +31,12 @@ val safe_block_schema : Rewrite.Qgm.block -> Schema.t
     far; select/having/order-by see the grouped schema when grouping).
     The operand of IN, or of a comparison with a subquery, must compare
     with the subquery's output column.  [outer] supplies correlation
-    columns visible from enclosing blocks.
-    Codes as in {!Relalg.Typing.error} plus [duplicate-alias],
-    [duplicate-relation-alias], [subquery-arity]. *)
+    columns visible from enclosing blocks.  A grouped block's keys and
+    aggregates are named in messages by their SQL text.
+    Codes as in {!Relalg.Typing.error} plus [duplicate-alias] (a derived
+    source's output names, which are referenced by name, must be unique;
+    a block's own need not be), [duplicate-relation-alias] and
+    [subquery-arity].  The SQL binder raises the first error. *)
 val block : ?outer:Schema.t -> Rewrite.Qgm.block -> Diag.t list
 
 (** Does the rewrite keep the block's output schema up to renaming —

@@ -94,7 +94,19 @@ let test_logical_duplicate_projection_alias () =
     P.Project ([ (col "E" "name", "x"); (col "E" "sal", "x") ], seq "Emp" "E")
   in
   check_has "two outputs named x" "duplicate-alias"
-    (Verify.physical w.Workload.Schemas.cat plan)
+    (Verify.physical w.Workload.Schemas.cat plan);
+  (* a view's outputs are referenced by name, a block's own are not *)
+  let cat = w.Workload.Schemas.cat in
+  let two_x =
+    Q.simple
+      ~select:[ (col "E" "name", "x"); (col "E" "sal", "x") ]
+      ~from:[ base cat ~alias:"E" "Emp" ] ()
+  in
+  check_has "view with two outputs named x" "duplicate-alias"
+    (Verify.block
+       (Q.simple ~select:[ (Expr.int 1, "one") ]
+          ~from:[ Q.Derived { block = two_x; alias = "V" } ] ()));
+  check_clean "block with two outputs named x" (Verify.block two_x)
 
 let test_logical_duplicate_relation_alias () =
   let w = ed () in
