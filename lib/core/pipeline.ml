@@ -269,7 +269,11 @@ let snapshot config db : Stats.Table_stats.db =
                 List.map
                   (fun (n, cs) ->
                      if n = column then
-                       (n, { cs with Stats.Table_stats.sketch = Some sk })
+                       ( n,
+                         Stats.Table_stats.map_deferred
+                           (fun cs ->
+                              { cs with Stats.Table_stats.sketch = Some sk })
+                           cs )
                      else (n, cs))
                   ts.Stats.Table_stats.cols
               in
@@ -368,7 +372,7 @@ let rec materialize_source ~on_plan ~trace ~exec_views ~on_view ctx config cat
       Array.iter (Storage.Table.insert table) result.Exec.Executor.rows;
       (* writing the temporary costs its pages *)
       Exec.Context.charge_spill ctx (Storage.Table.page_count table);
-      Hashtbl.replace db tmp_name (Stats.Table_stats.analyze table)
+      Hashtbl.replace db tmp_name (Stats.Table_stats.analyze_deferred table)
     end
     else begin
       let rows =

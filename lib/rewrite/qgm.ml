@@ -78,12 +78,16 @@ let bound_aliases (b : block) : string list =
   @ List.map (fun s -> alias_of_source s.s_source) b.semijoins
   @ List.map (fun o -> alias_of_source o.o_source) b.outerjoins
 
-(* Free (correlated) relation aliases of a block: column qualifiers used
-   anywhere inside that none of the block's own sources bind. *)
-let rec free_aliases (b : block) : string list =
+(* Free (correlated) column references of a block, in clause order:
+   those used anywhere inside whose qualifier none of the block's own
+   sources binds. *)
+let rec free_columns (b : block) : Expr.col_ref list =
   let bound = bound_aliases b in
   let of_expr e =
-    Expr.relations e |> List.filter (fun r -> r <> "" && not (List.mem r bound))
+    List.filter
+      (fun (c : Expr.col_ref) ->
+         c.Expr.rel <> "" && not (List.mem c.Expr.rel bound))
+      (Expr.columns e)
   in
   let of_pred = function
     | P e -> of_expr e
@@ -112,10 +116,16 @@ let rec free_aliases (b : block) : string list =
       List.concat_map (fun s -> of_expr s.s_pred) b.semijoins;
       List.concat_map (fun o -> of_expr o.o_pred) b.outerjoins;
       from_sources ]
-  |> List.sort_uniq String.compare
 
 and nested_free outer_bound blk =
-  free_aliases blk |> List.filter (fun r -> not (List.mem r outer_bound))
+  List.filter
+    (fun (c : Expr.col_ref) -> not (List.mem c.Expr.rel outer_bound))
+    (free_columns blk)
+
+(* Free (correlated) relation aliases: the qualifiers of [free_columns]. *)
+let free_aliases (b : block) : string list =
+  List.sort_uniq String.compare
+    (List.map (fun (c : Expr.col_ref) -> c.Expr.rel) (free_columns b))
 
 let is_correlated b = free_aliases b <> []
 

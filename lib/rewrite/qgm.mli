@@ -50,7 +50,13 @@ val source_schema : source -> Schema.t
 (** Aliases bound by the block's own sources. *)
 val bound_aliases : block -> string list
 
-(** Free (correlated) relation aliases. *)
+(** Free (correlated) column references, in clause order: qualified by
+    an alias none of the block's own sources binds (nested blocks
+    included). *)
+val free_columns : block -> Expr.col_ref list
+
+(** Free (correlated) relation aliases: the qualifiers of
+    {!free_columns}, sorted and unique. *)
 val free_aliases : block -> string list
 
 val is_correlated : block -> bool

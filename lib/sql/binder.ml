@@ -339,7 +339,9 @@ and bind_select env (outer : scope list) (s : Ast.select) : Q.block =
         (* plain conjuncts are rewritten into the grouped namespace; a
            subquery is bound against the block's sources, then its
            references to column keys are moved onto the key outputs, the
-           only columns of the sources that HAVING sees *)
+           only columns of the sources that HAVING sees; a reference to
+           any other column of them breaks the grouping rule, as in a
+           plain conjunct *)
         let key_outputs =
           List.filter_map
             (function
@@ -347,7 +349,19 @@ and bind_select env (outer : scope list) (s : Ast.select) : Q.block =
               | _ -> None)
             keys
         in
-        let sub s = Q.subst_block key_outputs (bind_select env scopes s) in
+        let own = List.map fst scope in
+        let sub s =
+          let blk = Q.subst_block key_outputs (bind_select env scopes s) in
+          match
+            List.find_opt
+              (fun (c : Expr.col_ref) -> List.mem c.Expr.rel own)
+              (Q.free_columns blk)
+          with
+          | Some c ->
+            err "column %s.%s must appear in GROUP BY or inside an aggregate"
+              c.Expr.rel c.Expr.col
+          | None -> blk
+        in
         let rec split (e : Ast.expr) : Q.predicate list =
           match e with
           | Ast.And (a, b) -> split a @ split b

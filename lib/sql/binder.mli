@@ -9,12 +9,13 @@ exception Error of string
 
 (** Bind one SELECT against a catalog; [views] supplies CREATE VIEW
     definitions by name.  @raise Error on an unknown or ambiguous name,
-    NOT IN, a non-grouped column in a grouped query, a WHERE reference to
-    an outer-joined relation (WHERE is applied before outerjoins attach),
-    or the first error {!Verify.block} reports on the bound block —
-    a name outside its clause's scope (an ON predicate sees the relations
-    joined before it and its own; a HAVING subquery sees the block's
-    grouping columns), a relation alias bound twice, a subquery of more
+    NOT IN, a non-grouped column in a grouped query (also inside a HAVING
+    subquery, which sees only the block's grouping columns of its
+    sources), a WHERE reference to an outer-joined relation (WHERE is
+    applied before outerjoins attach), or the first error {!Verify.block}
+    reports on the bound block — a name outside its clause's scope (an ON
+    predicate sees the relations joined before it and its own), a
+    relation alias bound twice, a subquery of more
     than one column under IN or a comparison, and the type errors of
     {!Relalg.Typing.check} (message prefixed [type error:]): arithmetic or
     a comparison on operands of types that do not combine, SUM or AVG of

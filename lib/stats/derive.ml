@@ -16,7 +16,12 @@
    Column order is the order of a concatenated schema (left input first);
    [find_col] returns the first match in it and [distinct] reads its first
    four columns.  Each summary carries its tuple width, so [pages] does
-   not walk a schema. *)
+   not walk a schema.
+
+   A column's statistics may be deferred (a view temporary's,
+   [Table_stats.analyze_deferred]).  Lookups force only the column they
+   return, and a selection keeps an unread column deferred: its
+   histogram restriction and cap run when it is first read. *)
 
 open Relalg
 
@@ -30,7 +35,7 @@ type rel_stats = {
 }
 
 and cols =
-  | Cols of Schema.t * (col_key * Table_stats.col_stats) list
+  | Cols of Schema.t * (col_key * Table_stats.col_stats Lazy.t) list
   | Concat of rel_stats * rel_stats
 
 (* Estimation assumptions, the knobs exercised by experiment E10. *)
@@ -74,15 +79,25 @@ let cap_col cap (cs : Table_stats.col_stats) =
   if Float.equal nd cs.Table_stats.n_distinct then cs
   else { cs with Table_stats.n_distinct = nd }
 
-let columns (r : rel_stats) : (col_key * Table_stats.col_stats) list =
+(* [f cap c] of every column in order, [cap] the least on its path. *)
+let map_columns f (r : rel_stats) =
   let rec go cap r acc =
     let cap = Float.min cap r.ndv_cap in
     match r.cols with
     | Cols (_, cs) ->
-      List.fold_right (fun (k, c) acc -> (k, cap_col cap c) :: acc) cs acc
+      List.fold_right (fun (k, c) acc -> (k, f cap c) :: acc) cs acc
     | Concat (l, rr) -> go cap l (go cap rr acc)
   in
   go infinity r []
+
+let columns = map_columns (fun cap c -> cap_col cap (Lazy.force c))
+
+(* Every column in order, each still deferred if it was, caps applied
+   when it is forced; an infinite cap changes nothing. *)
+let deferred_columns =
+  map_columns (fun cap c ->
+      if Float.equal cap infinity then c
+      else Table_stats.map_deferred (cap_col cap) c)
 
 (* The least cap on the path to a found column, gathered on the way back
    up; a float-only record, so updating it allocates nothing. *)
@@ -108,7 +123,7 @@ let rec find_in pc rel col (r : rel_stats) =
 and scan rel col = function
   | [] -> None
   | ((a, n), cs) :: rest ->
-    if String.equal n col && String.equal a rel then Some cs
+    if String.equal n col && String.equal a rel then Some (Lazy.force cs)
     else scan rel col rest
 
 let find_col (r : rel_stats) (c : Expr.col_ref) : Table_stats.col_stats option
@@ -288,7 +303,7 @@ let apply_select ?(asm = default_assumption) (r : rel_stats) (e : Expr.t) :
   let card = if provably_false e then card else floor_one r.card card in
   (* restrict histograms for conjuncts of shape col CMP const *)
   let conjuncts = Pred.conjuncts e in
-  let restrict ((alias, col), cs) =
+  let restrict alias col cs =
     let applies op v =
       match cs.Table_stats.hist with
       | None -> None
@@ -346,9 +361,14 @@ let apply_select ?(asm = default_assumption) (r : rel_stats) (e : Expr.t) :
            | _ -> acc)
         cs.Table_stats.hist conjuncts
     in
-    ((alias, col), { cs with Table_stats.hist = new_hist })
+    { cs with Table_stats.hist = new_hist }
   in
-  let cols = List.map restrict (columns r) in
+  let cols =
+    List.map
+      (fun (((alias, col) as k), cs) ->
+         (k, Table_stats.map_deferred (restrict alias col) cs))
+      (deferred_columns r)
+  in
   { card; ndv_cap = Float.max 1. card; width = r.width;
     cols = Cols (schema r, cols) }
 
@@ -401,7 +421,8 @@ let group (r : rel_stats) ~(keys : (Expr.t * string) list)
     List.filter_map
       (fun (e, a) ->
          match e with
-         | Expr.Col c -> Option.map (fun cs -> (("", a), cs)) (find_col r c)
+         | Expr.Col c ->
+           Option.map (fun cs -> (("", a), Lazy.from_val cs)) (find_col r c)
          | _ -> None)
       keys
   in
@@ -421,7 +442,7 @@ let project (r : rel_stats) (items : (Expr.t * string) list) : rel_stats =
       (fun (e, a) ->
          match e with
          | Expr.Col c ->
-           Option.map (fun cs -> (("", a), cs)) (find_col r c)
+           Option.map (fun cs -> (("", a), Lazy.from_val cs)) (find_col r c)
          | _ -> None)
       items
   in
@@ -432,9 +453,10 @@ let project (r : rel_stats) (items : (Expr.t * string) list) : rel_stats =
 let distinct (r : rel_stats) : rel_stats =
   let ndv_all =
     List.fold_left
-      (fun acc (_, cs) -> acc *. Float.max 1. cs.Table_stats.n_distinct)
+      (fun acc (_, cs) ->
+         acc *. Float.max 1. (Lazy.force cs).Table_stats.n_distinct)
       1.
-      (List.filteri (fun i _ -> i < 4) (columns r))
+      (List.filteri (fun i _ -> i < 4) (deferred_columns r))
   in
   let card = Float.min r.card (Float.max 1. ndv_all) in
   { r with card; ndv_cap = Float.min r.ndv_cap (Float.max 1. card) }

@@ -9,7 +9,12 @@
     columns, and caps distinct counts when a column is looked up rather
     than when the summary is built, so one derivation allocates the same
     few words however many columns its inputs carry.  Read columns
-    through {!find_col} and {!columns}, which apply the caps. *)
+    through {!find_col} and {!columns}, which apply the caps.
+
+    A column's statistics may be deferred (a view temporary's,
+    {!Table_stats.analyze_deferred}): {!find_col} forces only the column
+    it returns, {!apply_select} keeps unread columns deferred and
+    {!distinct} forces the first four. *)
 
 open Relalg
 
@@ -26,7 +31,7 @@ type rel_stats = {
 
 (** The stream's columns, in the order of its schema. *)
 and cols =
-  | Cols of Schema.t * (col_key * Table_stats.col_stats) list
+  | Cols of Schema.t * (col_key * Table_stats.col_stats Lazy.t) list
       (** a base table, or the output of a selection, projection or
           grouping *)
   | Concat of rel_stats * rel_stats
@@ -59,7 +64,7 @@ val schema : rel_stats -> Schema.t
     on its path applied. *)
 val find_col : rel_stats -> Expr.col_ref -> Table_stats.col_stats option
 
-(** Every column in order, caps applied. *)
+(** Every column in order, caps applied; forces every column. *)
 val columns : rel_stats -> (col_key * Table_stats.col_stats) list
 
 (** Predicate selectivity in [0, 1].  [join_memo] serves the histogram

@@ -18,8 +18,12 @@ let safe_scope inner (b : Qgm.block) : Schema.t =
   if b.Qgm.aggs = [] && b.Qgm.group_by = [] then inner
   else fst (Physical.columns inner b.Qgm.group_by b.Qgm.aggs)
 
+(* A block's output columns, given what its select list sees. *)
+let output_schema scope (b : Qgm.block) : Schema.t =
+  fst (Physical.columns scope b.Qgm.select [])
+
 let rec safe_block_schema (b : Qgm.block) : Schema.t =
-  fst (Physical.columns (safe_scope (safe_inner_schema b) b) b.Qgm.select [])
+  output_schema (safe_scope (safe_inner_schema b) b) b
 
 and safe_inner_schema (b : Qgm.block) : Schema.t =
   List.concat_map safe_source_schema b.Qgm.from
@@ -32,32 +36,25 @@ and safe_source_schema = function
   | Qgm.Derived { block; alias } ->
     Schema.requalify (safe_block_schema block) ~rel:alias
 
-(* The type of a subquery's one output column, its correlated references
-   resolved in [outer]. *)
-let sub_ty outer (b : Qgm.block) =
-  match b.Qgm.select with
-  | [ (e, _) ] ->
-    let scope = safe_scope (safe_inner_schema b) b in
-    fst (Typing.check (Schema.concat scope outer) e)
-  | _ -> None
-
 (* ------------------------------------------------------------------ *)
 (* QGM block well-formedness *)
 
-(* An output column's typing errors.  One whose type cannot be
+(* An output column's type and typing errors.  One whose type cannot be
    determined (e.g. a bare NULL literal) silently falls back to int in
    [safe_block_schema]; surface that instead of hiding it.  Only fires
    when typing reported no error — a column that fails to resolve is
    already reported. *)
-let output show env ((e, a) : Expr.t * string) : Diag.t list =
+let output show env ((e, a) : Expr.t * string) : Value.ty option * Diag.t list
+  =
   match Typing.check ~show env e with
   | None, [] ->
-    [ Diag.warning ~code:"unknown-column-type"
-        (Fmt.str
-           "output column %S has an undeterminable type; the schema falls \
-            back to int"
-           a) ]
-  | _, errors -> Diag.of_typing errors
+    ( None,
+      [ Diag.warning ~code:"unknown-column-type"
+          (Fmt.str
+             "output column %S has an undeterminable type; the schema falls \
+              back to int"
+             a) ] )
+  | ty, errors -> (ty, Diag.of_typing errors)
 
 (* A grouped block's keys and aggregates are named in messages by their
    SQL text ([COUNT( * )]), not by their output aliases ([agg0]). *)
@@ -78,12 +75,35 @@ let display (b : Qgm.block) : Expr.t -> string =
            | e -> e)
          e)
 
-let rec block ?(outer = []) (b : Qgm.block) : Diag.t list =
+(* A block's output has one column per select item. *)
+let subquery_arity n (blk : Qgm.block) =
+  let arity = List.length blk.Qgm.select in
+  if arity = n then []
+  else
+    [ Diag.error ~code:"subquery-arity"
+        (Fmt.str "subquery produces %d columns, expected %d" arity n) ]
+
+(* One pass over a block and everything nested in it, each schema built
+   once: the block's diagnostics, the scope its select list sees (without
+   [outer]) and its output columns' types in that scope plus [outer].  A
+   subquery's type is its one output's; a derived source's schema is
+   built from its scope. *)
+let rec check ~outer (b : Qgm.block) :
+  Diag.t list * Schema.t * Value.ty option list =
   let show = display b in
   let typing env e = Diag.of_typing (snd (Typing.check ~show env e)) in
   let predicate env e = Diag.of_typing (Typing.check_predicate ~show env e) in
-  let from_schema = List.concat_map safe_source_schema b.Qgm.from in
-  let inner = safe_inner_schema b in
+  let from = List.map (source ~outer) b.Qgm.from in
+  let semis =
+    List.map (fun (sj : Qgm.semijoin) -> source ~outer sj.Qgm.s_source)
+      b.Qgm.semijoins
+  in
+  let outers =
+    List.map (fun (oj : Qgm.outerjoin) -> source ~outer oj.Qgm.o_source)
+      b.Qgm.outerjoins
+  in
+  let from_schema = List.concat_map snd from in
+  let inner = from_schema @ List.concat_map snd outers in
   (* WHERE runs before semijoins/outerjoins attach, so its
      conjuncts see only the FROM sources plus correlation columns. *)
   let where_env = Schema.concat from_schema outer in
@@ -92,22 +112,18 @@ let rec block ?(outer = []) (b : Qgm.block) : Diag.t list =
     | Qgm.P e -> Diag.within label (predicate env e)
     | Qgm.In_sub (e, blk) | Qgm.Cmp_sub (_, e, blk) ->
       let ty, errors = Typing.check ~show env e in
+      let diags, _, tys = check ~outer:env blk in
+      let sub_ty = match tys with [ ty ] -> ty | _ -> None in
       Diag.within label
         (Diag.of_typing
-           (errors @ Typing.check_comparison ~show e ty (sub_ty env blk))
+           (errors @ Typing.check_comparison ~show e ty sub_ty)
          @ subquery_arity 1 blk
-         @ block ~outer:env blk)
-    | Qgm.Exists_sub (_, blk) -> Diag.within label (block ~outer:env blk)
+         @ diags)
+    | Qgm.Exists_sub (_, blk) ->
+      let diags, _, _ = check ~outer:env blk in
+      Diag.within label diags
   in
-  let source_diags =
-    List.concat_map (source_check ~outer) b.Qgm.from
-    @ List.concat_map
-        (fun (sj : Qgm.semijoin) -> source_check ~outer sj.Qgm.s_source)
-        b.Qgm.semijoins
-    @ List.concat_map
-        (fun (oj : Qgm.outerjoin) -> source_check ~outer oj.Qgm.o_source)
-        b.Qgm.outerjoins
-  in
+  let source_diags = List.concat_map fst (from @ semis @ outers) in
   let alias_diags =
     Diag.duplicates ~code:"duplicate-relation-alias" ~what:"relation alias"
       (Qgm.bound_aliases b)
@@ -115,27 +131,24 @@ let rec block ?(outer = []) (b : Qgm.block) : Diag.t list =
   let where_diags = List.concat_map (check_pred where_env "where") b.Qgm.where in
   (* each semijoin predicate sees the FROM sources plus its own source *)
   let semi_diags =
-    List.concat_map
-      (fun (sj : Qgm.semijoin) ->
-         let env =
-           Schema.concat
-             (Schema.concat from_schema (safe_source_schema sj.Qgm.s_source))
-             outer
-         in
-         Diag.within "semijoin" (predicate env sj.Qgm.s_pred))
-      b.Qgm.semijoins
+    List.concat
+      (List.map2
+         (fun (sj : Qgm.semijoin) (_, schema) ->
+            let env = Schema.concat (Schema.concat from_schema schema) outer in
+            Diag.within "semijoin" (predicate env sj.Qgm.s_pred))
+         b.Qgm.semijoins semis)
   in
   (* outerjoins attach left to right: the nth predicate sees the FROM
      sources and outerjoin sources 0..n *)
   let _, outer_diags =
-    List.fold_left
-      (fun (env, acc) (oj : Qgm.outerjoin) ->
-         let env = Schema.concat env (safe_source_schema oj.Qgm.o_source) in
+    List.fold_left2
+      (fun (env, acc) (oj : Qgm.outerjoin) (_, schema) ->
+         let env = Schema.concat env schema in
          ( env,
            acc
            @ Diag.within "outerjoin"
                (predicate (Schema.concat env outer) oj.Qgm.o_pred) ))
-      (from_schema, []) b.Qgm.outerjoins
+      (from_schema, []) b.Qgm.outerjoins outers
   in
   let group_env = Schema.concat inner outer in
   let group_diags =
@@ -149,11 +162,10 @@ let rec block ?(outer = []) (b : Qgm.block) : Diag.t list =
            (List.map snd b.Qgm.group_by @ List.map snd b.Qgm.aggs))
   in
   (* select / having / order-by see the grouped schema when grouping *)
-  let top_env = Schema.concat (safe_scope inner b) outer in
-  let select_diags =
-    Diag.within "select"
-      (List.concat_map (output show top_env) b.Qgm.select)
-  in
+  let scope = safe_scope inner b in
+  let top_env = Schema.concat scope outer in
+  let outputs = List.map (output show top_env) b.Qgm.select in
+  let select_diags = Diag.within "select" (List.concat_map snd outputs) in
   let having_diags =
     List.concat_map (check_pred top_env "having") b.Qgm.having
   in
@@ -161,26 +173,28 @@ let rec block ?(outer = []) (b : Qgm.block) : Diag.t list =
     Diag.within "order-by"
       (List.concat_map (fun (e, _) -> typing top_env e) b.Qgm.order_by)
   in
-  source_diags @ alias_diags @ where_diags @ semi_diags @ outer_diags
-  @ group_diags @ select_diags @ having_diags @ order_diags
+  ( source_diags @ alias_diags @ where_diags @ semi_diags @ outer_diags
+    @ group_diags @ select_diags @ having_diags @ order_diags,
+    scope,
+    List.map fst outputs )
 
-and source_check ~outer = function
-  | Qgm.Base _ -> []
+(* A source's diagnostics and its schema. *)
+and source ~outer = function
+  | Qgm.Base { schema; _ } -> ([], schema)
   | Qgm.Derived { block = blk; alias } ->
+    let diags, scope, _ = check ~outer blk in
     (* a view's outputs are referenced by name ([V.x]); a block's own
        outputs are not, so only a view's must be unique *)
-    Diag.within ("view " ^ alias)
-      (block ~outer blk
-       @ Diag.within "select"
-           (Diag.duplicates ~code:"duplicate-alias" ~what:"select alias"
-              (List.map snd blk.Qgm.select)))
+    ( Diag.within ("view " ^ alias)
+        (diags
+         @ Diag.within "select"
+             (Diag.duplicates ~code:"duplicate-alias" ~what:"select alias"
+                (List.map snd blk.Qgm.select))),
+      Schema.requalify (output_schema scope blk) ~rel:alias )
 
-and subquery_arity n blk =
-  let arity = Schema.arity (safe_block_schema blk) in
-  if arity = n then []
-  else
-    [ Diag.error ~code:"subquery-arity"
-        (Fmt.str "subquery produces %d columns, expected %d" arity n) ]
+let block ?(outer = []) b =
+  let diags, _, _ = check ~outer b in
+  diags
 
 (* ------------------------------------------------------------------ *)
 (* Semantics preservation *)

@@ -310,6 +310,86 @@ let test_annotate_uses_plan_time_stats () =
     true
     (against db <> planned)
 
+(* A view temporary's column statistics are computed when a reader asks
+   for them: after a query whose outer block reads one view column, the
+   temporary's other columns are still unforced in [stats_at_plan].  The
+   snapshot stays usable once the temporary has left the catalog: its
+   deferred columns read the temporary's rows, not the catalog's table of
+   that name, so annotating against it reproduces the planner's
+   estimates, and forcing a column late gives what eager ANALYZE of the
+   view's rows gives. *)
+let test_view_stats_on_demand () =
+  let cat, db = emp_dept () in
+  let view =
+    "SELECT E.did AS did, COUNT(*) AS n, SUM(E.sal) AS total FROM Emp E \
+     GROUP BY E.did"
+  in
+  let sql = "SELECT V.did FROM (" ^ view ^ ") AS V" in
+  let config =
+    { Core.Pipeline.default_config with telemetry = Some (Obs.Span.create ()) }
+  in
+  let _, reports =
+    Core.Pipeline.run_query ~config cat db (Sql.Binder.query_of_string cat sql)
+  in
+  let r = List.hd reports in
+  let snap = Option.get r.Core.Pipeline.stats_at_plan in
+  let tmp, ts =
+    match
+      Hashtbl.fold
+        (fun name ts acc ->
+           if Storage.Catalog.is_temp_table name then (name, ts) :: acc
+           else acc)
+        snap []
+    with
+    | [ t ] -> t
+    | l -> Alcotest.failf "expected one view temporary, got %d" (List.length l)
+  in
+  let forced () =
+    List.filter_map
+      (fun (n, c) -> if Lazy.is_val c then Some n else None)
+      ts.Stats.Table_stats.cols
+  in
+  Alcotest.(check (list string)) "only the read column is computed" [ "did" ]
+    (forced ());
+  Alcotest.(check bool) "temporary left the catalog" false
+    (Storage.Catalog.mem cat tmp);
+  (* an empty stand-in under the temporary's name *)
+  let stand_in =
+    Storage.Catalog.create_table cat ~name:tmp
+      ~columns:[ ("did", Value.Tint); ("n", Value.Tint); ("total", Value.Tint) ]
+  in
+  let plan = Option.get r.Core.Pipeline.plan in
+  let est = Obs.Est.annotate cat snap plan in
+  List.iter
+    (fun (o : Exec.Instrument.op) ->
+       Alcotest.(check (option (float 0.))) "planner estimate"
+         o.Exec.Instrument.est_rows (Obs.Est.card est o.Exec.Instrument.node))
+    (List.concat_map Exec.Instrument.ops
+       (Obs.Span.recorders (Option.get r.Core.Pipeline.span)));
+  let scan_n =
+    Exec.Plan.Seq_scan
+      { table = tmp; alias = "V";
+        filter =
+          Some (Expr.Cmp (Expr.Gt, Expr.col ~rel:"V" ~col:"n", Expr.int 3)) }
+  in
+  ignore (Obs.Est.annotate cat snap scan_n);
+  Alcotest.(check (list string)) "a late read computes its column"
+    [ "did"; "n" ] (forced ());
+  (* eager ANALYZE of the view's rows *)
+  let rows, _ =
+    Core.Pipeline.run_query cat db (Sql.Binder.query_of_string cat view)
+  in
+  Array.iter (Storage.Table.insert stand_in) rows.Exec.Executor.rows;
+  let want = Stats.Table_stats.analyze stand_in in
+  Storage.Catalog.remove_table cat tmp;
+  List.iter
+    (fun name ->
+       let a = Option.get (Stats.Table_stats.col want name)
+       and b = Option.get (Stats.Table_stats.col ts name) in
+       Alcotest.(check bool) (name ^ " = eager ANALYZE") true
+         (compare a b = 0))
+    [ "did"; "n"; "total" ]
+
 (* Digests are stable fingerprints: equal inputs agree, different inputs
    (here) differ, and the format is 8 hex digits. *)
 let test_digest () =
@@ -780,6 +860,8 @@ let () =
             test_fallback_event;
           Alcotest.test_case "annotate uses plan-time stats" `Quick
             test_annotate_uses_plan_time_stats;
+          Alcotest.test_case "view statistics on demand" `Quick
+            test_view_stats_on_demand;
           Alcotest.test_case "digest" `Quick test_digest ] );
       ( "spans",
         [ Alcotest.test_case "golden tree" `Quick test_span_golden_text;

@@ -117,9 +117,12 @@ let test_binder_resolution () =
    | _ -> Alcotest.fail "unexpected resolution")
 
 let test_binder_ambiguity_and_errors () =
-  let fails sql =
+  let fails ?message sql =
     match bind sql with
-    | exception Sql.Binder.Error _ -> ()
+    | exception Sql.Binder.Error m ->
+      Option.iter
+        (fun want -> Alcotest.(check string) (sql ^ ": message") want m)
+        message
     | _ -> Alcotest.fail ("should not bind: " ^ sql)
   in
   (* 'did' exists in both Emp and Dept *)
@@ -136,9 +139,17 @@ let test_binder_ambiguity_and_errors () =
   fails
     "SELECT E.eid FROM Emp E LEFT OUTER JOIN Dept D ON D.mgr = F.eid \
      LEFT OUTER JOIN Emp F ON F.eid = E.mgr";
-  fails
+  (* the grouping rule, named as for a plain HAVING reference, also
+     where an outer relation of the same alias would resolve it *)
+  fails ~message:"column E.eid must appear in GROUP BY or inside an aggregate"
     "SELECT E.did FROM Emp E GROUP BY E.did HAVING EXISTS \
      (SELECT D.did FROM Dept D WHERE D.did = E.eid)";
+  fails ~message:"column E.eid must appear in GROUP BY or inside an aggregate"
+    "SELECT E.did FROM Emp E GROUP BY E.did HAVING E.eid > 3";
+  fails ~message:"column D.budget must appear in GROUP BY or inside an aggregate"
+    "SELECT D.name FROM Dept D WHERE EXISTS (SELECT D.did FROM Emp E, Dept D \
+     WHERE E.did = D.did GROUP BY D.did HAVING D.did IN \
+     (SELECT G.did FROM Dept G WHERE G.budget > D.budget))";
   (* ill-typed arithmetic, in a select list, a derived table and a
      grouped block's namespace *)
   let ill_typed ?message sql =

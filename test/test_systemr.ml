@@ -241,7 +241,9 @@ type ref_stats = {
 let flat (r : ref_stats) : Stats.Derive.rel_stats =
   { Stats.Derive.card = r.card; ndv_cap = infinity;
     width = Storage.Page.tuple_width r.schema;
-    cols = Stats.Derive.Cols (r.schema, r.cols) }
+    cols =
+      Stats.Derive.Cols
+        (r.schema, List.map (fun (k, cs) -> (k, Lazy.from_val cs)) r.cols) }
 
 let cap_distinct card cols =
   let cap = Float.max 1. card in
